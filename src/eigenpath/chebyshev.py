@@ -8,8 +8,18 @@ of A(mu) v(mu) - lambda(mu) v(mu) (vector rows) and of v(mu)^T v(mu) - 1
 (scalar rows), where products expand through
 U_i U_j = U_{i+j} + U_{i+j-2} + ... + U_{|i-j|} and terms of degree above
 the truncation order are discarded (Galerkin projection onto span U_0..U_p).
-The unknown vector packs (lam_0, v_0, ..., lam_p, v_p), one scalar row and n
-vector rows per block, giving a dense Jacobian of size (p+1)(n+1).
+That projection is the 0/1 coupling tensor G[k, i, j] (1 exactly when
+U_i U_j contains U_k, for i, j, k <= p), symmetric in i and j. With
+W[k, i] = sum_j G[k, i, j] v_j the residual rows are
+sum_i (A_i - lam_i I) W[k, i] and sum_i v_i^T W[k, i] - delta_k0, and
+Jacobian block (k, m) is sum_i G[k, i, m] (A_i - lam_i I) with lambda column
+-W[k, m] and scalar row 2 W[k, m]^T.
+
+The unknowns form a (p+1, n+1) array whose row k is (lam_k, v_k); the packed
+vector is its row-major flattening, one scalar row and n vector rows per
+block, giving a dense Jacobian of size (p+1)(n+1). Each Newton iteration
+assembles it in O(p^3 n^2) and factors it in O(((p+1)(n+1))^3), so the LU
+dominates as n grows.
 
 On accuracy: a degree-p best approximation interpolates the target at p+1
 unknown points, so its error is governed by the (p+1)-st derivative at an
@@ -21,6 +31,7 @@ empirically against direct eigensolves (see the analysis module), and the
 computed coefficients additionally carry the Newton residual perturbation.
 """
 
+import functools
 import warnings
 
 import numpy as np
@@ -37,6 +48,7 @@ from .series import (
     SeriesBasis,
     VectorSeries,
     eval_cheb_u,
+    u_product_degrees,
     u_values,
 )
 from .taylor import ExpansionFailure, taylor_rhs
@@ -46,12 +58,24 @@ DEFAULT_NEWTON_MAX_ITER = 30
 COLLISION_TOL = 1e-8
 
 
+def quadrature_size(p, m=None):
+    """Quadrature node count for degree p: ``m``, or max(64, 4(p+1)) if None.
+
+    It must exceed 2p so the projection quadrature is exact with margin for
+    the retained degrees.
+    """
+    if m is None:
+        m = max(64, 4 * (p + 1))
+    if m <= 2 * p:
+        raise ValueError("quadrature size must exceed 2p")
+    return m
+
+
 @dataclass(frozen=True)
 class ChebRequest:
     """Expansion request over [mu1, mu2] with quadrature and Newton controls.
 
-    ``quad_m`` defaults to max(64, 4(p+1)) and must exceed 2p so the
-    projection quadrature is exact with margin for the retained degrees.
+    ``quad_m`` defaults and is checked as in :func:`quadrature_size`.
     """
 
     problem: object
@@ -70,15 +94,7 @@ class ChebRequest:
             raise ValueError("order must be nonnegative")
         if self.newton_tol <= 0:
             raise ValueError("newton_tol must be positive")
-        m = self.resolved_quad_m
-        if m <= 2 * self.order:
-            raise ValueError("quadrature size must exceed 2p")
-
-    @property
-    def resolved_quad_m(self):
-        if self.quad_m is not None:
-            return self.quad_m
-        return max(64, 4 * (self.order + 1))
+        quadrature_size(self.order, self.quad_m)
 
 
 def gauss_chebyshev_u(m):
@@ -99,10 +115,7 @@ def project_matrix_coeffs(problem, interval, p, m=None):
     A_0 here is a weighted average of A over the interval, not A at a point.
     """
     basis = SeriesBasis.chebyshev(*interval)
-    if m is None:
-        m = max(64, 4 * (p + 1))
-    if m <= 2 * p:
-        raise ValueError("quadrature size must exceed 2p")
+    m = quadrature_size(p, m)
     nodes, weights = gauss_chebyshev_u(m)
     mus = basis.from_affine(nodes)
     samples = np.empty((m, problem.n, problem.n), dtype=complex)
@@ -119,11 +132,8 @@ def project_matrix_coeffs(problem, interval, p, m=None):
 
 
 def pack_unknowns(lams, vs):
-    """Pack (lam_0, v_0, ..., lam_p, v_p) into one vector."""
-    blocks = []
-    for lam, v in zip(lams, vs):
-        blocks.append(np.concatenate(([lam], v)))
-    return np.concatenate(blocks).astype(complex)
+    """Row-major flattening of the (p+1, n+1) array with rows (lam_k, v_k)."""
+    return np.column_stack((lams, vs)).astype(complex).ravel()
 
 
 def unpack_unknowns(x, n):
@@ -132,18 +142,25 @@ def unpack_unknowns(x, n):
     return blocks[:, 0].copy(), blocks[:, 1:].copy()
 
 
-def degree_pairs(k, p):
-    """Ordered pairs (i, j) with i, j <= p whose product U_i U_j contains U_k."""
-    pairs = []
+@functools.lru_cache(maxsize=32)
+def coupling_tensor(p):
+    """0/1 tensor G[k, i, j], 1 exactly when U_i U_j contains U_k (i, j, k <= p).
+
+    Cached per p, so the array is read-only.
+    """
+    g = np.zeros((p + 1, p + 1, p + 1))
     for i in range(p + 1):
         for j in range(p + 1):
-            if abs(i - j) <= k <= i + j and (i + j - k) % 2 == 0:
-                pairs.append((i, j))
-    return pairs
+            for k in u_product_degrees(i, j):
+                if k <= p:
+                    g[k, i, j] = 1.0
+    g.flags.writeable = False
+    return g
 
 
-def _degree_pair_table(p):
-    return [degree_pairs(k, p) for k in range(p + 1)]
+def degree_pairs(k, p):
+    """Ordered pairs (i, j) with i, j <= p whose product U_i U_j contains U_k."""
+    return [tuple(ij) for ij in np.argwhere(coupling_tensor(p)[k]).tolist()]
 
 
 def warm_start(coeffs, eigindex):
@@ -171,14 +188,23 @@ def warm_start(coeffs, eigindex):
     v0 = v0 / np.sqrt(bilinear)
 
     system = build_bordered(a0, v0, lam0, hermitian=False, unit_norm_check=False)
+    unit_weights = np.ones((p + 1, p + 1))
     lams = [lam0]
     vs = [v0]
     for k in range(1, p + 1):
-        z, y = taylor_rhs(k, a_list, vs, lams, hermitian=False, unit_weights=True)
+        z, y = taylor_rhs(k, a_list, vs, lams, binomials=unit_weights)
         lam_k, v_k = solve_bordered(system, np.concatenate(([z], y)))
         lams.append(lam_k)
         vs.append(v_k)
     return pack_unknowns(lams, vs)
+
+
+def _coupled_terms(x, coeffs):
+    """G, the shifted coefficients A_i - lam_i I, W[k, i] and the vs of x."""
+    lams, vs = unpack_unknowns(np.asarray(x, dtype=complex), coeffs.n)
+    g = coupling_tensor(coeffs.order)
+    shifted = coeffs.coeffs - lams[:, None, None] * np.eye(coeffs.n)
+    return g, shifted, g @ vs, vs
 
 
 def cheb_residual(x, coeffs):
@@ -187,58 +213,27 @@ def cheb_residual(x, coeffs):
     Zero exactly when the truncated series satisfy the projected
     eigenproblem and the truncated normalization v^T v = 1.
     """
-    n = coeffs.n
-    p = coeffs.order
-    a_list = coeffs.coeffs
-    lams, vs = unpack_unknowns(np.asarray(x, dtype=complex), n)
-    table = _degree_pair_table(p)
-    residual = np.zeros((p + 1) * (n + 1), dtype=complex)
-    for k in range(p + 1):
-        vec = np.zeros(n, dtype=complex)
-        nrm = -1.0 if k == 0 else 0.0
-        for i, j in table[k]:
-            vec += a_list[i] @ vs[j] - lams[i] * vs[j]
-            nrm += vs[i] @ vs[j]
-        base = k * (n + 1)
-        residual[base] = nrm
-        residual[base + 1 : base + n + 1] = vec
-    return residual
+    _, shifted, w, vs = _coupled_terms(x, coeffs)
+    residual = np.empty((coeffs.order + 1, coeffs.n + 1), dtype=complex)
+    residual[:, 0] = np.tensordot(w, vs, axes=([1, 2], [0, 1]))
+    residual[0, 0] -= 1.0
+    residual[:, 1:] = np.tensordot(w, shifted, axes=([1, 2], [0, 2]))
+    return residual.ravel()
 
 
 def cheb_jacobian(x, coeffs):
     """Exact Jacobian of :func:`cheb_residual` with respect to packed x.
 
-    Block (k, m) holds sum over coupled degrees of A_i - lam_i I in the
-    vector rows, -v_j in the lambda column, and 2 v_i^T in the scalar row.
+    Block (k, m) holds sum_i G[k, i, m] (A_i - lam_i I) in the vector rows,
+    -W[k, m] in the lambda column, and 2 W[k, m]^T in the scalar row.
     """
-    n = coeffs.n
-    p = coeffs.order
-    a_list = coeffs.coeffs
-    lams, vs = unpack_unknowns(np.asarray(x, dtype=complex), n)
-    size = (p + 1) * (n + 1)
-    jac = np.zeros((size, size), dtype=complex)
-    eye = np.eye(n)
-    for k in range(p + 1):
-        row = k * (n + 1)
-        for m in range(p + 1):
-            col = m * (n + 1)
-            # Degrees i with k in degrees(i, m): same parity/triangle test.
-            indices = [
-                i for i in range(p + 1) if abs(i - m) <= k <= i + m and (i + m - k) % 2 == 0
-            ]
-            if not indices:
-                continue
-            block = np.zeros((n, n), dtype=complex)
-            lam_col = np.zeros(n, dtype=complex)
-            nrm_row = np.zeros(n, dtype=complex)
-            for i in indices:
-                block += a_list[i] - lams[i] * eye
-                lam_col -= vs[i]
-                nrm_row += 2.0 * vs[i]
-            jac[row, col + 1 : col + n + 1] = nrm_row
-            jac[row + 1 : row + n + 1, col] = lam_col
-            jac[row + 1 : row + n + 1, col + 1 : col + n + 1] = block
-    return jac
+    g, shifted, w, _ = _coupled_terms(x, coeffs)
+    p1, n1 = coeffs.order + 1, coeffs.n + 1
+    jac = np.zeros((p1, n1, p1, n1), dtype=complex)
+    jac[:, 1:, :, 1:] = np.tensordot(g, shifted, axes=([1], [0])).transpose(0, 2, 1, 3)
+    jac[:, 1:, :, 0] = -w.transpose(0, 2, 1)
+    jac[:, 0, :, 1:] = 2.0 * w
+    return jac.reshape(p1 * n1, p1 * n1)
 
 
 def _series_from_packed(x, coeffs, diagnostics):
@@ -334,7 +329,7 @@ def cheb_expand_eigenpair(request, eigindex=None):
             raise ValueError("an eigenpair index is required")
         eigindex = int(request.selector)
     coeffs = project_matrix_coeffs(
-        request.problem, request.interval, request.order, request.resolved_quad_m
+        request.problem, request.interval, request.order, request.quad_m
     )
     x0 = warm_start(coeffs, eigindex)
     return newton_refine(x0, coeffs, request.newton_tol, request.newton_max_iter)
@@ -348,7 +343,7 @@ def cheb_expand_all(request):
     about, not treated as failures.
     """
     coeffs = project_matrix_coeffs(
-        request.problem, request.interval, request.order, request.resolved_quad_m
+        request.problem, request.interval, request.order, request.quad_m
     )
     decomp = eigen_all(np.asarray(coeffs.coeffs[0]))
     out = []

@@ -70,26 +70,26 @@ def binomial_table(p):
     return c
 
 
-def taylor_rhs(k, a_derivs, vs, lams, hermitian=False, binomials=None, unit_weights=False):
+def taylor_rhs(k, a_derivs, vs, lams, hermitian=False, binomials=None):
     """Right-hand side (z, y) of the order-k bordered system.
 
-    ``unit_weights`` replaces every binomial coefficient by 1; that variant
-    is the forward-substitution step of the Chebyshev warm start.
+    Term l is weighted by ``binomials[k, l]``; the Chebyshev warm start
+    passes all ones, its forward-substitution step.
     """
     if k < 1:
         raise ValueError("rhs is defined for k >= 1")
     if binomials is None:
         binomials = binomial_table(k)
     dot = (lambda x, y: np.conj(x) @ y) if hermitian else (lambda x, y: x @ y)
-    weight = (lambda _k, _l: 1.0) if unit_weights else (lambda _k, _l: binomials[_k, _l])
+    weights = binomials[k]
 
     y = np.zeros_like(vs[0])
     z = 0.0 + 0.0j
     for l in range(k):
-        y = y + weight(k, l) * (a_derivs[k - l] @ vs[l])
+        y = y + weights[l] * (a_derivs[k - l] @ vs[l])
         if l >= 1:
-            y = y - weight(k, l) * vs[k - l] * lams[l]
-            z = z - 0.5 * weight(k, l) * dot(vs[k - l], vs[l])
+            y = y - weights[l] * vs[k - l] * lams[l]
+            z = z - 0.5 * weights[l] * dot(vs[k - l], vs[l])
     return z, y
 
 

@@ -178,22 +178,24 @@ class TestResidual:
         r = cheb_residual(pack_unknowns(lams, vs), coeffs)
         assert np.max(np.abs(r)) <= 1e-13 * (1 + np.abs(d.values[2]))
 
-    def test_matches_symbolic_product_oracle(self, torus8):
-        coeffs = project_matrix_coeffs(torus8, (0.25, 1.0), 5)
+    @pytest.mark.parametrize("p", [5, 0, 9])
+    def test_matches_symbolic_product_oracle(self, torus8, p):
+        coeffs = project_matrix_coeffs(torus8, (0.25, 1.0), p)
         rng = np.random.default_rng(4)
-        size = 6 * 9
+        size = (p + 1) * 9
         x = rng.normal(size=size) + 1j * rng.normal(size=size)
         lams, vs = unpack_unknowns(x, 8)
-        nrm, vec = galerkin_coefficients(lams, vs, coeffs.coeffs, 5)
+        nrm, vec = galerkin_coefficients(lams, vs, coeffs.coeffs, p)
         r = cheb_residual(x, coeffs)
-        for k in range(6):
+        for k in range(p + 1):
             base = k * 9
             assert abs(r[base] - nrm[k]) <= 1e-12 * max(1.0, abs(nrm[k]))
             np.testing.assert_allclose(r[base + 1 : base + 9], vec[k], rtol=1e-12, atol=1e-12)
 
 
 class TestJacobian:
-    def test_against_finite_differences(self):
+    @pytest.mark.parametrize("p", [3, 0])
+    def test_against_finite_differences(self, p):
         rng = np.random.default_rng(7)
 
         from eigenpath import ParametricProblem
@@ -205,8 +207,8 @@ class TestJacobian:
             eval_at=lambda mu: a_fixed + mu * b_fixed + 0.3 * np.sin(mu) * np.eye(4),
             derivs_at=lambda mu0, p: None,
         )
-        coeffs = project_matrix_coeffs(problem, (0.0, 1.0), 3)
-        size = 4 * 5
+        coeffs = project_matrix_coeffs(problem, (0.0, 1.0), p)
+        size = (p + 1) * 5
         x = rng.normal(size=size) + 1j * rng.normal(size=size)
         jac = cheb_jacobian(x, coeffs)
         h = 1e-7
