@@ -11,7 +11,6 @@ written atomically (temp file, then rename).
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 import time
@@ -37,7 +36,11 @@ from .analysis import (
 from .chebyshev import ChebRequest, cheb_expand_all, cheb_expand_eigenpair
 from .errors import ConfigError, EigenPathError, NumericalError
 from .problems import builtin_problem, problem_from_config
-from .series import eigenpair_to_dict, load_eigenpair
+from .series import (  # noqa: F401  (eigenpair_to_dict: looked up here by benchmarks/tracing.py)
+    eigenpair_to_dict,
+    load_eigenpair,
+    save_eigenpair,
+)
 from .taylor import (
     ExpansionFailure,
     TaylorRequest,
@@ -146,11 +149,6 @@ def _ensure_outdir(args):
     return outdir
 
 
-def _save_pair(pair, path):
-    text = json.dumps(eigenpair_to_dict(pair), indent=1) + "\n"
-    _atomic_write_text(path, text)
-
-
 def cmd_expand(args):
     problem, config_hash = _resolve_problem(args)
     if args.method == "taylor":
@@ -215,7 +213,7 @@ def cmd_expand(args):
             failures.append(result)
             continue
         name = f"eigenpair_{index + 1:02d}.json"
-        _save_pair(result, outdir / name)
+        save_eigenpair(result, outdir / name)
         outputs.append(name)
 
     params = {

@@ -1,5 +1,5 @@
 """Dense eigendecomposition, bordered linear systems, and the Schur-reduced
-fast solve used by the expansion order loops.
+bordered solve of one eigenpair.
 
 The bordered matrix is
 
@@ -7,8 +7,9 @@ The bordered matrix is
         [ v0  lam0 I - A0 ]
 
 Each expansion order solves E x = rhs with the same E, so the LU factors are
-computed once. When all eigenpairs are wanted, a single Schur form
-A0 = Q T Q^H reduces every solve to O(n^2) triangular work.
+computed once. A single Schur form A0 = Q T Q^H reduces one pair's solve to
+O(n^2) triangular work (:func:`solve_bordered_reduced`); the Taylor kernel
+in ``taylor`` does the same elimination for all pairs at once.
 """
 
 import numpy as np

@@ -16,10 +16,12 @@ threads; coefficient arrays are marked read-only.
 
 import json
 import math
+import os
 
 import numpy as np
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 TAYLOR = "taylor"
 CHEBYSHEV_U = "chebyshev-u"
@@ -299,16 +301,17 @@ def _basis_from_dict(doc):
 
 
 def _coeffs_to_nested(arr):
-    if arr.ndim == 0:
-        return [float(arr.real), float(arr.imag)]
-    return [_coeffs_to_nested(sub) for sub in arr]
+    arr = np.asarray(arr)
+    return np.stack((arr.real, arr.imag), -1).tolist()
 
 
 def _coeffs_from_nested(doc):
     doc = np.asarray(doc, dtype=float)
     if doc.shape[-1] != 2:
         raise ValueError("coefficient leaves must be [re, im] pairs")
-    return doc[..., 0] + 1j * doc[..., 1]
+    # [re, im] pairs are a complex array's memory layout; reinterpreting them
+    # keeps every bit, where re + 1j * im would turn a -0.0 real part into 0.0
+    return np.ascontiguousarray(doc).view(complex)[..., 0]
 
 
 def series_to_dict(series):
@@ -369,9 +372,11 @@ def eigenpair_from_dict(doc):
 
 
 def save_eigenpair(pair, path):
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(eigenpair_to_dict(pair), handle, indent=1)
-        handle.write("\n")
+    """Write one eigenpair as compact JSON, atomically (temp file, then rename)."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(eigenpair_to_dict(pair)) + "\n", encoding="utf-8")
+    os.replace(tmp, path)
 
 
 def load_eigenpair(path):

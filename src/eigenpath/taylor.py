@@ -8,9 +8,36 @@ eigenvector. Every later order k solves the same bordered system
                         sum_{l=0}^{k-1} C(k,l) A_{k-l} v_l
                       - sum_{l=1}^{k-1} C(k,l) v_{k-l} lam_l ]
 
-so the factorization (or, for all eigenpairs, one shared Schur form with
-O(n^2) reduced solves) is reused across orders. Errors accumulate with
-growing order by construction; no mitigation is applied.
+All selected eigenpairs advance together, one order at a time, in the
+Schur basis A0 = Q T Q^H of one decomposition (T is diagonal when the
+problem is Hermitian). With the pairs' coefficients as the columns of
+V_l, the right-hand sides of order k are k products A_{k-l} V_l. In the
+Schur basis the system of pair i reads
+
+    c_i lam_k + (lam0_i I - T) w = Q^H y_i,      c_i = Q^H v0_i,
+
+whose triangular matrix is singular at the pair's pivot row j, where
+T_jj = lam0_i. The left null row l_i of lam0_i I - T gives
+lam_k = l_i Q^H y_i / (l_i c_i). Back-substitution with w_j pinned to 0,
+plus the multiple of c_i that satisfies the normalization row, gives
+v_k = Q w. One row loop over T serves every pair, so order k costs k + 3
+products of n x n by n x m matrices and O(n^2 m) triangular work for m
+pairs: O(p^2 n^3) for all n pairs up to order p.
+
+The kernel stays in the Schur basis rather than the eigenvector basis,
+where V^{-1} A_k V would make every solve diagonal: Q is unitary and
+amplifies no rounding, while V^{-1} carries cond(V), which one nearly
+defective pair makes large for all the others.
+
+A pair is expanded only when its eigenvalue is simple: its gap to the
+nearest other eigenvalue, its Schur pivot, l_i c_i and b_i^T v0_i must all
+stay clear of zero (``linalg.SINGULARITY_RCOND``). Each failing pair yields
+its own ExpansionFailure and takes no part in the others' computation.
+
+The dense bordered LU, factorized once and reused across orders, remains
+for ``single_precision_e``, an experiment on the stored matrix E itself.
+Errors accumulate with growing order by construction; no mitigation is
+applied.
 """
 
 import numpy as np
@@ -19,11 +46,12 @@ from dataclasses import dataclass
 
 from .errors import DerivativeOrderError, NonSimpleEigenvalueError
 from .linalg import (
-    assemble_bordered,
+    SINGULARITY_RCOND,
+    border_row,
     build_bordered,
     eigen_all,
     solve_bordered,
-    solve_bordered_reduced,
+    solve_bordered_reduced,  # noqa: F401  (looked up here by benchmarks/tracing.py)
 )
 from .series import EigenPairSeries, ScalarSeries, SeriesBasis, VectorSeries
 
@@ -70,17 +98,25 @@ def binomial_table(p):
     return c
 
 
+def _column_dot(x, y, hermitian=False):
+    """x^T y (x^H y when Hermitian); one value per column for 2-D x and y."""
+    if hermitian:
+        x = np.conj(x)
+    return x @ y if x.ndim == 1 else np.einsum("ij,ij->j", x, y)
+
+
 def taylor_rhs(k, a_derivs, vs, lams, hermitian=False, binomials=None):
     """Right-hand side (z, y) of the order-k bordered system.
 
-    Term l is weighted by ``binomials[k, l]``; the Chebyshev warm start
-    passes all ones, its forward-substitution step.
+    ``vs[l]`` is one coefficient vector, or an (n, m) array whose columns
+    are m eigenpairs' coefficients, with ``lams[l]`` of length m; z then
+    holds one value per column. Term l is weighted by ``binomials[k, l]``;
+    the Chebyshev warm start passes all ones, its forward-substitution step.
     """
     if k < 1:
         raise ValueError("rhs is defined for k >= 1")
     if binomials is None:
         binomials = binomial_table(k)
-    dot = (lambda x, y: np.conj(x) @ y) if hermitian else (lambda x, y: x @ y)
     weights = binomials[k]
 
     y = np.zeros_like(vs[0])
@@ -89,7 +125,7 @@ def taylor_rhs(k, a_derivs, vs, lams, hermitian=False, binomials=None):
         y = y + weights[l] * (a_derivs[k - l] @ vs[l])
         if l >= 1:
             y = y - weights[l] * vs[k - l] * lams[l]
-            z = z - 0.5 * weights[l] * dot(vs[k - l], vs[l])
+            z = z - 0.5 * weights[l] * _column_dot(vs[k - l], vs[l], hermitian)
     return z, y
 
 
@@ -115,8 +151,10 @@ def _residual(e, lam_k, v_k, z, y):
 def taylor_expand_eigenpair(request):
     """Taylor coefficients for one selected eigenpath.
 
-    The selected eigenvalue of A(mu0) must be simple; this is checked via
-    the reciprocal condition estimate of the bordered matrix.
+    The selected eigenvalue of A(mu0) must be simple, else
+    NonSimpleEigenvalueError is raised. The pair runs through the same
+    Schur-basis kernel as :func:`taylor_expand_all`, restricted to its
+    column; ``single_precision_e`` takes the dense rounded-E path instead.
     """
     if request.selector == "all":
         raise ValueError("selector must be an index for taylor_expand_eigenpair")
@@ -127,11 +165,14 @@ def taylor_expand_eigenpair(request):
     index = int(request.selector)
     if not 0 <= index < decomp.n:
         raise ValueError(f"eigenpair index {index} out of range for n={decomp.n}")
-    lam0 = complex(decomp.values[index])
-    v0 = decomp.vectors[:, index].copy()
-    return _expand_single_dense(
-        derivs, v0, lam0, p, problem.hermitian, request.single_precision_e, request.mu0
-    )
+    if request.single_precision_e:
+        lam0 = complex(decomp.values[index])
+        v0 = decomp.vectors[:, index].copy()
+        return _expand_single_dense(derivs, v0, lam0, p, problem.hermitian, True, request.mu0)
+    (result,) = _expand_schur(derivs, decomp, [index], p, problem.hermitian, request.mu0)
+    if isinstance(result, ExpansionFailure):
+        raise result.error
+    return result
 
 
 def _expand_single_dense(derivs, v0, lam0, p, hermitian, single_precision, mu0):
@@ -157,30 +198,136 @@ def _expand_single_dense(derivs, v0, lam0, p, hermitian, single_precision, mu0):
     return _series_from_orders(basis, lams, vs, diagnostics)
 
 
-def _expand_single_reduced(derivs, decomp, index, p, hermitian, binomials, mu0):
-    lam0 = complex(decomp.values[index])
-    v0 = decomp.vectors[:, index].copy()
-    others = np.delete(decomp.values, index)
-    scale = 1.0 + float(np.max(np.abs(decomp.values)))
-    if others.size and np.min(np.abs(lam0 - others)) < 1e-12 * scale:
-        raise NonSimpleEigenvalueError(
-            f"non-simple eigenvalue at expansion point (index {index})"
+def _eigenvalue_gaps(values):
+    """Distance from each eigenvalue to the nearest other one (inf if n = 1)."""
+    dist = np.abs(values[:, None] - values[None, :])
+    np.fill_diagonal(dist, np.inf)
+    return dist.min(axis=1)
+
+
+def _simplicity_failures(decomp, indices, gaps):
+    """Each pair's pivot row of T, and per pair None if its eigenvalue passes
+    the gap and Schur-pivot tests, else the NonSimpleEigenvalueError."""
+    values = decomp.values
+    diag = np.diagonal(decomp.schur_t)
+    lam0 = values[indices]
+    dist = np.abs(lam0[None, :] - diag[:, None])
+    pivots = np.argmin(dist, axis=0)
+    dist[pivots, np.arange(len(indices))] = np.inf
+    runner_up = dist.min(axis=0)
+    gap_tol = SINGULARITY_RCOND * (1.0 + float(np.max(np.abs(values))))
+    pivot_tol = SINGULARITY_RCOND * (1.0 + np.abs(lam0) + float(np.max(np.abs(diag))))
+    errors = []
+    for col, index in enumerate(indices):
+        reason = None
+        if gaps[col] < gap_tol:
+            reason = f"index {index}"
+        elif runner_up[col] < pivot_tol[col]:
+            reason = "repeated Schur diagonal entry"
+        message = f"non-simple eigenvalue at expansion point ({reason})"
+        errors.append(reason and NonSimpleEigenvalueError(message))
+    return pivots, errors
+
+
+def _left_null_rows(t, shifts, pivots):
+    """Columns l_i with l_i^T (lam0_i I - T) = 0: 0 before pivot row i, 1 at it.
+
+    ``shifts[r, i]`` is lam0_i - T_rr with inf at the pivot row, so row r
+    adds (sum_{s<r} l_s T_sr) / shifts[r] to each column at once.
+    """
+    ell = np.zeros_like(shifts)
+    ell[pivots, np.arange(len(pivots))] = 1.0
+    for r in range(1, t.shape[0]):
+        ell[r] += (t[:r, r] @ ell[:r]) / shifts[r]
+    return ell
+
+
+def _back_substitute(t, shifts, g):
+    """Solve (lam0_i I - T) w_i = g_i for every column i, w_i = 0 at pivot i.
+
+    The pivot row is the one equation g_i's consistency makes redundant;
+    its inf shift pins the pivot entry to 0.
+    """
+    w = np.empty_like(g)
+    for r in range(t.shape[0] - 1, -1, -1):
+        w[r] = (g[r] + t[r, r + 1:] @ w[r + 1:]) / shifts[r]
+    return w
+
+
+def _bordered_residuals(a0, lam0, v0, border, lam_k, v_k, z, y):
+    """max |E x - rhs| per column: each pair's order-k bordered system."""
+    row = _column_dot(border, v_k) - z
+    body = v0 * lam_k + v_k * lam0 - a0 @ v_k - y
+    return np.maximum(np.abs(row), np.abs(body).max(axis=0))
+
+
+def _expand_schur(derivs, decomp, indices, p, hermitian, mu0):
+    """Expand the eigenpairs ``indices`` of ``decomp`` together, one order
+    at a time, in its Schur basis (see the module docstring).
+
+    Returns one EigenPairSeries or ExpansionFailure per index, in order.
+    Only the pairs that pass every simplicity test enter the order loop.
+    """
+    indices = [int(index) for index in indices]
+    gaps = _eigenvalue_gaps(decomp.values)[indices]
+    pivots, errors = _simplicity_failures(decomp, indices, gaps)
+    cols = np.array([col for col, err in enumerate(errors) if err is None], dtype=int)
+
+    q, t = decomp.schur_q, decomp.schur_t
+    qh = q.conj().T
+    chosen = np.array(indices, dtype=int)[cols]
+    lam0 = decomp.values[chosen]
+    v0 = decomp.vectors[:, chosen]
+    border = border_row(v0, hermitian)
+    shifts = lam0[None, :] - np.diagonal(t)[:, None]
+    shifts[pivots[cols], np.arange(cols.size)] = np.inf
+    c = qh @ v0
+    ell = _left_null_rows(t, shifts, pivots[cols])
+    ell_c = _column_dot(ell, c)
+    border_v0 = _column_dot(border, v0)
+    # The two pivots the bordered system's elimination divides by: l_i c_i,
+    # the reciprocal eigenvalue condition number up to ||l_i|| (||c_i|| = 1),
+    # and b_i^T v0_i. Each vanishes when the eigenvalue is not simple.
+    ok = (np.abs(ell_c) >= SINGULARITY_RCOND * np.linalg.norm(ell, axis=0)) & (
+        np.abs(border_v0) >= SINGULARITY_RCOND
+    )
+    for col in cols[~ok]:
+        errors[col] = NonSimpleEigenvalueError(
+            "non-simple eigenvalue at expansion point (eliminated pivot below 1e-12)"
         )
-    basis = SeriesBasis.taylor(mu0)
-    e = assemble_bordered(derivs[0], v0, lam0, hermitian)
-    lams = [lam0]
-    vs = [v0]
-    residuals = []
+    cols = cols[ok]
+    lam0, v0, border, shifts, c, ell, ell_c, border_v0 = (
+        a[..., ok] for a in (lam0, v0, border, shifts, c, ell, ell_c, border_v0)
+    )
+
+    binomials = binomial_table(max(p, 1))
+    lams, vs, residuals = [lam0], [v0], []
     for k in range(1, p + 1):
         z, y = taylor_rhs(k, derivs, vs, lams, hermitian=hermitian, binomials=binomials)
-        lam_k, v_k = solve_bordered_reduced(
-            decomp.schur_q, decomp.schur_t, v0, lam0, np.concatenate(([z], y)), hermitian
-        )
-        residuals.append(_residual(e, lam_k, v_k, z, y))
+        yhat = qh @ y
+        lam_k = _column_dot(ell, yhat) / ell_c
+        v_k = q @ _back_substitute(t, shifts, yhat - c * lam_k)
+        v_k = v_k + v0 * ((z - _column_dot(border, v_k)) / border_v0)
+        residuals.append(_bordered_residuals(derivs[0], lam0, v0, border, lam_k, v_k, z, y))
         lams.append(lam_k)
         vs.append(v_k)
-    diagnostics = {"method": "taylor", "order_residuals": residuals}
-    return _series_from_orders(basis, lams, vs, diagnostics)
+
+    basis = SeriesBasis.taylor(mu0)
+    out = [
+        ExpansionFailure(index, complex(decomp.values[index]), err)
+        for index, err in zip(indices, errors)
+    ]
+    for pos, col in enumerate(cols):
+        gap = float(gaps[col])
+        diagnostics = {
+            "method": "taylor",
+            "order_residuals": [float(res[pos]) for res in residuals],
+            "gap": gap if np.isfinite(gap) else None,
+        }
+        out[col] = _series_from_orders(
+            basis, [lam[pos] for lam in lams], [v[:, pos] for v in vs], diagnostics
+        )
+    return out
 
 
 def taylor_expand_all(request):
@@ -188,32 +335,28 @@ def taylor_expand_all(request):
 
     Returns a list with one entry per eigenvalue (sorted order): an
     EigenPairSeries on success, or an ExpansionFailure carrying the error
-    when that particular eigenvalue is not simple. The per-eigenvalue inner
-    loops use the O(n^2) reduced solve, for O((25 + p^2) n^3) total work;
-    the single-precision variant exercises the dense rounded factorization
-    instead, since the experiment is about the stored matrix E.
+    when that particular eigenvalue is not simple. All simple pairs advance
+    together through the Schur-basis kernel in O(p^2 n^3) work; each pair's
+    diagnostics hold its per-order bordered residuals and its eigenvalue
+    gap. The single-precision variant runs the dense rounded factorization
+    per pair instead, since the experiment is about the stored matrix E.
     """
     problem = request.problem
     p = request.order
     derivs = _check_derivatives(problem, request.mu0, p)
     decomp = eigen_all(derivs[0], hermitian=problem.hermitian)
-    binomials = binomial_table(max(p, 1))
+    if not request.single_precision_e:
+        return _expand_schur(derivs, decomp, range(decomp.n), p, problem.hermitian, request.mu0)
     out = []
     for index in range(decomp.n):
+        lam0 = complex(decomp.values[index])
+        v0 = decomp.vectors[:, index].copy()
         try:
-            if request.single_precision_e:
-                lam0 = complex(decomp.values[index])
-                v0 = decomp.vectors[:, index].copy()
-                pair = _expand_single_dense(
-                    derivs, v0, lam0, p, problem.hermitian, True, request.mu0
-                )
-            else:
-                pair = _expand_single_reduced(
-                    derivs, decomp, index, p, problem.hermitian, binomials, request.mu0
-                )
-            out.append(pair)
+            out.append(
+                _expand_single_dense(derivs, v0, lam0, p, problem.hermitian, True, request.mu0)
+            )
         except NonSimpleEigenvalueError as exc:
-            out.append(ExpansionFailure(index, complex(decomp.values[index]), exc))
+            out.append(ExpansionFailure(index, lam0, exc))
     return out
 
 

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 
+from pathlib import Path
+
 import pytest
+
+import eigenpath
 
 from eigenpath import load_eigenpair
 from eigenpath.cli import main
@@ -96,6 +101,38 @@ class TestExpand:
             ]
         )
         assert code == 1
+
+
+def _expand_in_subprocess(args, out, threads):
+    """Run ``python -m eigenpath expand`` with BLAS pinned to ``threads``."""
+    env = dict(os.environ)
+    env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = str(threads)
+    src = str(Path(eigenpath.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "eigenpath", "expand", *args, "--out", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("eig", ["all", "1"])
+@pytest.mark.parametrize(
+    "problem, mu0, order", [("example1", "0.2", "4"), ("example2", "0.8", "6")]
+)
+def test_expand_identical_across_blas_threads(tmp_path, problem, mu0, order, eig):
+    args = [
+        "--problem", problem, "--n", "8", "--method", "taylor", "--mu0", mu0,
+        "--order", order, "--eig", eig,
+    ]
+    outs = [tmp_path / f"threads{threads}" for threads in (1, 2)]
+    for threads, out in zip((1, 2), outs):
+        _expand_in_subprocess(args, out, threads)
+    names = sorted(p.name for p in outs[0].glob("eigenpair_*.json"))
+    assert names == sorted(p.name for p in outs[1].glob("eigenpair_*.json"))
+    assert len(names) == (8 if eig == "all" else 1)
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 class TestReport:

@@ -18,6 +18,8 @@ from eigenpath.series import (
     eval_cheb_u,
     eval_taylor,
     evaluate_series,
+    load_eigenpair,
+    save_eigenpair,
     series_from_dict,
     series_to_dict,
     u_product_degrees,
@@ -225,6 +227,25 @@ class TestSerialization:
         np.testing.assert_array_equal(back.lam.coeffs, pair.lam.coeffs)
         np.testing.assert_array_equal(back.vec.coeffs, pair.vec.coeffs)
         assert back.diagnostics["newton_iterations"] == 4
+
+    def test_save_load_bit_exact_and_atomic(self, tmp_path):
+        rng = np.random.default_rng(11)
+        basis = SeriesBasis.taylor(0.2)
+        lam = rng.normal(size=4) * 1e3 + 1j * rng.normal(size=4)
+        lam[1] = complex(-0.0, 5e-324)       # signed zero and the smallest subnormal
+        vec = rng.normal(size=(4, 6)) * 1e-200 + 1j * rng.normal(size=(4, 6)) * 1e200
+        pair = EigenPairSeries(
+            ScalarSeries(basis, lam),
+            VectorSeries(basis, vec),
+            {"method": "taylor", "order_residuals": [1e-16, 2e-15, 3e-15], "gap": None},
+        )
+        path = tmp_path / "eigenpair_01.json"
+        save_eigenpair(pair, path)
+        back = load_eigenpair(path)
+        assert back.lam.coeffs.tobytes() == pair.lam.coeffs.tobytes()
+        assert back.vec.coeffs.tobytes() == pair.vec.coeffs.tobytes()
+        assert back.diagnostics == pair.diagnostics
+        assert [p.name for p in tmp_path.iterdir()] == ["eigenpair_01.json"]
 
 
 class TestContainers:

@@ -9,6 +9,7 @@ from conftest import constant_problem, linear_problem, shift_problem
 
 from eigenpath import (
     DerivativeOrderError,
+    ExpansionFailure,
     NonSimpleEigenvalueError,
     ParametricProblem,
     TaylorRequest,
@@ -16,11 +17,15 @@ from eigenpath import (
     eval_taylor,
     expansion_failures,
     expansion_series,
+    make_spring_chain,
+    make_torus_kernel,
+    solve_bordered_reduced,
     taylor_expand_all,
     taylor_expand_eigenpair,
     taylor_rhs,
 )
-from eigenpath.taylor import _expand_single_dense, binomial_table
+from eigenpath.linalg import assemble_bordered, border_row
+from eigenpath.taylor import _bordered_residuals, _expand_single_dense, binomial_table
 
 
 class TestTaylorRhs:
@@ -162,6 +167,197 @@ class TestExpandAll:
             )
             lams.append(lam_k)
             vs.append(v_k)
+
+
+def _per_pair_oracle(derivs, decomp, index, p, hermitian):
+    """One pair's order loop: taylor_rhs plus the Schur-reduced bordered solve."""
+    lam0 = complex(decomp.values[index])
+    v0 = decomp.vectors[:, index].copy()
+    binomials = binomial_table(max(p, 1))
+    lams, vs = [lam0], [v0]
+    for k in range(1, p + 1):
+        z, y = taylor_rhs(k, derivs, vs, lams, hermitian=hermitian, binomials=binomials)
+        lam_k, v_k = solve_bordered_reduced(
+            decomp.schur_q, decomp.schur_t, v0, lam0, np.concatenate(([z], y)), hermitian
+        )
+        lams.append(lam_k)
+        vs.append(v_k)
+    return np.array(lams), np.array(vs)
+
+
+def _relative_error(coeffs, reference):
+    """Per order: max |difference| over max(1, max |reference_k|)."""
+    coeffs = np.asarray(coeffs).reshape(len(coeffs), -1)
+    reference = np.asarray(reference).reshape(len(reference), -1)
+    scale = np.maximum(1.0, np.max(np.abs(reference), axis=1))
+    return np.max(np.abs(coeffs - reference), axis=1) / scale
+
+
+class TestSchurKernel:
+    @pytest.mark.parametrize(
+        "name, mu0", [("spring", 0.8), ("torus", 0.2)]
+    )
+    def test_matches_per_pair_oracle(self, name, mu0):
+        problem = make_spring_chain(8) if name == "spring" else make_torus_kernel(8)
+        p = 6
+        derivs = np.asarray(problem.derivs_at(mu0, p), dtype=complex)
+        d = eigen_all(derivs[0], hermitian=problem.hermitian)
+        results = taylor_expand_all(TaylorRequest(problem, mu0, p))
+        assert len(expansion_series(results)) == 8
+        for index, pair in enumerate(results):
+            lams, vs = _per_pair_oracle(derivs, d, index, p, problem.hermitian)
+            assert np.max(_relative_error(pair.lam.coeffs, lams)) <= 1e-12
+            if name == "spring":
+                assert np.max(_relative_error(pair.vec.coeffs, vs)) <= 1e-11
+            # Small gaps (torus: 9.9e-4) amplify rounding by about 1/gap^k in
+            # both paths, so torus eigenvectors are checked by each order's
+            # bordered residual rather than against the oracle.
+            lam0 = complex(d.values[index])
+            e = assemble_bordered(derivs[0], d.vectors[:, index], lam0, problem.hermitian)
+            lam_c, vec_c = list(pair.lam.coeffs), list(pair.vec.coeffs)
+            residuals = pair.diagnostics["order_residuals"]
+            assert len(residuals) == p
+            for k in range(1, p + 1):
+                z, y = taylor_rhs(k, derivs, vec_c[:k], lam_c[:k], hermitian=problem.hermitian)
+                rhs = np.concatenate(([z], y))
+                bound = 1e-11 * (1.0 + np.max(np.abs(rhs)))
+                x = np.concatenate(([lam_c[k]], vec_c[k]))
+                assert np.max(np.abs(e @ x - rhs)) <= bound
+                assert residuals[k - 1] <= bound
+            others = np.delete(d.values, index)
+            assert pair.diagnostics["gap"] == pytest.approx(
+                min(abs(lam0 - other) for other in others), rel=1e-15
+            )
+
+    def test_nearly_defective_pair_leaves_others_exact(self):
+        # A0 = S T S^{-1}: a Jordan-like block at 1 with gap 1e-6 and eight
+        # well-separated eigenvalues 3..10; cond(S) = 3.
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.normal(size=(10, 10)))
+        s = q @ np.diag(np.linspace(1.0, 3.0, 10))
+        t = np.diag([1.0, 1.0 + 1e-6] + [float(j) for j in range(3, 11)])
+        t[0, 1] = 1.0
+        a0 = s @ t @ np.linalg.inv(s)
+        a1 = 0.1 * rng.normal(size=(10, 10))
+
+        def derivs_at(mu0, p):
+            derivs = np.zeros((p + 1, 10, 10))
+            derivs[0] = a0 + mu0 * a1
+            if p >= 1:
+                derivs[1] = a1
+            return derivs
+
+        problem = ParametricProblem(
+            name="nearly-defective", n=10, eval_at=lambda mu: a0 + mu * a1,
+            derivs_at=derivs_at, hermitian=False,
+        )
+        p = 6
+        derivs = np.asarray(derivs_at(0.0, p), dtype=complex)
+        d = eigen_all(derivs[0])
+        results = taylor_expand_all(TaylorRequest(problem, 0.0, p))
+        separated = [i for i, pair in enumerate(results) if pair.diagnostics["gap"] > 0.5]
+        assert len(separated) == 8
+        for index in separated:
+            lams, vs = _per_pair_oracle(derivs, d, index, p, False)
+            assert np.max(_relative_error(results[index].lam.coeffs, lams)) <= 1e-12
+            assert np.max(_relative_error(results[index].vec.coeffs, vs)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "a0, hermitian, failing, reason",
+        [
+            # repeated eigenvalue: the gap test
+            (np.diag([3.0, 2.0, 1.0, 1.0]), True, [2, 3], "index"),
+            # gap 4.5e-12 passes the gap test (4e-12) but not the Schur-pivot
+            # test (5e-12)
+            (np.diag([3.0, 2.0, 1.0, 1.0 + 4.5e-12]), True, [2, 3], "Schur diagonal"),
+            # gap 1e-10 but eigenvalue condition number ~1e13 for both
+            (np.array([[1.0, 1e3, 0.0], [0.0, 1.0 + 1e-10, 0.0], [0.0, 0.0, 3.0]]),
+             False, [1, 2], "eliminated pivot"),
+        ],
+    )
+    def test_non_simple_pairs_fail_alone(self, a0, hermitian, failing, reason):
+        results = taylor_expand_all(TaylorRequest(constant_problem(a0, hermitian), 0.0, 4))
+        failures = expansion_failures(results)
+        assert [f.index for f in failures] == failing
+        assert all(isinstance(f.error, NonSimpleEigenvalueError) for f in failures)
+        assert all(reason in str(f.error) for f in failures)
+        expanded = [pair for pair in results if not isinstance(pair, ExpansionFailure)]
+        assert len(expanded) == len(results) - len(failing)
+        for pair in expanded:
+            np.testing.assert_allclose(pair.lam.coeffs[1:], 0.0, atol=1e-14)
+            np.testing.assert_allclose(pair.vec.coeffs[1:], 0.0, atol=1e-14)
+            dist = np.sort(np.abs(np.diagonal(a0) - pair.lam.coeffs[0]))
+            assert dist[0] <= 1e-14
+            assert pair.diagnostics["gap"] == pytest.approx(dist[1])
+
+    @pytest.mark.parametrize("name", ["torus", "complex-hermitian", "spring"])
+    def test_order_identities(self, name):
+        # Independent of taylor_rhs: order k of A(mu) v(mu) = lam(mu) v(mu)
+        # and of the normalization b^T v(mu) = 1 (b = conj(v0) if Hermitian),
+        # as Cauchy products of the coefficients.
+        if name == "complex-hermitian":
+            rng = np.random.default_rng(7)
+            h0, h1 = (rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)) for _ in range(2))
+            h0, h1 = h0 + h0.conj().T, h1 + h1.conj().T
+
+            def derivs_at(mu0, p):
+                derivs = np.zeros((p + 1, 6, 6), dtype=complex)
+                derivs[0] = h0 + mu0 * h1
+                derivs[1] = h1
+                return derivs
+
+            problem = ParametricProblem(
+                name=name, n=6, eval_at=lambda mu: h0 + mu * h1, derivs_at=derivs_at,
+                hermitian=True,
+            )
+            mu0 = 0.0
+        elif name == "torus":
+            problem, mu0 = make_torus_kernel(8), 0.2
+        else:
+            problem, mu0 = make_spring_chain(8), 0.8
+        p = 6
+        a = np.asarray(problem.derivs_at(mu0, p), dtype=complex)
+        a_size = np.linalg.norm(a, axis=(1, 2))
+        dot = np.vdot if problem.hermitian else np.dot
+        for pair in taylor_expand_all(TaylorRequest(problem, mu0, p)):
+            lam, v = pair.lam.coeffs, pair.vec.coeffs
+            v_size = np.linalg.norm(v, axis=1)
+            for k in range(1, p + 1):
+                w = [math.comb(k, l) for l in range(k + 1)]
+                eigen = sum(w[l] * (a[k - l] @ v[l] - lam[k - l] * v[l]) for l in range(k + 1))
+                size = sum(
+                    w[l] * (a_size[k - l] + abs(lam[k - l])) * v_size[l] for l in range(k + 1)
+                )
+                assert np.linalg.norm(eigen) <= 1e-13 * size
+                norm = sum(w[l] * dot(v[k - l], v[l]) for l in range(k + 1))
+                size = sum(w[l] * v_size[k - l] * v_size[l] for l in range(k + 1))
+                assert abs(norm) <= 1e-13 * size
+
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_bordered_residuals_match_assembled_matrix(self, hermitian):
+        rng = np.random.default_rng(12)
+        n, m = 5, 3
+        cplx = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        a0, v0, v_k, y = cplx(n, n), cplx(n, m), cplx(n, m), cplx(n, m)
+        lam0, lam_k, z = cplx(m), cplx(m), cplx(m)
+        border = border_row(v0, hermitian)
+        got = _bordered_residuals(a0, lam0, v0, border, lam_k, v_k, z, y)
+        for i in range(m):
+            e = assemble_bordered(a0, v0[:, i], lam0[i], hermitian)
+            x = np.concatenate(([lam_k[i]], v_k[:, i]))
+            rhs = np.concatenate(([z[i]], y[:, i]))
+            assert got[i] == pytest.approx(np.max(np.abs(e @ x - rhs)), rel=1e-12)
+
+    def test_single_pair_matches_its_column(self, spring8):
+        column = taylor_expand_all(TaylorRequest(spring8, 0.8, 6))[3]
+        single = taylor_expand_eigenpair(TaylorRequest(spring8, 0.8, 6, selector=3))
+        assert np.max(_relative_error(single.lam.coeffs, column.lam.coeffs)) <= 1e-12
+        assert np.max(_relative_error(single.vec.coeffs, column.vec.coeffs)) <= 1e-12
+
+    def test_single_non_simple_pair_raises(self):
+        problem = constant_problem(np.diag([3.0, 2.0, 1.0, 1.0]), hermitian=True)
+        with pytest.raises(NonSimpleEigenvalueError):
+            taylor_expand_eigenpair(TaylorRequest(problem, 0.0, 4, selector=3))
 
 
 class TestNormalizationRows:
