@@ -1,11 +1,16 @@
 """Pointwise evaluation, Rayleigh-quotient refinement, grid error reports
 against direct eigensolves, Monte-Carlo sampling, and timing benchmarks.
 
-Eigenvalue matching is greedy over ascending |difference| per grid point,
-which equals the optimal assignment whenever direct eigenvalues are
-separated by much more than the approximation error. The eigenvector
-deviation metric is max over approximated vectors of
-| max_i |v_direct_i^H v_hat| - 1 |, insensitive to phase.
+Sampling and grid reports work on blocks of points: one stacked eigensolve
+(``eigen_all`` on an (m, n, n) stack), one evaluation of every series at
+every point of the block, and one batched greedy match. Every value equals,
+bit for bit, what a loop over the block's points computes one at a time.
+
+Eigenvalue matching is greedy over ascending |difference| per point, which
+equals the optimal assignment whenever direct eigenvalues are separated by
+much more than the approximation error. The eigenvector deviation metric is
+max over approximated vectors of | max_i |v_direct_i^H v_hat| - 1 |,
+insensitive to phase.
 """
 
 import csv
@@ -16,8 +21,8 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import DegenerateEvaluationError
-from .linalg import eigen_all, phase_fix
-from .series import (
+from .linalg import eigen_all, phase_fix, vector_norms
+from .series import (  # noqa: F401  (eval_taylor, eval_cheb_u: looked up here by benchmarks/tracing.py)
     CHEBYSHEV_U,
     TAYLOR,
     clenshaw_u,
@@ -32,21 +37,68 @@ HISTOGRAM_BINS = 50
 
 SAMPLE_METHODS = ("taylor-eval", "cheb-eval", "rayleigh", "direct")
 
+# Points go through sampling and reports in blocks of at most this many
+# bytes, counted as four complex n x n arrays per point: A(mu), the
+# solver's copy and eigenvectors, and the sorted eigenvectors.
+BLOCK_BYTES = 16 * 2**20
+
+
+def _blocks(count, n):
+    """Consecutive slices of range(count), each within BLOCK_BYTES at size n."""
+    size = max(1, BLOCK_BYTES // (4 * 16 * n * n))
+    return [slice(start, min(start + size, count)) for start in range(0, count, size)]
+
+
+def _matrices(problem, mus):
+    """The stack A(mu_0), A(mu_1), ... as complex (m, n, n)."""
+    return np.stack([np.asarray(problem.eval_at(mu), dtype=complex) for mu in mus])
+
+
+def _eval_series(series, mus):
+    """A series at an array of points: shape mus.shape + one coefficient's shape."""
+    basis = series.basis
+    if basis.kind == TAYLOR:
+        return horner(taylor_scaled_coeffs(series.coeffs), mus - basis.mu0)
+    return clenshaw_u(series.coeffs, basis.affine(mus))
+
+
+def _eval_eigenvalues(pairs, mus):
+    """Every pair's eigenvalue series at every point: shape (m, k)."""
+    return np.stack([_eval_series(pair.lam, mus) for pair in pairs], axis=-1)
+
+
+def _eval_paths(pairs, mus):
+    """Every pair at every point: lambda (m, k) and the unit-norm,
+    phase-fixed eigenvector (m, k, n).
+
+    Raises DegenerateEvaluationError naming the first point (pairs in order
+    within a point) where an evaluated eigenvector has norm below 1e-14.
+    """
+    mus = np.asarray(mus, dtype=float)
+    if not np.all(np.isfinite(mus)):
+        raise ValueError("evaluation point must be finite")
+    lam = _eval_eigenvalues(pairs, mus)
+    vec = np.stack([_eval_series(pair.vec, mus) for pair in pairs], axis=-2)
+    norms = vector_norms(vec)
+    degenerate = np.argwhere(norms < 1e-14)
+    if degenerate.size:
+        s, i = degenerate[0]
+        raise DegenerateEvaluationError(
+            f"evaluated eigenvector at mu={mus[s]} has norm {norms[s, i]:.2e}"
+        )
+    return lam, phase_fix(vec / norms[..., None], axis=-1)
+
 
 def eigpath_eval(pair, mu):
     """Evaluate one eigenpath at mu: (lambda, unit-norm phase-fixed vector)."""
-    if pair.basis.kind == TAYLOR:
-        lam = eval_taylor(pair.lam, mu)
-        vec = eval_taylor(pair.vec, mu)
-    else:
-        lam = eval_cheb_u(pair.lam, mu)
-        vec = eval_cheb_u(pair.vec, mu)
-    norm = np.linalg.norm(vec)
-    if norm < 1e-14:
-        raise DegenerateEvaluationError(
-            f"evaluated eigenvector at mu={mu} has norm {norm:.2e}"
-        )
-    return complex(lam), phase_fix(vec / norm)
+    lam, vec = _eval_paths([pair], [mu])
+    return complex(lam[0, 0]), vec[0, 0]
+
+
+def _rayleigh_quotients(a, q):
+    """q^H A q / q^H q for matrices a (m, n, n) and vectors q (m, k, n)."""
+    aq = np.matmul(a[:, None], q[..., None])[..., 0]
+    return np.vecdot(q, aq) / np.vecdot(q, q)
 
 
 def rayleigh_refine(problem, pair, mu):
@@ -56,32 +108,49 @@ def rayleigh_refine(problem, pair, mu):
     eigenvector error; for non-symmetric problems no improvement is
     promised.
     """
-    _, q = eigpath_eval(pair, mu)
+    _, q = _eval_paths([pair], [mu])
     a = np.asarray(problem.eval_at(mu), dtype=complex)
-    return complex((np.conj(q) @ (a @ q)) / (np.conj(q) @ q))
+    return complex(_rayleigh_quotients(a[None], q)[0, 0])
 
 
 def greedy_match(approx, direct):
     """Match approximations to distinct direct values, closest pairs first.
 
-    Returns an index array m with m[i] the direct index assigned to
-    approx[i]; a bijection onto a subset of the direct values.
+    Takes one row, approx (k,) against direct (n,), or a stack of rows,
+    (m, k) against (m, n). Returns index arrays of approx's shape with
+    m[..., i] the direct index assigned to approx[..., i]; per row a
+    bijection onto a subset of the direct values. Pairs are taken in the
+    order of a stable sort of |approx_i - direct_j| over (i, j), so ties go
+    to the smaller i, then the smaller j.
     """
     approx = np.asarray(approx)
     direct = np.asarray(direct)
-    if approx.shape[0] > direct.shape[0]:
+    k, n = approx.shape[-1], direct.shape[-1]
+    if k > n:
         raise ValueError("more approximations than direct values to match")
-    diffs = np.abs(approx[:, None] - direct[None, :])
-    assignment = np.full(approx.shape[0], -1, dtype=int)
-    taken = np.zeros(direct.shape[0], dtype=bool)
-    for flat in np.argsort(diffs, axis=None, kind="stable"):
-        i, j = divmod(int(flat), direct.shape[0])
-        if assignment[i] < 0 and not taken[j]:
-            assignment[i] = j
-            taken[j] = True
-            if np.all(assignment >= 0):
-                break
-    return assignment
+    rows_a = approx.reshape(-1, k)
+    rows_d = direct.reshape(-1, n)
+    m = rows_a.shape[0]
+    diffs = np.abs(rows_a[:, :, None] - rows_d[:, None, :]).reshape(m, k * n)
+    # Each (i, j)'s position in the row's scan order; k rounds of argmin over
+    # the pairs still free then take them in exactly that order.
+    rank = np.empty((m, k * n), dtype=np.intp)
+    np.put_along_axis(rank, np.argsort(diffs, axis=1, kind="stable"), np.arange(k * n), axis=1)
+    rank = rank.reshape(m, k, n)
+    assignment = np.empty((m, k), dtype=int)
+    rows = np.arange(m)
+    for _ in range(k):
+        i, j = np.divmod(rank.reshape(m, k * n).argmin(axis=1), n)
+        assignment[rows, i] = j
+        rank[rows, i, :] = k * n
+        rank[rows, :, j] = k * n
+    return assignment.reshape(approx.shape)
+
+
+def _matched_errors(approx, direct):
+    """Greedy assignment of each row and |approx - matched direct value|."""
+    assignment = greedy_match(approx, direct)
+    return assignment, np.abs(approx - np.take_along_axis(direct, assignment, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -92,6 +161,7 @@ class ErrorReport:
     eig_errors: np.ndarray       # shape (len(grid), n_pairs)
     vec_deviation: np.ndarray    # shape (len(grid),)
     matching: np.ndarray         # shape (len(grid), n_pairs), direct indices
+    rayleigh_errors: np.ndarray  # shape (len(grid), n_pairs), Rayleigh-refined
     max_error: float
     median_error: float
 
@@ -101,48 +171,46 @@ class ErrorReport:
 
 
 def error_report(problem, pairs, grid):
-    """Compare eigenpath series against direct eigensolves on a grid."""
+    """Compare eigenpath series against direct eigensolves on a grid.
+
+    One pass over the grid: each block of points gets one stacked
+    eigensolve, and the same solves give the eigenvalue errors, the
+    eigenvector deviations and the errors of the Rayleigh-refined
+    eigenvalues (each refined value matched on its own, like the series
+    values).
+    """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
-    n_pairs = len(pairs)
-    eig_errors = np.zeros((grid.size, n_pairs))
-    deviations = np.zeros(grid.size)
-    matching = np.zeros((grid.size, n_pairs), dtype=int)
-    for g, mu in enumerate(grid):
-        decomp = eigen_all(problem.eval_at(mu), hermitian=problem.hermitian)
-        lam_hat = np.zeros(n_pairs, dtype=complex)
-        vec_hat = np.zeros((problem.n, n_pairs), dtype=complex)
-        for i, pair in enumerate(pairs):
-            lam_hat[i], vec_hat[:, i] = eigpath_eval(pair, mu)
-        assignment = greedy_match(lam_hat, decomp.values)
-        matching[g] = assignment
-        eig_errors[g] = np.abs(lam_hat - decomp.values[assignment])
-        overlaps = np.abs(decomp.vectors.conj().T @ vec_hat)
-        deviations[g] = float(np.max(np.abs(overlaps.max(axis=0) - 1.0)))
+    shape = (grid.size, len(pairs))
+    eig_errors = np.empty(shape)
+    rayleigh = np.empty(shape)
+    matching = np.empty(shape, dtype=int)
+    deviations = np.empty(grid.size)
+    for block in _blocks(grid.size, problem.n):
+        a = _matrices(problem, grid[block])
+        decomp = eigen_all(a, hermitian=problem.hermitian)
+        lam_hat, vec_hat = _eval_paths(pairs, grid[block])
+        matching[block], eig_errors[block] = _matched_errors(lam_hat, decomp.values)
+        _, rayleigh[block] = _matched_errors(_rayleigh_quotients(a, vec_hat), decomp.values)
+        columns = np.ascontiguousarray(np.swapaxes(vec_hat, -1, -2))
+        overlaps = np.abs(np.swapaxes(decomp.vectors.conj(), -1, -2) @ columns)
+        deviations[block] = np.max(np.abs(overlaps.max(axis=-2) - 1.0), axis=-1)
     return ErrorReport(
         grid=grid,
         eig_errors=eig_errors,
         vec_deviation=deviations,
         matching=matching,
+        rayleigh_errors=rayleigh,
         max_error=float(eig_errors.max()),
         median_error=float(np.median(eig_errors)),
     )
 
 
 def rayleigh_errors(problem, pairs, grid):
-    """Absolute errors of Rayleigh-refined eigenvalues on a grid.
-
-    Matched against direct eigenvalues the same way as error_report.
-    """
-    grid = np.asarray(grid, dtype=float)
-    out = np.zeros((grid.size, len(pairs)))
-    for g, mu in enumerate(grid):
-        decomp = eigen_all(problem.eval_at(mu), hermitian=problem.hermitian)
-        refined = np.array([rayleigh_refine(problem, pair, mu) for pair in pairs])
-        assignment = greedy_match(refined, decomp.values)
-        out[g] = np.abs(refined - decomp.values[assignment])
-    return out
+    """Absolute errors of Rayleigh-refined eigenvalues on a grid: the
+    ``rayleigh_errors`` field of :func:`error_report`."""
+    return error_report(problem, pairs, grid).rayleigh_errors
 
 
 @dataclass(frozen=True)
@@ -169,19 +237,14 @@ def draw_samples(mean, stddev, count, seed):
     return rng.normal(mean, stddev, size=count)
 
 
-def _eval_lambda_vectorized(pair, mus):
-    if pair.basis.kind == TAYLOR:
-        return horner(taylor_scaled_coeffs(pair.lam.coeffs), mus - pair.basis.mu0)
-    return clenshaw_u(pair.lam.coeffs, pair.basis.affine(mus))
-
-
 def sample_eigenvalues(problem, pairs, dist, count, seed, method, setup_seconds=0.0):
     """Sample tracked eigenvalues with the chosen evaluation method.
 
     ``method``: taylor-eval / cheb-eval evaluate the eigenvalue series
     directly; rayleigh evaluates the eigenvector series and refines through
-    the Rayleigh quotient; direct solves the full dense eigenproblem per
-    sample and matches each tracked pair to the nearest direct eigenvalue.
+    the Rayleigh quotient; direct solves the full dense eigenproblem of each
+    sample (one stacked solve per block of samples) and matches each tracked
+    pair to the nearest direct eigenvalue.
     """
     if count < 1:
         raise ValueError("sample count must be >= 1")
@@ -189,28 +252,26 @@ def sample_eigenvalues(problem, pairs, dist, count, seed, method, setup_seconds=
         raise ValueError(f"unknown sampling method {method!r}")
     mean, stddev = dist
     mus = draw_samples(mean, stddev, count, seed)
-    n_pairs = len(pairs)
-    values = np.zeros((count, n_pairs), dtype=complex)
+    values = np.zeros((count, len(pairs)), dtype=complex)
 
     start = time.perf_counter()
-    if method in ("taylor-eval", "cheb-eval"):
+    if method == "rayleigh":
+        for block in _blocks(count, problem.n):
+            _, q = _eval_paths(pairs, mus[block])
+            values[block] = _rayleigh_quotients(_matrices(problem, mus[block]), q)
+    elif method == "direct":
+        predicted = _eval_eigenvalues(pairs, mus)
+        for block in _blocks(count, problem.n):
+            a = _matrices(problem, mus[block])
+            direct = eigen_all(a, hermitian=problem.hermitian).values
+            assignment = greedy_match(predicted[block], direct)
+            values[block] = np.take_along_axis(direct, assignment, axis=-1)
+    else:
         expected = TAYLOR if method == "taylor-eval" else CHEBYSHEV_U
-        for i, pair in enumerate(pairs):
+        for pair in pairs:
             if pair.basis.kind != expected:
                 raise ValueError(f"method {method} requires {expected} series")
-            values[:, i] = _eval_lambda_vectorized(pair, mus)
-    elif method == "rayleigh":
-        for s, mu in enumerate(mus):
-            a = np.asarray(problem.eval_at(mu), dtype=complex)
-            for i, pair in enumerate(pairs):
-                _, q = eigpath_eval(pair, mu)
-                values[s, i] = (np.conj(q) @ (a @ q)) / (np.conj(q) @ q)
-    else:  # direct
-        predicted = np.column_stack([_eval_lambda_vectorized(p, mus) for p in pairs])
-        for s, mu in enumerate(mus):
-            decomp = eigen_all(problem.eval_at(mu), hermitian=problem.hermitian)
-            assignment = greedy_match(predicted[s], decomp.values)
-            values[s] = decomp.values[assignment]
+        values[:] = _eval_eigenvalues(pairs, mus)
     elapsed = time.perf_counter() - start
 
     return SampleSet(
@@ -276,16 +337,16 @@ def _fmt(value):
     return f"{value:.17g}"
 
 
-def write_error_report_csv(report, path, rayleigh=None):
+def write_error_report_csv(report, path, rayleigh=False):
     """Columns: mu, pair_index, abs_err_lambda, vec_deviation.
 
-    With ``rayleigh`` (an array from :func:`rayleigh_errors`), appends an
+    With ``rayleigh``, appends the report's Rayleigh errors as an
     abs_err_rayleigh column.
     """
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         header = ["mu", "pair_index", "abs_err_lambda", "vec_deviation"]
-        if rayleigh is not None:
+        if rayleigh:
             header.append("abs_err_rayleigh")
         writer.writerow(header)
         for g, mu in enumerate(report.grid):
@@ -296,8 +357,8 @@ def write_error_report_csv(report, path, rayleigh=None):
                     _fmt(report.eig_errors[g, i]),
                     _fmt(report.vec_deviation[g]),
                 ]
-                if rayleigh is not None:
-                    row.append(_fmt(rayleigh[g, i]))
+                if rayleigh:
+                    row.append(_fmt(report.rayleigh_errors[g, i]))
                 writer.writerow(row)
 
 

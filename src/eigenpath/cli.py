@@ -20,7 +20,7 @@ import numpy as np
 from pathlib import Path
 
 from . import __version__
-from .analysis import (
+from .analysis import (  # noqa: F401  (rayleigh_errors: looked up here by benchmarks/tracing.py)
     SAMPLE_METHODS,
     bench_complexity,
     eigpath_eval,
@@ -259,8 +259,9 @@ def cmd_report(args):
 
     outdir = _ensure_outdir(args)
     report = error_report(problem, pairs, grid)
-    rayleigh = rayleigh_errors(problem, pairs, grid) if "rayleigh" in metrics else None
-    _atomic_write_with(outdir / "report.csv", write_error_report_csv, report, rayleigh=rayleigh)
+    _atomic_write_with(
+        outdir / "report.csv", write_error_report_csv, report, rayleigh="rayleigh" in metrics
+    )
 
     params = {
         "problem": args.problem,

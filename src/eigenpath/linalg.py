@@ -10,95 +10,171 @@ Each expansion order solves E x = rhs with the same E, so the LU factors are
 computed once. A single Schur form A0 = Q T Q^H reduces one pair's solve to
 O(n^2) triangular work (:func:`solve_bordered_reduced`); the Taylor kernel
 in ``taylor`` does the same elimination for all pairs at once.
+
+:func:`eigen_all` also takes a stack of matrices, as the analysis layer
+passes it a block of sample or grid points; every matrix of a stack gets
+the bits a call on it alone would give.
+
+Singularity policy: one constant, ``SINGULARITY_RCOND`` = 1e-12, decides
+when an eigenvalue counts as not simple. It serves three roles, each a
+relative quantity that vanishes exactly when lam0 is a repeated or
+defective eigenvalue of A0:
+
+* the reciprocal 1-norm condition estimate of the bordered matrix E
+  (:func:`build_bordered`);
+* the relative eigenvalue gap: lam0 against the other diagonal entries of
+  T, relative to 1 + |lam0| + max |T_jj| (:func:`solve_bordered_reduced`,
+  and the Schur pivot test of ``taylor._simplicity_failures``), or the gap
+  to the nearest other eigenvalue relative to 1 + max |lam| (the same
+  function's gap test);
+* the eliminated pivot, or reciprocal eigenvalue condition: the 2x2
+  determinant of :func:`solve_bordered_reduced` relative to its row sums,
+  and in ``taylor._expand_schur`` |l_i c_i| relative to ||l_i|| and
+  |b_i^T v0_i|.
 """
 
 import numpy as np
 import scipy.linalg
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import EigenSolverError, NonSimpleEigenvalueError
 
 SINGULARITY_RCOND = 1e-12
 
 
-def _check_square(a):
+def _check_square(a, stack=False):
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ValueError("expected a square matrix with n >= 1")
+    ndims = (2, 3) if stack else (2,)
+    if a.ndim not in ndims or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise ValueError("expected a square matrix (or a stack of them) with n >= 1")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     return a
 
 
-def phase_fix(v):
-    """Rotate v so its largest-magnitude component is real and positive.
+def vector_norms(v, axis=-1):
+    """2-norms of the vectors along ``axis`` of a complex array.
+
+    Each norm is sqrt(re . re + im . im) with BLAS dot products, the sum
+    ``np.linalg.norm`` forms for one vector, so a batch gets the same bits
+    as a loop of ``np.linalg.norm`` calls.
+    """
+    re, im = v.real, v.imag
+    return np.sqrt(np.vecdot(re, re, axis=axis) + np.vecdot(im, im, axis=axis))
+
+
+def phase_fix(v, axis=0):
+    """Rotate each vector along ``axis`` so its largest-magnitude component
+    is real and positive.
 
     Removes the unit-modulus gauge freedom deterministically; ties resolve
-    to the first maximal component.
+    to the first maximal component, and a zero vector is left as it is.
     """
-    idx = int(np.argmax(np.abs(v)))
-    pivot = v[idx]
-    if pivot == 0:
-        return v
-    return v * (abs(pivot) / pivot)
+    v = np.asarray(v)
+    idx = np.expand_dims(np.argmax(np.abs(v), axis=axis), axis)
+    pivot = np.take_along_axis(v, idx, axis)
+    pivot = np.where(pivot == 0, 1.0, pivot)   # a zero vector is rotated by 1
+    # hypot rounds like abs() of one complex number, which np.abs on an
+    # array (a SIMD loop) need not do; the rotation of a vector must not
+    # depend on how many vectors are fixed together
+    return v * (np.hypot(pivot.real, pivot.imag) / pivot)
 
 
 def _sort_order(values):
     # Descending real part, ties broken by descending imaginary part.
-    return np.lexsort((-values.imag, -values.real))
+    return np.lexsort((-values.imag, -values.real), axis=-1)
+
+
+def _readonly(arr):
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Full dense eigendecomposition plus Schur factors A = Q T Q^H.
+    """Full dense eigendecomposition of one matrix (n, n) or of a stack
+    (m, n, n), plus Schur factors A = Q T Q^H.
 
     Eigenvalues are sorted by descending real part (ties by descending
     imaginary part); eigenvectors are unit 2-norm columns with the phase fix
-    applied. T is diagonal for Hermitian input.
+    applied. The sorted eigenvectors and the Schur factors are computed on
+    first access, so a caller that reads only ``values`` pays for neither.
+    T is diagonal for Hermitian input. ``matrix`` is the input as given;
+    every array computed here is read-only.
     """
 
+    matrix: np.ndarray = field(repr=False)
     values: np.ndarray
-    vectors: np.ndarray
-    schur_q: np.ndarray
-    schur_t: np.ndarray
-    hermitian: bool = False
+    hermitian: bool
+    solver_vectors: np.ndarray = field(repr=False)   # unsorted, as LAPACK returns them
+    order: np.ndarray = field(repr=False)            # sort permutation of the columns
 
     @property
     def n(self):
-        return self.values.shape[0]
+        return self.values.shape[-1]
+
+    @cached_property
+    def vectors(self):
+        vectors = np.take_along_axis(self.solver_vectors, self.order[..., None, :], axis=-1)
+        vectors /= vector_norms(vectors, axis=-2)[..., None, :]
+        return _readonly(phase_fix(vectors, axis=-2))
+
+    @cached_property
+    def _schur(self):
+        if self.hermitian:
+            # T is diagonal, so the phase-fixed eigenvector matrix is a valid Q
+            # and Q's column j is exactly the returned eigenvector j.
+            t = np.zeros_like(self.matrix)
+            diag = np.arange(self.n)
+            t[..., diag, diag] = self.values
+            return self.vectors, _readonly(t)
+        try:
+            factors = [
+                scipy.linalg.schur(a, output="complex")
+                for a in self.matrix.reshape(-1, self.n, self.n)
+            ]
+        except scipy.linalg.LinAlgError as exc:
+            raise _solver_error(self.n, exc) from exc
+        t, q = (_readonly(np.stack(f).reshape(self.matrix.shape)) for f in zip(*factors))
+        return q, t
+
+    @property
+    def schur_q(self):
+        return self._schur[0]
+
+    @property
+    def schur_t(self):
+        return self._schur[1]
+
+
+def _solver_error(n, exc):
+    return EigenSolverError(
+        f"dense eigensolver failed to converge: {exc}",
+        diagnostics={"n": n, "reason": str(exc)},
+    )
 
 
 def eigen_all(a, hermitian=False):
-    """All eigenpairs of a dense matrix, with Schur factors for reuse."""
-    a = _check_square(a)
+    """All eigenpairs of a dense matrix (n, n) or of each matrix of a stack
+    (m, n, n), with Schur factors for reuse.
+
+    A stack is solved by one batched LAPACK call, and each of its matrices
+    gets the same bits as a call on that matrix alone.
+    """
+    a = _check_square(a, stack=True)
     try:
         if hermitian:
             values, vectors = np.linalg.eigh(a)
             values = values.astype(complex)
-            schur_t = None
         else:
-            schur_t, schur_q = scipy.linalg.schur(a, output="complex")
-            values, vectors = scipy.linalg.eig(a)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise EigenSolverError(
-            f"dense eigensolver failed to converge: {exc}",
-            diagnostics={"n": a.shape[0], "reason": str(exc)},
-        ) from exc
+            values, vectors = np.linalg.eig(a)
+    except np.linalg.LinAlgError as exc:
+        raise _solver_error(a.shape[-1], exc) from exc
     order = _sort_order(values)
-    values = values[order]
-    vectors = vectors[:, order].astype(complex)
-    for i in range(vectors.shape[1]):
-        col = vectors[:, i]
-        vectors[:, i] = phase_fix(col / np.linalg.norm(col))
-    if hermitian:
-        # T is diagonal, so the phase-fixed eigenvector matrix is a valid Q
-        # and Q's column j is exactly the returned eigenvector j.
-        schur_q = vectors.copy()
-        schur_t = np.diag(values)
-    for arr in (values, vectors, schur_q, schur_t):
-        arr.setflags(write=False)
-    return EigenDecomposition(values, vectors, schur_q, schur_t, hermitian)
+    values = _readonly(np.take_along_axis(values, order, axis=-1))
+    return EigenDecomposition(a, values, hermitian, vectors, order)
 
 
 def border_row(v0, hermitian):

@@ -199,13 +199,24 @@ def taylor_scaled_coeffs(coeffs):
     return coeffs * scale.reshape((-1,) + (1,) * (coeffs.ndim - 1))
 
 
+def _points(x, coeffs):
+    """x as a float, or an array of points shaped to broadcast against one
+    coefficient, so the result has shape points + coefficient shape."""
+    if not np.ndim(x):
+        return float(x)
+    x = np.asarray(x, dtype=float)
+    return x.reshape(x.shape + (1,) * (coeffs.ndim - 1))
+
+
 def horner(scaled_coeffs, dx):
     """Evaluate sum_k scaled_coeffs[k] * dx^k by Horner's recurrence.
 
-    dx may be a scalar or, for one-dimensional coefficients, an array of
-    evaluation points (used by the vectorized sampling paths).
+    dx may be a scalar or an array of evaluation points. Coefficients of
+    shape (p+1,) or (p+1, n) give results of shape dx.shape or
+    dx.shape + (n,); row s is bit-identical to the evaluation at dx[s]
+    alone.
     """
-    dx = np.asarray(dx, dtype=float) if np.ndim(dx) else float(dx)
+    dx = _points(dx, scaled_coeffs)
     acc = scaled_coeffs[-1] + 0.0 * dx
     for k in range(scaled_coeffs.shape[0] - 2, -1, -1):
         acc = scaled_coeffs[k] + dx * acc
@@ -224,9 +235,10 @@ def clenshaw_u(coeffs, s):
     """Evaluate sum_k coeffs[k] U_k(s) by the backward recurrence
     b_k = coeffs[k] + 2 s b_{k+1} - b_{k+2}; the result is b_0.
 
-    s may be a scalar or, for one-dimensional coefficients, an array.
+    s may be a scalar or an array of points, with coefficients of shape
+    (p+1,) or (p+1, n), as in :func:`horner`.
     """
-    s = np.asarray(s, dtype=float) if np.ndim(s) else float(s)
+    s = _points(s, coeffs)
     two_s = 2.0 * s
     b1 = b2 = 0.0 * (coeffs[0] + 0.0 * two_s)
     for k in range(coeffs.shape[0] - 1, -1, -1):

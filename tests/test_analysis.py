@@ -10,15 +10,18 @@ import pytest
 from conftest import constant_problem
 
 from eigenpath import (
+    ChebRequest,
     DegenerateEvaluationError,
     EigenPairSeries,
     ScalarSeries,
     SeriesBasis,
     TaylorRequest,
     VectorSeries,
+    cheb_expand_all,
     eigen_all,
     eigpath_eval,
     error_report,
+    eval_cheb_u,
     eval_taylor,
     expansion_series,
     greedy_match,
@@ -26,6 +29,8 @@ from eigenpath import (
     sample_eigenvalues,
     taylor_expand_all,
 )
+import eigenpath.analysis as analysis
+
 from eigenpath.analysis import (
     BenchRow,
     bench_complexity,
@@ -269,3 +274,167 @@ class TestCsvWriters:
         assert got[0] == ["n", "p", "seconds", "ratio"]
         assert got[1][3] == ""
         assert float(got[2][3]) == 3.0
+
+
+# ---------------------------------------------------------------------------
+# Batched sampling and reports against a loop over the points one at a time
+# ---------------------------------------------------------------------------
+
+
+def scan_greedy(approx, direct):
+    """Greedy match of one row by a stable sort of every |difference| (oracle)."""
+    diffs = np.abs(np.asarray(approx)[:, None] - np.asarray(direct)[None, :])
+    assignment = np.full(len(approx), -1)
+    taken = np.zeros(len(direct), dtype=bool)
+    for flat in np.argsort(diffs, axis=None, kind="stable"):
+        i, j = divmod(int(flat), len(direct))
+        if assignment[i] < 0 and not taken[j]:
+            assignment[i] = j
+            taken[j] = True
+    return assignment
+
+
+def pointwise_eval(pair, mu):
+    """One pair at one point: eval_taylor / eval_cheb_u, np.linalg.norm and
+    the phase fix of that one vector (oracle)."""
+    evaluate = eval_taylor if pair.basis.kind == "taylor" else eval_cheb_u
+    vec = evaluate(pair.vec, mu)
+    vec = vec / np.linalg.norm(vec)
+    pivot = vec[int(np.argmax(np.abs(vec)))]
+    return complex(evaluate(pair.lam, mu)), vec * (abs(pivot) / pivot)
+
+
+def pointwise_rayleigh(a, q):
+    return (np.conj(q) @ (a @ q)) / (np.conj(q) @ q)
+
+
+def pointwise_report(problem, pairs, grid):
+    """eig_errors, vec_deviation, matching and Rayleigh errors, point by point."""
+    eig, dev, match, ray = [], [], [], []
+    for mu in grid:
+        a = np.asarray(problem.eval_at(mu), dtype=complex)
+        d = eigen_all(a, hermitian=problem.hermitian)
+        lam, vecs = zip(*(pointwise_eval(pair, mu) for pair in pairs))
+        lam = np.array(lam)
+        assignment = scan_greedy(lam, d.values)
+        match.append(assignment)
+        eig.append(np.abs(lam - d.values[assignment]))
+        overlaps = np.abs(d.vectors.conj().T @ np.column_stack(vecs))
+        dev.append(np.max(np.abs(overlaps.max(axis=0) - 1.0)))
+        refined = np.array([pointwise_rayleigh(a, q) for q in vecs])
+        ray.append(np.abs(refined - d.values[scan_greedy(refined, d.values)]))
+    return np.array(eig), np.array(dev), np.array(match), np.array(ray)
+
+
+def pointwise_samples(problem, pairs, mus, method):
+    out = np.zeros((len(mus), len(pairs)), dtype=complex)
+    for s, mu in enumerate(mus):
+        a = np.asarray(problem.eval_at(mu), dtype=complex)
+        evaluated = [pointwise_eval(pair, mu) for pair in pairs]
+        if method == "rayleigh":
+            out[s] = [pointwise_rayleigh(a, q) for _, q in evaluated]
+        else:
+            d = eigen_all(a, hermitian=problem.hermitian)
+            out[s] = d.values[scan_greedy(np.array([lam for lam, _ in evaluated]), d.values)]
+    return out
+
+
+@pytest.fixture(scope="module")
+def spring_taylor(spring8):
+    return expansion_series(taylor_expand_all(TaylorRequest(spring8, 0.8, 6)))
+
+
+@pytest.fixture(scope="module")
+def spring_cheb(spring8):
+    return expansion_series(cheb_expand_all(ChebRequest(spring8, (0.6, 1.0), 8)))
+
+
+# (problem fixture, series fixture, sample mean, sample stddev, grid)
+BATCH_CASES = {
+    "torus-taylor": ("torus8", "taylor_e1_p6", 0.2, 0.05, (0.1, 0.3)),
+    "torus-cheb": ("torus8", "cheb_e1_p10", 0.6, 0.1, (0.25, 1.0)),
+    "spring-taylor": ("spring8", "spring_taylor", 0.8, 0.03, (0.72, 0.88)),
+    "spring-cheb": ("spring8", "spring_cheb", 0.8, 0.05, (0.6, 1.0)),
+}
+
+
+@pytest.fixture(params=sorted(BATCH_CASES))
+def batch_case(request):
+    problem, series, mean, stddev, (lo, hi) = BATCH_CASES[request.param]
+    pairs = request.getfixturevalue(series)
+    assert len(pairs) == 8
+    return request.getfixturevalue(problem), pairs, (mean, stddev), np.linspace(lo, hi, 23)
+
+
+class TestBatchedEquivalence:
+    @pytest.mark.parametrize("tracked", [slice(1, 4), slice(None)])
+    def test_samples_match_pointwise_loop(self, batch_case, tracked):
+        problem, pairs, dist, _ = batch_case
+        pairs = pairs[tracked]
+        direct = sample_eigenvalues(problem, pairs, dist, 60, 11, "direct")
+        rayleigh = sample_eigenvalues(problem, pairs, dist, 60, 11, "rayleigh")
+        oracle_direct = pointwise_samples(problem, pairs, direct.samples, "direct")
+        oracle_rayleigh = pointwise_samples(problem, pairs, direct.samples, "rayleigh")
+        assert direct.values.tobytes() == oracle_direct.tobytes()
+        assert np.max(np.abs(rayleigh.values - oracle_rayleigh)) <= 1e-14
+
+    def test_report_matches_pointwise_loop(self, batch_case):
+        problem, pairs, _, grid = batch_case
+        report = error_report(problem, pairs, grid)
+        eig, dev, match, ray = pointwise_report(problem, pairs, grid)
+        assert report.eig_errors.tobytes() == eig.tobytes()
+        np.testing.assert_array_equal(report.matching, match)
+        assert np.max(np.abs(report.vec_deviation - dev)) <= 1e-14
+        assert np.max(np.abs(report.rayleigh_errors - ray)) <= 1e-14
+        np.testing.assert_array_equal(rayleigh_errors(problem, pairs, grid), report.rayleigh_errors)
+
+    def test_eigpath_eval_matches_pointwise(self, batch_case):
+        _, pairs, _, grid = batch_case
+        # a unit phase on the coefficients must come back out as the phase fix
+        rotated = [EigenPairSeries(p.lam, VectorSeries(p.basis, np.exp(0.7j) * p.vec.coeffs))
+                   for p in pairs[:2]]
+        for pair in [*pairs, *rotated]:
+            for mu in grid[::4]:
+                lam, vec = eigpath_eval(pair, mu)
+                expected_lam, expected_vec = pointwise_eval(pair, mu)
+                assert lam == expected_lam
+                assert vec.tobytes() == expected_vec.tobytes()
+
+    def test_blocks_of_one_point_change_nothing(self, batch_case, monkeypatch):
+        problem, pairs, dist, grid = batch_case
+        runs = []
+        for budget in (analysis.BLOCK_BYTES, 1):
+            monkeypatch.setattr(analysis, "BLOCK_BYTES", budget)
+            assert len(analysis._blocks(grid.size, problem.n)) == (1 if budget > 1 else grid.size)
+            report = error_report(problem, pairs, grid)
+            samples = [sample_eigenvalues(problem, pairs[:3], dist, 40, 3, method).values
+                       for method in ("direct", "rayleigh")]
+            runs.append([report.eig_errors, report.vec_deviation, report.matching,
+                         report.rayleigh_errors, *samples])
+        for batched, single in zip(*runs):
+            assert batched.tobytes() == single.tobytes()
+
+    def test_greedy_batch_equals_row_scan_with_ties_and_nan(self):
+        rng = np.random.default_rng(7)
+        for k, n in ((1, 1), (3, 5), (6, 6), (4, 9)):
+            # small integer grids make many |differences| exactly equal
+            direct = rng.integers(0, 3, (50, n)) + 1j * rng.integers(0, 2, (50, n))
+            approx = rng.integers(0, 3, (50, k)) + 0.5 * rng.integers(0, 2, (50, k))
+            approx[::9, 0] = np.nan  # NaN differences come last in the scan
+            batched = greedy_match(approx, direct)
+            assert batched.shape == (50, k)
+            for row in range(50):
+                expected = scan_greedy(approx[row], direct[row])
+                np.testing.assert_array_equal(batched[row], expected)
+                np.testing.assert_array_equal(greedy_match(approx[row], direct[row]), expected)
+
+    def test_degenerate_vector_inside_a_block_names_its_point(self, torus8):
+        # v(mu) = [1 - 2 mu, 0]: exactly zero at mu = 0.5, the third grid point
+        basis = SeriesBasis.taylor(0.0)
+        pair = EigenPairSeries(
+            ScalarSeries(basis, [1.0, 0.0]), VectorSeries(basis, [[1.0, 0.0], [-2.0, 0.0]])
+        )
+        problem = constant_problem(np.diag([1.0, 2.0]), hermitian=True)
+        with pytest.raises(DegenerateEvaluationError, match=r"mu=0\.5 "):
+            error_report(problem, [pair], np.linspace(0.0, 1.0, 5))
+        assert eigpath_eval(pair, 0.25)[0] == 1.0

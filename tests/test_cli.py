@@ -12,7 +12,16 @@ import pytest
 
 import eigenpath
 
-from eigenpath import load_eigenpair
+from eigenpath import (
+    EigenPairSeries,
+    ScalarSeries,
+    SeriesBasis,
+    VectorSeries,
+    load_eigenpair,
+    save_eigenpair,
+)
+from eigenpath import cli
+from eigenpath.analysis import draw_samples
 from eigenpath.cli import main
 
 
@@ -103,14 +112,14 @@ class TestExpand:
         assert code == 1
 
 
-def _expand_in_subprocess(args, out, threads):
-    """Run ``python -m eigenpath expand`` with BLAS pinned to ``threads``."""
+def _cli_in_subprocess(command, args, out, threads):
+    """Run ``python -m eigenpath <command>`` with BLAS pinned to ``threads``."""
     env = dict(os.environ)
     env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = str(threads)
     src = str(Path(eigenpath.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-m", "eigenpath", "expand", *args, "--out", str(out)],
+        [sys.executable, "-m", "eigenpath", command, *args, "--out", str(out)],
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
@@ -127,12 +136,80 @@ def test_expand_identical_across_blas_threads(tmp_path, problem, mu0, order, eig
     ]
     outs = [tmp_path / f"threads{threads}" for threads in (1, 2)]
     for threads, out in zip((1, 2), outs):
-        _expand_in_subprocess(args, out, threads)
+        _cli_in_subprocess("expand", args, out, threads)
     names = sorted(p.name for p in outs[0].glob("eigenpair_*.json"))
     assert names == sorted(p.name for p in outs[1].glob("eigenpair_*.json"))
     assert len(names) == (8 if eig == "all" else 1)
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "problem, n, mu0", [("example1", "48", "0.5"), ("example2", "12", "0.8")]
+)
+def test_sample_and_report_identical_across_blas_threads(tmp_path, problem, n, mu0):
+    series = tmp_path / "series"
+    assert run(
+        [
+            "expand", "--problem", problem, "--n", n, "--method", "taylor",
+            "--mu0", mu0, "--order", "6", "--eig", "all", "--out", str(series),
+        ]
+    ) == 0
+    files = [str(series / f"eigenpair_{i:02d}.json") for i in (1, 2, 4)]
+    sample = [
+        "--problem", problem, "--n", n, "--mu0", mu0, "--order", "6", "--pairs", "2,3",
+        "--dist", f"{mu0},0.02", "--count", "300", "--seed", "4",
+        "--method", "taylor-eval,rayleigh,direct",
+    ]
+    lo, hi = float(mu0) - 0.05, float(mu0) + 0.05
+    report = [
+        "--problem", problem, "--n", n, "--series", *files, "--grid", f"{lo},{hi},41",
+        "--metrics", "eig-error,vec-deviation,rayleigh",
+    ]
+    outs = {}
+    for threads in (1, 2):
+        outs[threads] = tmp_path / f"threads{threads}"
+        _cli_in_subprocess("sample", sample, outs[threads] / "sample", threads)
+        _cli_in_subprocess("report", report, outs[threads] / "report", threads)
+    for name in ("sample/samples.csv", "sample/histogram.csv", "report/report.csv"):
+        assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
+
+
+def _degenerate_pair(mu_zero):
+    """A Taylor pair about 0 whose eigenvector [1 - mu / mu_zero, 0] vanishes at mu_zero."""
+    basis = SeriesBasis.taylor(0.0)
+    return EigenPairSeries(
+        ScalarSeries(basis, [1.0, 0.0]),
+        VectorSeries(basis, [[1.0, 0.0], [-1.0 / mu_zero, 0.0]]),
+    )
+
+
+class TestDegenerateEvaluation:
+    def test_report_exit_2_names_the_point(self, tmp_path, capsys):
+        path = tmp_path / "pair.json"
+        save_eigenpair(_degenerate_pair(0.5), path)
+        code = run(
+            [
+                "report", "--problem", "example1", "--n", "2", "--series", str(path),
+                "--grid", "0.0,1.0,5", "--out", str(tmp_path / "r"),
+            ]
+        )
+        assert code == 2
+        assert "mu=0.5 " in capsys.readouterr().err
+
+    def test_sample_rayleigh_exit_2_names_the_sample(self, tmp_path, capsys, monkeypatch):
+        first = float(draw_samples(0.3, 0.1, 20, 8)[0])
+        pairs = [_degenerate_pair(first)]
+        monkeypatch.setattr(cli, "_expand_for_sampling", lambda args, problem: (pairs, 0.0))
+        code = run(
+            [
+                "sample", "--problem", "example1", "--n", "2", "--mu0", "0.0",
+                "--order", "1", "--pairs", "1", "--dist", "0.3,0.1", "--count", "20",
+                "--seed", "8", "--method", "rayleigh", "--out", str(tmp_path / "s"),
+            ]
+        )
+        assert code == 2
+        assert f"mu={first} " in capsys.readouterr().err
 
 
 class TestReport:

@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from eigenpath.errors import NonSimpleEigenvalueError
 from eigenpath.linalg import (
@@ -65,6 +66,51 @@ class TestEigenAll:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             eigen_all(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError):
+            eigen_all(np.ones((2, 3, 3, 3)))
+
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_stack_bit_identical_to_per_matrix_loop(self, hermitian):
+        """Each matrix of a stack gets the bits of a per-column loop over
+        that matrix alone: LAPACK's pairs, sorted, then each column divided
+        by np.linalg.norm and rotated by its own largest entry."""
+        rng = np.random.default_rng(31)
+        make = random_hermitian if hermitian else (
+            lambda n, r: r.normal(size=(n, n)) + 1j * r.normal(size=(n, n)))
+        for n in (1, 2, 7, 12):
+            stack = np.stack([make(n, rng) for _ in range(6)])
+            d = eigen_all(stack, hermitian=hermitian)
+            assert d.values.shape == (6, n) and d.vectors.shape == (6, n, n)
+            for a, values, vectors in zip(stack, d.values, d.vectors):
+                if hermitian:
+                    w, v = np.linalg.eigh(a)
+                    w = w.astype(complex)
+                else:
+                    w, v = scipy.linalg.eig(a)
+                order = np.lexsort((-w.imag, -w.real))
+                expected = v[:, order].astype(complex)
+                for i in range(n):
+                    col = expected[:, i] / np.linalg.norm(expected[:, i])
+                    pivot = col[int(np.argmax(np.abs(col)))]
+                    expected[:, i] = col * (abs(pivot) / pivot)
+                assert values.tobytes() == w[order].tobytes()
+                assert vectors.tobytes() == expected.tobytes()
+                single = eigen_all(a, hermitian=hermitian)
+                assert single.values.tobytes() == values.tobytes()
+                assert single.vectors.tobytes() == vectors.tobytes()
+
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_schur_factors_of_a_stack(self, hermitian):
+        rng = np.random.default_rng(5)
+        stack = np.stack([random_hermitian(5, rng) for _ in range(3)])
+        d = eigen_all(stack, hermitian=hermitian)
+        assert "_schur" not in vars(d)  # computed on first access only
+        q, t = d.schur_q, d.schur_t
+        assert q.shape == t.shape == stack.shape
+        for a, q_i, t_i in zip(stack, q, t):
+            assert np.linalg.norm(a - q_i @ t_i @ q_i.conj().T) <= 1e-12 * np.linalg.norm(a)
+            np.testing.assert_array_equal(np.tril(t_i, -1), 0.0)
+        assert not (q.flags.writeable or t.flags.writeable or d.vectors.flags.writeable)
 
 
 class TestBuildBordered:

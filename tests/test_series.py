@@ -13,15 +13,18 @@ from eigenpath.series import (
     SeriesBasis,
     VectorSeries,
     MatrixSeries,
+    clenshaw_u,
     eigenpair_from_dict,
     eigenpair_to_dict,
     eval_cheb_u,
     eval_taylor,
     evaluate_series,
+    horner,
     load_eigenpair,
     save_eigenpair,
     series_from_dict,
     series_to_dict,
+    taylor_scaled_coeffs,
     u_product_degrees,
     u_values,
 )
@@ -138,6 +141,25 @@ class TestEvalChebU:
     def test_taylor_never_flagged(self):
         s = ScalarSeries(SeriesBasis.taylor(0.0), [1.0, 1.0])
         assert not evaluate_series(s, 100.0).extrapolated
+
+
+class TestBatchedEvaluation:
+    @pytest.mark.parametrize("shape", [(9,), (9, 6)])
+    def test_rows_bit_identical_to_pointwise(self, shape):
+        rng = np.random.default_rng(17)
+        coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        mus = np.concatenate((rng.normal(0.5, 0.3, size=40), [0.0, 0.2, 1.0, 2.5]))
+        taylor = SeriesBasis.taylor(0.2)
+        cheb = SeriesBasis.chebyshev(0.0, 1.0)
+        container = ScalarSeries if len(shape) == 1 else VectorSeries
+        t_rows = horner(taylor_scaled_coeffs(coeffs), mus - taylor.mu0)
+        c_rows = clenshaw_u(coeffs, cheb.affine(mus))
+        assert t_rows.shape == c_rows.shape == mus.shape + shape[1:]
+        for mu, t_row, c_row in zip(mus, t_rows, c_rows):
+            t_point = np.asarray(eval_taylor(container(taylor, coeffs), mu))
+            c_point = np.asarray(eval_cheb_u(container(cheb, coeffs), mu))
+            assert t_row.tobytes() == t_point.tobytes()
+            assert c_row.tobytes() == c_point.tobytes()
 
 
 class TestLinearity:
