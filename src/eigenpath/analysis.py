@@ -21,7 +21,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import DegenerateEvaluationError
-from .linalg import eigen_all, phase_fix, vector_norms
+from .linalg import BLOCK_BYTES, block_slices, eigen_all, phase_fix, vector_norms
 from .series import (  # noqa: F401  (eval_taylor, eval_cheb_u: looked up here by benchmarks/tracing.py)
     CHEBYSHEV_U,
     TAYLOR,
@@ -37,16 +37,13 @@ HISTOGRAM_BINS = 50
 
 SAMPLE_METHODS = ("taylor-eval", "cheb-eval", "rayleigh", "direct")
 
-# Points go through sampling and reports in blocks of at most this many
-# bytes, counted as four complex n x n arrays per point: A(mu), the
-# solver's copy and eigenvectors, and the sorted eigenvectors.
-BLOCK_BYTES = 16 * 2**20
-
-
 def _blocks(count, n):
-    """Consecutive slices of range(count), each within BLOCK_BYTES at size n."""
-    size = max(1, BLOCK_BYTES // (4 * 16 * n * n))
-    return [slice(start, min(start + size, count)) for start in range(0, count, size)]
+    """Consecutive slices of range(count), each within BLOCK_BYTES at size n.
+
+    A point counts as four complex n x n arrays: A(mu), the solver's copy
+    and eigenvectors, and the sorted eigenvectors.
+    """
+    return block_slices(count, 4 * 16 * n * n, BLOCK_BYTES)
 
 
 def _matrices(problem, mus):
@@ -363,25 +360,24 @@ def write_error_report_csv(report, path, rayleigh=False):
 
 
 def write_samples_csv(sample_sets, path):
-    """Per-sample eigenvalue realizations, one column pair per method/pair."""
+    """Per-sample eigenvalue realizations, one column pair per method/pair.
+
+    Each row is formatted in one pass; "%.17g" gives the same text as
+    :func:`_fmt` for every float.
+    """
     if not sample_sets:
         raise ValueError("at least one sample set is required")
-    count = sample_sets[0].count
+    header = ["sample_index", "mu"]
+    columns = [sample_sets[0].samples]
+    for ss in sample_sets:
+        for i in range(ss.values.shape[1]):
+            header += [f"re_{ss.method}_pair{i}", f"im_{ss.method}_pair{i}"]
+            columns += [ss.values[:, i].real, ss.values[:, i].imag]
+    line = ",".join(["%d"] + ["%.17g"] * len(columns)) + csv.excel.lineterminator
+    table = np.column_stack(columns).tolist()
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        header = ["sample_index", "mu"]
-        for ss in sample_sets:
-            for i in range(ss.values.shape[1]):
-                header.append(f"re_{ss.method}_pair{i}")
-                header.append(f"im_{ss.method}_pair{i}")
-        writer.writerow(header)
-        for s in range(count):
-            row = [str(s), _fmt(sample_sets[0].samples[s])]
-            for ss in sample_sets:
-                for i in range(ss.values.shape[1]):
-                    row.append(_fmt(ss.values[s, i].real))
-                    row.append(_fmt(ss.values[s, i].imag))
-            writer.writerow(row)
+        csv.writer(handle).writerow(header)
+        handle.writelines(line % (s, *row) for s, row in enumerate(table))
 
 
 def write_histogram_csv(sample_sets, path, bins=HISTOGRAM_BINS):

@@ -20,8 +20,9 @@ import numpy as np
 from pathlib import Path
 
 from . import __version__
-from .analysis import (  # noqa: F401  (rayleigh_errors: looked up here by benchmarks/tracing.py)
+from .analysis import (  # noqa: F401  (eigpath_eval, rayleigh_errors: looked up here by benchmarks/tracing.py)
     SAMPLE_METHODS,
+    _eval_paths,
     bench_complexity,
     eigpath_eval,
     error_report,
@@ -296,11 +297,8 @@ def _expand_for_sampling(args, problem):
 
 def _select_tracked(pairs, positions, mean):
     """Order eigenpaths by value at the distribution mean, descending."""
-    values = []
-    for pair in pairs:
-        lam, _ = eigpath_eval(pair, mean)
-        values.append(lam)
-    order = np.lexsort((-np.imag(values), -np.real(values)))
+    lam, _ = _eval_paths(pairs, [mean])
+    order = np.lexsort((-lam[0].imag, -lam[0].real))
     tracked = []
     for pos in positions:
         if not 1 <= pos <= len(pairs):

@@ -13,7 +13,9 @@ in ``taylor`` does the same elimination for all pairs at once.
 
 :func:`eigen_all` also takes a stack of matrices, as the analysis layer
 passes it a block of sample or grid points; every matrix of a stack gets
-the bits a call on it alone would give.
+the bits a call on it alone would give. ``BLOCK_BYTES`` is the one memory
+budget of such blocks, and of the blocks of pairs that Chebyshev Newton
+iterates together.
 
 Singularity policy: one constant, ``SINGULARITY_RCOND`` = 1e-12, decides
 when an eigenvalue counts as not simple. It serves three roles, each a
@@ -29,8 +31,8 @@ defective eigenvalue of A0:
   function's gap test);
 * the eliminated pivot, or reciprocal eigenvalue condition: the 2x2
   determinant of :func:`solve_bordered_reduced` relative to its row sums,
-  and in ``taylor._expand_schur`` |l_i c_i| relative to ||l_i|| and
-  |b_i^T v0_i|.
+  and in ``taylor.expand_schur`` |l_i c_i| relative to ||l_i|| ||v0_i||
+  and |b_i^T v0_i| relative to ||v0_i||^2.
 """
 
 import numpy as np
@@ -42,6 +44,18 @@ from functools import cached_property
 from .errors import EigenSolverError, NonSimpleEigenvalueError
 
 SINGULARITY_RCOND = 1e-12
+
+# Batched work (blocks of sample or grid points in ``analysis``, blocks of
+# pairs' Newton Jacobians in ``chebyshev``) goes in blocks of at most this
+# many bytes of its largest stacked arrays.
+BLOCK_BYTES = 16 * 2**20
+
+
+def block_slices(count, item_bytes, budget):
+    """Consecutive slices of range(count), each holding at most ``budget``
+    bytes at ``item_bytes`` per item, and at least one item."""
+    size = max(1, budget // item_bytes)
+    return [slice(start, min(start + size, count)) for start in range(0, count, size)]
 
 
 def _check_square(a, stack=False):

@@ -24,6 +24,12 @@ v_k = Q w. One row loop over T serves every pair, so order k costs k + 3
 products of n x n by n x m matrices and O(n^2 m) triangular work for m
 pairs: O(p^2 n^3) for all n pairs up to order p.
 
+The kernel (:func:`expand_schur`) takes the order weights and the starting
+vectors from its caller. Taylor passes the binomials C(k, l) and the
+unit-norm eigenvectors; the Chebyshev warm start passes all ones and the
+eigenvectors of its averaged matrix scaled to v0^T v0 = 1, with the
+bilinear border v0^T.
+
 The kernel stays in the Schur basis rather than the eigenvector basis,
 where V^{-1} A_k V would make every solve diagonal: Q is unitary and
 amplifies no rounding, while V^{-1} carries cond(V), which one nearly
@@ -52,6 +58,7 @@ from .linalg import (
     eigen_all,
     solve_bordered,
     solve_bordered_reduced,  # noqa: F401  (looked up here by benchmarks/tracing.py)
+    vector_norms,
 )
 from .series import EigenPairSeries, ScalarSeries, SeriesBasis, VectorSeries
 
@@ -137,8 +144,8 @@ def _check_derivatives(problem, mu0, order):
 
 
 def _series_from_orders(basis, lams, vs, diagnostics):
-    lam = ScalarSeries(basis, np.asarray(lams, dtype=complex))
-    vec = VectorSeries(basis, np.asarray(vs, dtype=complex))
+    lam = ScalarSeries(basis, np.array(lams, dtype=complex))
+    vec = VectorSeries(basis, np.array(vs, dtype=complex))
     return EigenPairSeries(lam, vec, diagnostics)
 
 
@@ -169,7 +176,7 @@ def taylor_expand_eigenpair(request):
         lam0 = complex(decomp.values[index])
         v0 = decomp.vectors[:, index].copy()
         return _expand_single_dense(derivs, v0, lam0, p, problem.hermitian, True, request.mu0)
-    (result,) = _expand_schur(derivs, decomp, [index], p, problem.hermitian, request.mu0)
+    (result,) = _taylor_schur(derivs, decomp, [index], p, problem.hermitian, request.mu0)
     if isinstance(result, ExpansionFailure):
         raise result.error
     return result
@@ -261,23 +268,27 @@ def _bordered_residuals(a0, lam0, v0, border, lam_k, v_k, z, y):
     return np.maximum(np.abs(row), np.abs(body).max(axis=0))
 
 
-def _expand_schur(derivs, decomp, indices, p, hermitian, mu0):
-    """Expand the eigenpairs ``indices`` of ``decomp`` together, one order
-    at a time, in its Schur basis (see the module docstring).
+def expand_schur(derivs, weights, decomp, indices, v0, hermitian):
+    """Advance the eigenpairs ``indices`` of ``decomp``, starting from the
+    columns of ``v0``, together one order at a time in its Schur basis (see
+    the module docstring), up to order p = len(weights) - 1.
 
-    Returns one EigenPairSeries or ExpansionFailure per index, in order.
-    Only the pairs that pass every simplicity test enter the order loop.
+    Order k weights its term l by ``weights[k, l]``: the binomials for
+    Taylor, all ones for the Chebyshev warm start. The normalization row is
+    v0^H v_k for Hermitian problems and v0^T v_k otherwise. Returns the
+    per-index errors (None, or the pair's NonSimpleEigenvalueError) and,
+    for the pairs that passed every simplicity test and in their order,
+    lams (p+1, m), vs (p+1, n, m) and the per-order bordered residuals
+    (p, m). Only those pairs enter the order loop.
     """
-    indices = [int(index) for index in indices]
     gaps = _eigenvalue_gaps(decomp.values)[indices]
     pivots, errors = _simplicity_failures(decomp, indices, gaps)
     cols = np.array([col for col, err in enumerate(errors) if err is None], dtype=int)
 
     q, t = decomp.schur_q, decomp.schur_t
     qh = q.conj().T
-    chosen = np.array(indices, dtype=int)[cols]
-    lam0 = decomp.values[chosen]
-    v0 = decomp.vectors[:, chosen]
+    lam0 = decomp.values[np.asarray(indices, dtype=int)[cols]]
+    v0 = v0[:, cols]
     border = border_row(v0, hermitian)
     shifts = lam0[None, :] - np.diagonal(t)[:, None]
     shifts[pivots[cols], np.arange(cols.size)] = np.inf
@@ -286,24 +297,24 @@ def _expand_schur(derivs, decomp, indices, p, hermitian, mu0):
     ell_c = _column_dot(ell, c)
     border_v0 = _column_dot(border, v0)
     # The two pivots the bordered system's elimination divides by: l_i c_i,
-    # the reciprocal eigenvalue condition number up to ||l_i|| (||c_i|| = 1),
-    # and b_i^T v0_i. Each vanishes when the eigenvalue is not simple.
-    ok = (np.abs(ell_c) >= SINGULARITY_RCOND * np.linalg.norm(ell, axis=0)) & (
-        np.abs(border_v0) >= SINGULARITY_RCOND
+    # the reciprocal eigenvalue condition number up to ||l_i|| ||c_i||, and
+    # b_i^T v0_i relative to ||v0_i||^2. Each vanishes when the eigenvalue
+    # is not simple, and neither depends on the scale of v0_i.
+    v0_norms = vector_norms(v0, axis=0)
+    ok = (np.abs(ell_c) >= SINGULARITY_RCOND * np.linalg.norm(ell, axis=0) * v0_norms) & (
+        np.abs(border_v0) >= SINGULARITY_RCOND * v0_norms**2
     )
     for col in cols[~ok]:
         errors[col] = NonSimpleEigenvalueError(
             "non-simple eigenvalue at expansion point (eliminated pivot below 1e-12)"
         )
-    cols = cols[ok]
     lam0, v0, border, shifts, c, ell, ell_c, border_v0 = (
         a[..., ok] for a in (lam0, v0, border, shifts, c, ell, ell_c, border_v0)
     )
 
-    binomials = binomial_table(max(p, 1))
     lams, vs, residuals = [lam0], [v0], []
-    for k in range(1, p + 1):
-        z, y = taylor_rhs(k, derivs, vs, lams, hermitian=hermitian, binomials=binomials)
+    for k in range(1, weights.shape[0]):
+        z, y = taylor_rhs(k, derivs, vs, lams, hermitian=hermitian, binomials=weights)
         yhat = qh @ y
         lam_k = _column_dot(ell, yhat) / ell_c
         v_k = q @ _back_substitute(t, shifts, yhat - c * lam_k)
@@ -311,22 +322,32 @@ def _expand_schur(derivs, decomp, indices, p, hermitian, mu0):
         residuals.append(_bordered_residuals(derivs[0], lam0, v0, border, lam_k, v_k, z, y))
         lams.append(lam_k)
         vs.append(v_k)
+    return errors, np.array(lams), np.array(vs), np.reshape(residuals, (len(residuals), lam0.size))
 
+
+def _taylor_schur(derivs, decomp, indices, p, hermitian, mu0):
+    """Taylor series of the eigenpairs ``indices`` of ``decomp`` through
+    :func:`expand_schur`: one EigenPairSeries or ExpansionFailure per
+    index, in order."""
+    indices = [int(index) for index in indices]
+    errors, lams, vs, residuals = expand_schur(
+        derivs, binomial_table(p), decomp, indices, decomp.vectors[:, indices], hermitian
+    )
+    gaps = _eigenvalue_gaps(decomp.values)[indices]
     basis = SeriesBasis.taylor(mu0)
-    out = [
-        ExpansionFailure(index, complex(decomp.values[index]), err)
-        for index, err in zip(indices, errors)
-    ]
-    for pos, col in enumerate(cols):
-        gap = float(gaps[col])
+    out = []
+    passed = 0
+    for index, err, gap in zip(indices, errors, gaps):
+        if err is not None:
+            out.append(ExpansionFailure(index, complex(decomp.values[index]), err))
+            continue
         diagnostics = {
             "method": "taylor",
-            "order_residuals": [float(res[pos]) for res in residuals],
-            "gap": gap if np.isfinite(gap) else None,
+            "order_residuals": [float(res) for res in residuals[:, passed]],
+            "gap": float(gap) if np.isfinite(gap) else None,
         }
-        out[col] = _series_from_orders(
-            basis, [lam[pos] for lam in lams], [v[:, pos] for v in vs], diagnostics
-        )
+        out.append(_series_from_orders(basis, lams[:, passed], vs[:, :, passed], diagnostics))
+        passed += 1
     return out
 
 
@@ -346,7 +367,7 @@ def taylor_expand_all(request):
     derivs = _check_derivatives(problem, request.mu0, p)
     decomp = eigen_all(derivs[0], hermitian=problem.hermitian)
     if not request.single_precision_e:
-        return _expand_schur(derivs, decomp, range(decomp.n), p, problem.hermitian, request.mu0)
+        return _taylor_schur(derivs, decomp, range(decomp.n), p, problem.hermitian, request.mu0)
     out = []
     for index in range(decomp.n):
         lam0 = complex(decomp.values[index])

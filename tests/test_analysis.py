@@ -265,6 +265,38 @@ class TestCsvWriters:
             rows = list(csv.reader(handle))
         assert len(rows) == 1 + 200
 
+    def test_samples_csv_matches_per_cell_writer(self, tmp_path):
+        # the per-cell writer the row-at-a-time one replaced, as the oracle
+        def per_cell(sample_sets, path):
+            with open(path, "w", newline="", encoding="utf-8") as handle:
+                writer = csv.writer(handle)
+                header = ["sample_index", "mu"]
+                for ss in sample_sets:
+                    for i in range(ss.values.shape[1]):
+                        header += [f"re_{ss.method}_pair{i}", f"im_{ss.method}_pair{i}"]
+                writer.writerow(header)
+                for s in range(sample_sets[0].count):
+                    row = [str(s), f"{sample_sets[0].samples[s]:.17g}"]
+                    for ss in sample_sets:
+                        for i in range(ss.values.shape[1]):
+                            row += [f"{ss.values[s, i].real:.17g}", f"{ss.values[s, i].imag:.17g}"]
+                    writer.writerow(row)
+
+        rng = np.random.default_rng(21)
+        count = 40
+        mus = rng.normal(0.2, 0.05, count)
+        sets = []
+        for method, pairs in (("taylor-eval", 3), ("direct", 3)):
+            scale = 10.0 ** rng.integers(-300, 300, size=(count, pairs))
+            values = (rng.normal(size=(count, pairs)) + 1j * rng.normal(size=(count, pairs))) * scale
+            sets.append(analysis.SampleSet(5, 0.2, 0.05, count, method, mus, values, 0.1, 0.2))
+        specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308, 0.1, 1e16]
+        for s, value in enumerate(specials):
+            sets[0].values[s, 1] = complex(value, -value)
+        write_samples_csv(sets, tmp_path / "rows.csv")
+        per_cell(sets, tmp_path / "cells.csv")
+        assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
     def test_timing_csv(self, tmp_path):
         rows = [BenchRow(8, 2, 0.5, None), BenchRow(16, 2, 1.5, 3.0)]
         path = tmp_path / "bench.csv"

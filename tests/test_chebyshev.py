@@ -7,16 +7,25 @@ from conftest import constant_problem, linear_problem
 
 from eigenpath import (
     ChebRequest,
+    EigenPairSeries,
+    ParametricProblem,
     cheb_expand_all,
+    cheb_expand_eigenpair,
     eigen_all,
     eval_cheb_u,
     expansion_series,
     jordan_eigenvalues,
+    make_jordan,
     make_spring_chain,
     make_torus_kernel,
 )
+import eigenpath.chebyshev as chebyshev
+
 from eigenpath.chebyshev import (
+    _CoupledSystem,
     _detect_collisions,
+    _newton,
+    _warm_starts,
     cheb_jacobian,
     cheb_residual,
     degree_pairs,
@@ -27,8 +36,10 @@ from eigenpath.chebyshev import (
     unpack_unknowns,
     warm_start,
 )
-from eigenpath.errors import NewtonDivergenceError
+from eigenpath.errors import JacobianSingularError, NewtonDivergenceError, NumericalError
+from eigenpath.linalg import build_bordered, solve_bordered
 from eigenpath.series import u_product_degrees, u_values
+from eigenpath.taylor import ExpansionFailure, taylor_rhs
 
 
 def galerkin_coefficients(lams, vs, a_list, p):
@@ -387,3 +398,182 @@ class TestRequestValidation:
             ChebRequest(torus8, (0.0, 1.0), -1)
         with pytest.raises(ValueError):
             ChebRequest(torus8, (0.0, 1.0), 8, quad_m=16)
+
+
+# ---------------------------------------------------------------------------
+# The all-pairs kernel: batched warm starts and blocked Newton
+# ---------------------------------------------------------------------------
+
+
+def bordered_warm_start(coeffs, index):
+    """One pair's warm start as a dense bordered LU computes it: A_0's
+    eigenpair normalized to v0^T v0 = 1, the bordered matrix with border
+    v0^T factored once, and every order solved against it with unit
+    weights. Returns the (p+1, n+1) unknowns."""
+    a_list = coeffs.coeffs
+    p = coeffs.order
+    decomp = eigen_all(np.asarray(a_list[0]))
+    lam0 = complex(decomp.values[index])
+    v0 = decomp.vectors[:, index].copy()
+    v0 = v0 / np.sqrt(v0 @ v0)
+    system = build_bordered(a_list[0], v0, lam0, hermitian=False, unit_norm_check=False)
+    lams, vs = [lam0], [v0]
+    for k in range(1, p + 1):
+        z, y = taylor_rhs(k, a_list, vs, lams, binomials=np.ones((p + 1, p + 1)))
+        lam_k, v_k = solve_bordered(system, np.concatenate(([z], y)))
+        lams.append(lam_k)
+        vs.append(v_k)
+    return np.column_stack((lams, vs))
+
+
+# Every eigenvalue of A_0 at least 1e-3 from the next, so rounding is not
+# amplified by a small gap; the spring chain's and Jordan's A_0 are not
+# symmetric, and Jordan's is far from normal.
+SEPARATED = {
+    "torus8": (make_torus_kernel, 8, (0.25, 1.0), 10),
+    "spring8": (make_spring_chain, 8, (0.5, 1.0), 7),
+    "spring16": (make_spring_chain, 16, (0.8, 1.2), 12),
+    "jordan8": (make_jordan, 8, (0.10, 0.50), 12),
+}
+
+
+def separated_request(name):
+    make, n, interval, p = SEPARATED[name]
+    return ChebRequest(make(n), interval, p)
+
+
+def isotropic_problem():
+    """A constant A with eigenpairs (2, [1, 0]) and (1, [1, i]); the
+    second eigenvector is isotropic, v^T v = 0."""
+    vectors = np.array([[1.0, 1.0], [0.0, 1j]])
+    a = vectors @ np.diag([2.0, 1.0]) @ np.linalg.inv(vectors)
+    return ParametricProblem(
+        name="isotropic", n=2, eval_at=lambda mu: a.copy(), derivs_at=lambda mu0, p: None
+    )
+
+
+def assert_same_pair(a, b):
+    assert np.array_equal(a.lam.coeffs, b.lam.coeffs)
+    assert np.array_equal(a.vec.coeffs, b.vec.coeffs)
+    assert a.diagnostics == b.diagnostics
+
+
+class TestAllPairsKernel:
+    @pytest.mark.parametrize("name", list(SEPARATED))
+    def test_warm_starts_match_bordered_oracle(self, name):
+        request = separated_request(name)
+        problem = request.problem
+        coeffs = project_matrix_coeffs(problem, request.interval, request.order)
+        errors, x = _warm_starts(coeffs, eigen_all(coeffs.coeffs[0]), range(problem.n))
+        assert errors == [None] * problem.n
+        for index in range(problem.n):
+            oracle = bordered_warm_start(coeffs, index)
+            # each order relative to its own size, as orders grow with k
+            scale = np.maximum(1.0, np.abs(oracle).max(axis=1, keepdims=True))
+            assert np.max(np.abs(x[index] - oracle) / scale) <= 1e-12
+            single = warm_start(coeffs, index).reshape(oracle.shape)
+            assert np.max(np.abs(single - oracle) / scale) <= 1e-12
+
+    def test_isotropic_pair_fails_alone(self):
+        problem = isotropic_problem()
+        results = cheb_expand_all(ChebRequest(problem, (0.0, 1.0), 3, quad_m=64))
+        ok, failed = results
+        assert isinstance(ok, EigenPairSeries)
+        assert ok.lam.coeffs[0] == pytest.approx(2.0, abs=1e-12)
+        assert isinstance(failed, ExpansionFailure) and failed.index == 1
+        assert isinstance(failed.error, NumericalError)
+        assert "isotropic" in str(failed.error)
+        coeffs = project_matrix_coeffs(problem, (0.0, 1.0), 3, m=64)
+        with pytest.raises(NumericalError, match="isotropic"):
+            warm_start(coeffs, 1)
+        with pytest.raises(NumericalError, match="isotropic"):
+            cheb_expand_eigenpair(ChebRequest(problem, (0.0, 1.0), 3, quad_m=64), 1)
+
+    @pytest.mark.parametrize("name", list(SEPARATED))
+    def test_eigenpair_is_its_column_of_expand_all(self, name):
+        request = separated_request(name)
+        columns = cheb_expand_all(request)
+        for index, column in enumerate(columns):
+            single = cheb_expand_eigenpair(request, index)
+            # the warm start of one column rounds like a one-column product
+            for got, want in ((single.lam.coeffs, column.lam.coeffs),
+                              (single.vec.coeffs, column.vec.coeffs)):
+                assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+            assert single.diagnostics["newton_iterations"] == column.diagnostics["newton_iterations"]
+            assert single.diagnostics.keys() == column.diagnostics.keys()
+
+    def test_blocks_of_one_pair_change_nothing(self, monkeypatch):
+        request = separated_request("torus8")
+        block_sizes = []
+
+        def spy(system, x, tol, max_iter):
+            block_sizes.append(x.shape[0])
+            return _newton(system, x, tol, max_iter)
+
+        monkeypatch.setattr(chebyshev, "_newton", spy)
+        whole = cheb_expand_all(request)
+        assert block_sizes == [8]
+        monkeypatch.setattr(chebyshev, "BLOCK_BYTES", 1)
+        split = cheb_expand_all(request)
+        assert block_sizes == [8] + [1] * 8
+        for a, b in zip(whole, split):
+            assert_same_pair(a, b)
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_failing_pairs_leave_their_block_neighbours_unchanged(self):
+        coeffs = project_matrix_coeffs(make_torus_kernel(8), (0.25, 1.0), 6)
+        _, starts = _warm_starts(coeffs, eigen_all(coeffs.coeffs[0]), range(8))
+        system = _CoupledSystem(coeffs)
+        block = starts.copy()
+        # a random start that Newton does not bring home in 30 iterations,
+        # and all zeros, whose Jacobian has a zero lambda column
+        block[2] = np.random.default_rng(5).normal(size=starts.shape[1:])
+        block[5] = 0.0
+        start_residual = np.max(np.abs(cheb_residual(block[2], coeffs)))
+        outcomes = _newton(system, block, 1e-12, 30)
+        assert isinstance(outcomes[2], NewtonDivergenceError)
+        assert outcomes[2].iterations == 30
+        # the best iterate is a later one than the start, and it is the one
+        # whose residual is reported
+        best = outcomes[2].best_residual
+        assert best < start_residual
+        assert np.max(np.abs(cheb_residual(outcomes[2].best_x, coeffs))) == pytest.approx(best, rel=1e-12)
+        assert isinstance(outcomes[5], JacobianSingularError)
+        assert np.array_equal(block[5], np.zeros_like(block[5]))
+        for pair in (0, 1, 3, 4, 6, 7):
+            alone = starts[pair:pair + 1].copy()
+            (outcome,) = _newton(system, alone, 1e-12, 30)
+            assert outcomes[pair] == outcome
+            assert np.array_equal(block[pair], alone[0])
+
+    def test_collisions_match_pairwise_scan(self, cheb_e1_p10):
+        def pairwise_scan(pairs, basis):
+            probes = np.linspace(*basis.interval, 5)
+            values = [
+                np.array([eval_cheb_u(pair.lam, mu) for mu in probes])
+                if isinstance(pair, EigenPairSeries) else None
+                for pair in pairs
+            ]
+            return [
+                (a, b)
+                for a in range(len(pairs))
+                for b in range(a + 1, len(pairs))
+                if values[a] is not None and values[b] is not None
+                and np.max(np.abs(values[a] - values[b])) < 1e-8
+            ]
+
+        p0, p1, p2 = cheb_e1_p10[:3]
+        failure = ExpansionFailure(9, 0j, NumericalError("failed"))
+        picks = [p0, failure, p1, p0, p2, p1, failure, p0]
+        pairs = [
+            p if isinstance(p, ExpansionFailure) else type(p)(p.lam, p.vec, dict(p.diagnostics))
+            for p in picks
+        ]
+        expected = pairwise_scan(pairs, p0.basis)
+        with pytest.warns(UserWarning, match="coinciding eigenpaths"):
+            assert _detect_collisions(pairs, p0.basis) == expected
+        assert expected == [(0, 3), (0, 7), (2, 5), (3, 7)]
+        assert pairs[0].diagnostics["collisions"] == [3, 7]
+        assert pairs[3].diagnostics["collisions"] == [0, 7]
+        assert pairs[7].diagnostics["collisions"] == [0, 3]
+        assert "collisions" not in pairs[4].diagnostics

@@ -1,6 +1,7 @@
 """CLI contract: flags, exit codes, output files, manifests, determinism."""
 
 import csv
+import importlib
 import json
 import os
 import subprocess
@@ -8,17 +9,23 @@ import sys
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import eigenpath
 
 from eigenpath import (
+    DegenerateEvaluationError,
     EigenPairSeries,
     ScalarSeries,
     SeriesBasis,
+    TaylorRequest,
     VectorSeries,
+    eigpath_eval,
+    expansion_series,
     load_eigenpair,
     save_eigenpair,
+    taylor_expand_all,
 )
 from eigenpath import cli
 from eigenpath.analysis import draw_samples
@@ -210,6 +217,35 @@ class TestDegenerateEvaluation:
         )
         assert code == 2
         assert f"mu={first} " in capsys.readouterr().err
+
+
+class TestSelectTracked:
+    def test_order_matches_per_pair_evaluation(self, torus8):
+        pairs = expansion_series(taylor_expand_all(TaylorRequest(torus8, 0.2, 6)))
+        mean = 0.23
+        values = [eigpath_eval(pair, mean)[0] for pair in pairs]
+        order = np.lexsort((-np.imag(values), -np.real(values)))
+        positions = [3, 1, 8, 5]
+        tracked = cli._select_tracked(pairs, positions, mean)
+        assert [id(pair) for pair in tracked] == [id(pairs[order[pos - 1]]) for pos in positions]
+
+    def test_degenerate_pair_at_the_mean_names_it(self):
+        pairs = [_degenerate_pair(0.7), _degenerate_pair(0.3)]
+        with pytest.raises(DegenerateEvaluationError, match="mu=0.3 "):
+            cli._select_tracked(pairs, [1], 0.3)
+
+
+def test_benchmark_tracer_targets_resolve(monkeypatch):
+    # benchmarks/tracing.py wraps each (module, attr) of TARGETS where it is
+    # looked up; a name the program stops importing would break --trace 1
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    tracing = importlib.import_module("tracing")
+    missing = [
+        f"{module.__name__}.{attr}"
+        for module, attr, _ in tracing.TARGETS
+        if not callable(getattr(module, attr, None))
+    ]
+    assert not missing
 
 
 class TestReport:
