@@ -11,9 +11,14 @@ equals the optimal assignment whenever direct eigenvalues are separated by
 much more than the approximation error. The eigenvector deviation metric is
 max over approximated vectors of | max_i |v_direct_i^H v_hat| - 1 |,
 insensitive to phase.
+
+Every CSV writer hands its columns to one formatter, ``_write_csv``: a header
+row, then one CRLF-terminated row per entry, rendered by one ``%`` pattern
+("%.17g" floats carry 17 significant digits, "%d" integers, "%s" text and
+blank cells) and written through ``series.write_atomic``. The header names
+never need quoting, so the bytes equal what ``csv.writer`` gives.
 """
 
-import csv
 import time
 
 import numpy as np
@@ -30,6 +35,7 @@ from .series import (  # noqa: F401  (eval_taylor, eval_cheb_u: looked up here b
     eval_taylor,
     horner,
     taylor_scaled_coeffs,
+    write_atomic,
 )
 from .taylor import TaylorRequest, taylor_expand_all
 
@@ -326,58 +332,56 @@ def bench_complexity(make_problem, n_list, p_list, mu0=0.2, repeats=3):
 
 
 # ---------------------------------------------------------------------------
-# CSV export. All floating-point values carry 17 significant digits.
+# CSV export (see the module docstring)
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value):
-    return f"{value:.17g}"
+def _write_csv(path, header, formats, columns):
+    """Write the CSV atomically; the whole text is built before any file opens."""
+    line = ",".join(formats) + "\r\n"
+    rows = zip(*(np.asarray(column).tolist() for column in columns))
+    write_atomic(path, ",".join(header) + "\r\n" + "".join(line % row for row in rows))
+
+
+def _float_or_blank(values):
+    """Cells of a "%s" column: 17 significant digits, or "" for None."""
+    return ["" if value is None else "%.17g" % value for value in values]
 
 
 def write_error_report_csv(report, path, rayleigh=False):
-    """Columns: mu, pair_index, abs_err_lambda, vec_deviation.
+    """Columns: mu, pair_index, abs_err_lambda, vec_deviation; rows run over
+    the grid, and over the pairs within a grid point.
 
     With ``rayleigh``, appends the report's Rayleigh errors as an
     abs_err_rayleigh column.
     """
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        header = ["mu", "pair_index", "abs_err_lambda", "vec_deviation"]
-        if rayleigh:
-            header.append("abs_err_rayleigh")
-        writer.writerow(header)
-        for g, mu in enumerate(report.grid):
-            for i in range(report.n_pairs):
-                row = [
-                    _fmt(mu),
-                    str(i),
-                    _fmt(report.eig_errors[g, i]),
-                    _fmt(report.vec_deviation[g]),
-                ]
-                if rayleigh:
-                    row.append(_fmt(report.rayleigh_errors[g, i]))
-                writer.writerow(row)
+    k = report.n_pairs
+    header = ["mu", "pair_index", "abs_err_lambda", "vec_deviation"]
+    formats = ["%.17g", "%d", "%.17g", "%.17g"]
+    columns = [
+        np.repeat(report.grid, k),
+        np.tile(np.arange(k), report.grid.size),
+        report.eig_errors.ravel(),
+        np.repeat(report.vec_deviation, k),
+    ]
+    if rayleigh:
+        header.append("abs_err_rayleigh")
+        formats.append("%.17g")
+        columns.append(report.rayleigh_errors.ravel())
+    _write_csv(path, header, formats, columns)
 
 
 def write_samples_csv(sample_sets, path):
-    """Per-sample eigenvalue realizations, one column pair per method/pair.
-
-    Each row is formatted in one pass; "%.17g" gives the same text as
-    :func:`_fmt` for every float.
-    """
+    """Per-sample eigenvalue realizations, one column pair per method/pair."""
     if not sample_sets:
         raise ValueError("at least one sample set is required")
     header = ["sample_index", "mu"]
-    columns = [sample_sets[0].samples]
+    columns = [np.arange(sample_sets[0].count), sample_sets[0].samples]
     for ss in sample_sets:
         for i in range(ss.values.shape[1]):
             header += [f"re_{ss.method}_pair{i}", f"im_{ss.method}_pair{i}"]
             columns += [ss.values[:, i].real, ss.values[:, i].imag]
-    line = ",".join(["%d"] + ["%.17g"] * len(columns)) + csv.excel.lineterminator
-    table = np.column_stack(columns).tolist()
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        csv.writer(handle).writerow(header)
-        handle.writelines(line % (s, *row) for s, row in enumerate(table))
+    _write_csv(path, header, ["%d"] + ["%.17g"] * (len(columns) - 1), columns)
 
 
 def write_histogram_csv(sample_sets, path, bins=HISTOGRAM_BINS):
@@ -385,69 +389,52 @@ def write_histogram_csv(sample_sets, path, bins=HISTOGRAM_BINS):
 
     Bins span the combined sample range of all methods for each pair.
     """
-    n_pairs = sample_sets[0].values.shape[1]
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        header = ["pair_index", "bin_lo", "bin_hi"]
-        header += [f"count_{ss.method}" for ss in sample_sets]
-        writer.writerow(header)
-        for i in range(n_pairs):
-            reals = [ss.values[:, i].real for ss in sample_sets]
-            lo = min(float(r.min()) for r in reals)
-            hi = max(float(r.max()) for r in reals)
-            if hi <= lo:
-                hi = lo + 1.0
-            edges = None
-            counts = []
-            for r in reals:
-                edges, c = histogram_counts(r, lo, hi, bins)
-                counts.append(c)
-            for b in range(bins):
-                row = [str(i), _fmt(edges[b]), _fmt(edges[b + 1])]
-                row += [str(int(c[b])) for c in counts]
-                writer.writerow(row)
+    blocks = []
+    for i in range(sample_sets[0].values.shape[1]):
+        reals = [ss.values[:, i].real for ss in sample_sets]
+        lo = min(float(r.min()) for r in reals)
+        hi = max(float(r.max()) for r in reals)
+        if hi <= lo:
+            hi = lo + 1.0
+        hists = [histogram_counts(r, lo, hi, bins) for r in reals]
+        edges = hists[0][0]
+        # one float table: "%d" renders its pair indices and counts exactly
+        blocks.append(np.column_stack([np.full(bins, i), edges[:-1], edges[1:],
+                                       *(counts for _, counts in hists)]))
+    header = ["pair_index", "bin_lo", "bin_hi"] + [f"count_{ss.method}" for ss in sample_sets]
+    formats = ["%d", "%.17g", "%.17g"] + ["%d"] * len(sample_sets)
+    _write_csv(path, header, formats, np.concatenate(blocks).T)
 
 
 def write_timing_csv(rows, path):
     """Columns: n, p, seconds, ratio (blank in the first row)."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["n", "p", "seconds", "ratio"])
-        for row in rows:
-            writer.writerow(
-                [
-                    str(row.n),
-                    str(row.p),
-                    _fmt(row.seconds),
-                    "" if row.ratio is None else _fmt(row.ratio),
-                ]
-            )
+    columns = [
+        [row.n for row in rows],
+        [row.p for row in rows],
+        [row.seconds for row in rows],
+        _float_or_blank(row.ratio for row in rows),
+    ]
+    _write_csv(path, ["n", "p", "seconds", "ratio"], ["%d", "%d", "%.17g", "%s"], columns)
 
 
 def write_sampling_summary_csv(sample_sets, path):
     """Timing summary per method; speedup columns appear when a direct
     baseline is present in the same run."""
     direct = next((ss for ss in sample_sets if ss.method == "direct"), None)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["method", "setup_seconds", "sampling_seconds", "combined_seconds",
-             "speedup_vs_direct", "combined_speedup_vs_direct"]
-        )
-        for ss in sample_sets:
-            combined = ss.setup_seconds + ss.sampling_seconds
-            if direct is None or ss.method == "direct":
-                speedup = combined_speedup = ""
-            else:
-                speedup = _fmt(direct.sampling_seconds / ss.sampling_seconds)
-                combined_speedup = _fmt(direct.sampling_seconds / combined)
-            writer.writerow(
-                [
-                    ss.method,
-                    _fmt(ss.setup_seconds),
-                    _fmt(ss.sampling_seconds),
-                    _fmt(combined),
-                    speedup,
-                    combined_speedup,
-                ]
-            )
+    combined = [ss.setup_seconds + ss.sampling_seconds for ss in sample_sets]
+    speedup, combined_speedup = [], []
+    for ss, total in zip(sample_sets, combined):
+        compared = direct is not None and ss.method != "direct"
+        speedup.append(direct.sampling_seconds / ss.sampling_seconds if compared else None)
+        combined_speedup.append(direct.sampling_seconds / total if compared else None)
+    header = ["method", "setup_seconds", "sampling_seconds", "combined_seconds",
+              "speedup_vs_direct", "combined_speedup_vs_direct"]
+    columns = [
+        [ss.method for ss in sample_sets],
+        [ss.setup_seconds for ss in sample_sets],
+        [ss.sampling_seconds for ss in sample_sets],
+        combined,
+        _float_or_blank(speedup),
+        _float_or_blank(combined_speedup),
+    ]
+    _write_csv(path, header, ["%s", "%.17g", "%.17g", "%.17g", "%s", "%s"], columns)

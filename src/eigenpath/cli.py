@@ -5,13 +5,14 @@ Exit codes: 0 success, 1 usage or I/O error, 2 numerical failure
 (non-simple eigenvalue at the expansion point, Newton divergence, domain
 violations). Every command writes a plain-text manifest next to its outputs
 recording the resolved parameters; reruns with identical parameters
-reproduce all numerical outputs (timing columns excepted). Output files are
-written atomically (temp file, then rename).
+reproduce all numerical outputs (timing columns excepted). Every output
+file goes through ``series.write_atomic`` (temp file, then rename; a failed
+write leaves no temp file), and every CSV through one row formatter in
+``analysis``: a header row, CRLF rows, floats with 17 significant digits.
 """
 
 import argparse
 import hashlib
-import os
 import sys
 import time
 
@@ -41,6 +42,7 @@ from .series import (  # noqa: F401  (eigenpair_to_dict: looked up here by bench
     eigenpair_to_dict,
     load_eigenpair,
     save_eigenpair,
+    write_atomic,
 )
 from .taylor import (
     ExpansionFailure,
@@ -58,20 +60,6 @@ class UsageError(Exception):
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _atomic_write_text(path, text):
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
-def _atomic_write_with(path, writer, *args, **kwargs):
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    writer(*args, tmp, **kwargs)
-    os.replace(tmp, path)
 
 
 def _parse_floats(text, count, flag):
@@ -141,7 +129,7 @@ def _write_manifest(outdir, command, params, seed, config_hash, outputs):
     lines.append("outputs:")
     for name in outputs:
         lines.append(f"  - {name}")
-    _atomic_write_text(Path(outdir) / "manifest.txt", "\n".join(lines) + "\n")
+    write_atomic(Path(outdir) / "manifest.txt", "\n".join(lines) + "\n")
 
 
 def _ensure_outdir(args):
@@ -260,9 +248,7 @@ def cmd_report(args):
 
     outdir = _ensure_outdir(args)
     report = error_report(problem, pairs, grid)
-    _atomic_write_with(
-        outdir / "report.csv", write_error_report_csv, report, rayleigh="rayleigh" in metrics
-    )
+    write_error_report_csv(report, outdir / "report.csv", rayleigh="rayleigh" in metrics)
 
     params = {
         "problem": args.problem,
@@ -307,6 +293,17 @@ def _select_tracked(pairs, positions, mean):
     return tracked
 
 
+def _check_finite(sample_sets):
+    """Raise NumericalError at the first method whose sampled values are not
+    all finite, naming that method and the first such sample's mu."""
+    for ss in sample_sets:
+        bad = np.flatnonzero(~np.isfinite(ss.values).all(axis=1))
+        if bad.size:
+            raise NumericalError(
+                f"method {ss.method}: non-finite sampled value at mu={ss.samples[bad[0]]:.17g}"
+            )
+
+
 def cmd_sample(args):
     problem, config_hash = _resolve_problem(args)
     if args.count < 1:
@@ -345,10 +342,11 @@ def cmd_sample(args):
             )
         )
 
+    _check_finite(sample_sets)
     outdir = _ensure_outdir(args)
-    _atomic_write_with(outdir / "samples.csv", write_samples_csv, sample_sets)
-    _atomic_write_with(outdir / "histogram.csv", write_histogram_csv, sample_sets)
-    _atomic_write_with(outdir / "timing.csv", write_sampling_summary_csv, sample_sets)
+    write_samples_csv(sample_sets, outdir / "samples.csv")
+    write_histogram_csv(sample_sets, outdir / "histogram.csv")
+    write_sampling_summary_csv(sample_sets, outdir / "timing.csv")
 
     params = {
         "problem": args.problem,
@@ -382,7 +380,7 @@ def cmd_bench(args):
 
     rows = bench_complexity(make, n_list, p_list, mu0=args.mu0, repeats=args.repeats)
     outdir = _ensure_outdir(args)
-    _atomic_write_with(outdir / "bench.csv", write_timing_csv, rows)
+    write_timing_csv(rows, outdir / "bench.csv")
     params = {
         "problem": args.problem,
         "n_list": args.n_list,

@@ -21,6 +21,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import DomainError, ExpressionSyntaxError, UnknownIdentifierError
+from .series import binomial_table
 
 FUNCTIONS = ("exp", "sin", "cos", "sqrt", "log")
 
@@ -241,15 +242,6 @@ def eval_expr(node, mu):
 # ---------------------------------------------------------------------------
 
 
-def _binomials(p):
-    c = np.zeros((p + 1, p + 1))
-    c[:, 0] = 1.0
-    for k in range(1, p + 1):
-        for l in range(1, k + 1):
-            c[k, l] = c[k - 1, l - 1] + c[k - 1, l]
-    return c
-
-
 class Jet:
     """Derivative values of one scalar function at mu0, orders 0..p."""
 
@@ -422,4 +414,4 @@ def taylor_arith_eval(node, mu0, p):
     """
     if p < 0:
         raise ValueError("order must be nonnegative")
-    return _jet_eval(node, float(mu0), p, _binomials(max(p, 1))).values
+    return _jet_eval(node, float(mu0), p, binomial_table(max(p, 1))).values

@@ -12,8 +12,13 @@ Two bases are supported:
 
 All containers are immutable after construction and safe to share between
 threads; coefficient arrays are marked read-only.
+
+:func:`write_atomic` is the one way files are written: pair series here, and
+the manifests and CSV files of :mod:`eigenpath.analysis` and
+:mod:`eigenpath.cli`.
 """
 
+import contextlib
 import json
 import math
 import os
@@ -262,6 +267,16 @@ def evaluate_series(series, mu):
     return SeriesValue(value, extrapolated=not series.basis.contains(mu))
 
 
+def binomial_table(p):
+    """Pascal-recurrence binomial coefficients C[k, l]; exact for k <= 56."""
+    c = np.zeros((p + 1, p + 1))
+    c[:, 0] = 1.0
+    for k in range(1, p + 1):
+        for l in range(1, k + 1):
+            c[k, l] = c[k - 1, l - 1] + c[k - 1, l]
+    return c
+
+
 def u_product_degrees(i, j):
     """Degrees appearing in U_i * U_j = U_{i+j} + U_{i+j-2} + ... + U_{|i-j|}.
 
@@ -383,12 +398,28 @@ def eigenpair_from_dict(doc):
     return EigenPairSeries(lam, vec, dict(doc.get("diagnostics", {})))
 
 
-def save_eigenpair(pair, path):
-    """Write one eigenpair as compact JSON, atomically (temp file, then rename)."""
+def write_atomic(path, text):
+    """Write text to path as UTF-8 bytes, with no newline translation.
+
+    The bytes go to ``<name>.tmp`` beside path, which is then renamed onto
+    path, so readers see the old file or the whole new one. If either step
+    fails, the temp file is removed and the error propagates.
+    """
     path = Path(path)
+    data = text.encode("utf-8")
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(eigenpair_to_dict(pair)) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
+
+
+def save_eigenpair(pair, path):
+    """Write one eigenpair as compact JSON, atomically (:func:`write_atomic`)."""
+    write_atomic(path, json.dumps(eigenpair_to_dict(pair)) + "\n")
 
 
 def load_eigenpair(path):

@@ -60,7 +60,7 @@ from .linalg import (
     solve_bordered_reduced,  # noqa: F401  (looked up here by benchmarks/tracing.py)
     vector_norms,
 )
-from .series import EigenPairSeries, ScalarSeries, SeriesBasis, VectorSeries
+from .series import EigenPairSeries, ScalarSeries, SeriesBasis, VectorSeries, binomial_table
 
 
 @dataclass(frozen=True)
@@ -93,16 +93,6 @@ class ExpansionFailure:
     index: int
     eigenvalue: complex
     error: Exception
-
-
-def binomial_table(p):
-    """Pascal-recurrence binomial coefficients C[k, l]; exact for k <= 56."""
-    c = np.zeros((p + 1, p + 1))
-    c[:, 0] = 1.0
-    for k in range(1, p + 1):
-        for l in range(1, k + 1):
-            c[k, l] = c[k - 1, l - 1] + c[k - 1, l]
-    return c
 
 
 def _column_dot(x, y, hermitian=False):

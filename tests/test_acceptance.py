@@ -231,7 +231,6 @@ def test_criterion_09_sampling_speedup(torus):
     )
 
 
-@pytest.mark.slow
 def test_criterion_10_complexity_trends():
     rows_p = bench_complexity(make_torus_kernel, [8], [4, 8, 16, 32], mu0=0.2, repeats=3)
     p_ratios = [r.ratio for r in rows_p[1:]]

@@ -227,6 +227,183 @@ class TestBench:
         assert [(r.n, r.p) for r in rows] == [(8, 2), (16, 2)]
 
 
+# ---------------------------------------------------------------------------
+# The per-cell CSV writers that the one-pattern-per-row writers replaced, kept
+# as byte oracles: each cell formatted on its own, each row through csv.writer.
+# ---------------------------------------------------------------------------
+
+
+def _fmt(value):
+    return f"{value:.17g}"
+
+
+def _per_cell_error_report(report, path, rayleigh=False):
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        header = ["mu", "pair_index", "abs_err_lambda", "vec_deviation"]
+        if rayleigh:
+            header.append("abs_err_rayleigh")
+        writer.writerow(header)
+        for g, mu in enumerate(report.grid):
+            for i in range(report.n_pairs):
+                row = [_fmt(mu), str(i), _fmt(report.eig_errors[g, i]),
+                       _fmt(report.vec_deviation[g])]
+                if rayleigh:
+                    row.append(_fmt(report.rayleigh_errors[g, i]))
+                writer.writerow(row)
+
+
+def _per_cell_samples(sample_sets, path):
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        header = ["sample_index", "mu"]
+        for ss in sample_sets:
+            for i in range(ss.values.shape[1]):
+                header += [f"re_{ss.method}_pair{i}", f"im_{ss.method}_pair{i}"]
+        writer.writerow(header)
+        for s in range(sample_sets[0].count):
+            row = [str(s), _fmt(sample_sets[0].samples[s])]
+            for ss in sample_sets:
+                for i in range(ss.values.shape[1]):
+                    row += [_fmt(ss.values[s, i].real), _fmt(ss.values[s, i].imag)]
+            writer.writerow(row)
+
+
+def _per_cell_histogram(sample_sets, path, bins=analysis.HISTOGRAM_BINS):
+    n_pairs = sample_sets[0].values.shape[1]
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        header = ["pair_index", "bin_lo", "bin_hi"]
+        header += [f"count_{ss.method}" for ss in sample_sets]
+        writer.writerow(header)
+        for i in range(n_pairs):
+            reals = [ss.values[:, i].real for ss in sample_sets]
+            lo = min(float(r.min()) for r in reals)
+            hi = max(float(r.max()) for r in reals)
+            if hi <= lo:
+                hi = lo + 1.0
+            edges = None
+            counts = []
+            for r in reals:
+                edges, c = histogram_counts(r, lo, hi, bins)
+                counts.append(c)
+            for b in range(bins):
+                row = [str(i), _fmt(edges[b]), _fmt(edges[b + 1])]
+                row += [str(int(c[b])) for c in counts]
+                writer.writerow(row)
+
+
+def _per_cell_timing(rows, path):
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["n", "p", "seconds", "ratio"])
+        for row in rows:
+            writer.writerow([str(row.n), str(row.p), _fmt(row.seconds),
+                             "" if row.ratio is None else _fmt(row.ratio)])
+
+
+def _per_cell_summary(sample_sets, path):
+    direct = next((ss for ss in sample_sets if ss.method == "direct"), None)
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["method", "setup_seconds", "sampling_seconds", "combined_seconds",
+                         "speedup_vs_direct", "combined_speedup_vs_direct"])
+        for ss in sample_sets:
+            combined = ss.setup_seconds + ss.sampling_seconds
+            if direct is None or ss.method == "direct":
+                speedup = combined_speedup = ""
+            else:
+                speedup = _fmt(direct.sampling_seconds / ss.sampling_seconds)
+                combined_speedup = _fmt(direct.sampling_seconds / combined)
+            writer.writerow([ss.method, _fmt(ss.setup_seconds), _fmt(ss.sampling_seconds),
+                             _fmt(combined), speedup, combined_speedup])
+
+
+# NaN, +-inf, -0.0, the smallest subnormal, the largest and the smallest normal
+# double, and values whose shortest repr has fewer than 17 digits
+SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308,
+            -2.2250738585072014e-308, 0.1, 1e16]
+
+
+def _floats(rng, shape, specials=SPECIALS):
+    """Normals scaled by 10^-300..10^300, starting with the given specials."""
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    values.ravel()[: len(specials)] = specials
+    return values
+
+
+def _complex(re, im):
+    """re + i im, set part by part: arithmetic would turn an inf part into NaN."""
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _sample_set(method, values, mus=None, setup=0.1, sampling=0.2):
+    count = values.shape[0]
+    mus = np.linspace(0.1, 0.3, count) if mus is None else mus
+    return analysis.SampleSet(5, 0.2, 0.05, count, method, mus, values, setup, sampling)
+
+
+def _csv_cases():
+    """case name -> (writer, per-cell oracle, positional args, keyword args)."""
+    rng = np.random.default_rng(21)
+    grid, k = _floats(rng, 12), 3
+    report = analysis.ErrorReport(
+        grid=grid,
+        eig_errors=_floats(rng, (grid.size, k), SPECIALS[::-1]),
+        vec_deviation=_floats(rng, grid.size),
+        matching=np.zeros((grid.size, k), dtype=int),
+        rayleigh_errors=_floats(rng, (grid.size, k)),
+        max_error=0.0,
+        median_error=0.0,
+    )
+
+    count = 40
+    mus = _floats(rng, count)
+    samples = [
+        _sample_set(method, _complex(_floats(rng, (count, 3)),
+                                     _floats(rng, (count, 3), SPECIALS[::-1])), mus)
+        for method in ("taylor-eval", "direct")
+    ]
+
+    # finite values only, as np.histogram requires: pair 0 holds -0.0 and
+    # subnormals among values below 1e-300, pair 1 is constant, pair 2 spans
+    # -1e307..1e308
+    hist_values = np.stack(
+        [
+            np.concatenate([[-0.0, 5e-324, -5e-324, 0.0], rng.random(36) * 1e-300]),
+            np.full(count, 0.7),
+            np.concatenate([[1e308, -1e307], rng.normal(size=38) * 1e300]),
+        ],
+        axis=1,
+    )
+    hist = [_sample_set("rayleigh", hist_values + 0.5j),
+            _sample_set("direct", hist_values[::-1] * 0.5)]
+
+    timing = [BenchRow(8, 2, value, None if r == 0 else SPECIALS[-1 - r])
+              for r, value in enumerate(SPECIALS)]
+
+    # one set per method in SAMPLE_METHODS order, direct last
+    seconds = [(0.25, 5e-324), (np.inf, 0.5), (np.nan, 1.7976931348623157e308), (-0.0, 3e-7)]
+    summary = [_sample_set(method, samples[0].values, setup=setup, sampling=sampling)
+               for method, (setup, sampling) in zip(analysis.SAMPLE_METHODS, seconds)]
+
+    return {
+        "error_report": (write_error_report_csv, _per_cell_error_report, (report,), {}),
+        "error_report_rayleigh": (write_error_report_csv, _per_cell_error_report, (report,),
+                                  {"rayleigh": True}),
+        "samples": (write_samples_csv, _per_cell_samples, (samples,), {}),
+        "histogram": (write_histogram_csv, _per_cell_histogram, (hist,), {}),
+        "timing": (write_timing_csv, _per_cell_timing, (timing,), {}),
+        "summary": (write_sampling_summary_csv, _per_cell_summary, (summary[:3],), {}),
+        "summary_direct": (write_sampling_summary_csv, _per_cell_summary, (summary,), {}),
+    }
+
+
+_CSV_CASES = _csv_cases()
+
+
 class TestCsvWriters:
     def test_error_report_csv(self, tmp_path, taylor_e1_p6, torus8):
         report = error_report(torus8, taylor_e1_p6[:2], np.linspace(0.15, 0.25, 3))
@@ -265,37 +442,19 @@ class TestCsvWriters:
             rows = list(csv.reader(handle))
         assert len(rows) == 1 + 200
 
-    def test_samples_csv_matches_per_cell_writer(self, tmp_path):
-        # the per-cell writer the row-at-a-time one replaced, as the oracle
-        def per_cell(sample_sets, path):
-            with open(path, "w", newline="", encoding="utf-8") as handle:
-                writer = csv.writer(handle)
-                header = ["sample_index", "mu"]
-                for ss in sample_sets:
-                    for i in range(ss.values.shape[1]):
-                        header += [f"re_{ss.method}_pair{i}", f"im_{ss.method}_pair{i}"]
-                writer.writerow(header)
-                for s in range(sample_sets[0].count):
-                    row = [str(s), f"{sample_sets[0].samples[s]:.17g}"]
-                    for ss in sample_sets:
-                        for i in range(ss.values.shape[1]):
-                            row += [f"{ss.values[s, i].real:.17g}", f"{ss.values[s, i].imag:.17g}"]
-                    writer.writerow(row)
-
-        rng = np.random.default_rng(21)
-        count = 40
-        mus = rng.normal(0.2, 0.05, count)
-        sets = []
-        for method, pairs in (("taylor-eval", 3), ("direct", 3)):
-            scale = 10.0 ** rng.integers(-300, 300, size=(count, pairs))
-            values = (rng.normal(size=(count, pairs)) + 1j * rng.normal(size=(count, pairs))) * scale
-            sets.append(analysis.SampleSet(5, 0.2, 0.05, count, method, mus, values, 0.1, 0.2))
-        specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308, 0.1, 1e16]
-        for s, value in enumerate(specials):
-            sets[0].values[s, 1] = complex(value, -value)
-        write_samples_csv(sets, tmp_path / "rows.csv")
-        per_cell(sets, tmp_path / "cells.csv")
+    @pytest.mark.parametrize("case", sorted(_CSV_CASES))
+    def test_csv_writer_matches_per_cell_writer(self, tmp_path, case):
+        writer, oracle, args, kwargs = _CSV_CASES[case]
+        writer(*args, tmp_path / "rows.csv", **kwargs)
+        oracle(*args, tmp_path / "cells.csv", **kwargs)
         assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+    def test_non_finite_histogram_raises_before_opening_a_file(self, tmp_path):
+        sets = [_sample_set("taylor-eval", np.array([[0.5], [np.nan], [1.5]]))]
+        for writer in (write_histogram_csv, _per_cell_histogram):
+            with pytest.raises(ValueError):
+                writer(sets, tmp_path / f"{writer.__name__}.csv")
+        assert [p.name for p in tmp_path.iterdir()] == ["_per_cell_histogram.csv"]
 
     def test_timing_csv(self, tmp_path):
         rows = [BenchRow(8, 2, 0.5, None), BenchRow(16, 2, 1.5, 3.0)]

@@ -367,6 +367,78 @@ class TestBench:
         assert rows[1][3] == "" and rows[2][3] != ""
 
 
+class TestOutputFiles:
+    @staticmethod
+    def _listed_outputs(out):
+        lines = (out / "manifest.txt").read_text().splitlines()
+        return [line.removeprefix("  - ") for line in lines[lines.index("outputs:") + 1:]]
+
+    def test_each_command_leaves_its_manifest_and_listed_outputs_only(self, tmp_path):
+        # a Jordan block (two failing pairs at mu0 = 0) beside one simple pair
+        config = tmp_path / "jordan_plus_one.json"
+        config.write_text(json.dumps(
+            {"name": "jordan-plus-one", "n": 3,
+             "entries": {"dense": ["1", "1", "0", "mu", "1", "0", "0", "0", "2"]}}
+        ))
+        taylor = ["--problem", "example1", "--n", "8", "--mu0", "0.2", "--order", "6"]
+        series = tmp_path / "taylor" / "eigenpair_03.json"
+        commands = [
+            ("taylor", 0, ["expand", "--method", "taylor", *taylor],
+             [f"eigenpair_{i:02d}.json" for i in range(1, 9)]),
+            ("chebyshev", 0, ["expand", "--problem", "example1", "--n", "8",
+                              "--method", "chebyshev", "--interval", "0.1,0.3",
+                              "--order", "6", "--eig", "2"], ["eigenpair_02.json"]),
+            ("failing", 2, ["expand", "--problem", f"config:{config}", "--method", "taylor",
+                            "--mu0", "0.0", "--order", "4"], ["eigenpair_01.json"]),
+            ("sample", 0, ["sample", *taylor, "--dist", "0.2,0.05", "--count", "30",
+                           "--seed", "4", "--method", "taylor-eval,rayleigh,direct"],
+             ["samples.csv", "histogram.csv", "timing.csv"]),
+            ("report", 0, ["report", "--problem", "example1", "--n", "8",
+                           "--series", str(series), "--grid", "0.1,0.3,5",
+                           "--metrics", "eig-error,rayleigh"], ["report.csv"]),
+            ("bench", 0, ["bench", "--n-list", "4,8", "--p-list", "2", "--repeats", "1"],
+             ["bench.csv"]),
+        ]
+        for name, code, argv, outputs in commands:
+            out = tmp_path / name
+            assert run(argv + ["--out", str(out)]) == code, name
+            assert self._listed_outputs(out) == outputs
+            # exactly these files: no temp file is left beside them
+            assert sorted(p.name for p in out.iterdir()) == sorted(["manifest.txt", *outputs])
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        (out / "manifest.txt").mkdir(parents=True)
+        code = run(
+            [
+                "expand", "--problem", "example1", "--n", "4", "--method", "taylor",
+                "--mu0", "0.2", "--order", "2", "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert "i/o error" in capsys.readouterr().err
+        pairs = [f"eigenpair_{i:02d}.json" for i in range(1, 5)]
+        assert sorted(p.name for p in out.iterdir()) == pairs + ["manifest.txt"]
+        assert list((out / "manifest.txt").iterdir()) == []
+
+    def test_non_finite_samples_exit_2_before_any_file(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        code = run(
+            [
+                "sample", "--problem", "example1", "--n", "8", "--mu0", "0.2",
+                "--order", "8", "--pairs", "2,3", "--dist", "0.2,1e200", "--count", "50",
+                "--seed", "1", "--method", "taylor-eval", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        # every draw lies near +-1e200, whose 8th power overflows, so the
+        # first non-finite sample is the first one drawn
+        first = draw_samples(0.2, 1e200, 50, 1)[0]
+        err = capsys.readouterr().err
+        assert f"method taylor-eval: non-finite sampled value at mu={first:.17g}" in err
+        assert not out.exists()
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "eigenpath", "--help"],

@@ -260,7 +260,6 @@ class TestGammaEquivariance:
         np.testing.assert_allclose(scaled[1], gamma * base[1], atol=1e-12)
 
 
-@pytest.mark.slow
 def test_reduced_solve_scales_quadratically():
     """Fitted runtime exponent over n in {64, 128, 256, 512} stays below 2.6."""
     rng = np.random.default_rng(1)

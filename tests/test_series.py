@@ -3,6 +3,9 @@ round trips."""
 
 import json
 import math
+import os
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from eigenpath.series import (
     taylor_scaled_coeffs,
     u_product_degrees,
     u_values,
+    write_atomic,
 )
 
 
@@ -268,6 +272,41 @@ class TestSerialization:
         assert back.vec.coeffs.tobytes() == pair.vec.coeffs.tobytes()
         assert back.diagnostics == pair.diagnostics
         assert [p.name for p in tmp_path.iterdir()] == ["eigenpair_01.json"]
+
+
+class TestWriteAtomic:
+    def test_replaces_target_with_utf8_bytes_verbatim(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old")
+        text = "mu,re\r\n0.5,-0\r\n\u03bc\n"
+        write_atomic(path, text)
+        assert path.read_bytes() == text.encode("utf-8")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_failed_rename_keeps_target_and_removes_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old")
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            write_atomic(path, "new")
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_failed_write_removes_partial_temp_file(self, tmp_path, monkeypatch):
+        write_bytes = Path.write_bytes
+
+        def partial(self, data):
+            write_bytes(self, data[:1])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_bytes", partial)
+        with pytest.raises(OSError, match="disk full"):
+            write_atomic(tmp_path / "out.csv", "new")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestContainers:
