@@ -25,7 +25,7 @@ import numpy as np
 
 from dataclasses import dataclass
 
-from .errors import DegenerateEvaluationError
+from .errors import DegenerateEvaluationError, NumericalError
 from .linalg import BLOCK_BYTES, block_slices, eigen_all, phase_fix, vector_norms
 from .series import (  # noqa: F401  (eval_taylor, eval_cheb_u: looked up here by benchmarks/tracing.py)
     CHEBYSHEV_U,
@@ -247,7 +247,8 @@ def sample_eigenvalues(problem, pairs, dist, count, seed, method, setup_seconds=
     directly; rayleigh evaluates the eigenvector series and refines through
     the Rayleigh quotient; direct solves the full dense eigenproblem of each
     sample (one stacked solve per block of samples) and matches each tracked
-    pair to the nearest direct eigenvalue.
+    pair to the nearest direct eigenvalue. It raises NumericalError, naming
+    the first such sample's mu, when A(mu) is not finite.
     """
     if count < 1:
         raise ValueError("sample count must be >= 1")
@@ -266,6 +267,10 @@ def sample_eigenvalues(problem, pairs, dist, count, seed, method, setup_seconds=
         predicted = _eval_eigenvalues(pairs, mus)
         for block in _blocks(count, problem.n):
             a = _matrices(problem, mus[block])
+            bad = np.flatnonzero(~np.isfinite(a).all(axis=(1, 2)))
+            if bad.size:
+                mu = mus[block][bad[0]]
+                raise NumericalError(f"method direct: A(mu) is not finite at mu={mu:.17g}")
             direct = eigen_all(a, hermitian=problem.hermitian).values
             assignment = greedy_match(predicted[block], direct)
             values[block] = np.take_along_axis(direct, assignment, axis=-1)

@@ -77,6 +77,7 @@ from .series import (  # noqa: F401  (eval_cheb_u: looked up here by benchmarks/
 from .taylor import (  # noqa: F401  (taylor_rhs: looked up here by benchmarks/tracing.py)
     ExpansionFailure,
     expand_schur,
+    non_finite_error,
     taylor_rhs,
 )
 
@@ -360,10 +361,11 @@ def _newton(system, x, tol, max_iter):
     updated in place; every pair iterates on its own.
 
     A pair stops when ||R||_inf <= tol * (1 + max_i ||A_i||_F) and leaves
-    the block's active set. Returns per pair its diagnostics, or its error:
-    JacobianSingularError (see :func:`_newton_steps`), or
-    NewtonDivergenceError, carrying the best iterate, when the budget runs
-    out.
+    the block's active set, as does a pair whose residual is not finite.
+    Returns per pair its diagnostics, or its error: JacobianSingularError
+    (see :func:`_newton_steps`), NewtonDivergenceError, carrying the best
+    iterate, when the budget runs out, or a NumericalError naming the first
+    order of a final iterate that is not finite.
     """
     threshold = tol * system.scale
     residual = system.residuals(x)
@@ -400,7 +402,7 @@ def _newton(system, x, tol, max_iter):
         active[stepped] = norms[stepped] > threshold
     for pair, outcome in enumerate(outcomes):
         if outcome is None:
-            outcomes[pair] = {
+            outcomes[pair] = non_finite_error(x[pair, :, 0], x[pair, :, 1:]) or {
                 "method": "chebyshev",
                 "newton_iterations": len(histories[pair]) - 1,
                 "final_residual": float(norms[pair]),

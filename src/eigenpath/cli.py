@@ -9,9 +9,14 @@ reproduce all numerical outputs (timing columns excepted). Every output
 file goes through ``series.write_atomic`` (temp file, then rename; a failed
 write leaves no temp file), and every CSV through one row formatter in
 ``analysis``: a header row, CRLF rows, floats with 17 significant digits.
+The manifest is written last; when any write of a command fails, the
+outputs it already wrote are removed, so no directory holds outputs
+without their manifest.
 """
 
 import argparse
+import contextlib
+import functools
 import hashlib
 import sys
 import time
@@ -116,7 +121,11 @@ def _resolve_problem(args):
         raise UsageError(str(exc)) from exc
 
 
-def _write_manifest(outdir, command, params, seed, config_hash, outputs):
+def _write_outputs(outdir, outputs, command, params, seed, config_hash):
+    """Write each (name, write) of ``outputs`` by calling write(outdir /
+    name), then the manifest recording the parameters and listing the names.
+    If a write fails, the files already written are removed and the error
+    propagates."""
     lines = [
         f"command: {command}",
         f"version: {__version__}",
@@ -127,9 +136,18 @@ def _write_manifest(outdir, command, params, seed, config_hash, outputs):
     for key in sorted(params):
         lines.append(f"  {key}: {params[key]}")
     lines.append("outputs:")
-    for name in outputs:
-        lines.append(f"  - {name}")
-    write_atomic(Path(outdir) / "manifest.txt", "\n".join(lines) + "\n")
+    written = []
+    try:
+        for name, write in outputs:
+            write(outdir / name)
+            written.append(outdir / name)
+            lines.append(f"  - {name}")
+        write_atomic(outdir / "manifest.txt", "\n".join(lines) + "\n")
+    except BaseException:
+        for path in written:
+            with contextlib.suppress(OSError):
+                path.unlink()
+        raise
 
 
 def _ensure_outdir(args):
@@ -202,8 +220,7 @@ def cmd_expand(args):
             failures.append(result)
             continue
         name = f"eigenpair_{index + 1:02d}.json"
-        save_eigenpair(result, outdir / name)
-        outputs.append(name)
+        outputs.append((name, functools.partial(save_eigenpair, result)))
 
     params = {
         "problem": args.problem,
@@ -216,7 +233,7 @@ def cmd_expand(args):
         "quad_m": args.quad_m,
         "single_precision_e": args.single_precision_e,
     }
-    _write_manifest(outdir, "expand", params, "-", config_hash, outputs)
+    _write_outputs(outdir, outputs, "expand", params, "-", config_hash)
 
     if failures:
         for failure in failures:
@@ -248,7 +265,8 @@ def cmd_report(args):
 
     outdir = _ensure_outdir(args)
     report = error_report(problem, pairs, grid)
-    write_error_report_csv(report, outdir / "report.csv", rayleigh="rayleigh" in metrics)
+    rayleigh = "rayleigh" in metrics
+    outputs = [("report.csv", functools.partial(write_error_report_csv, report, rayleigh=rayleigh))]
 
     params = {
         "problem": args.problem,
@@ -257,7 +275,7 @@ def cmd_report(args):
         "grid": args.grid,
         "metrics": args.metrics,
     }
-    _write_manifest(outdir, "report", params, "-", config_hash, ["report.csv"])
+    _write_outputs(outdir, outputs, "report", params, "-", config_hash)
     return 0
 
 
@@ -344,9 +362,11 @@ def cmd_sample(args):
 
     _check_finite(sample_sets)
     outdir = _ensure_outdir(args)
-    write_samples_csv(sample_sets, outdir / "samples.csv")
-    write_histogram_csv(sample_sets, outdir / "histogram.csv")
-    write_sampling_summary_csv(sample_sets, outdir / "timing.csv")
+    outputs = [
+        ("samples.csv", functools.partial(write_samples_csv, sample_sets)),
+        ("histogram.csv", functools.partial(write_histogram_csv, sample_sets)),
+        ("timing.csv", functools.partial(write_sampling_summary_csv, sample_sets)),
+    ]
 
     params = {
         "problem": args.problem,
@@ -360,10 +380,7 @@ def cmd_sample(args):
         "count": args.count,
         "method": args.method,
     }
-    _write_manifest(
-        outdir, "sample", params, args.seed, config_hash,
-        ["samples.csv", "histogram.csv", "timing.csv"],
-    )
+    _write_outputs(outdir, outputs, "sample", params, args.seed, config_hash)
     return 0
 
 
@@ -380,7 +397,7 @@ def cmd_bench(args):
 
     rows = bench_complexity(make, n_list, p_list, mu0=args.mu0, repeats=args.repeats)
     outdir = _ensure_outdir(args)
-    write_timing_csv(rows, outdir / "bench.csv")
+    outputs = [("bench.csv", functools.partial(write_timing_csv, rows))]
     params = {
         "problem": args.problem,
         "n_list": args.n_list,
@@ -388,7 +405,7 @@ def cmd_bench(args):
         "mu0": args.mu0,
         "repeats": args.repeats,
     }
-    _write_manifest(outdir, "bench", params, "-", "-", ["bench.csv"])
+    _write_outputs(outdir, outputs, "bench", params, "-", "-")
     return 0
 
 

@@ -24,6 +24,7 @@ import math
 import os
 
 import numpy as np
+import orjson
 
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -306,8 +307,8 @@ def u_values(s, pmax):
 # JSON serialization
 #
 # Schema: { "basis": {...}, "n": int, "p": int, "coeffs": [[re, im], ...] }
-# with coefficients nested one level deeper per tensor dimension. Floats go
-# through Python's repr-exact JSON encoding, so round-trips are lossless.
+# with coefficients nested one level deeper per tensor dimension. Every float
+# is written as its shortest round-trip decimal, so round-trips are lossless.
 # ---------------------------------------------------------------------------
 
 
@@ -327,9 +328,15 @@ def _basis_from_dict(doc):
     raise ValueError(f"unknown basis kind in document: {kind!r}")
 
 
+def _re_im(arr):
+    """The float64 [re, im] pairs of a complex array, shape arr.shape + (2,):
+    a view of the array's own memory (a contiguous copy of it if need be)."""
+    arr = np.ascontiguousarray(arr, dtype=complex)
+    return arr.view(np.float64).reshape(arr.shape + (2,))
+
+
 def _coeffs_to_nested(arr):
-    arr = np.asarray(arr)
-    return np.stack((arr.real, arr.imag), -1).tolist()
+    return _re_im(arr).tolist()
 
 
 def _coeffs_from_nested(doc):
@@ -366,29 +373,49 @@ def series_from_dict(doc):
     raise ValueError("unsupported coefficient nesting depth")
 
 
+def _json_safe(value):
+    """value with numpy scalars and arrays as Python numbers and lists, a
+    complex number as [re, im], and every non-finite float as None."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    elif isinstance(value, (np.floating, np.integer)):
+        value = value.item()
+    if isinstance(value, complex):
+        value = [value.real, value.imag]
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _json_safe_diag(diagnostics):
-    out = {}
-    for key, value in diagnostics.items():
-        if isinstance(value, np.ndarray):
-            value = value.tolist()
-        elif isinstance(value, (np.floating, np.integer)):
-            value = value.item()
-        elif isinstance(value, complex):
-            value = [value.real, value.imag]
-        out[key] = value
-    return out
+    return {key: _json_safe(value) for key, value in diagnostics.items()}
 
 
-def eigenpair_to_dict(pair):
-    """Serialize an EigenPairSeries (eigenvalue + eigenvector + diagnostics)."""
+def non_finite_order(lam, vec):
+    """The first order k at which lam[k] or an entry of vec[k] is not
+    finite, or None when every coefficient is finite."""
+    finite = np.isfinite(lam) & np.isfinite(vec).all(axis=1)
+    return None if finite.all() else int(np.argmin(finite))
+
+
+def _pair_doc(pair, leaves):
+    """The eigenpair document, with ``leaves`` turning each coefficient
+    array into its nested [re, im] pairs."""
     return {
         "basis": _basis_to_dict(pair.basis),
         "n": pair.n,
         "p": pair.order,
-        "lambda": _coeffs_to_nested(pair.lam.coeffs),
-        "v": _coeffs_to_nested(pair.vec.coeffs),
+        "lambda": leaves(pair.lam.coeffs),
+        "v": leaves(pair.vec.coeffs),
         "diagnostics": _json_safe_diag(pair.diagnostics),
     }
+
+
+def eigenpair_to_dict(pair):
+    """Serialize an EigenPairSeries (eigenvalue + eigenvector + diagnostics)."""
+    return _pair_doc(pair, _coeffs_to_nested)
 
 
 def eigenpair_from_dict(doc):
@@ -398,15 +425,17 @@ def eigenpair_from_dict(doc):
     return EigenPairSeries(lam, vec, dict(doc.get("diagnostics", {})))
 
 
-def write_atomic(path, text):
-    """Write text to path as UTF-8 bytes, with no newline translation.
+def write_atomic(path, data):
+    """Write data (bytes, or text as UTF-8 bytes, with no newline
+    translation) to path.
 
     The bytes go to ``<name>.tmp`` beside path, which is then renamed onto
     path, so readers see the old file or the whole new one. If either step
     fails, the temp file is removed and the error propagates.
     """
     path = Path(path)
-    data = text.encode("utf-8")
+    if isinstance(data, str):
+        data = data.encode("utf-8")
     tmp = path.with_name(path.name + ".tmp")
     try:
         tmp.write_bytes(data)
@@ -418,8 +447,17 @@ def write_atomic(path, text):
 
 
 def save_eigenpair(pair, path):
-    """Write one eigenpair as compact JSON, atomically (:func:`write_atomic`)."""
-    write_atomic(path, json.dumps(eigenpair_to_dict(pair)) + "\n")
+    """Write one eigenpair as compact JSON, atomically (:func:`write_atomic`).
+
+    orjson encodes the coefficients straight from their float64 [re, im]
+    view, with no Python float or list built. Raises ValueError, writing
+    nothing, when a coefficient is not finite, since JSON has no such number.
+    """
+    order = non_finite_order(pair.lam.coeffs, pair.vec.coeffs)
+    if order is not None:
+        raise ValueError(f"cannot write a non-finite series coefficient (order {order})")
+    options = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
+    write_atomic(path, orjson.dumps(_pair_doc(pair, _re_im), option=options))
 
 
 def load_eigenpair(path):

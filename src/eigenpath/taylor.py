@@ -38,7 +38,9 @@ defective pair makes large for all the others.
 A pair is expanded only when its eigenvalue is simple: its gap to the
 nearest other eigenvalue, its Schur pivot, l_i c_i and b_i^T v0_i must all
 stay clear of zero (``linalg.SINGULARITY_RCOND``). Each failing pair yields
-its own ExpansionFailure and takes no part in the others' computation.
+its own ExpansionFailure and takes no part in the others' computation. So
+does a pair whose coefficients overflow: its error names the first order
+that is not finite.
 
 The dense bordered LU, factorized once and reused across orders, remains
 for ``single_precision_e``, an experiment on the stored matrix E itself.
@@ -50,7 +52,7 @@ import numpy as np
 
 from dataclasses import dataclass
 
-from .errors import DerivativeOrderError, NonSimpleEigenvalueError
+from .errors import DerivativeOrderError, NonSimpleEigenvalueError, NumericalError
 from .linalg import (
     SINGULARITY_RCOND,
     border_row,
@@ -60,7 +62,14 @@ from .linalg import (
     solve_bordered_reduced,  # noqa: F401  (looked up here by benchmarks/tracing.py)
     vector_norms,
 )
-from .series import EigenPairSeries, ScalarSeries, SeriesBasis, VectorSeries, binomial_table
+from .series import (
+    EigenPairSeries,
+    ScalarSeries,
+    SeriesBasis,
+    VectorSeries,
+    binomial_table,
+    non_finite_order,
+)
 
 
 @dataclass(frozen=True)
@@ -126,6 +135,17 @@ def taylor_rhs(k, a_derivs, vs, lams, hermitian=False, binomials=None):
     return z, y
 
 
+def _non_finite_at(order):
+    return NumericalError(f"series coefficient at order {order} is not finite")
+
+
+def non_finite_error(lams, vs):
+    """The NumericalError of one pair's coefficients lams (p+1,) and
+    vs (p+1, n) naming their first order that is not finite, or None."""
+    order = non_finite_order(lams, vs)
+    return None if order is None else _non_finite_at(order)
+
+
 def _check_derivatives(problem, mu0, order):
     derivs = np.asarray(problem.derivs_at(mu0, order), dtype=complex)
     if derivs.shape[0] < order + 1:
@@ -149,9 +169,10 @@ def taylor_expand_eigenpair(request):
     """Taylor coefficients for one selected eigenpath.
 
     The selected eigenvalue of A(mu0) must be simple, else
-    NonSimpleEigenvalueError is raised. The pair runs through the same
-    Schur-basis kernel as :func:`taylor_expand_all`, restricted to its
-    column; ``single_precision_e`` takes the dense rounded-E path instead.
+    NonSimpleEigenvalueError is raised; coefficients that are not all
+    finite raise NumericalError. The pair runs through the same Schur-basis
+    kernel as :func:`taylor_expand_all`, restricted to its column;
+    ``single_precision_e`` takes the dense rounded-E path instead.
     """
     if request.selector == "all":
         raise ValueError("selector must be an index for taylor_expand_eigenpair")
@@ -183,7 +204,13 @@ def _expand_single_dense(derivs, v0, lam0, p, hermitian, single_precision, mu0):
     residuals = []
     for k in range(1, p + 1):
         z, y = taylor_rhs(k, derivs, vs, lams, hermitian=hermitian, binomials=binomials)
-        lam_k, v_k = solve_bordered(system, np.concatenate(([z], y)))
+        rhs = np.concatenate(([z], y))
+        finite = np.isfinite(rhs).all()
+        if finite:
+            lam_k, v_k = solve_bordered(system, rhs)
+            finite = np.isfinite(lam_k) and np.isfinite(v_k).all()
+        if not finite:
+            raise _non_finite_at(k)
         residuals.append(_residual(system.matrix, lam_k, v_k, z, y))
         lams.append(lam_k)
         vs.append(v_k)
@@ -328,16 +355,19 @@ def _taylor_schur(derivs, decomp, indices, p, hermitian, mu0):
     out = []
     passed = 0
     for index, err, gap in zip(indices, errors, gaps):
+        if err is None:
+            lam, vec, res = lams[:, passed], vs[:, :, passed], residuals[:, passed]
+            passed += 1
+            err = non_finite_error(lam, vec)
         if err is not None:
             out.append(ExpansionFailure(index, complex(decomp.values[index]), err))
             continue
         diagnostics = {
             "method": "taylor",
-            "order_residuals": [float(res) for res in residuals[:, passed]],
+            "order_residuals": [float(r) for r in res],
             "gap": float(gap) if np.isfinite(gap) else None,
         }
-        out.append(_series_from_orders(basis, lams[:, passed], vs[:, :, passed], diagnostics))
-        passed += 1
+        out.append(_series_from_orders(basis, lam, vec, diagnostics))
     return out
 
 
@@ -346,11 +376,12 @@ def taylor_expand_all(request):
 
     Returns a list with one entry per eigenvalue (sorted order): an
     EigenPairSeries on success, or an ExpansionFailure carrying the error
-    when that particular eigenvalue is not simple. All simple pairs advance
-    together through the Schur-basis kernel in O(p^2 n^3) work; each pair's
-    diagnostics hold its per-order bordered residuals and its eigenvalue
-    gap. The single-precision variant runs the dense rounded factorization
-    per pair instead, since the experiment is about the stored matrix E.
+    when that particular eigenvalue is not simple or its coefficients are
+    not all finite. All simple pairs advance together through the
+    Schur-basis kernel in O(p^2 n^3) work; each pair's diagnostics hold its
+    per-order bordered residuals and its eigenvalue gap. The
+    single-precision variant runs the dense rounded factorization per pair
+    instead, since the experiment is about the stored matrix E.
     """
     problem = request.problem
     p = request.order
@@ -366,7 +397,7 @@ def taylor_expand_all(request):
             out.append(
                 _expand_single_dense(derivs, v0, lam0, p, problem.hermitian, True, request.mu0)
             )
-        except NonSimpleEigenvalueError as exc:
+        except NumericalError as exc:
             out.append(ExpansionFailure(index, lam0, exc))
     return out
 

@@ -546,6 +546,27 @@ class TestAllPairsKernel:
             assert outcomes[pair] == outcome
             assert np.array_equal(block[pair], alone[0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_pair_fails_alone_naming_its_order(self, monkeypatch, bad):
+        request = separated_request("torus8")
+        clean = cheb_expand_all(request)
+
+        def poisoned(coeffs, decomp, indices):
+            errors, x = _warm_starts(coeffs, decomp, indices)
+            x[list(indices).index(3), 4, 2] = bad     # pair 3, order 4, a vector entry
+            return errors, x
+
+        monkeypatch.setattr(chebyshev, "_warm_starts", poisoned)
+        results = cheb_expand_all(request)
+        failure = results[3]
+        assert isinstance(failure, ExpansionFailure) and failure.index == 3
+        assert type(failure.error) is NumericalError
+        assert str(failure.error) == "series coefficient at order 4 is not finite"
+        with pytest.raises(NumericalError, match="order 4 is not finite"):
+            cheb_expand_eigenpair(request, 3)
+        for pair in (0, 1, 2, 4, 5, 6, 7):
+            assert_same_pair(results[pair], clean[pair])
+
     def test_collisions_match_pairwise_scan(self, cheb_e1_p10):
         def pairwise_scan(pairs, basis):
             probes = np.linspace(*basis.interval, 5)

@@ -65,6 +65,22 @@ class TestExpand:
         assert code == 2
         assert "non-simple" in capsys.readouterr().err
 
+    def test_overflowing_coefficients_exit_2_without_pair_files(self, tmp_path, capsys):
+        argv = ["expand", "--problem", "example3", "--n", "2", "--method", "taylor",
+                "--mu0", "1e-12", "--eig", "all"]
+        out = tmp_path / "p40"
+        assert run(argv + ["--order", "40", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        for index in (1, 2):
+            assert f"eigenpair {index} " in err
+        assert err.count("is not finite") == 2
+        assert [p.name for p in out.iterdir()] == ["manifest.txt"]
+        out = tmp_path / "p20"
+        assert run(argv + ["--order", "20", "--out", str(out)]) == 0
+        for index in (1, 2):
+            pair = load_eigenpair(out / f"eigenpair_{index:02d}.json")
+            assert np.all(np.isfinite(pair.vec.coeffs))
+
     def test_conflicting_flags_exit_1(self, tmp_path):
         code = run(
             [
@@ -417,8 +433,23 @@ class TestOutputFiles:
         )
         assert code == 1
         assert "i/o error" in capsys.readouterr().err
-        pairs = [f"eigenpair_{i:02d}.json" for i in range(1, 5)]
-        assert sorted(p.name for p in out.iterdir()) == pairs + ["manifest.txt"]
+        # the pair files written before the failed manifest are removed too
+        assert [p.name for p in out.iterdir()] == ["manifest.txt"]
+        assert list((out / "manifest.txt").iterdir()) == []
+
+    def test_failed_manifest_removes_the_csv_outputs(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        (out / "manifest.txt").mkdir(parents=True)
+        code = run(
+            [
+                "sample", "--problem", "example1", "--n", "8", "--mu0", "0.2",
+                "--order", "6", "--dist", "0.2,0.05", "--count", "20", "--seed", "4",
+                "--method", "taylor-eval,direct", "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert "i/o error" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["manifest.txt"]
         assert list((out / "manifest.txt").iterdir()) == []
 
     def test_non_finite_samples_exit_2_before_any_file(self, tmp_path, capsys):
@@ -436,6 +467,27 @@ class TestOutputFiles:
         first = draw_samples(0.2, 1e200, 50, 1)[0]
         err = capsys.readouterr().err
         assert f"method taylor-eval: non-finite sampled value at mu={first:.17g}" in err
+        assert not out.exists()
+
+
+    def test_direct_method_on_non_finite_matrices_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        code = run(
+            [
+                "sample", "--problem", "example1", "--n", "8", "--mu0", "0.2",
+                "--order", "8", "--pairs", "2,3", "--dist", "0.2,1e200", "--count", "50",
+                "--seed", "1", "--method", "direct", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "numerical failure: method direct: A(mu) is not finite at mu=" in err
+        # the named point is the first draw whose A(mu) overflows
+        mu = float(err.split("mu=")[1])
+        draws = draw_samples(0.2, 1e200, 50, 1)
+        problem = eigenpath.builtin_problem("example1", 8)
+        finite = [np.all(np.isfinite(problem.eval_at(m))) for m in draws]
+        assert mu == draws[finite.index(False)]
         assert not out.exists()
 
 

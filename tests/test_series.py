@@ -16,6 +16,7 @@ from eigenpath.series import (
     SeriesBasis,
     VectorSeries,
     MatrixSeries,
+    _coeffs_to_nested,
     clenshaw_u,
     eigenpair_from_dict,
     eigenpair_to_dict,
@@ -272,6 +273,88 @@ class TestSerialization:
         assert back.vec.coeffs.tobytes() == pair.vec.coeffs.tobytes()
         assert back.diagnostics == pair.diagnostics
         assert [p.name for p in tmp_path.iterdir()] == ["eigenpair_01.json"]
+
+    @pytest.mark.parametrize("expansion", ["taylor_e1_p6", "cheb_e1_p10"])
+    def test_written_file_holds_the_dict_schema(self, tmp_path, request, expansion):
+        pair = request.getfixturevalue(expansion)[3]
+        path = tmp_path / "eigenpair_04.json"
+        save_eigenpair(pair, path)
+        data = path.read_bytes()
+        assert data.endswith(b"}\n") and b", " not in data
+        assert json.loads(data) == json.loads(json.dumps(eigenpair_to_dict(pair)))
+
+    def test_stdlib_encoded_file_loads_bit_exact(self, tmp_path):
+        # files written by json.dumps, with its spaced separators and
+        # two-digit exponents, still load to the same bits
+        basis = SeriesBasis.taylor(0.2)
+        lam = np.array([complex(-0.0, 5e-324), complex(1e-7, -1e300), complex(1e300, -1e-300)])
+        vec = np.array([[complex(2.5e-8, -0.0), complex(-0.0, -0.0)],
+                        [complex(1e300, 1e-7), complex(-5e-324, 0.1)],
+                        [complex(3e-5, -1e-300), complex(-1e-300, 1e16)]])
+        pair = EigenPairSeries(
+            ScalarSeries(basis, lam),
+            VectorSeries(basis, vec),
+            {"method": "taylor", "order_residuals": [1e-07, 2e-16], "gap": 1e300},
+        )
+        text = json.dumps(eigenpair_to_dict(pair)) + "\n"
+        for token in ("1e-07", "-0.0", "5e-324", "1e+300", "-1e-300", "1e+16"):
+            assert token in text
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        old.write_bytes(text.encode("utf-8"))
+        save_eigenpair(pair, new)
+        assert "1e-7," in new.read_text() and "1e-07" not in new.read_text()
+        for path in (old, new):
+            back = load_eigenpair(path)
+            assert back.basis == basis
+            assert back.lam.coeffs.tobytes() == pair.lam.coeffs.tobytes()
+            assert back.vec.coeffs.tobytes() == pair.vec.coeffs.tobytes()
+            assert back.diagnostics == pair.diagnostics
+
+    def test_leaves_of_non_contiguous_coefficients(self):
+        rng = np.random.default_rng(12)
+        coeffs = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
+        for view in (coeffs[:, ::2], coeffs.T, coeffs[::-1]):
+            assert not view.flags.c_contiguous
+            assert _coeffs_to_nested(view) == np.stack((view.real, view.imag), -1).tolist()
+
+    def test_non_finite_coefficient_is_not_written(self, tmp_path):
+        basis = SeriesBasis.taylor(0.0)
+        vec = np.ones((4, 3), dtype=complex)
+        vec[2, 1] = complex(1.0, np.inf)
+        vec[3, 0] = np.nan
+        pair = EigenPairSeries(ScalarSeries(basis, np.ones(4)), VectorSeries(basis, vec))
+        with pytest.raises(ValueError, match=r"order 2\)"):
+            save_eigenpair(pair, tmp_path / "eigenpair_01.json")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_diagnostics_become_null(self, tmp_path):
+        basis = SeriesBasis.taylor(0.0)
+        pair = EigenPairSeries(
+            ScalarSeries(basis, np.ones(2)),
+            VectorSeries(basis, np.ones((2, 2))),
+            {
+                "method": "chebyshev",
+                "newton_iterations": 3,
+                "final_residual": np.float64(np.inf),
+                "residual_history": [1e-3, float("nan"), -math.inf],
+                "condition_estimate": np.array([2.0, np.nan]),
+                "shift": complex(np.nan, 1.0),
+                "gap": None,
+            },
+        )
+        expected = {
+            "method": "chebyshev",
+            "newton_iterations": 3,
+            "final_residual": None,
+            "residual_history": [1e-3, None, None],
+            "condition_estimate": [2.0, None],
+            "shift": [None, 1.0],
+            "gap": None,
+        }
+        assert eigenpair_to_dict(pair)["diagnostics"] == expected
+        path = tmp_path / "eigenpair_01.json"
+        save_eigenpair(pair, path)
+        assert load_eigenpair(path).diagnostics == expected
 
 
 class TestWriteAtomic:

@@ -11,6 +11,7 @@ from eigenpath import (
     DerivativeOrderError,
     ExpansionFailure,
     NonSimpleEigenvalueError,
+    NumericalError,
     ParametricProblem,
     TaylorRequest,
     eigen_all,
@@ -25,6 +26,7 @@ from eigenpath import (
     taylor_rhs,
 )
 from eigenpath.linalg import assemble_bordered, border_row
+from eigenpath.problems import builtin_problem
 from eigenpath.taylor import _bordered_residuals, _expand_single_dense, binomial_table
 
 
@@ -141,6 +143,36 @@ class TestExpandAll:
         failures = expansion_failures(results)
         assert len(failures) == 8
         assert all(isinstance(f.error, NonSimpleEigenvalueError) for f in failures)
+
+    @pytest.mark.parametrize("single_precision_e", [False, True])
+    def test_overflowing_pairs_fail_at_their_first_non_finite_order(self, single_precision_e):
+        # near the branch point of the 2 x 2 Jordan family the coefficients
+        # grow like k! / mu0^k and overflow in the twenties
+        problem = builtin_problem("example3", 2)
+
+        def expand(order):
+            request = TaylorRequest(problem, 1e-12, order, single_precision_e=single_precision_e)
+            return taylor_expand_all(request)
+
+        assert len(expansion_series(expand(20))) == 2
+        failures = expand(40)
+        assert [f.index for f in expansion_failures(failures)] == [0, 1]
+        for failure in failures:
+            assert type(failure.error) is NumericalError
+            message = str(failure.error)
+            assert message.startswith("series coefficient at order ") and message.endswith(
+                " is not finite"
+            )
+            order = int(message.split()[4])
+            # the same pair one order short is still finite
+            before = expand(order - 1)[failure.index]
+            assert not isinstance(before, ExpansionFailure)
+            assert np.all(np.isfinite(before.vec.coeffs)) and np.all(np.isfinite(before.lam.coeffs))
+            assert isinstance(expand(order)[failure.index], ExpansionFailure)
+        with pytest.raises(NumericalError, match="is not finite"):
+            taylor_expand_eigenpair(
+                TaylorRequest(problem, 1e-12, 40, selector=0, single_precision_e=single_precision_e)
+            )
 
     def test_order_residuals_recorded(self, taylor_e1_p6):
         for pair in taylor_e1_p6:
