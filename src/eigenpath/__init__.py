@@ -46,6 +46,7 @@ from .linalg import (
     EigenDecomposition,
     build_bordered,
     eigen_all,
+    eigenvalues,
     solve_bordered,
     solve_bordered_reduced,
 )

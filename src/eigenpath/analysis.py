@@ -2,9 +2,11 @@
 against direct eigensolves, Monte-Carlo sampling, and timing benchmarks.
 
 Sampling and grid reports work on blocks of points: one stacked eigensolve
-(``eigen_all`` on an (m, n, n) stack), one evaluation of every series at
-every point of the block, and one batched greedy match. Every value equals,
-bit for bit, what a loop over the block's points computes one at a time.
+on an (m, n, n) stack (``eigen_all`` for the grid report, which reads
+eigenvectors; the values-only ``eigenvalues`` for the ``direct`` sampler),
+one evaluation of every series at every point of the block, and one batched
+greedy match. Every value equals, bit for bit, what a loop over the block's
+points computes one at a time.
 
 Eigenvalue matching is greedy over ascending |difference| per point, which
 equals the optimal assignment whenever direct eigenvalues are separated by
@@ -26,7 +28,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import DegenerateEvaluationError, NumericalError
-from .linalg import BLOCK_BYTES, block_slices, eigen_all, phase_fix, vector_norms
+from .linalg import BLOCK_BYTES, block_slices, eigen_all, eigenvalues, phase_fix, vector_norms
 from .series import (  # noqa: F401  (eval_taylor, eval_cheb_u: looked up here by benchmarks/tracing.py)
     CHEBYSHEV_U,
     TAYLOR,
@@ -47,7 +49,9 @@ def _blocks(count, n):
     """Consecutive slices of range(count), each within BLOCK_BYTES at size n.
 
     A point counts as four complex n x n arrays: A(mu), the solver's copy
-    and eigenvectors, and the sorted eigenvectors.
+    and eigenvectors, and the sorted eigenvectors (the grid report's
+    ``eigen_all``; the values-only ``direct`` solve holds only the first
+    two).
     """
     return block_slices(count, 4 * 16 * n * n, BLOCK_BYTES)
 
@@ -55,6 +59,16 @@ def _blocks(count, n):
 def _matrices(problem, mus):
     """The stack A(mu_0), A(mu_1), ... as complex (m, n, n)."""
     return np.stack([np.asarray(problem.eval_at(mu), dtype=complex) for mu in mus])
+
+
+def _finite_matrices(problem, mus, context):
+    """:func:`_matrices`, raising NumericalError that names ``context`` and
+    the first mu where A(mu) is not finite."""
+    a = _matrices(problem, mus)
+    bad = np.flatnonzero(~np.isfinite(a).all(axis=(1, 2)))
+    if bad.size:
+        raise NumericalError(f"{context}: A(mu) is not finite at mu={mus[bad[0]]:.17g}")
+    return a
 
 
 def _eval_series(series, mus):
@@ -180,7 +194,8 @@ def error_report(problem, pairs, grid):
     eigensolve, and the same solves give the eigenvalue errors, the
     eigenvector deviations and the errors of the Rayleigh-refined
     eigenvalues (each refined value matched on its own, like the series
-    values).
+    values). It raises NumericalError, naming the first such grid mu, when
+    A(mu) is not finite.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -191,7 +206,7 @@ def error_report(problem, pairs, grid):
     matching = np.empty(shape, dtype=int)
     deviations = np.empty(grid.size)
     for block in _blocks(grid.size, problem.n):
-        a = _matrices(problem, grid[block])
+        a = _finite_matrices(problem, grid[block], "report grid")
         decomp = eigen_all(a, hermitian=problem.hermitian)
         lam_hat, vec_hat = _eval_paths(pairs, grid[block])
         matching[block], eig_errors[block] = _matched_errors(lam_hat, decomp.values)
@@ -245,10 +260,11 @@ def sample_eigenvalues(problem, pairs, dist, count, seed, method, setup_seconds=
 
     ``method``: taylor-eval / cheb-eval evaluate the eigenvalue series
     directly; rayleigh evaluates the eigenvector series and refines through
-    the Rayleigh quotient; direct solves the full dense eigenproblem of each
-    sample (one stacked solve per block of samples) and matches each tracked
-    pair to the nearest direct eigenvalue. It raises NumericalError, naming
-    the first such sample's mu, when A(mu) is not finite.
+    the Rayleigh quotient; direct computes the eigenvalues, and no
+    eigenvectors, of each sample's dense matrix (one stacked values-only
+    solve per block of samples) and matches each tracked pair to the nearest
+    direct eigenvalue. It raises NumericalError, naming the first such
+    sample's mu, when A(mu) is not finite.
     """
     if count < 1:
         raise ValueError("sample count must be >= 1")
@@ -266,12 +282,8 @@ def sample_eigenvalues(problem, pairs, dist, count, seed, method, setup_seconds=
     elif method == "direct":
         predicted = _eval_eigenvalues(pairs, mus)
         for block in _blocks(count, problem.n):
-            a = _matrices(problem, mus[block])
-            bad = np.flatnonzero(~np.isfinite(a).all(axis=(1, 2)))
-            if bad.size:
-                mu = mus[block][bad[0]]
-                raise NumericalError(f"method direct: A(mu) is not finite at mu={mu:.17g}")
-            direct = eigen_all(a, hermitian=problem.hermitian).values
+            a = _finite_matrices(problem, mus[block], "method direct")
+            direct = eigenvalues(a, hermitian=problem.hermitian)
             assignment = greedy_match(predicted[block], direct)
             values[block] = np.take_along_axis(direct, assignment, axis=-1)
     else:

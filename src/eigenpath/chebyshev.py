@@ -47,6 +47,7 @@ empirically against direct eigensolves (see the analysis module), and the
 computed coefficients additionally carry the Newton residual perturbation.
 """
 
+import dataclasses
 import functools
 import warnings
 
@@ -78,6 +79,7 @@ from .taylor import (  # noqa: F401  (taylor_rhs: looked up here by benchmarks/t
     ExpansionFailure,
     expand_schur,
     non_finite_error,
+    selected_indices,
     taylor_rhs,
 )
 
@@ -232,17 +234,11 @@ def _warm_starts(coeffs, decomp, indices):
     return errors, x
 
 
-def _eigenpair_index(decomp, eigindex):
-    if not 0 <= eigindex < decomp.n:
-        raise ValueError(f"eigenpair index {eigindex} out of range for n={decomp.n}")
-    return eigindex
-
-
 def warm_start(coeffs, eigindex):
     """Initial packed unknowns of one eigenpair: :func:`_warm_starts` on
     its own, raising the pair's error."""
     decomp = eigen_all(np.asarray(coeffs.coeffs[0]))
-    (error,), x = _warm_starts(coeffs, decomp, [_eigenpair_index(decomp, eigindex)])
+    (error,), x = _warm_starts(coeffs, decomp, selected_indices(eigindex, decomp.n))
     if error is not None:
         raise error
     return x[0].ravel()
@@ -480,27 +476,29 @@ def _projected(request):
 
 
 def cheb_expand_eigenpair(request, eigindex=None):
-    """Warm start plus Newton refinement for one eigenpair: its column of
-    :func:`cheb_expand_all`, raising its error."""
-    if eigindex is None:
-        if request.selector == "all":
-            raise ValueError("an eigenpair index is required")
-        eigindex = int(request.selector)
-    coeffs, decomp = _projected(request)
-    (result,) = _expand(request, coeffs, decomp, [_eigenpair_index(decomp, eigindex)])
+    """Warm start plus Newton refinement for one eigenpair, ``eigindex`` or
+    else the request's selector: its entry of :func:`cheb_expand_all`,
+    raising its error."""
+    if eigindex is not None:
+        request = dataclasses.replace(request, selector=eigindex)
+    elif request.selector == "all":
+        raise ValueError("an eigenpair index is required")
+    (result,) = cheb_expand_all(request)
     if isinstance(result, ExpansionFailure):
         raise result.error
     return result
 
 
 def cheb_expand_all(request):
-    """Warm start plus Newton for every eigenvalue of the averaged matrix A_0.
+    """Warm start plus Newton for every eigenvalue of the averaged matrix A_0
+    that the request's selector picks (all of them by default; see
+    ``taylor.selected_indices``), one entry per selected eigenvalue.
 
     Per-pair failures are reported individually as ExpansionFailure
     entries; coinciding eigenpaths are flagged in diagnostics and warned
     about, not treated as failures.
     """
     coeffs, decomp = _projected(request)
-    out = _expand(request, coeffs, decomp, range(decomp.n))
+    out = _expand(request, coeffs, decomp, selected_indices(request.selector, decomp.n))
     _detect_collisions(out, coeffs.basis)
     return out

@@ -40,7 +40,7 @@ from .analysis import (  # noqa: F401  (eigpath_eval, rayleigh_errors: looked up
     write_sampling_summary_csv,
     write_timing_csv,
 )
-from .chebyshev import ChebRequest, cheb_expand_all, cheb_expand_eigenpair
+from .chebyshev import ChebRequest, cheb_expand_all
 from .errors import ConfigError, EigenPathError, NumericalError
 from .problems import builtin_problem, problem_from_config
 from .series import (  # noqa: F401  (eigenpair_to_dict: looked up here by benchmarks/tracing.py)
@@ -54,7 +54,6 @@ from .taylor import (
     TaylorRequest,
     expansion_series,
     taylor_expand_all,
-    taylor_expand_eigenpair,
 )
 
 
@@ -185,34 +184,27 @@ def cmd_expand(args):
         selector = index - 1
 
     outdir = _ensure_outdir(args)
-    failures = []
-    results = []
+    # A failing pair is reported the same way under either selector: one
+    # stderr line per failure, a manifest without its file, exit 2.
     if args.method == "taylor":
-        request = TaylorRequest(
+        results = taylor_expand_all(TaylorRequest(
             problem=problem,
             mu0=args.mu0,
             order=args.order,
             selector=selector,
             single_precision_e=args.single_precision_e,
-        )
-        if selector == "all":
-            results = taylor_expand_all(request)
-        else:
-            results = [taylor_expand_eigenpair(request)]
+        ))
     else:
         interval = _parse_floats(args.interval, 2, "--interval")
-        request = ChebRequest(
+        results = cheb_expand_all(ChebRequest(
             problem=problem,
             interval=interval,
             order=args.order,
             quad_m=args.quad_m,
             selector=selector,
-        )
-        if selector == "all":
-            results = cheb_expand_all(request)
-        else:
-            results = [cheb_expand_eigenpair(request)]
+        ))
 
+    failures = []
     outputs = []
     for slot, result in enumerate(results):
         index = slot if selector == "all" else selector
@@ -263,8 +255,8 @@ def cmd_report(args):
     if not pairs:
         raise UsageError("at least one --series file is required")
 
-    outdir = _ensure_outdir(args)
     report = error_report(problem, pairs, grid)
+    outdir = _ensure_outdir(args)
     rayleigh = "rayleigh" in metrics
     outputs = [("report.csv", functools.partial(write_error_report_csv, report, rayleigh=rayleigh))]
 

@@ -1,5 +1,5 @@
-"""Dense eigendecomposition, bordered linear systems, and the Schur-reduced
-bordered solve of one eigenpair.
+"""Dense eigendecomposition, values-only eigensolves, bordered linear
+systems, and the Schur-reduced bordered solve of one eigenpair.
 
 The bordered matrix is
 
@@ -13,9 +13,11 @@ in ``taylor`` does the same elimination for all pairs at once.
 
 :func:`eigen_all` also takes a stack of matrices, as the analysis layer
 passes it a block of sample or grid points; every matrix of a stack gets
-the bits a call on it alone would give. ``BLOCK_BYTES`` is the one memory
-budget of such blocks, and of the blocks of pairs that Chebyshev Newton
-iterates together.
+the bits a call on it alone would give. :func:`eigenvalues` is the same
+solve for callers that read only the eigenvalues (the ``direct`` sampler):
+one values-only LAPACK call, sorted alike, with no eigenvectors computed.
+``BLOCK_BYTES`` is the one memory budget of such blocks, and of the blocks
+of pairs that Chebyshev Newton iterates together.
 
 Singularity policy: one constant, ``SINGULARITY_RCOND`` = 1e-12, decides
 when an eigenvalue counts as not simple. It serves three roles, each a
@@ -114,7 +116,8 @@ class EigenDecomposition:
     Eigenvalues are sorted by descending real part (ties by descending
     imaginary part); eigenvectors are unit 2-norm columns with the phase fix
     applied. The sorted eigenvectors and the Schur factors are computed on
-    first access, so a caller that reads only ``values`` pays for neither.
+    first access, so a caller that reads only ``values`` pays for neither
+    (LAPACK still computes the eigenvectors; :func:`eigenvalues` does not).
     T is diagonal for Hermitian input. ``matrix`` is the input as given;
     every array computed here is read-only.
     """
@@ -189,6 +192,23 @@ def eigen_all(a, hermitian=False):
     order = _sort_order(values)
     values = _readonly(np.take_along_axis(values, order, axis=-1))
     return EigenDecomposition(a, values, hermitian, vectors, order)
+
+
+def eigenvalues(a, hermitian=False):
+    """The eigenvalues of a dense matrix (n, n) or of each matrix of a stack
+    (m, n, n), sorted and checked as :func:`eigen_all` sorts and checks them.
+
+    One values-only LAPACK call (``eigvalsh`` for Hermitian input, else
+    ``eigvals``) computes no eigenvectors, so the values may differ from
+    ``eigen_all(a).values`` by rounding. A stack's matrices get the bits of
+    a call on each matrix alone.
+    """
+    a = _check_square(a, stack=True)
+    try:
+        values = np.linalg.eigvalsh(a).astype(complex) if hermitian else np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:
+        raise _solver_error(a.shape[-1], exc) from exc
+    return _readonly(np.take_along_axis(values, _sort_order(values), axis=-1))
 
 
 def border_row(v0, hermitian):

@@ -40,7 +40,8 @@ nearest other eigenvalue, its Schur pivot, l_i c_i and b_i^T v0_i must all
 stay clear of zero (``linalg.SINGULARITY_RCOND``). Each failing pair yields
 its own ExpansionFailure and takes no part in the others' computation. So
 does a pair whose coefficients overflow: its error names the first order
-that is not finite.
+that is not finite, and numpy's overflow warnings are silenced over the
+order loop, where they would only repeat it.
 
 The dense bordered LU, factorized once and reused across orders, remains
 for ``single_precision_e``, an experiment on the stored matrix E itself.
@@ -78,8 +79,9 @@ class TaylorRequest:
 
     ``selector`` is either the string "all" or a 0-based index into the
     descending-sorted spectrum of A(mu0); indices permute across different
-    expansion points. ``single_precision_e`` rounds the bordered matrix to
-    single precision before factorization (reproduces the error floor).
+    expansion points (see :func:`selected_indices`). ``single_precision_e``
+    rounds the bordered matrix to single precision before factorization
+    (reproduces the error floor).
     """
 
     problem: object
@@ -146,11 +148,29 @@ def non_finite_error(lams, vs):
     return None if order is None else _non_finite_at(order)
 
 
+def selected_indices(selector, n):
+    """The eigenpair indices a request's ``selector`` picks among n: all of
+    them for "all", else the one index, which must lie in 0..n-1."""
+    if selector == "all":
+        return range(n)
+    index = int(selector)
+    if not 0 <= index < n:
+        raise ValueError(f"eigenpair index {index} out of range for n={n}")
+    return [index]
+
+
 def _check_derivatives(problem, mu0, order):
     derivs = np.asarray(problem.derivs_at(mu0, order), dtype=complex)
     if derivs.shape[0] < order + 1:
         raise DerivativeOrderError(derivs.shape[0])
     return derivs
+
+
+def _overflow_reported():
+    """Silence numpy's floating-point warnings over an order loop: a pair
+    whose coefficients overflow fails with an error naming its first
+    non-finite order, so the warnings would only repeat that, as noise."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 def _series_from_orders(basis, lams, vs, diagnostics):
@@ -166,28 +186,16 @@ def _residual(e, lam_k, v_k, z, y):
 
 
 def taylor_expand_eigenpair(request):
-    """Taylor coefficients for one selected eigenpath.
+    """Taylor coefficients for one selected eigenpath: the one entry of
+    :func:`taylor_expand_all` for the request's index, raising its error.
 
     The selected eigenvalue of A(mu0) must be simple, else
     NonSimpleEigenvalueError is raised; coefficients that are not all
-    finite raise NumericalError. The pair runs through the same Schur-basis
-    kernel as :func:`taylor_expand_all`, restricted to its column;
-    ``single_precision_e`` takes the dense rounded-E path instead.
+    finite raise NumericalError.
     """
     if request.selector == "all":
         raise ValueError("selector must be an index for taylor_expand_eigenpair")
-    problem = request.problem
-    p = request.order
-    derivs = _check_derivatives(problem, request.mu0, p)
-    decomp = eigen_all(derivs[0], hermitian=problem.hermitian)
-    index = int(request.selector)
-    if not 0 <= index < decomp.n:
-        raise ValueError(f"eigenpair index {index} out of range for n={decomp.n}")
-    if request.single_precision_e:
-        lam0 = complex(decomp.values[index])
-        v0 = decomp.vectors[:, index].copy()
-        return _expand_single_dense(derivs, v0, lam0, p, problem.hermitian, True, request.mu0)
-    (result,) = _taylor_schur(derivs, decomp, [index], p, problem.hermitian, request.mu0)
+    (result,) = taylor_expand_all(request)
     if isinstance(result, ExpansionFailure):
         raise result.error
     return result
@@ -202,18 +210,19 @@ def _expand_single_dense(derivs, v0, lam0, p, hermitian, single_precision, mu0):
     lams = [lam0]
     vs = [v0]
     residuals = []
-    for k in range(1, p + 1):
-        z, y = taylor_rhs(k, derivs, vs, lams, hermitian=hermitian, binomials=binomials)
-        rhs = np.concatenate(([z], y))
-        finite = np.isfinite(rhs).all()
-        if finite:
-            lam_k, v_k = solve_bordered(system, rhs)
-            finite = np.isfinite(lam_k) and np.isfinite(v_k).all()
-        if not finite:
-            raise _non_finite_at(k)
-        residuals.append(_residual(system.matrix, lam_k, v_k, z, y))
-        lams.append(lam_k)
-        vs.append(v_k)
+    with _overflow_reported():
+        for k in range(1, p + 1):
+            z, y = taylor_rhs(k, derivs, vs, lams, hermitian=hermitian, binomials=binomials)
+            rhs = np.concatenate(([z], y))
+            finite = np.isfinite(rhs).all()
+            if finite:
+                lam_k, v_k = solve_bordered(system, rhs)
+                finite = np.isfinite(lam_k) and np.isfinite(v_k).all()
+            if not finite:
+                raise _non_finite_at(k)
+            residuals.append(_residual(system.matrix, lam_k, v_k, z, y))
+            lams.append(lam_k)
+            vs.append(v_k)
     diagnostics = {
         "method": "taylor",
         "order_residuals": residuals,
@@ -330,15 +339,16 @@ def expand_schur(derivs, weights, decomp, indices, v0, hermitian):
     )
 
     lams, vs, residuals = [lam0], [v0], []
-    for k in range(1, weights.shape[0]):
-        z, y = taylor_rhs(k, derivs, vs, lams, hermitian=hermitian, binomials=weights)
-        yhat = qh @ y
-        lam_k = _column_dot(ell, yhat) / ell_c
-        v_k = q @ _back_substitute(t, shifts, yhat - c * lam_k)
-        v_k = v_k + v0 * ((z - _column_dot(border, v_k)) / border_v0)
-        residuals.append(_bordered_residuals(derivs[0], lam0, v0, border, lam_k, v_k, z, y))
-        lams.append(lam_k)
-        vs.append(v_k)
+    with _overflow_reported():
+        for k in range(1, weights.shape[0]):
+            z, y = taylor_rhs(k, derivs, vs, lams, hermitian=hermitian, binomials=weights)
+            yhat = qh @ y
+            lam_k = _column_dot(ell, yhat) / ell_c
+            v_k = q @ _back_substitute(t, shifts, yhat - c * lam_k)
+            v_k = v_k + v0 * ((z - _column_dot(border, v_k)) / border_v0)
+            residuals.append(_bordered_residuals(derivs[0], lam0, v0, border, lam_k, v_k, z, y))
+            lams.append(lam_k)
+            vs.append(v_k)
     return errors, np.array(lams), np.array(vs), np.reshape(residuals, (len(residuals), lam0.size))
 
 
@@ -372,9 +382,10 @@ def _taylor_schur(derivs, decomp, indices, p, hermitian, mu0):
 
 
 def taylor_expand_all(request):
-    """Taylor series for every eigenpath of A(mu0), sharing one Schur form.
+    """Taylor series for every eigenpath of A(mu0) the request's selector
+    picks (all of them by default), sharing one Schur form.
 
-    Returns a list with one entry per eigenvalue (sorted order): an
+    Returns a list with one entry per selected eigenvalue (sorted order): an
     EigenPairSeries on success, or an ExpansionFailure carrying the error
     when that particular eigenvalue is not simple or its coefficients are
     not all finite. All simple pairs advance together through the
@@ -387,10 +398,11 @@ def taylor_expand_all(request):
     p = request.order
     derivs = _check_derivatives(problem, request.mu0, p)
     decomp = eigen_all(derivs[0], hermitian=problem.hermitian)
+    indices = selected_indices(request.selector, decomp.n)
     if not request.single_precision_e:
-        return _taylor_schur(derivs, decomp, range(decomp.n), p, problem.hermitian, request.mu0)
+        return _taylor_schur(derivs, decomp, indices, p, problem.hermitian, request.mu0)
     out = []
-    for index in range(decomp.n):
+    for index in indices:
         lam0 = complex(decomp.values[index])
         v0 = decomp.vectors[:, index].copy()
         try:

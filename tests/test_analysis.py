@@ -19,6 +19,7 @@ from eigenpath import (
     VectorSeries,
     cheb_expand_all,
     eigen_all,
+    eigenvalues,
     eigpath_eval,
     error_report,
     eval_cheb_u,
@@ -525,8 +526,8 @@ def pointwise_samples(problem, pairs, mus, method):
         if method == "rayleigh":
             out[s] = [pointwise_rayleigh(a, q) for _, q in evaluated]
         else:
-            d = eigen_all(a, hermitian=problem.hermitian)
-            out[s] = d.values[scan_greedy(np.array([lam for lam, _ in evaluated]), d.values)]
+            d = eigenvalues(a, hermitian=problem.hermitian)
+            out[s] = d[scan_greedy(np.array([lam for lam, _ in evaluated]), d)]
     return out
 
 
@@ -538,6 +539,17 @@ def spring_taylor(spring8):
 @pytest.fixture(scope="module")
 def spring_cheb(spring8):
     return expansion_series(cheb_expand_all(ChebRequest(spring8, (0.6, 1.0), 8)))
+
+
+def test_direct_sampling_computes_no_eigenvectors(torus8, spring8, taylor_e1_p6, spring_taylor,
+                                                  monkeypatch):
+    def eigenvector_solve(*args, **kwargs):
+        raise AssertionError("direct sampling reads only eigenvalues")
+
+    monkeypatch.setattr(analysis, "eigen_all", eigenvector_solve)
+    for problem, pairs, mean in ((torus8, taylor_e1_p6, 0.2), (spring8, spring_taylor, 0.8)):
+        direct = sample_eigenvalues(problem, pairs[1:4], (mean, 0.03), 40, 7, "direct")
+        assert np.all(np.isfinite(direct.values))
 
 
 # (problem fixture, series fixture, sample mean, sample stddev, grid)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 from pathlib import Path
 
@@ -80,6 +81,38 @@ class TestExpand:
         for index in (1, 2):
             pair = load_eigenpair(out / f"eigenpair_{index:02d}.json")
             assert np.all(np.isfinite(pair.vec.coeffs))
+
+    @pytest.mark.parametrize("flags", [
+        ["--method", "taylor", "--mu0", "1e-12", "--order", "40"],
+        ["--method", "taylor", "--mu0", "1e-12", "--order", "40", "--single-precision-e"],
+        ["--method", "chebyshev", "--interval=-1e-9,1e-9", "--order", "6"],
+    ], ids=["taylor", "single-precision-e", "chebyshev"])
+    def test_failing_single_pair_leaves_the_directory_of_eig_all(self, tmp_path, capsys, flags):
+        argv = ["expand", "--problem", "example3", "--n", "2", *flags]
+        runs = {}
+        for eig in ("1", "all"):
+            out = tmp_path / eig
+            assert run(argv + ["--eig", eig, "--out", str(out)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            manifest = [line for line in (out / "manifest.txt").read_text().splitlines()
+                        if line != f"  eig: {eig}"]
+            runs[eig] = sorted(p.name for p in out.iterdir()), err, manifest
+        (files_one, err_one, manifest_one), (files_all, err_all, manifest_all) = runs.values()
+        assert files_one == files_all == ["manifest.txt"]
+        assert manifest_one == manifest_all and manifest_one[-1] == "outputs:"
+        assert len(err_one) == 1 and err_one[0].startswith("eigenpair 1 (lambda0 ~ ")
+        assert err_all[0] == err_one[0]
+
+    @pytest.mark.parametrize("flags", [[], ["--single-precision-e"]])
+    def test_overflow_reported_without_numpy_warnings(self, tmp_path, capsys, flags):
+        argv = ["expand", "--problem", "example3", "--n", "2", "--method", "taylor",
+                "--mu0", "1e-12", "--order", "40", *flags, "--out", str(tmp_path / "p40")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "eigenpair 1 (lambda0 ~ 1+0j): series coefficient at order 25 is not finite" in err
+        assert err.count("is not finite") == 2 and "Warning" not in err
 
     def test_conflicting_flags_exit_1(self, tmp_path):
         code = run(
@@ -317,6 +350,22 @@ class TestReport:
             ]
         )
         assert code == 1
+
+    def test_non_finite_matrix_on_the_grid_exits_2_before_any_file(self, tmp_path, series_dir,
+                                                                   capsys):
+        out = tmp_path / "r"
+        code = run(
+            [
+                "report", "--problem", "example1", "--n", "8",
+                "--series", str(series_dir / "eigenpair_01.json"),
+                "--grid=-1e200,0.2,3", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        # exp(-mu * dist) overflows at the first grid point only
+        err = capsys.readouterr().err
+        assert f"numerical failure: report grid: A(mu) is not finite at mu={-1e200:.17g}\n" in err
+        assert not out.exists()
 
     def test_missing_series_exit_1(self, tmp_path):
         code = run(

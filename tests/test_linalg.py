@@ -7,14 +7,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from eigenpath.analysis import draw_samples
 from eigenpath.errors import NonSimpleEigenvalueError
 from eigenpath.linalg import (
     assemble_bordered,
     build_bordered,
     eigen_all,
+    eigenvalues,
     solve_bordered,
     solve_bordered_reduced,
 )
+from eigenpath.problems import builtin_problem
 
 
 def random_hermitian(n, rng):
@@ -111,6 +114,55 @@ class TestEigenAll:
             assert np.linalg.norm(a - q_i @ t_i @ q_i.conj().T) <= 1e-12 * np.linalg.norm(a)
             np.testing.assert_array_equal(np.tril(t_i, -1), 0.0)
         assert not (q.flags.writeable or t.flags.writeable or d.vectors.flags.writeable)
+
+
+def random_general(n, rng):
+    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+# (built-in, n, sample mean, sample stddev): the sampled points of each
+# built-in's A(mu) that the values-only solve is checked on
+BUILTIN_STACKS = [
+    ("example1", 12, 0.2, 0.05),
+    ("example1", 48, 0.2, 0.05),
+    ("example2", 12, 0.8, 0.05),
+    ("example2", 64, 0.8, 0.05),
+]
+
+
+class TestEigenvalues:
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_stack_bit_identical_to_per_matrix_loop(self, hermitian):
+        rng = np.random.default_rng(37)
+        make = random_hermitian if hermitian else random_general
+        for n in (1, 2, 7, 12):
+            stack = np.stack([make(n, rng) for _ in range(6)])
+            values = eigenvalues(stack, hermitian=hermitian)
+            assert values.shape == (6, n) and values.dtype == complex
+            assert not values.flags.writeable
+            looped = np.stack([eigenvalues(a, hermitian=hermitian) for a in stack])
+            assert values.tobytes() == looped.tobytes()
+
+    @pytest.mark.parametrize("case", BUILTIN_STACKS, ids=lambda c: f"{c[0]}-n{c[1]}")
+    def test_matches_eigen_all_on_the_builtins(self, case):
+        name, n, mean, stddev = case
+        problem = builtin_problem(name, n)
+        stack = np.stack([problem.eval_at(mu) for mu in draw_samples(mean, stddev, 20, 3)])
+        # the Hermitian built-in also goes through the general solver
+        for hermitian in {problem.hermitian, False}:
+            values = eigenvalues(stack, hermitian=hermitian)
+            reference = eigen_all(stack, hermitian=hermitian).values
+            scale = 1.0 + np.max(np.abs(reference), axis=-1, keepdims=True)
+            # same order: entry by entry, every value sits next to its
+            # counterpart from the solve with eigenvectors
+            assert np.max(np.abs(values - reference) / scale) <= 1e-14
+
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_rejects_what_eigen_all_rejects(self, hermitian):
+        for bad in (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones((2, 3, 3, 3))):
+            for solve in (eigen_all, eigenvalues):
+                with pytest.raises(ValueError):
+                    solve(bad, hermitian=hermitian)
 
 
 class TestBuildBordered:
