@@ -28,7 +28,15 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import DegenerateEvaluationError, NumericalError
-from .linalg import BLOCK_BYTES, block_slices, eigen_all, eigenvalues, phase_fix, vector_norms
+from .linalg import (
+    BLOCK_BYTES,
+    block_slices,
+    eigen_all,
+    eigenvalues,
+    overflow_reported,
+    phase_fix,
+    vector_norms,
+)
 from .series import (  # noqa: F401  (eval_taylor, eval_cheb_u: looked up here by benchmarks/tracing.py)
     CHEBYSHEV_U,
     TAYLOR,
@@ -56,8 +64,11 @@ def _blocks(count, n):
     return block_slices(count, 4 * 16 * n * n, BLOCK_BYTES)
 
 
+@overflow_reported()
 def _matrices(problem, mus):
-    """The stack A(mu_0), A(mu_1), ... as complex (m, n, n)."""
+    """The stack A(mu_0), A(mu_1), ... as complex (m, n, n); an entry that
+    overflows is reported by the caller (:func:`_finite_matrices`, or
+    ``cli`` for non-finite sampled values)."""
     return np.stack([np.asarray(problem.eval_at(mu), dtype=complex) for mu in mus])
 
 
@@ -255,6 +266,7 @@ def draw_samples(mean, stddev, count, seed):
     return rng.normal(mean, stddev, size=count)
 
 
+@overflow_reported()
 def sample_eigenvalues(problem, pairs, dist, count, seed, method, setup_seconds=0.0):
     """Sample tracked eigenvalues with the chosen evaluation method.
 
@@ -264,7 +276,9 @@ def sample_eigenvalues(problem, pairs, dist, count, seed, method, setup_seconds=
     eigenvectors, of each sample's dense matrix (one stacked values-only
     solve per block of samples) and matches each tracked pair to the nearest
     direct eigenvalue. It raises NumericalError, naming the first such
-    sample's mu, when A(mu) is not finite.
+    sample's mu, when A(mu) is not finite. Sampled values that are not
+    finite are returned as they are, with no numpy warning, for the
+    caller to report.
     """
     if count < 1:
         raise ValueError("sample count must be >= 1")

@@ -62,6 +62,7 @@ from .linalg import (  # noqa: F401  (build_bordered, solve_bordered: looked up 
     block_slices,
     build_bordered,
     eigen_all,
+    overflow_reported,
     solve_bordered,
 )
 from .series import (  # noqa: F401  (eval_cheb_u: looked up here by benchmarks/tracing.py)
@@ -138,6 +139,7 @@ def gauss_chebyshev_u(m):
     return np.cos(angles), (np.pi / (m + 1)) * np.sin(angles) ** 2
 
 
+@overflow_reported()
 def project_matrix_coeffs(problem, interval, p, m=None):
     """Project A(mu) onto U_0..U_p over the interval by quadrature.
 
@@ -352,6 +354,7 @@ def _newton_steps(system, x, residual, pairs):
     return singular
 
 
+@overflow_reported()
 def _newton(system, x, tol, max_iter):
     """Full-step Newton on a block of pairs' unknowns x (pairs, p+1, n+1),
     updated in place; every pair iterates on its own.

@@ -1,14 +1,20 @@
 """Command-line front end: expansion, error reporting, Monte-Carlo sampling,
 and complexity benchmarks over the built-in and config-defined problems.
 
+``expand`` and ``sample`` choose the expansion basis by one rule: --mu0
+asks for Taylor, --interval for Chebyshev, and exactly one must be given.
+--quad-m applies only with --interval and --single-precision-e only with
+--mu0; ``expand``'s --method must agree with the basis so chosen.
+
 Exit codes: 0 success, 1 usage or I/O error, 2 numerical failure
 (non-simple eigenvalue at the expansion point, Newton divergence, domain
 violations). Every command writes a plain-text manifest next to its outputs
-recording the resolved parameters; reruns with identical parameters
-reproduce all numerical outputs (timing columns excepted). Every output
-file goes through ``series.write_atomic`` (temp file, then rename; a failed
-write leaves no temp file), and every CSV through one row formatter in
-``analysis``: a header row, CRLF rows, floats with 17 significant digits.
+recording every parsed flag but --out, with n as resolved from the problem;
+reruns with identical parameters reproduce all numerical outputs (timing
+columns excepted). A usage error is reported before --out is created. Every
+output file goes through ``series.write_atomic`` (temp file, then rename; a
+failed write leaves no temp file), and every CSV through one row formatter
+in ``analysis``: a header row, CRLF rows, floats with 17 significant digits.
 The manifest is written last; when any write of a command fails, the
 outputs it already wrote are removed, so no directory holds outputs
 without their manifest.
@@ -101,7 +107,9 @@ def _parse_grid(text):
 
 
 def _resolve_problem(args):
-    """Build the problem from --problem; returns (problem, config_hash)."""
+    """Build the problem from --problem; returns (problem, config_hash).
+
+    It sets ``args.n`` to the problem's n, which the manifest records."""
     spec = args.problem
     if spec is None:
         raise UsageError("--problem is required")
@@ -111,6 +119,7 @@ def _resolve_problem(args):
         problem = problem_from_config(path)
         if args.n is not None and args.n != problem.n:
             raise UsageError(f"--n {args.n} conflicts with config n={problem.n}")
+        args.n = problem.n
         return problem, digest
     if args.n is None:
         raise UsageError("--n is required for built-in problems")
@@ -120,21 +129,27 @@ def _resolve_problem(args):
         raise UsageError(str(exc)) from exc
 
 
-def _write_outputs(outdir, outputs, command, params, seed, config_hash):
-    """Write each (name, write) of ``outputs`` by calling write(outdir /
-    name), then the manifest recording the parameters and listing the names.
-    If a write fails, the files already written are removed and the error
-    propagates."""
+def _write_outputs(args, outputs, config_hash="-"):
+    """Create --out, write each (name, write) of ``outputs`` by calling
+    write(out / name), then the manifest: every parsed flag but --out as a
+    parameter (lists joined by ";"), except --seed, which has its own line,
+    and the names written. If a write fails, the files already written are
+    removed and the error propagates."""
+    params = {key: value for key, value in vars(args).items()
+              if key not in ("command", "func", "out", "seed")}
     lines = [
-        f"command: {command}",
+        f"command: {args.command}",
         f"version: {__version__}",
-        f"seed: {seed}",
+        f"seed: {getattr(args, 'seed', '-')}",
         f"config_sha256: {config_hash}",
         "parameters:",
     ]
     for key in sorted(params):
-        lines.append(f"  {key}: {params[key]}")
+        value = params[key]
+        lines.append(f"  {key}: {';'.join(value) if isinstance(value, list) else value}")
     lines.append("outputs:")
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     written = []
     try:
         for name, write in outputs:
@@ -149,29 +164,33 @@ def _write_outputs(outdir, outputs, command, params, seed, config_hash):
         raise
 
 
-def _ensure_outdir(args):
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    return outdir
+def _expansion_request(args, problem, selector="all"):
+    """The request the flags ask for: Taylor about --mu0 or Chebyshev on
+    --interval, exactly one of them; a flag of the other basis (--quad-m
+    with --mu0, --single-precision-e with --interval) is a usage error."""
+    if (args.mu0 is None) == (args.interval is None):
+        raise UsageError("exactly one of --mu0 (Taylor) or --interval (Chebyshev) is required")
+    single_precision_e = getattr(args, "single_precision_e", False)
+    if args.mu0 is not None:
+        if args.quad_m is not None:
+            raise UsageError("--quad-m applies only with --interval")
+        return TaylorRequest(problem=problem, mu0=args.mu0, order=args.order,
+                             selector=selector, single_precision_e=single_precision_e)
+    if single_precision_e:
+        raise UsageError("--single-precision-e applies only with --mu0")
+    return ChebRequest(problem=problem, interval=_parse_floats(args.interval, 2, "--interval"),
+                       order=args.order, quad_m=args.quad_m, selector=selector)
+
+
+def _run_expansion(request):
+    """Every selected pair of the request, expanded in its basis."""
+    if isinstance(request, TaylorRequest):
+        return taylor_expand_all(request)
+    return cheb_expand_all(request)
 
 
 def cmd_expand(args):
     problem, config_hash = _resolve_problem(args)
-    if args.method == "taylor":
-        if args.mu0 is None:
-            raise UsageError("--mu0 is required with --method taylor")
-        if args.interval is not None:
-            raise UsageError("--interval conflicts with --method taylor")
-        if args.quad_m is not None:
-            raise UsageError("--quad-m applies only to --method chebyshev")
-    else:
-        if args.interval is None:
-            raise UsageError("--interval is required with --method chebyshev")
-        if args.mu0 is not None:
-            raise UsageError("--mu0 conflicts with --method chebyshev")
-        if args.single_precision_e:
-            raise UsageError("--single-precision-e applies only to --method taylor")
-
     if args.eig == "all":
         selector = "all"
     else:
@@ -179,63 +198,41 @@ def cmd_expand(args):
             index = int(args.eig)
         except ValueError as exc:
             raise UsageError("--eig must be 'all' or a 1-based index") from exc
-        if index < 1:
-            raise UsageError("--eig index is 1-based")
+        if not 1 <= index <= problem.n:
+            raise UsageError(f"--eig index must lie in 1..{problem.n}")
         selector = index - 1
+    request = _expansion_request(args, problem, selector)
+    if (args.method == "taylor") != isinstance(request, TaylorRequest):
+        raise UsageError(f"--method {args.method} disagrees with --mu0/--interval")
 
-    outdir = _ensure_outdir(args)
     # A failing pair is reported the same way under either selector: one
     # stderr line per failure, a manifest without its file, exit 2.
-    if args.method == "taylor":
-        results = taylor_expand_all(TaylorRequest(
-            problem=problem,
-            mu0=args.mu0,
-            order=args.order,
-            selector=selector,
-            single_precision_e=args.single_precision_e,
-        ))
-    else:
-        interval = _parse_floats(args.interval, 2, "--interval")
-        results = cheb_expand_all(ChebRequest(
-            problem=problem,
-            interval=interval,
-            order=args.order,
-            quad_m=args.quad_m,
-            selector=selector,
-        ))
-
     failures = []
     outputs = []
-    for slot, result in enumerate(results):
+    for slot, result in enumerate(_run_expansion(request)):
         index = slot if selector == "all" else selector
         if isinstance(result, ExpansionFailure):
             failures.append(result)
             continue
         name = f"eigenpair_{index + 1:02d}.json"
         outputs.append((name, functools.partial(save_eigenpair, result)))
+    _write_outputs(args, outputs, config_hash)
 
-    params = {
-        "problem": args.problem,
-        "n": problem.n,
-        "method": args.method,
-        "mu0": args.mu0,
-        "interval": args.interval,
-        "order": args.order,
-        "eig": args.eig,
-        "quad_m": args.quad_m,
-        "single_precision_e": args.single_precision_e,
-    }
-    _write_outputs(outdir, outputs, "expand", params, "-", config_hash)
+    for failure in failures:
+        print(
+            f"eigenpair {failure.index + 1} "
+            f"(lambda0 ~ {failure.eigenvalue:.6g}): {failure.error}",
+            file=sys.stderr,
+        )
+    return 2 if failures else 0
 
-    if failures:
-        for failure in failures:
-            print(
-                f"eigenpair {failure.index + 1} "
-                f"(lambda0 ~ {failure.eigenvalue:.6g}): {failure.error}",
-                file=sys.stderr,
-            )
-        return 2
-    return 0
+
+def _load_series(path, n):
+    """The pair in the series file ``path``, which must have size n."""
+    pair = load_eigenpair(path)
+    if pair.n != n:
+        raise UsageError(f"series file {path} has n={pair.n}, the problem has n={n}")
+    return pair
 
 
 def cmd_report(args):
@@ -246,42 +243,20 @@ def cmd_report(args):
         if metric not in known:
             raise UsageError(f"unknown metric {metric!r}")
     grid = _parse_grid(args.grid)
-    pairs = []
-    for path in args.series:
-        if not Path(path).exists():
-            print(f"missing series file: {path}", file=sys.stderr)
-            return 1
-        pairs.append(load_eigenpair(path))
-    if not pairs:
-        raise UsageError("at least one --series file is required")
+    pairs = [_load_series(path, problem.n) for path in args.series]
 
     report = error_report(problem, pairs, grid)
-    outdir = _ensure_outdir(args)
     rayleigh = "rayleigh" in metrics
     outputs = [("report.csv", functools.partial(write_error_report_csv, report, rayleigh=rayleigh))]
-
-    params = {
-        "problem": args.problem,
-        "n": problem.n,
-        "series": ";".join(args.series),
-        "grid": args.grid,
-        "metrics": args.metrics,
-    }
-    _write_outputs(outdir, outputs, "report", params, "-", config_hash)
+    _write_outputs(args, outputs, config_hash)
     return 0
 
 
 def _expand_for_sampling(args, problem):
     """Expand all eigenpaths with the basis implied by --mu0/--interval."""
+    request = _expansion_request(args, problem)
     start = time.perf_counter()
-    if args.mu0 is not None:
-        request = TaylorRequest(problem=problem, mu0=args.mu0, order=args.order)
-        results = taylor_expand_all(request)
-    else:
-        interval = _parse_floats(args.interval, 2, "--interval")
-        request = ChebRequest(problem=problem, interval=interval, order=args.order,
-                              quad_m=args.quad_m)
-        results = cheb_expand_all(request)
+    results = _run_expansion(request)
     setup_seconds = time.perf_counter() - start
     pairs = expansion_series(results)
     if len(pairs) < len(results):
@@ -318,8 +293,6 @@ def cmd_sample(args):
     problem, config_hash = _resolve_problem(args)
     if args.count < 1:
         raise UsageError("--count must be positive")
-    if (args.mu0 is None) == (args.interval is None):
-        raise UsageError("exactly one of --mu0 (Taylor) or --interval (Chebyshev) is required")
     methods = args.method.split(",")
     for method in methods:
         if method not in SAMPLE_METHODS:
@@ -353,51 +326,23 @@ def cmd_sample(args):
         )
 
     _check_finite(sample_sets)
-    outdir = _ensure_outdir(args)
     outputs = [
         ("samples.csv", functools.partial(write_samples_csv, sample_sets)),
         ("histogram.csv", functools.partial(write_histogram_csv, sample_sets)),
         ("timing.csv", functools.partial(write_sampling_summary_csv, sample_sets)),
     ]
-
-    params = {
-        "problem": args.problem,
-        "n": problem.n,
-        "mu0": args.mu0,
-        "interval": args.interval,
-        "order": args.order,
-        "quad_m": args.quad_m,
-        "pairs": args.pairs,
-        "dist": args.dist,
-        "count": args.count,
-        "method": args.method,
-    }
-    _write_outputs(outdir, outputs, "sample", params, args.seed, config_hash)
+    _write_outputs(args, outputs, config_hash)
     return 0
 
 
 def cmd_bench(args):
     n_list = _parse_int_list(args.n_list, "--n-list")
     p_list = _parse_int_list(args.p_list, "--p-list")
-    if args.problem.startswith("config:"):
-        raise UsageError("bench requires a built-in problem family")
-    if args.problem not in ("example1", "example2", "example3"):
-        raise UsageError(f"unknown built-in problem {args.problem!r}")
-
-    def make(n):
-        return builtin_problem(args.problem, n)
-
+    if args.repeats < 1:
+        raise UsageError("--repeats must be positive")
+    make = functools.partial(builtin_problem, args.problem)
     rows = bench_complexity(make, n_list, p_list, mu0=args.mu0, repeats=args.repeats)
-    outdir = _ensure_outdir(args)
-    outputs = [("bench.csv", functools.partial(write_timing_csv, rows))]
-    params = {
-        "problem": args.problem,
-        "n_list": args.n_list,
-        "p_list": args.p_list,
-        "mu0": args.mu0,
-        "repeats": args.repeats,
-    }
-    _write_outputs(outdir, outputs, "bench", params, "-", "-")
+    _write_outputs(args, [("bench.csv", functools.partial(write_timing_csv, rows))])
     return 0
 
 

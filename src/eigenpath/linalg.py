@@ -35,6 +35,11 @@ defective eigenvalue of A0:
   determinant of :func:`solve_bordered_reduced` relative to its row sums,
   and in ``taylor.expand_schur`` |l_i c_i| relative to ||l_i|| ||v0_i||
   and |b_i^T v0_i| relative to ||v0_i||^2.
+
+Floating-point warning policy: where the program reports a non-finite
+result itself, numpy's overflow and invalid-value warnings are silenced
+over the computation that produces it (:func:`overflow_reported`), and
+nowhere else.
 """
 
 import numpy as np
@@ -51,6 +56,14 @@ SINGULARITY_RCOND = 1e-12
 # pairs' Newton Jacobians in ``chebyshev``) goes in blocks of at most this
 # many bytes of its largest stacked arrays.
 BLOCK_BYTES = 16 * 2**20
+
+
+def overflow_reported():
+    """Silence numpy's floating-point warnings (usable as a ``with`` block or
+    a decorator) over a computation whose non-finite result the program
+    reports itself, as a failed pair or an exit-2 message naming the point:
+    the warnings, printed before that report, would only repeat it."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 def block_slices(count, item_bytes, budget):

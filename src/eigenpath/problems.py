@@ -275,14 +275,20 @@ def problem_from_config(path):
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
+    # type(), not isinstance(): a JSON true is a Python bool, which is an int
     n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ConfigError("config needs a positive integer 'n'")
     name = doc.get("name", "config")
-    hermitian = bool(doc.get("hermitian", False))
-    domain = tuple(doc.get("mu_domain", (None, None)))
-    if len(domain) != 2:
-        raise ConfigError("mu_domain must be a [lo, hi] pair (null for unbounded)")
+    hermitian = doc.get("hermitian", False)
+    if not isinstance(hermitian, bool):
+        raise ConfigError("hermitian must be true or false")
+    domain = doc.get("mu_domain")
+    if domain is None:
+        domain = [None, None]
+    if not (isinstance(domain, list) and len(domain) == 2
+            and all(bound is None or type(bound) in (int, float) for bound in domain)):
+        raise ConfigError("mu_domain must be null or a [lo, hi] pair of numbers or nulls")
     parsed = _load_entries(doc, n)
 
     def eval_at(mu):
@@ -309,5 +315,5 @@ def problem_from_config(path):
         eval_at=eval_at,
         derivs_at=derivs_at,
         hermitian=hermitian,
-        domain=domain,
+        domain=tuple(domain),
     )

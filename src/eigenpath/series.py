@@ -461,5 +461,12 @@ def save_eigenpair(pair, path):
 
 
 def load_eigenpair(path):
+    """Read an eigenpair file. A file that is not an eigenpair document (bad
+    JSON, a missing key, a value of the wrong type) raises ValueError naming
+    the file."""
     with open(path, encoding="utf-8") as handle:
-        return eigenpair_from_dict(json.load(handle))
+        try:
+            return eigenpair_from_dict(json.load(handle))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"{path} is not an eigenpair file: "
+                             f"{type(exc).__name__}: {exc}") from exc

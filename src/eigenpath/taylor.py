@@ -59,6 +59,7 @@ from .linalg import (
     border_row,
     build_bordered,
     eigen_all,
+    overflow_reported,
     solve_bordered,
     solve_bordered_reduced,  # noqa: F401  (looked up here by benchmarks/tracing.py)
     vector_norms,
@@ -166,13 +167,6 @@ def _check_derivatives(problem, mu0, order):
     return derivs
 
 
-def _overflow_reported():
-    """Silence numpy's floating-point warnings over an order loop: a pair
-    whose coefficients overflow fails with an error naming its first
-    non-finite order, so the warnings would only repeat that, as noise."""
-    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
-
-
 def _series_from_orders(basis, lams, vs, diagnostics):
     lam = ScalarSeries(basis, np.array(lams, dtype=complex))
     vec = VectorSeries(basis, np.array(vs, dtype=complex))
@@ -210,7 +204,7 @@ def _expand_single_dense(derivs, v0, lam0, p, hermitian, single_precision, mu0):
     lams = [lam0]
     vs = [v0]
     residuals = []
-    with _overflow_reported():
+    with overflow_reported():
         for k in range(1, p + 1):
             z, y = taylor_rhs(k, derivs, vs, lams, hermitian=hermitian, binomials=binomials)
             rhs = np.concatenate(([z], y))
@@ -339,7 +333,7 @@ def expand_schur(derivs, weights, decomp, indices, v0, hermitian):
     )
 
     lams, vs, residuals = [lam0], [v0], []
-    with _overflow_reported():
+    with overflow_reported():
         for k in range(1, weights.shape[0]):
             z, y = taylor_rhs(k, derivs, vs, lams, hermitian=hermitian, binomials=weights)
             yhat = qh @ y

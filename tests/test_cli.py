@@ -114,6 +114,17 @@ class TestExpand:
         assert "eigenpair 1 (lambda0 ~ 1+0j): series coefficient at order 25 is not finite" in err
         assert err.count("is not finite") == 2 and "Warning" not in err
 
+    @pytest.mark.parametrize("flags", [
+        ["--method", "chebyshev", "--interval", "0,1,2"],
+        ["--method", "taylor", "--mu0", "0.2", "--eig", "9"],
+    ], ids=["three-value-interval", "eig-beyond-n"])
+    def test_usage_error_leaves_no_output_directory(self, tmp_path, capsys, flags):
+        out = tmp_path / "x"
+        argv = ["expand", "--problem", "example1", "--n", "8", "--order", "4", *flags]
+        assert run(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not out.exists()
+
     def test_conflicting_flags_exit_1(self, tmp_path):
         code = run(
             [
@@ -367,6 +378,42 @@ class TestReport:
         assert f"numerical failure: report grid: A(mu) is not finite at mu={-1e200:.17g}\n" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: {key: doc[key] for key in doc if key != "lambda"}, "KeyError: 'lambda'"),
+        (lambda doc: [doc], "TypeError: "),
+    ], ids=["without-lambda", "list-root"])
+    def test_malformed_series_file_exit_1_naming_it(self, tmp_path, capsys, edit, message):
+        path = tmp_path / "pair.json"
+        save_eigenpair(_degenerate_pair(0.5), path)
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        out = tmp_path / "r"
+        code = run(
+            [
+                "report", "--problem", "example1", "--n", "2", "--series", str(path),
+                "--grid", "0.0,1.0,5", "--out", str(out),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{path} is not an eigenpair file: {message}" in err
+        assert not out.exists()
+
+    def test_series_of_another_n_exit_1_naming_both(self, tmp_path, capsys):
+        path = tmp_path / "pair.json"
+        save_eigenpair(_degenerate_pair(0.5), path)
+        out = tmp_path / "r"
+        code = run(
+            [
+                "report", "--problem", "example1", "--n", "3", "--series", str(path),
+                "--grid", "0.0,1.0,5", "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"usage error: series file {path} has n=2, the problem has n=3\n"
+        )
+        assert not out.exists()
+
     def test_missing_series_exit_1(self, tmp_path):
         code = run(
             [
@@ -404,6 +451,19 @@ class TestSample:
         )
         assert code == 1
 
+    def test_quad_m_with_mu0_rejected_as_by_expand(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        code = run(
+            [
+                "sample", "--problem", "example1", "--n", "8", "--mu0", "0.2",
+                "--order", "4", "--quad-m", "40", "--dist", "0.2,0.1", "--count", "5",
+                "--seed", "1", "--method", "taylor-eval", "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert "--quad-m applies only with --interval" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_method_basis_mismatch_rejected(self, tmp_path):
         code = run(
             [
@@ -430,6 +490,19 @@ class TestBench:
         assert rows[0] == ["n", "p", "seconds", "ratio"]
         assert len(rows) == 5
         assert rows[1][3] == "" and rows[2][3] != ""
+
+    @pytest.mark.parametrize("repeats", ["0", "-2"])
+    def test_nonpositive_repeats_rejected(self, tmp_path, capsys, repeats):
+        out = tmp_path / "bench"
+        code = run(
+            [
+                "bench", "--problem", "example1", "--n-list", "4", "--p-list", "2",
+                "--repeats", repeats, "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "usage error: --repeats must be positive\n"
+        assert not out.exists()
 
 
 class TestOutputFiles:
@@ -535,7 +608,8 @@ class TestOutputFiles:
         mu = float(err.split("mu=")[1])
         draws = draw_samples(0.2, 1e200, 50, 1)
         problem = eigenpath.builtin_problem("example1", 8)
-        finite = [np.all(np.isfinite(problem.eval_at(m))) for m in draws]
+        with np.errstate(over="ignore"):  # this oracle overflows where the program does
+            finite = [np.all(np.isfinite(problem.eval_at(m))) for m in draws]
         assert mu == draws[finite.index(False)]
         assert not out.exists()
 

@@ -184,6 +184,23 @@ class TestConfigProblems:
             with pytest.raises(ConfigError):
                 problem_from_config(self._write(tmp_path, doc))
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", True),
+        ("hermitian", "false"),
+        ("hermitian", 1),
+        ("mu_domain", 3),
+        ("mu_domain", [0.0, "1"]),
+        ("mu_domain", [True, None]),
+    ])
+    def test_field_of_the_wrong_type_rejected(self, tmp_path, field, value):
+        doc = {"n": 2, field: value, "entries": {"sparse": [[1, 1, "mu"]]}}
+        with pytest.raises(ConfigError, match=rf"\b{field}\b"):
+            problem_from_config(self._write(tmp_path, doc))
+
+    def test_null_mu_domain_is_unbounded(self, tmp_path):
+        doc = {"n": 1, "mu_domain": None, "entries": {"dense": ["mu"]}}
+        assert problem_from_config(self._write(tmp_path, doc)).domain == (None, None)
+
     def test_parse_error_names_entry(self, tmp_path):
         doc = {"n": 2, "entries": {"sparse": [[2, 1, "exp(-mu"]]}}
         with pytest.raises(ConfigError) as err:
