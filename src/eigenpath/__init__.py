@@ -18,7 +18,6 @@ from .analysis import (
 from .chebyshev import (
     ChebRequest,
     cheb_expand_all,
-    cheb_expand_eigenpair,
     cheb_jacobian,
     cheb_residual,
     gauss_chebyshev_u,
@@ -83,6 +82,5 @@ from .taylor import (
     expansion_failures,
     expansion_series,
     taylor_expand_all,
-    taylor_expand_eigenpair,
     taylor_rhs,
 )

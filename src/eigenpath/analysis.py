@@ -72,13 +72,19 @@ def _matrices(problem, mus):
     return np.stack([np.asarray(problem.eval_at(mu), dtype=complex) for mu in mus])
 
 
+def _check_finite_rows(mus, rows, what):
+    """Raise NumericalError naming ``what`` and the first of ``mus`` whose
+    row of ``rows`` (one row per point) is not all finite."""
+    bad = np.flatnonzero(~np.isfinite(rows.reshape(len(mus), -1)).all(axis=1))
+    if bad.size:
+        raise NumericalError(f"{what} is not finite at mu={mus[bad[0]]:.17g}")
+
+
 def _finite_matrices(problem, mus, context):
     """:func:`_matrices`, raising NumericalError that names ``context`` and
     the first mu where A(mu) is not finite."""
     a = _matrices(problem, mus)
-    bad = np.flatnonzero(~np.isfinite(a).all(axis=(1, 2)))
-    if bad.size:
-        raise NumericalError(f"{context}: A(mu) is not finite at mu={mus[bad[0]]:.17g}")
+    _check_finite_rows(mus, a, f"{context}: A(mu)")
     return a
 
 
@@ -198,6 +204,7 @@ class ErrorReport:
         return self.eig_errors.shape[1]
 
 
+@overflow_reported()
 def error_report(problem, pairs, grid):
     """Compare eigenpath series against direct eigensolves on a grid.
 
@@ -206,7 +213,8 @@ def error_report(problem, pairs, grid):
     eigenvector deviations and the errors of the Rayleigh-refined
     eigenvalues (each refined value matched on its own, like the series
     values). It raises NumericalError, naming the first such grid mu, when
-    A(mu) is not finite.
+    A(mu) is not finite, or when a series overflows there so that its
+    errors are not finite.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -225,6 +233,8 @@ def error_report(problem, pairs, grid):
         columns = np.ascontiguousarray(np.swapaxes(vec_hat, -1, -2))
         overlaps = np.abs(np.swapaxes(decomp.vectors.conj(), -1, -2) @ columns)
         deviations[block] = np.max(np.abs(overlaps.max(axis=-2) - 1.0), axis=-1)
+        errors = np.column_stack((eig_errors[block], rayleigh[block], deviations[block]))
+        _check_finite_rows(grid[block], errors, "report grid: series value")
     return ErrorReport(
         grid=grid,
         eig_errors=eig_errors,

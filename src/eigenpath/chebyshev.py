@@ -34,8 +34,8 @@ no loop over pairs outside Newton's LU step:
   count, history and error.
 
 The single-pair functions (:func:`warm_start`, :func:`newton_refine`,
-:func:`cheb_residual`, :func:`cheb_jacobian`,
-:func:`cheb_expand_eigenpair`) run the same code on one pair.
+:func:`cheb_residual`, :func:`cheb_jacobian`) run the same code on one
+pair.
 
 On accuracy: a degree-p best approximation interpolates the target at p+1
 unknown points, so its error is governed by the (p+1)-st derivative at an
@@ -47,7 +47,6 @@ empirically against direct eigensolves (see the analysis module), and the
 computed coefficients additionally carry the Newton residual perturbation.
 """
 
-import dataclasses
 import functools
 import warnings
 
@@ -215,7 +214,7 @@ def _warm_starts(coeffs, decomp, indices):
     isotropic = np.abs(bilinear) < 1e-8
     starts = ~isotropic
     p = coeffs.order
-    kernel_errors, lams, vs, _ = expand_schur(
+    kernel_errors, lams, vs, *_ = expand_schur(
         coeffs.coeffs,
         np.ones((p + 1, p + 1)),
         decomp,
@@ -476,20 +475,6 @@ def _projected(request):
         request.problem, request.interval, request.order, request.quad_m
     )
     return coeffs, eigen_all(np.asarray(coeffs.coeffs[0]))
-
-
-def cheb_expand_eigenpair(request, eigindex=None):
-    """Warm start plus Newton refinement for one eigenpair, ``eigindex`` or
-    else the request's selector: its entry of :func:`cheb_expand_all`,
-    raising its error."""
-    if eigindex is not None:
-        request = dataclasses.replace(request, selector=eigindex)
-    elif request.selector == "all":
-        raise ValueError("an eigenpair index is required")
-    (result,) = cheb_expand_all(request)
-    if isinstance(result, ExpansionFailure):
-        raise result.error
-    return result
 
 
 def cheb_expand_all(request):

@@ -20,12 +20,10 @@ one values-only LAPACK call, sorted alike, with no eigenvectors computed.
 of pairs that Chebyshev Newton iterates together.
 
 Singularity policy: one constant, ``SINGULARITY_RCOND`` = 1e-12, decides
-when an eigenvalue counts as not simple. It serves three roles, each a
-relative quantity that vanishes exactly when lam0 is a repeated or
-defective eigenvalue of A0:
+when an eigenvalue counts as not simple. It bounds two relative
+quantities, each vanishing exactly when lam0 is a repeated or defective
+eigenvalue of A0:
 
-* the reciprocal 1-norm condition estimate of the bordered matrix E
-  (:func:`build_bordered`);
 * the relative eigenvalue gap: lam0 against the other diagonal entries of
   T, relative to 1 + |lam0| + max |T_jj| (:func:`solve_bordered_reduced`,
   and the Schur pivot test of ``taylor._simplicity_failures``), or the gap
@@ -35,6 +33,11 @@ defective eigenvalue of A0:
   determinant of :func:`solve_bordered_reduced` relative to its row sums,
   and in ``taylor.expand_schur`` |l_i c_i| relative to ||l_i|| ||v0_i||
   and |b_i^T v0_i| relative to ||v0_i||^2.
+
+It also bounds the reciprocal 1-norm condition estimate of a factorized
+bordered matrix E (:func:`build_bordered`). Taylor factorizes E only when
+it is rounded to single precision, so there the test is one more per-pair
+failure, on the rounded E, after the two above.
 
 Floating-point warning policy: where the program reports a non-finite
 result itself, numpy's overflow and invalid-value warnings are silenced
@@ -254,9 +257,6 @@ class BorderedSystem:
     """
 
     matrix: np.ndarray
-    border: np.ndarray
-    lam0: complex
-    hermitian: bool
     lu: tuple = field(repr=False)
     condition_estimate: float = 0.0
 
@@ -297,22 +297,18 @@ def build_bordered(a0, v0, lam0, hermitian=False, unit_norm_check=True, single_p
             "the bordered matrix is singular when lam0 is not simple"
         )
     e.setflags(write=False)
-    return BorderedSystem(
-        matrix=e,
-        border=v0.copy(),
-        lam0=complex(lam0),
-        hermitian=hermitian,
-        lu=lu_piv,
-        condition_estimate=rcond,
-    )
+    return BorderedSystem(matrix=e, lu=lu_piv, condition_estimate=rcond)
 
 
 def solve_bordered(system, rhs):
-    """Solve E [lam_k; v_k] = rhs; returns the split (lam_k, v_k)."""
+    """Solve E [lam_k; v_k] = rhs; returns the split (lam_k, v_k).
+
+    An rhs that is not finite gives a solution that is not finite, which
+    the caller reports (an overflowing Taylor order)."""
     rhs = np.asarray(rhs, dtype=complex)
     if rhs.shape != (system.size,):
         raise ValueError(f"rhs must have length {system.size}")
-    x = scipy.linalg.lu_solve(system.lu, rhs)
+    x = scipy.linalg.lu_solve(system.lu, rhs, check_finite=False)
     return complex(x[0]), x[1:]
 
 

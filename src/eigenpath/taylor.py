@@ -43,10 +43,13 @@ does a pair whose coefficients overflow: its error names the first order
 that is not finite, and numpy's overflow warnings are silenced over the
 order loop, where they would only repeat it.
 
-The dense bordered LU, factorized once and reused across orders, remains
-for ``single_precision_e``, an experiment on the stored matrix E itself.
-Errors accumulate with growing order by construction; no mitigation is
-applied.
+``single_precision_e``, an experiment on the stored matrix E itself, swaps
+only the per-order solve: each pair's E is rounded to single precision and
+factorized once (``linalg.build_bordered``), and every order solves with
+those LU factors. The rounded E's condition estimate is one more per-pair
+test, and the order residuals stay measured against the exact E, so they
+show the rounding. Errors accumulate with growing order by construction;
+no mitigation is applied.
 """
 
 import numpy as np
@@ -81,8 +84,8 @@ class TaylorRequest:
     ``selector`` is either the string "all" or a 0-based index into the
     descending-sorted spectrum of A(mu0); indices permute across different
     expansion points (see :func:`selected_indices`). ``single_precision_e``
-    rounds the bordered matrix to single precision before factorization
-    (reproduces the error floor).
+    solves every order with each pair's bordered matrix rounded to single
+    precision (reproduces the error floor; see the module docstring).
     """
 
     problem: object
@@ -138,15 +141,12 @@ def taylor_rhs(k, a_derivs, vs, lams, hermitian=False, binomials=None):
     return z, y
 
 
-def _non_finite_at(order):
-    return NumericalError(f"series coefficient at order {order} is not finite")
-
-
 def non_finite_error(lams, vs):
     """The NumericalError of one pair's coefficients lams (p+1,) and
     vs (p+1, n) naming their first order that is not finite, or None."""
     order = non_finite_order(lams, vs)
-    return None if order is None else _non_finite_at(order)
+    if order is not None:
+        return NumericalError(f"series coefficient at order {order} is not finite")
 
 
 def selected_indices(selector, n):
@@ -165,64 +165,6 @@ def _check_derivatives(problem, mu0, order):
     if derivs.shape[0] < order + 1:
         raise DerivativeOrderError(derivs.shape[0])
     return derivs
-
-
-def _series_from_orders(basis, lams, vs, diagnostics):
-    lam = ScalarSeries(basis, np.array(lams, dtype=complex))
-    vec = VectorSeries(basis, np.array(vs, dtype=complex))
-    return EigenPairSeries(lam, vec, diagnostics)
-
-
-def _residual(e, lam_k, v_k, z, y):
-    x = np.concatenate(([lam_k], v_k))
-    rhs = np.concatenate(([z], y))
-    return float(np.max(np.abs(e @ x - rhs)))
-
-
-def taylor_expand_eigenpair(request):
-    """Taylor coefficients for one selected eigenpath: the one entry of
-    :func:`taylor_expand_all` for the request's index, raising its error.
-
-    The selected eigenvalue of A(mu0) must be simple, else
-    NonSimpleEigenvalueError is raised; coefficients that are not all
-    finite raise NumericalError.
-    """
-    if request.selector == "all":
-        raise ValueError("selector must be an index for taylor_expand_eigenpair")
-    (result,) = taylor_expand_all(request)
-    if isinstance(result, ExpansionFailure):
-        raise result.error
-    return result
-
-
-def _expand_single_dense(derivs, v0, lam0, p, hermitian, single_precision, mu0):
-    basis = SeriesBasis.taylor(mu0)
-    system = build_bordered(
-        derivs[0], v0, lam0, hermitian=hermitian, single_precision=single_precision
-    )
-    binomials = binomial_table(max(p, 1))
-    lams = [lam0]
-    vs = [v0]
-    residuals = []
-    with overflow_reported():
-        for k in range(1, p + 1):
-            z, y = taylor_rhs(k, derivs, vs, lams, hermitian=hermitian, binomials=binomials)
-            rhs = np.concatenate(([z], y))
-            finite = np.isfinite(rhs).all()
-            if finite:
-                lam_k, v_k = solve_bordered(system, rhs)
-                finite = np.isfinite(lam_k) and np.isfinite(v_k).all()
-            if not finite:
-                raise _non_finite_at(k)
-            residuals.append(_residual(system.matrix, lam_k, v_k, z, y))
-            lams.append(lam_k)
-            vs.append(v_k)
-    diagnostics = {
-        "method": "taylor",
-        "order_residuals": residuals,
-        "condition_estimate": system.condition_estimate,
-    }
-    return _series_from_orders(basis, lams, vs, diagnostics)
 
 
 def _eigenvalue_gaps(values):
@@ -288,18 +230,24 @@ def _bordered_residuals(a0, lam0, v0, border, lam_k, v_k, z, y):
     return np.maximum(np.abs(row), np.abs(body).max(axis=0))
 
 
-def expand_schur(derivs, weights, decomp, indices, v0, hermitian):
+def expand_schur(derivs, weights, decomp, indices, v0, hermitian, single_precision=False):
     """Advance the eigenpairs ``indices`` of ``decomp``, starting from the
     columns of ``v0``, together one order at a time in its Schur basis (see
     the module docstring), up to order p = len(weights) - 1.
 
     Order k weights its term l by ``weights[k, l]``: the binomials for
     Taylor, all ones for the Chebyshev warm start. The normalization row is
-    v0^H v_k for Hermitian problems and v0^T v_k otherwise. Returns the
-    per-index errors (None, or the pair's NonSimpleEigenvalueError) and,
-    for the pairs that passed every simplicity test and in their order,
-    lams (p+1, m), vs (p+1, n, m) and the per-order bordered residuals
-    (p, m). Only those pairs enter the order loop.
+    v0^H v_k for Hermitian problems and v0^T v_k otherwise. With
+    ``single_precision`` every order solves with the LU factors of each
+    pair's bordered matrix rounded to single precision, and a pair whose
+    rounded matrix fails ``build_bordered``'s condition test fails too.
+
+    Returns the per-index errors (None, or the NumericalError, mostly a
+    NonSimpleEigenvalueError, that rejects the pair) and, for the pairs
+    that passed every test and in their order, lams (p+1, m),
+    vs (p+1, n, m), the per-order residuals (p, m) of the exact bordered
+    systems, and the rounded matrices' condition estimates (m,), or None
+    without ``single_precision``. Only those pairs enter the order loop.
     """
     gaps = _eigenvalue_gaps(decomp.values)[indices]
     pivots, errors = _simplicity_failures(decomp, indices, gaps)
@@ -328,51 +276,45 @@ def expand_schur(derivs, weights, decomp, indices, v0, hermitian):
         errors[col] = NonSimpleEigenvalueError(
             "non-simple eigenvalue at expansion point (eliminated pivot below 1e-12)"
         )
+    systems = []
+    if single_precision:
+        for j in np.flatnonzero(ok):
+            try:
+                systems.append(
+                    build_bordered(derivs[0], v0[:, j], lam0[j], hermitian, single_precision=True)
+                )
+            except NumericalError as exc:
+                errors[cols[j]] = exc
+                ok[j] = False
     lam0, v0, border, shifts, c, ell, ell_c, border_v0 = (
         a[..., ok] for a in (lam0, v0, border, shifts, c, ell, ell_c, border_v0)
     )
 
+    def schur_solve(z, y):
+        yhat = qh @ y
+        lam_k = _column_dot(ell, yhat) / ell_c
+        v_k = q @ _back_substitute(t, shifts, yhat - c * lam_k)
+        return lam_k, v_k + v0 * ((z - _column_dot(border, v_k)) / border_v0)
+
+    def rounded_solve(z, y):
+        x = np.empty((y.shape[0] + 1, len(systems)), dtype=complex)
+        # z is the scalar 0 at order 1
+        for i, (system, z_i) in enumerate(zip(systems, np.broadcast_to(z, len(systems)))):
+            x[0, i], x[1:, i] = solve_bordered(system, np.append(z_i, y[:, i]))
+        return x[0], x[1:]
+
+    solve = rounded_solve if single_precision else schur_solve
     lams, vs, residuals = [lam0], [v0], []
     with overflow_reported():
         for k in range(1, weights.shape[0]):
             z, y = taylor_rhs(k, derivs, vs, lams, hermitian=hermitian, binomials=weights)
-            yhat = qh @ y
-            lam_k = _column_dot(ell, yhat) / ell_c
-            v_k = q @ _back_substitute(t, shifts, yhat - c * lam_k)
-            v_k = v_k + v0 * ((z - _column_dot(border, v_k)) / border_v0)
+            lam_k, v_k = solve(z, y)
             residuals.append(_bordered_residuals(derivs[0], lam0, v0, border, lam_k, v_k, z, y))
             lams.append(lam_k)
             vs.append(v_k)
-    return errors, np.array(lams), np.array(vs), np.reshape(residuals, (len(residuals), lam0.size))
-
-
-def _taylor_schur(derivs, decomp, indices, p, hermitian, mu0):
-    """Taylor series of the eigenpairs ``indices`` of ``decomp`` through
-    :func:`expand_schur`: one EigenPairSeries or ExpansionFailure per
-    index, in order."""
-    indices = [int(index) for index in indices]
-    errors, lams, vs, residuals = expand_schur(
-        derivs, binomial_table(p), decomp, indices, decomp.vectors[:, indices], hermitian
-    )
-    gaps = _eigenvalue_gaps(decomp.values)[indices]
-    basis = SeriesBasis.taylor(mu0)
-    out = []
-    passed = 0
-    for index, err, gap in zip(indices, errors, gaps):
-        if err is None:
-            lam, vec, res = lams[:, passed], vs[:, :, passed], residuals[:, passed]
-            passed += 1
-            err = non_finite_error(lam, vec)
-        if err is not None:
-            out.append(ExpansionFailure(index, complex(decomp.values[index]), err))
-            continue
-        diagnostics = {
-            "method": "taylor",
-            "order_residuals": [float(r) for r in res],
-            "gap": float(gap) if np.isfinite(gap) else None,
-        }
-        out.append(_series_from_orders(basis, lam, vec, diagnostics))
-    return out
+    rconds = np.array([s.condition_estimate for s in systems]) if single_precision else None
+    residuals = np.reshape(residuals, (len(residuals), lam0.size))
+    return errors, np.array(lams), np.array(vs), residuals, rconds
 
 
 def taylor_expand_all(request):
@@ -382,29 +324,39 @@ def taylor_expand_all(request):
     Returns a list with one entry per selected eigenvalue (sorted order): an
     EigenPairSeries on success, or an ExpansionFailure carrying the error
     when that particular eigenvalue is not simple or its coefficients are
-    not all finite. All simple pairs advance together through the
-    Schur-basis kernel in O(p^2 n^3) work; each pair's diagnostics hold its
-    per-order bordered residuals and its eigenvalue gap. The
-    single-precision variant runs the dense rounded factorization per pair
-    instead, since the experiment is about the stored matrix E.
+    not all finite. All simple pairs advance together through
+    :func:`expand_schur` in O(p^2 n^3) work; each pair's diagnostics hold
+    its per-order bordered residuals, its eigenvalue gap and, under
+    ``single_precision_e``, the rounded bordered matrix's condition estimate.
     """
-    problem = request.problem
-    p = request.order
+    problem, p = request.problem, request.order
     derivs = _check_derivatives(problem, request.mu0, p)
     decomp = eigen_all(derivs[0], hermitian=problem.hermitian)
-    indices = selected_indices(request.selector, decomp.n)
-    if not request.single_precision_e:
-        return _taylor_schur(derivs, decomp, indices, p, problem.hermitian, request.mu0)
+    indices = [int(index) for index in selected_indices(request.selector, decomp.n)]
+    errors, lams, vs, residuals, rconds = expand_schur(
+        derivs, binomial_table(p), decomp, indices, decomp.vectors[:, indices],
+        problem.hermitian, request.single_precision_e,
+    )
+    gaps = _eigenvalue_gaps(decomp.values)[indices]
+    basis = SeriesBasis.taylor(request.mu0)
+    columns = iter(range(lams.shape[1]))
     out = []
-    for index in indices:
-        lam0 = complex(decomp.values[index])
-        v0 = decomp.vectors[:, index].copy()
-        try:
-            out.append(
-                _expand_single_dense(derivs, v0, lam0, p, problem.hermitian, True, request.mu0)
-            )
-        except NumericalError as exc:
-            out.append(ExpansionFailure(index, lam0, exc))
+    for index, err, gap in zip(indices, errors, gaps):
+        if err is None:
+            col = next(columns)
+            lam, vec = lams[:, col], vs[:, :, col]
+            err = non_finite_error(lam, vec)
+        if err is not None:
+            out.append(ExpansionFailure(index, complex(decomp.values[index]), err))
+            continue
+        diagnostics = {
+            "method": "taylor",
+            "order_residuals": [float(r) for r in residuals[:, col]],
+            "gap": float(gap) if np.isfinite(gap) else None,
+        }
+        if rconds is not None:
+            diagnostics["condition_estimate"] = float(rconds[col])
+        out.append(EigenPairSeries(ScalarSeries(basis, lam), VectorSeries(basis, vec), diagnostics))
     return out
 
 

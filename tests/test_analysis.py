@@ -146,10 +146,8 @@ class TestGreedyMatch:
 class TestErrorReport:
     def test_trivial_scalar_problem(self):
         from conftest import linear_problem
-        from eigenpath import taylor_expand_eigenpair
-
         problem = linear_problem()
-        pair = taylor_expand_eigenpair(TaylorRequest(problem, 0.3, 1, selector=0))
+        pair = taylor_expand_all(TaylorRequest(problem, 0.3, 1, selector=0))[0]
         report = error_report(problem, [pair], np.linspace(0.0, 1.0, 11))
         assert report.max_error <= 1e-13
         np.testing.assert_allclose(report.vec_deviation, 0.0, atol=1e-13)

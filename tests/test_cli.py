@@ -193,12 +193,15 @@ def _cli_in_subprocess(command, args, out, threads):
 
 
 @pytest.mark.parametrize("eig", ["all", "1"])
-@pytest.mark.parametrize(
-    "problem, mu0, order", [("example1", "0.2", "4"), ("example2", "0.8", "6")]
-)
-def test_expand_identical_across_blas_threads(tmp_path, problem, mu0, order, eig):
+@pytest.mark.parametrize("problem, n, mu0, order", [
+    pytest.param("example1", "8", "0.2", "4", id="example1-0.2-4"),
+    pytest.param("example2", "8", "0.8", "6", id="example2-0.8-6"),
+    # at n=8 two BLAS threads do not speed up a complex product; at n=64 they do
+    pytest.param("example2", "64", "0.8", "10", id="example2-64-0.8-10"),
+])
+def test_expand_identical_across_blas_threads(tmp_path, problem, n, mu0, order, eig):
     args = [
-        "--problem", problem, "--n", "8", "--method", "taylor", "--mu0", mu0,
+        "--problem", problem, "--n", n, "--method", "taylor", "--mu0", mu0,
         "--order", order, "--eig", eig,
     ]
     outs = [tmp_path / f"threads{threads}" for threads in (1, 2)]
@@ -206,7 +209,7 @@ def test_expand_identical_across_blas_threads(tmp_path, problem, mu0, order, eig
         _cli_in_subprocess("expand", args, out, threads)
     names = sorted(p.name for p in outs[0].glob("eigenpair_*.json"))
     assert names == sorted(p.name for p in outs[1].glob("eigenpair_*.json"))
-    assert len(names) == (8 if eig == "all" else 1)
+    assert len(names) == (int(n) if eig == "all" else 1)
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
@@ -376,6 +379,31 @@ class TestReport:
         # exp(-mu * dist) overflows at the first grid point only
         err = capsys.readouterr().err
         assert f"numerical failure: report grid: A(mu) is not finite at mu={-1e200:.17g}\n" in err
+        assert not out.exists()
+
+    def test_overflowing_series_on_the_grid_exits_2_before_any_file(self, tmp_path, capsys):
+        series = tmp_path / "s"
+        assert run(
+            [
+                "expand", "--problem", "example1", "--n", "4", "--method", "taylor",
+                "--mu0", "0.2", "--order", "20", "--eig", "1", "--out", str(series),
+            ]
+        ) == 0
+        out = tmp_path / "r"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(
+                [
+                    "report", "--problem", "example1", "--n", "4",
+                    "--series", str(series / "eigenpair_01.json"),
+                    "--grid", "0.2,1e20,3", "--out", str(out),
+                ]
+            )
+        assert code == 2
+        # A(mu) is finite on the whole grid; the degree-20 series overflows
+        # at its second point
+        err = capsys.readouterr().err
+        assert err == f"numerical failure: report grid: series value is not finite at mu={5e19:.17g}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("edit, message", [

@@ -22,12 +22,11 @@ from eigenpath import (
     make_torus_kernel,
     solve_bordered_reduced,
     taylor_expand_all,
-    taylor_expand_eigenpair,
     taylor_rhs,
 )
 from eigenpath.linalg import assemble_bordered, border_row
 from eigenpath.problems import builtin_problem
-from eigenpath.taylor import _bordered_residuals, _expand_single_dense, binomial_table
+from eigenpath.taylor import _bordered_residuals, binomial_table, expand_schur
 
 
 class TestTaylorRhs:
@@ -74,7 +73,7 @@ class TestTaylorRhs:
 
 class TestExpandEigenpair:
     def test_scalar_linear_problem(self):
-        pair = taylor_expand_eigenpair(TaylorRequest(linear_problem(), 0.3, 4, selector=0))
+        pair = taylor_expand_all(TaylorRequest(linear_problem(), 0.3, 4, selector=0))[0]
         np.testing.assert_allclose(pair.lam.coeffs, [0.3, 1.0, 0.0, 0.0, 0.0], atol=1e-14)
         np.testing.assert_allclose(pair.vec.coeffs[0], [1.0], atol=1e-14)
         np.testing.assert_allclose(pair.vec.coeffs[1:], 0.0, atol=1e-14)
@@ -83,7 +82,7 @@ class TestExpandEigenpair:
         rng = np.random.default_rng(4)
         a0 = rng.normal(size=(5, 5))
         problem = shift_problem(a0, mu0=0.4)
-        pair = taylor_expand_eigenpair(TaylorRequest(problem, 0.4, 3, selector=2))
+        pair = taylor_expand_all(TaylorRequest(problem, 0.4, 3, selector=2))[0]
         assert pair.lam.coeffs[1] == pytest.approx(1.0, abs=1e-10)
         np.testing.assert_allclose(pair.lam.coeffs[2:], 0.0, atol=1e-9)
         np.testing.assert_allclose(pair.vec.coeffs[1:], 0.0, atol=1e-9)
@@ -92,19 +91,15 @@ class TestExpandEigenpair:
         # largest eigenvalue path 1 + sqrt(mu): d/dmu at 0.2 is 1/(2 sqrt(0.2))
         from eigenpath import make_jordan
 
-        pair = taylor_expand_eigenpair(TaylorRequest(make_jordan(2), 0.2, 2, selector=0))
+        pair = taylor_expand_all(TaylorRequest(make_jordan(2), 0.2, 2, selector=0))[0]
         assert pair.lam.coeffs[0] == pytest.approx(1 + math.sqrt(0.2), abs=1e-12)
         assert pair.lam.coeffs[1] == pytest.approx(1 / (2 * math.sqrt(0.2)), abs=1e-8)
 
     def test_p_zero_returns_phase_fixed_eigenpair(self, torus8):
-        pair = taylor_expand_eigenpair(TaylorRequest(torus8, 0.2, 0, selector=1))
+        pair = taylor_expand_all(TaylorRequest(torus8, 0.2, 0, selector=1))[0]
         d = eigen_all(torus8.eval_at(0.2), hermitian=True)
         assert pair.lam.coeffs[0] == pytest.approx(complex(d.values[1]), abs=1e-13)
         np.testing.assert_allclose(pair.vec.coeffs[0], d.vectors[:, 1], atol=1e-13)
-
-    def test_selector_all_rejected(self, torus8):
-        with pytest.raises(ValueError):
-            taylor_expand_eigenpair(TaylorRequest(torus8, 0.2, 2, selector="all"))
 
     def test_missing_derivative_orders(self):
         problem = ParametricProblem(
@@ -114,7 +109,7 @@ class TestExpandEigenpair:
             derivs_at=lambda mu0, p: np.zeros((1, 2, 2)) + np.eye(2),
         )
         with pytest.raises(DerivativeOrderError):
-            taylor_expand_eigenpair(TaylorRequest(problem, 0.0, 3, selector=0))
+            taylor_expand_all(TaylorRequest(problem, 0.0, 3, selector=0))
 
 
 class TestExpandAll:
@@ -169,10 +164,10 @@ class TestExpandAll:
             assert not isinstance(before, ExpansionFailure)
             assert np.all(np.isfinite(before.vec.coeffs)) and np.all(np.isfinite(before.lam.coeffs))
             assert isinstance(expand(order)[failure.index], ExpansionFailure)
-        with pytest.raises(NumericalError, match="is not finite"):
-            taylor_expand_eigenpair(
-                TaylorRequest(problem, 1e-12, 40, selector=0, single_precision_e=single_precision_e)
-            )
+        (failure,) = taylor_expand_all(
+            TaylorRequest(problem, 1e-12, 40, selector=0, single_precision_e=single_precision_e)
+        )
+        assert isinstance(failure.error, NumericalError) and "is not finite" in str(failure.error)
 
     def test_order_residuals_recorded(self, taylor_e1_p6):
         for pair in taylor_e1_p6:
@@ -382,14 +377,14 @@ class TestSchurKernel:
 
     def test_single_pair_matches_its_column(self, spring8):
         column = taylor_expand_all(TaylorRequest(spring8, 0.8, 6))[3]
-        single = taylor_expand_eigenpair(TaylorRequest(spring8, 0.8, 6, selector=3))
+        single = taylor_expand_all(TaylorRequest(spring8, 0.8, 6, selector=3))[0]
         assert np.max(_relative_error(single.lam.coeffs, column.lam.coeffs)) <= 1e-12
         assert np.max(_relative_error(single.vec.coeffs, column.vec.coeffs)) <= 1e-12
 
     def test_single_non_simple_pair_raises(self):
         problem = constant_problem(np.diag([3.0, 2.0, 1.0, 1.0]), hermitian=True)
-        with pytest.raises(NonSimpleEigenvalueError):
-            taylor_expand_eigenpair(TaylorRequest(problem, 0.0, 4, selector=3))
+        (failure,) = taylor_expand_all(TaylorRequest(problem, 0.0, 4, selector=3))
+        assert isinstance(failure.error, NonSimpleEigenvalueError)
 
 
 class TestNormalizationRows:
@@ -400,39 +395,46 @@ class TestNormalizationRows:
             assert abs(np.conj(v[0]) @ v[2] + np.conj(v[1]) @ v[1]) <= 1e-11
 
 
+def _schur_expansion(derivs, decomp, index, v0, p):
+    """One Hermitian pair through the Schur kernel from the starting column v0."""
+    errors, lams, vs, _, _ = expand_schur(
+        derivs, binomial_table(p), decomp, [index], v0[:, None], hermitian=True
+    )
+    assert errors == [None]
+    return lams[:, 0], vs[:, :, 0]
+
+
 class TestGammaInvariance:
     @pytest.mark.parametrize("gamma", [-1.0 + 0j, np.exp(1.3j)])
     def test_eigenvalue_coefficients_unchanged(self, torus8, gamma):
-        derivs = torus8.derivs_at(0.2, 4)
+        derivs = np.asarray(torus8.derivs_at(0.2, 4), dtype=complex)
         d = eigen_all(derivs[0], hermitian=True)
         # index 0 is well separated (gap ~1.5), so no small gap amplifies
         # roundoff; still its coefficients grow to |lam_4| ~ 5e3 and
         # |v_4| ~ 8, where an absolute 1e-12 is below the rounding error of
         # one run, and rotating v0 by a generic phase rounds v0 itself. So
         # each order is compared to 1e-12 relative to its own size.
-        v0, lam0 = d.vectors[:, 0].copy(), complex(d.values[0])
-        base = _expand_single_dense(derivs, v0, lam0, 4, True, False, 0.2)
-        spun = _expand_single_dense(derivs, gamma * v0, lam0, 4, True, False, 0.2)
-        lam_scale = np.maximum(1.0, np.abs(base.lam.coeffs))
-        vec_scale = np.maximum(1.0, np.max(np.abs(base.vec.coeffs), axis=1))[:, None]
+        v0 = d.vectors[:, 0]
+        base_lam, base_vec = _schur_expansion(derivs, d, 0, v0, 4)
+        spun_lam, spun_vec = _schur_expansion(derivs, d, 0, gamma * v0, 4)
+        lam_scale = np.maximum(1.0, np.abs(base_lam))
+        vec_scale = np.maximum(1.0, np.max(np.abs(base_vec), axis=1))[:, None]
+        np.testing.assert_allclose((spun_lam - base_lam) / lam_scale, 0, rtol=0, atol=1e-12)
         np.testing.assert_allclose(
-            (spun.lam.coeffs - base.lam.coeffs) / lam_scale, 0, rtol=0, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            (spun.vec.coeffs - gamma * base.vec.coeffs) / vec_scale, 0, rtol=0, atol=1e-12
+            (spun_vec - gamma * base_vec) / vec_scale, 0, rtol=0, atol=1e-12
         )
 
     def test_mid_spectrum_amplification_stays_bounded(self, torus8):
         # sequential orders amplify roundoff by the eigenvalue-gap condition
         # number; a mid-spectrum pair (gap ~4.6e-2) still agrees to 1e-9
-        derivs = torus8.derivs_at(0.2, 4)
+        derivs = np.asarray(torus8.derivs_at(0.2, 4), dtype=complex)
         d = eigen_all(derivs[0], hermitian=True)
         gamma = np.exp(1.3j)
-        v0, lam0 = d.vectors[:, 2].copy(), complex(d.values[2])
-        base = _expand_single_dense(derivs, v0, lam0, 4, True, False, 0.2)
-        spun = _expand_single_dense(derivs, gamma * v0, lam0, 4, True, False, 0.2)
-        np.testing.assert_allclose(spun.lam.coeffs, base.lam.coeffs, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(spun.vec.coeffs, gamma * base.vec.coeffs, rtol=0, atol=1e-9)
+        v0 = d.vectors[:, 2]
+        base_lam, base_vec = _schur_expansion(derivs, d, 2, v0, 4)
+        spun_lam, spun_vec = _schur_expansion(derivs, d, 2, gamma * v0, 4)
+        np.testing.assert_allclose(spun_lam, base_lam, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(spun_vec, gamma * base_vec, rtol=0, atol=1e-9)
 
 
 class TestTruncatedSeriesResidual:
@@ -456,3 +458,30 @@ def test_single_precision_flag_changes_results(torus8):
         np.max(np.abs(a.lam.coeffs - b.lam.coeffs)) for a, b in zip(exact, rounded)
     )
     assert diff > 1e-8  # single rounding must actually perturb the recursion
+
+
+def test_single_precision_residuals_measure_the_exact_system(torus8):
+    # Each order solves with the rounded E, while its recorded residual is
+    # taken against the exact E, so it shows the single-precision rounding.
+    p = 6
+    derivs = np.asarray(torus8.derivs_at(0.2, p), dtype=complex)
+    d = eigen_all(derivs[0], hermitian=True)
+    results = taylor_expand_all(TaylorRequest(torus8, 0.2, p, single_precision_e=True))
+    assert len(expansion_series(results)) == 8
+    for index, pair in enumerate(results):
+        e = assemble_bordered(derivs[0], d.vectors[:, index], complex(d.values[index]), True)
+        lam_c, vec_c = list(pair.lam.coeffs), list(pair.vec.coeffs)
+        residuals = pair.diagnostics["order_residuals"]
+        assert len(residuals) == p
+        for k in range(1, p + 1):
+            z, y = taylor_rhs(k, derivs, vec_c[:k], lam_c[:k], hermitian=True)
+            rhs = np.concatenate(([z], y))
+            x = np.concatenate(([lam_c[k]], vec_c[k]))
+            size = 1.0 + np.max(np.abs(rhs))
+            assert abs(residuals[k - 1] - np.max(np.abs(e @ x - rhs))) <= 1e-13 * size
+            # index 0 (~3e-8 relative at every order) shows the rounding of E;
+            # a double-precision solve leaves ~1e-16
+            if index == 0:
+                assert residuals[k - 1] > 1e-12 * size
+        assert 0 < pair.diagnostics["condition_estimate"] <= 1
+        assert pair.diagnostics["gap"] > 0
