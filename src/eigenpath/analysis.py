@@ -6,7 +6,9 @@ on an (m, n, n) stack (``eigen_all`` for the grid report, which reads
 eigenvectors; the values-only ``eigenvalues`` for the ``direct`` sampler),
 one evaluation of every series at every point of the block, and one batched
 greedy match. Every value equals, bit for bit, what a loop over the block's
-points computes one at a time.
+points computes one at a time: a real stack is solved by the real solver
+matrix by matrix (``linalg``'s dtype policy), also when some A(mu) has a
+complex pair.
 
 Eigenvalue matching is greedy over ascending |difference| per point, which
 equals the optimal assignment whenever direct eigenvalues are separated by
@@ -36,6 +38,7 @@ from .linalg import (
     overflow_reported,
     phase_fix,
     vector_norms,
+    working_dtype,
 )
 from .series import (  # noqa: F401  (eval_taylor, eval_cheb_u: looked up here by benchmarks/tracing.py)
     CHEBYSHEV_U,
@@ -56,20 +59,24 @@ SAMPLE_METHODS = ("taylor-eval", "cheb-eval", "rayleigh", "direct")
 def _blocks(count, n):
     """Consecutive slices of range(count), each within BLOCK_BYTES at size n.
 
-    A point counts as four complex n x n arrays: A(mu), the solver's copy
-    and eigenvectors, and the sorted eigenvectors (the grid report's
-    ``eigen_all``; the values-only ``direct`` solve holds only the first
-    two).
+    A point counts as four n x n arrays of 16 bytes per entry: A(mu), the
+    solver's copy and eigenvectors, and the sorted eigenvectors (the grid
+    report's ``eigen_all``; the values-only ``direct`` solve holds only the
+    first two). That is their complex size; a real stack (see ``_matrices``)
+    holds half of it, and blocks keep the size the complex count gives.
     """
     return block_slices(count, 4 * 16 * n * n, BLOCK_BYTES)
 
 
 @overflow_reported()
 def _matrices(problem, mus):
-    """The stack A(mu_0), A(mu_1), ... as complex (m, n, n); an entry that
-    overflows is reported by the caller (:func:`_finite_matrices`, or
-    ``cli`` for non-finite sampled values)."""
-    return np.stack([np.asarray(problem.eval_at(mu), dtype=complex) for mu in mus])
+    """The stack A(mu_0), A(mu_1), ... (m, n, n), float64 when every A(mu)
+    is real (so the stack's eigensolve may run in real arithmetic, see
+    ``linalg.eigen_all``), else complex128; an entry that overflows is
+    reported by the caller (:func:`_finite_matrices`, or ``cli`` for
+    non-finite sampled values)."""
+    a = np.stack([np.asarray(problem.eval_at(mu)) for mu in mus])
+    return np.asarray(a, dtype=working_dtype(a))
 
 
 def _check_finite_rows(mus, rows, what):
@@ -143,7 +150,7 @@ def rayleigh_refine(problem, pair, mu):
     promised.
     """
     _, q = _eval_paths([pair], [mu])
-    a = np.asarray(problem.eval_at(mu), dtype=complex)
+    a = np.asarray(problem.eval_at(mu))
     return complex(_rayleigh_quotients(a[None], q)[0, 0])
 
 

@@ -33,6 +33,16 @@ no loop over pairs outside Newton's LU step:
   active set when it converges or fails, and keeps its own iteration
   count, history and error.
 
+The arithmetic is chosen once per expansion: the projected stack A_i is
+real for every real A(mu), and when A_0's spectrum is real too its
+decomposition is real (``linalg.eigen_all``), so the warm starts, the
+residuals, the Jacobians and their LUs all run in float64. A complex pair
+of A_0 (complex eigenvectors and Schur factors) or complex input makes
+every step complex128. Newton factors each Jacobian without
+scipy's finiteness scan: a Jacobian that is not finite gives a step that
+is not finite, after which the pair's iterates and residuals are not
+finite either, and the pair fails.
+
 The single-pair functions (:func:`warm_start`, :func:`newton_refine`,
 :func:`cheb_residual`, :func:`cheb_jacobian`) run the same code on one
 pair.
@@ -63,6 +73,7 @@ from .linalg import (  # noqa: F401  (build_bordered, solve_bordered: looked up 
     eigen_all,
     overflow_reported,
     solve_bordered,
+    working_dtype,
 )
 from .series import (  # noqa: F401  (eval_cheb_u: looked up here by benchmarks/tracing.py)
     EigenPairSeries,
@@ -144,27 +155,32 @@ def project_matrix_coeffs(problem, interval, p, m=None):
 
     A_i = (2/pi) sum_j w_j A(mu(s_j)) U_i(s_j). Unlike the Taylor case,
     A_0 here is a weighted average of A over the interval, not A at a point.
+    The coefficients are real (float64) when every sample is real.
     """
     basis = SeriesBasis.chebyshev(*interval)
     m = quadrature_size(p, m)
     nodes, weights = gauss_chebyshev_u(m)
     mus = basis.from_affine(nodes)
-    samples = np.empty((m, problem.n, problem.n), dtype=complex)
+    samples = []
     for idx, mu in enumerate(mus):
-        sample = np.asarray(problem.eval_at(mu), dtype=complex)
+        sample = np.asarray(problem.eval_at(mu))
         if not np.all(np.isfinite(sample)):
             raise NumericalError(
                 f"A(mu) is not finite at quadrature node {idx + 1} (mu={mu})"
             )
-        samples[idx] = sample
+        samples.append(sample)
+    samples = np.stack(samples)
+    samples = np.asarray(samples, dtype=working_dtype(samples))
     u_table = u_values(nodes, p)
     coeffs = (2.0 / np.pi) * np.einsum("j,ij,jkl->ikl", weights, u_table, samples)
     return MatrixSeries(basis, coeffs)
 
 
 def pack_unknowns(lams, vs):
-    """Row-major flattening of the (p+1, n+1) array with rows (lam_k, v_k)."""
-    return np.column_stack((lams, vs)).astype(complex).ravel()
+    """Row-major flattening of the (p+1, n+1) array with rows (lam_k, v_k),
+    real when lams and vs are."""
+    x = np.column_stack((lams, vs))
+    return x.astype(working_dtype(x)).ravel()
 
 
 def unpack_unknowns(x, n):
@@ -229,7 +245,7 @@ def _warm_starts(coeffs, decomp, indices):
         else next(kernel_errors)
         for iso in isotropic
     ]
-    x = np.empty((lams.shape[1], p + 1, coeffs.n + 1), dtype=complex)
+    x = np.empty((lams.shape[1], p + 1, coeffs.n + 1), dtype=working_dtype(lams, vs))
     x[:, :, 0] = lams.T
     x[:, :, 1:] = vs.transpose(2, 0, 1)
     return errors, x
@@ -258,13 +274,18 @@ class _CoupledSystem:
     Every product is a stack of per-pair products (``matmul`` loops over
     the stack), so a pair's bits do not depend on which or how many pairs
     share its block.
+
+    It computes in ``self.dtype``, the coefficients' dtype promoted with
+    ``dtype``, the unknowns' dtype (by default the coefficients' own); the
+    unknowns it is given must have it.
     """
 
-    def __init__(self, coeffs):
+    def __init__(self, coeffs, dtype=np.float64):
         p1, n = coeffs.order + 1, coeffs.n
         self.p1, self.n = p1, n
         self.g = coupling_tensor(coeffs.order)
-        self.a = np.asarray(coeffs.coeffs, dtype=complex)
+        self.dtype = working_dtype(coeffs.coeffs, dtype)
+        self.a = np.asarray(coeffs.coeffs, dtype=self.dtype)
         self.g_rows = self.g.reshape(p1 * p1, p1)                      # (k, i) against j
         self.g_lam = self.g.transpose(1, 0, 2).reshape(p1, p1 * p1)    # i against (k, m)
         self.a_rows = self.a.transpose(0, 2, 1).reshape(p1 * n, n)     # (i, b) against a
@@ -295,7 +316,7 @@ class _CoupledSystem:
         """Jacobians of the pairs' residuals, (pairs, (p+1)(n+1), (p+1)(n+1))."""
         p1, n1 = self.p1, self.n + 1
         w = self._w(x)
-        jac = np.empty((x.shape[0], p1, n1, p1, n1), dtype=complex)
+        jac = np.empty((x.shape[0], p1, n1, p1, n1), dtype=self.dtype)
         jac[:, :, 1:, :, 1:] = self._coupled_a
         diag = np.arange(1, n1)
         jac[:, :, diag, :, diag] -= (x[:, None, :, 0] @ self.g_lam).reshape(-1, p1, p1)
@@ -306,7 +327,11 @@ class _CoupledSystem:
 
 
 def _one_pair(x, coeffs):
-    return np.asarray(x, dtype=complex).reshape(1, coeffs.order + 1, coeffs.n + 1)
+    """The coupled system of packed x and the coefficients, and x as its
+    block of one pair."""
+    x = np.asarray(x)
+    system = _CoupledSystem(coeffs, x.dtype)
+    return system, np.asarray(x, dtype=system.dtype).reshape(1, system.p1, system.n + 1)
 
 
 def cheb_residual(x, coeffs):
@@ -315,7 +340,8 @@ def cheb_residual(x, coeffs):
     Zero exactly when the truncated series satisfy the projected
     eigenproblem and the truncated normalization v^T v = 1.
     """
-    return _CoupledSystem(coeffs).residuals(_one_pair(x, coeffs))[0].ravel()
+    system, x = _one_pair(x, coeffs)
+    return system.residuals(x)[0].ravel()
 
 
 def cheb_jacobian(x, coeffs):
@@ -324,7 +350,8 @@ def cheb_jacobian(x, coeffs):
     Block (k, m) holds sum_i G[k, i, m] (A_i - lam_i I) in the vector rows,
     -W[k, m] in the lambda column, and 2 W[k, m]^T in the scalar row.
     """
-    return _CoupledSystem(coeffs).jacobians(_one_pair(x, coeffs))[0]
+    system, x = _one_pair(x, coeffs)
+    return system.jacobians(x)[0]
 
 
 def _series_from_packed(x, coeffs, diagnostics):
@@ -344,12 +371,14 @@ def _newton_steps(system, x, residual, pairs):
     """
     singular = []
     for pair, jac in zip(pairs, system.jacobians(x[pairs])):
-        lu, piv = scipy.linalg.lu_factor(jac)
+        # no finiteness scan: a non-finite step fails the pair (see _newton)
+        lu, piv = scipy.linalg.lu_factor(jac, check_finite=False)
         diag = np.abs(np.diagonal(lu))
         if diag.min() < 1e-14 * max(1.0, diag.max()):
             singular.append(pair)
             continue
-        x[pair] -= scipy.linalg.lu_solve((lu, piv), residual[pair].ravel()).reshape(x.shape[1:])
+        step = scipy.linalg.lu_solve((lu, piv), residual[pair].ravel(), check_finite=False)
+        x[pair] -= step.reshape(x.shape[1:])
     return singular
 
 
@@ -413,8 +442,9 @@ def _newton(system, x, tol, max_iter):
 def newton_refine(x0, coeffs, tol=DEFAULT_NEWTON_TOL, max_iter=DEFAULT_NEWTON_MAX_ITER):
     """Full-step Newton iteration on the coupled system from packed x0:
     :func:`_newton` on one pair, raising its error."""
-    x = _one_pair(x0, coeffs).copy()
-    (outcome,) = _newton(_CoupledSystem(coeffs), x, tol, max_iter)
+    system, x = _one_pair(x0, coeffs)
+    x = x.copy()
+    (outcome,) = _newton(system, x, tol, max_iter)
     if isinstance(outcome, NumericalError):
         raise outcome
     return _series_from_packed(x[0], coeffs, outcome)
@@ -452,7 +482,7 @@ def _expand(request, coeffs, decomp, indices):
     BLOCK_BYTES.
     """
     errors, x = _warm_starts(coeffs, decomp, indices)
-    system = _CoupledSystem(coeffs)
+    system = _CoupledSystem(coeffs, x.dtype)
     size = (coeffs.order + 1) * (coeffs.n + 1)
     outcomes = []
     for block in block_slices(x.shape[0], 16 * size * size, BLOCK_BYTES):

@@ -39,6 +39,25 @@ bordered matrix E (:func:`build_bordered`). Taylor factorizes E only when
 it is rounded to single precision, so there the test is one more per-pair
 failure, on the rounded E, after the two above.
 
+Dtype policy: the arithmetic follows the input's dtype and its spectrum,
+matrix by matrix. A real matrix is decomposed by the real solver (``eigh``
+for Hermitian input, else ``eig``); when its spectrum is real, ``vectors``
+and the Schur factors (a real Schur form, on first use) are float64. When
+it has a complex pair, the real solver's complex eigenvectors are kept and
+the Schur factors are those of its complex128 cast. Complex input (even
+with zero imaginary parts) is decomposed in complex arithmetic. In a real
+stack with a complex pair anywhere, numpy returns every matrix's vectors
+as complex128, but each matrix's eigenvalues and eigenvectors are the
+numbers the real solver gives it alone, so they never depend on the
+stack's other matrices (the Schur factors of such a stack, which no caller
+reads, are those of its complex cast). Should the real Schur form hold a
+2x2 block where ``eig`` found a real pair (a nearly defective pair that
+the two solvers round apart differently), the Schur factors are again
+those of the complex cast. ``EigenDecomposition.values`` are complex128
+either way; the Taylor kernel and Chebyshev Newton compute in the dtype of
+the Schur factors and vectors (:func:`working_dtype`, :func:`in_dtype`).
+On a real vector the phase fix is a sign fix.
+
 Floating-point warning policy: where the program reports a non-finite
 result itself, numpy's overflow and invalid-value warnings are silenced
 over the computation that produces it (:func:`overflow_reported`), and
@@ -76,8 +95,21 @@ def block_slices(count, item_bytes, budget):
     return [slice(start, min(start + size, count)) for start in range(0, count, size)]
 
 
+def working_dtype(*arrays):
+    """float64 when every argument is real (or integer), else complex128."""
+    return np.result_type(np.float64, *arrays)
+
+
+def in_dtype(values, dtype):
+    """Complex ``values`` in the arithmetic ``dtype``: their real parts when
+    it is real (the values of a real spectrum), else the values themselves."""
+    return values if np.issubdtype(dtype, np.complexfloating) else values.real
+
+
 def _check_square(a, stack=False):
-    a = np.asarray(a, dtype=complex)
+    """a as float64 when it is real, else as complex128, checked square and finite."""
+    a = np.asarray(a)
+    a = np.asarray(a, dtype=working_dtype(a))
     ndims = (2, 3) if stack else (2,)
     if a.ndim not in ndims or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise ValueError("expected a square matrix (or a stack of them) with n >= 1")
@@ -87,7 +119,7 @@ def _check_square(a, stack=False):
 
 
 def vector_norms(v, axis=-1):
-    """2-norms of the vectors along ``axis`` of a complex array.
+    """2-norms of the vectors along ``axis`` of a real or complex array.
 
     Each norm is sqrt(re . re + im . im) with BLAS dot products, the sum
     ``np.linalg.norm`` forms for one vector, so a batch gets the same bits
@@ -99,7 +131,8 @@ def vector_norms(v, axis=-1):
 
 def phase_fix(v, axis=0):
     """Rotate each vector along ``axis`` so its largest-magnitude component
-    is real and positive.
+    is real and positive: on real vectors, flip each one's sign so that
+    component is positive.
 
     Removes the unit-modulus gauge freedom deterministically; ties resolve
     to the first maximal component, and a zero vector is left as it is.
@@ -134,8 +167,10 @@ class EigenDecomposition:
     applied. The sorted eigenvectors and the Schur factors are computed on
     first access, so a caller that reads only ``values`` pays for neither
     (LAPACK still computes the eigenvectors; :func:`eigenvalues` does not).
-    T is diagonal for Hermitian input. ``matrix`` is the input as given;
-    every array computed here is read-only.
+    T is diagonal for Hermitian input. ``matrix`` is the checked input, in
+    float64 when it is real; ``vectors`` and the Schur factors are float64
+    when it is real with a real spectrum, else complex128 (see the module's
+    dtype policy). Every array computed here is read-only.
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -151,8 +186,15 @@ class EigenDecomposition:
     @cached_property
     def vectors(self):
         vectors = np.take_along_axis(self.solver_vectors, self.order[..., None, :], axis=-1)
-        vectors /= vector_norms(vectors, axis=-2)[..., None, :]
-        return _readonly(phase_fix(vectors, axis=-2))
+        norms = vector_norms(vectors, axis=-2)[..., None, :]
+        unit = phase_fix(vectors / norms, axis=-2)
+        if np.iscomplexobj(vectors) and not np.iscomplexobj(self.matrix):
+            # numpy's real eig returns a whole stack in complex when one of
+            # its matrices has a complex pair; a matrix with a real spectrum
+            # is normalized and sign-fixed in float64, as it is when alone
+            real = np.all(self.values.imag == 0, axis=-1)[..., None, None]
+            unit = np.where(real, phase_fix(vectors.real / norms, axis=-2), unit)
+        return _readonly(unit)
 
     @cached_property
     def _schur(self):
@@ -161,17 +203,15 @@ class EigenDecomposition:
             # and Q's column j is exactly the returned eigenvector j.
             t = np.zeros_like(self.matrix)
             diag = np.arange(self.n)
-            t[..., diag, diag] = self.values
+            t[..., diag, diag] = in_dtype(self.values, t.dtype)
             return self.vectors, _readonly(t)
-        try:
-            factors = [
-                scipy.linalg.schur(a, output="complex")
-                for a in self.matrix.reshape(-1, self.n, self.n)
-            ]
-        except scipy.linalg.LinAlgError as exc:
-            raise _solver_error(self.n, exc) from exc
-        t, q = (_readonly(np.stack(f).reshape(self.matrix.shape)) for f in zip(*factors))
-        return q, t
+        if not np.iscomplexobj(self.vectors):
+            t, q = _schur_factors(self.matrix)
+            if not np.any(np.diagonal(t, -1, -2, -1)):
+                return _readonly(q), _readonly(t)
+            # a 2x2 block where eig found a real pair (see the dtype policy)
+        t, q = _schur_factors(self.matrix.astype(complex))
+        return _readonly(q), _readonly(t)
 
     @property
     def schur_q(self):
@@ -180,6 +220,18 @@ class EigenDecomposition:
     @property
     def schur_t(self):
         return self._schur[1]
+
+
+def _schur_factors(matrices):
+    """T and Q of each matrix of (n, n) or (m, n, n): the real Schur form for
+    real input, the complex one for complex input."""
+    n = matrices.shape[-1]
+    output = "complex" if np.iscomplexobj(matrices) else "real"
+    try:
+        factors = [scipy.linalg.schur(a, output=output) for a in matrices.reshape(-1, n, n)]
+    except scipy.linalg.LinAlgError as exc:
+        raise _solver_error(n, exc) from exc
+    return (np.stack(f).reshape(matrices.shape) for f in zip(*factors))
 
 
 def _solver_error(n, exc):
@@ -193,18 +245,16 @@ def eigen_all(a, hermitian=False):
     """All eigenpairs of a dense matrix (n, n) or of each matrix of a stack
     (m, n, n), with Schur factors for reuse.
 
-    A stack is solved by one batched LAPACK call, and each of its matrices
-    gets the same bits as a call on that matrix alone.
+    A stack is solved by one batched LAPACK call in the arithmetic of its
+    dtype (the module's dtype policy), and each of its matrices gets the
+    same numbers as a call on that matrix alone.
     """
     a = _check_square(a, stack=True)
     try:
-        if hermitian:
-            values, vectors = np.linalg.eigh(a)
-            values = values.astype(complex)
-        else:
-            values, vectors = np.linalg.eig(a)
+        values, vectors = (np.linalg.eigh if hermitian else np.linalg.eig)(a)
     except np.linalg.LinAlgError as exc:
         raise _solver_error(a.shape[-1], exc) from exc
+    values = values.astype(complex)
     order = _sort_order(values)
     values = _readonly(np.take_along_axis(values, order, axis=-1))
     return EigenDecomposition(a, values, hermitian, vectors, order)
@@ -221,9 +271,10 @@ def eigenvalues(a, hermitian=False):
     """
     a = _check_square(a, stack=True)
     try:
-        values = np.linalg.eigvalsh(a).astype(complex) if hermitian else np.linalg.eigvals(a)
+        values = (np.linalg.eigvalsh if hermitian else np.linalg.eigvals)(a)
     except np.linalg.LinAlgError as exc:
         raise _solver_error(a.shape[-1], exc) from exc
+    values = values.astype(complex)
     return _readonly(np.take_along_axis(values, _sort_order(values), axis=-1))
 
 
@@ -237,11 +288,13 @@ def border_row(v0, hermitian):
 
 
 def assemble_bordered(a0, v0, lam0, hermitian=False):
-    """Assemble the (n+1) x (n+1) bordered matrix E."""
-    a0 = np.asarray(a0, dtype=complex)
-    v0 = np.asarray(v0, dtype=complex)
+    """Assemble the (n+1) x (n+1) bordered matrix E, real when a0, v0 and
+    lam0 all are."""
+    dtype = working_dtype(a0, v0, lam0)
+    a0 = np.asarray(a0, dtype=dtype)
+    v0 = np.asarray(v0, dtype=dtype)
     n = a0.shape[0]
-    e = np.zeros((n + 1, n + 1), dtype=complex)
+    e = np.zeros((n + 1, n + 1), dtype=dtype)
     e[0, 1:] = border_row(v0, hermitian)
     e[1:, 0] = v0
     e[1:, 1:] = lam0 * np.eye(n) - a0
@@ -280,15 +333,16 @@ def build_bordered(a0, v0, lam0, hermitian=False, unit_norm_check=True, single_p
     Raises NonSimpleEigenvalueError when the reciprocal condition estimate
     falls below 1e-12, which happens exactly when lam0 is not a simple
     eigenvalue of A0. ``single_precision`` rounds the assembled matrix to
-    single precision before factorization (error-floor experiment).
+    single precision (float32, or complex64 for complex E) before
+    factorization (error-floor experiment).
     """
     a0 = _check_square(a0)
-    v0 = np.asarray(v0, dtype=complex)
+    v0 = np.asarray(v0)
     if unit_norm_check and abs(np.linalg.norm(v0) - 1.0) > 1e-12:
         raise ValueError("v0 must have unit 2-norm")
     e = assemble_bordered(a0, v0, lam0, hermitian)
     if single_precision:
-        e = e.astype(np.complex64).astype(np.complex128)
+        e = e.astype(np.complex64 if np.iscomplexobj(e) else np.float32).astype(e.dtype)
     lu_piv = scipy.linalg.lu_factor(e)
     rcond = _rcond_from_lu(e, lu_piv)
     if rcond < SINGULARITY_RCOND:
@@ -301,15 +355,16 @@ def build_bordered(a0, v0, lam0, hermitian=False, unit_norm_check=True, single_p
 
 
 def solve_bordered(system, rhs):
-    """Solve E [lam_k; v_k] = rhs; returns the split (lam_k, v_k).
+    """Solve E [lam_k; v_k] = rhs; returns the split (lam_k, v_k), real when
+    E and rhs are.
 
     An rhs that is not finite gives a solution that is not finite, which
     the caller reports (an overflowing Taylor order)."""
-    rhs = np.asarray(rhs, dtype=complex)
+    rhs = np.asarray(rhs)
     if rhs.shape != (system.size,):
         raise ValueError(f"rhs must have length {system.size}")
     x = scipy.linalg.lu_solve(system.lu, rhs, check_finite=False)
-    return complex(x[0]), x[1:]
+    return x[0], x[1:]
 
 
 def solve_bordered_reduced(q, t, v0, lam0, rhs, hermitian=False):

@@ -99,8 +99,13 @@ def make_torus_kernel(n):
         return np.exp(-mu * dist)
 
     def derivs_at(mu0, p):
-        base = np.exp(-mu0 * dist)
-        return np.stack([(-dist) ** k * base for k in range(p + 1)])
+        # d^k/dmu^k exp(-mu U) = (-U)^k exp(-mu U), entrywise, as a running
+        # product: one multiply per order rather than a float power
+        derivs = np.empty((p + 1, n, n))
+        derivs[0] = np.exp(-mu0 * dist)
+        for k in range(1, p + 1):
+            derivs[k] = derivs[k - 1] * (-dist)
+        return derivs
 
     return ParametricProblem(
         name="example1",

@@ -85,8 +85,11 @@ class SeriesBasis:
         return mu1 <= mu <= mu2
 
 
-def _freeze(coeffs, ndim):
-    arr = np.asarray(coeffs, dtype=complex)
+def _freeze(coeffs, ndim, dtype=complex):
+    """coeffs as a read-only contiguous array of ``dtype`` (None: float64 or
+    complex128, whichever holds them)."""
+    arr = np.asarray(coeffs, dtype=dtype)
+    arr = arr.astype(np.result_type(arr, np.float64), copy=False)
     if arr.ndim != ndim:
         raise ValueError(f"expected {ndim}-dimensional coefficient array, got {arr.ndim}")
     if arr.shape[0] == 0:
@@ -132,13 +135,14 @@ class VectorSeries:
 
 @dataclass(frozen=True)
 class MatrixSeries:
-    """Complex n-by-n coefficients, orders 0..p. coeffs has shape (p+1, n, n)."""
+    """n-by-n coefficients, orders 0..p. coeffs has shape (p+1, n, n) and
+    keeps its dtype: float64 for a real stack, else complex128."""
 
     basis: SeriesBasis
     coeffs: np.ndarray
 
     def __post_init__(self):
-        arr = _freeze(self.coeffs, 3)
+        arr = _freeze(self.coeffs, 3, dtype=None)
         if arr.shape[1] != arr.shape[2]:
             raise ValueError("matrix coefficients must be square")
         object.__setattr__(self, "coeffs", arr)

@@ -24,6 +24,14 @@ v_k = Q w. One row loop over T serves every pair, so order k costs k + 3
 products of n x n by n x m matrices and O(n^2 m) triangular work for m
 pairs: O(p^2 n^3) for all n pairs up to order p.
 
+The kernel computes in the arithmetic of its inputs: float64 when the
+derivative stack, the Schur factors and the starting vectors are real,
+which ``linalg.eigen_all`` gives for real A0 with a real spectrum (the
+torus, the spring chain), and complex128 otherwise (a complex pair, as for
+the Jordan problem, where the Schur factors are complex, or complex
+input). A real kernel runs every product, solve and
+residual in real BLAS, at a third or less of the complex cost.
+
 The kernel (:func:`expand_schur`) takes the order weights and the starting
 vectors from its caller. Taylor passes the binomials C(k, l) and the
 unit-norm eigenvectors; the Chebyshev warm start passes all ones and the
@@ -62,10 +70,12 @@ from .linalg import (
     border_row,
     build_bordered,
     eigen_all,
+    in_dtype,
     overflow_reported,
     solve_bordered,
     solve_bordered_reduced,  # noqa: F401  (looked up here by benchmarks/tracing.py)
     vector_norms,
+    working_dtype,
 )
 from .series import (
     EigenPairSeries,
@@ -132,7 +142,7 @@ def taylor_rhs(k, a_derivs, vs, lams, hermitian=False, binomials=None):
     weights = binomials[k]
 
     y = np.zeros_like(vs[0])
-    z = 0.0 + 0.0j
+    z = 0.0
     for l in range(k):
         y = y + weights[l] * (a_derivs[k - l] @ vs[l])
         if l >= 1:
@@ -161,7 +171,8 @@ def selected_indices(selector, n):
 
 
 def _check_derivatives(problem, mu0, order):
-    derivs = np.asarray(problem.derivs_at(mu0, order), dtype=complex)
+    derivs = np.asarray(problem.derivs_at(mu0, order))
+    derivs = np.asarray(derivs, dtype=working_dtype(derivs))
     if derivs.shape[0] < order + 1:
         raise DerivativeOrderError(derivs.shape[0])
     return derivs
@@ -242,20 +253,28 @@ def expand_schur(derivs, weights, decomp, indices, v0, hermitian, single_precisi
     pair's bordered matrix rounded to single precision, and a pair whose
     rounded matrix fails ``build_bordered``'s condition test fails too.
 
+    The loop computes in ``linalg.working_dtype`` of ``derivs``, the Schur
+    factors and ``v0``: float64 when all are real.
+
     Returns the per-index errors (None, or the NumericalError, mostly a
     NonSimpleEigenvalueError, that rejects the pair) and, for the pairs
     that passed every test and in their order, lams (p+1, m),
     vs (p+1, n, m), the per-order residuals (p, m) of the exact bordered
-    systems, and the rounded matrices' condition estimates (m,), or None
-    without ``single_precision``. Only those pairs enter the order loop.
+    systems, and a dict of the pairs' other diagnostics, each array's last
+    axis running over the pairs: ``order_residual_scales`` (p, m), each
+    order's 1 + max(|z|, max |y|) of its rhs, and with ``single_precision``
+    the rounded matrices' ``condition_estimate`` (m,). Only those pairs
+    enter the order loop.
     """
     gaps = _eigenvalue_gaps(decomp.values)[indices]
     pivots, errors = _simplicity_failures(decomp, indices, gaps)
     cols = np.array([col for col, err in enumerate(errors) if err is None], dtype=int)
 
     q, t = decomp.schur_q, decomp.schur_t
+    dtype = working_dtype(derivs, t, v0)
+    derivs = np.asarray(derivs, dtype=dtype)
     qh = q.conj().T
-    lam0 = decomp.values[np.asarray(indices, dtype=int)[cols]]
+    lam0 = in_dtype(decomp.values[np.asarray(indices, dtype=int)[cols]], dtype)
     v0 = v0[:, cols]
     border = border_row(v0, hermitian)
     shifts = lam0[None, :] - np.diagonal(t)[:, None]
@@ -297,24 +316,27 @@ def expand_schur(derivs, weights, decomp, indices, v0, hermitian, single_precisi
         return lam_k, v_k + v0 * ((z - _column_dot(border, v_k)) / border_v0)
 
     def rounded_solve(z, y):
-        x = np.empty((y.shape[0] + 1, len(systems)), dtype=complex)
+        x = np.empty_like(y, shape=(y.shape[0] + 1, len(systems)))
         # z is the scalar 0 at order 1
         for i, (system, z_i) in enumerate(zip(systems, np.broadcast_to(z, len(systems)))):
             x[0, i], x[1:, i] = solve_bordered(system, np.append(z_i, y[:, i]))
         return x[0], x[1:]
 
     solve = rounded_solve if single_precision else schur_solve
-    lams, vs, residuals = [lam0], [v0], []
+    lams, vs, residuals, scales = [lam0], [v0], [], []
     with overflow_reported():
         for k in range(1, weights.shape[0]):
             z, y = taylor_rhs(k, derivs, vs, lams, hermitian=hermitian, binomials=weights)
             lam_k, v_k = solve(z, y)
             residuals.append(_bordered_residuals(derivs[0], lam0, v0, border, lam_k, v_k, z, y))
+            scales.append(1.0 + np.maximum(np.abs(z), np.abs(y).max(axis=0)))
             lams.append(lam_k)
             vs.append(v_k)
-    rconds = np.array([s.condition_estimate for s in systems]) if single_precision else None
-    residuals = np.reshape(residuals, (len(residuals), lam0.size))
-    return errors, np.array(lams), np.array(vs), residuals, rconds
+    shape = (len(residuals), lam0.size)
+    extras = {"order_residual_scales": np.reshape(scales, shape)}
+    if single_precision:
+        extras["condition_estimate"] = np.array([s.condition_estimate for s in systems])
+    return errors, np.array(lams), np.array(vs), np.reshape(residuals, shape), extras
 
 
 def taylor_expand_all(request):
@@ -326,14 +348,16 @@ def taylor_expand_all(request):
     when that particular eigenvalue is not simple or its coefficients are
     not all finite. All simple pairs advance together through
     :func:`expand_schur` in O(p^2 n^3) work; each pair's diagnostics hold
-    its per-order bordered residuals, its eigenvalue gap and, under
+    its per-order bordered residuals, and beside them the scale
+    1 + max(|z|, max |y|) of each order's rhs (a residual over its scale
+    reads as a relative error), its eigenvalue gap and, under
     ``single_precision_e``, the rounded bordered matrix's condition estimate.
     """
     problem, p = request.problem, request.order
     derivs = _check_derivatives(problem, request.mu0, p)
     decomp = eigen_all(derivs[0], hermitian=problem.hermitian)
     indices = [int(index) for index in selected_indices(request.selector, decomp.n)]
-    errors, lams, vs, residuals, rconds = expand_schur(
+    errors, lams, vs, residuals, extras = expand_schur(
         derivs, binomial_table(p), decomp, indices, decomp.vectors[:, indices],
         problem.hermitian, request.single_precision_e,
     )
@@ -352,10 +376,11 @@ def taylor_expand_all(request):
         diagnostics = {
             "method": "taylor",
             "order_residuals": [float(r) for r in residuals[:, col]],
+            "order_residual_scales": [float(s) for s in extras["order_residual_scales"][:, col]],
             "gap": float(gap) if np.isfinite(gap) else None,
         }
-        if rconds is not None:
-            diagnostics["condition_estimate"] = float(rconds[col])
+        if "condition_estimate" in extras:
+            diagnostics["condition_estimate"] = float(extras["condition_estimate"][col])
         out.append(EigenPairSeries(ScalarSeries(basis, lam), VectorSeries(basis, vec), diagnostics))
     return out
 

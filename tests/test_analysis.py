@@ -4,6 +4,8 @@ and CSV export."""
 import csv
 import itertools
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from eigenpath import (
     eval_taylor,
     expansion_series,
     greedy_match,
+    problem_from_config,
     rayleigh_refine,
     sample_eigenvalues,
     taylor_expand_all,
@@ -502,7 +505,7 @@ def pointwise_report(problem, pairs, grid):
     """eig_errors, vec_deviation, matching and Rayleigh errors, point by point."""
     eig, dev, match, ray = [], [], [], []
     for mu in grid:
-        a = np.asarray(problem.eval_at(mu), dtype=complex)
+        a = np.asarray(problem.eval_at(mu))
         d = eigen_all(a, hermitian=problem.hermitian)
         lam, vecs = zip(*(pointwise_eval(pair, mu) for pair in pairs))
         lam = np.array(lam)
@@ -519,7 +522,7 @@ def pointwise_report(problem, pairs, grid):
 def pointwise_samples(problem, pairs, mus, method):
     out = np.zeros((len(mus), len(pairs)), dtype=complex)
     for s, mu in enumerate(mus):
-        a = np.asarray(problem.eval_at(mu), dtype=complex)
+        a = np.asarray(problem.eval_at(mu))
         evaluated = [pointwise_eval(pair, mu) for pair in pairs]
         if method == "rayleigh":
             out[s] = [pointwise_rayleigh(a, q) for _, q in evaluated]
@@ -549,6 +552,8 @@ def test_direct_sampling_computes_no_eigenvectors(torus8, spring8, taylor_e1_p6,
         direct = sample_eigenvalues(problem, pairs[1:4], (mean, 0.03), 40, 7, "direct")
         assert np.all(np.isfinite(direct.values))
 
+
+JORDAN_N2 = Path(__file__).resolve().parent.parent / "configs" / "example_jordan_n2.json"
 
 # (problem fixture, series fixture, sample mean, sample stddev, grid)
 BATCH_CASES = {
@@ -614,6 +619,34 @@ class TestBatchedEquivalence:
                          report.rayleigh_errors, *samples])
         for batched, single in zip(*runs):
             assert batched.tobytes() == single.tobytes()
+
+    def test_blocks_crossing_into_a_complex_spectrum_match_pointwise(self, monkeypatch):
+        """The Jordan n=2 config's eigenvalues 1 +- sqrt(mu) turn complex
+        below mu = 0, so one block holds points with a real spectrum and
+        points with a complex pair; each still gets the bits it gets alone."""
+        problem = problem_from_config(JORDAN_N2)
+        pairs = expansion_series(taylor_expand_all(TaylorRequest(problem, 0.25, 6)))
+        grid = np.linspace(-0.08, 0.3, 8)
+        spectra = eigenvalues(np.stack([problem.eval_at(mu) for mu in grid]))
+        assert np.any(spectra.imag != 0, axis=1).tolist() == [True] * 2 + [False] * 6
+        runs = []
+        for budget in (analysis.BLOCK_BYTES, 1):
+            monkeypatch.setattr(analysis, "BLOCK_BYTES", budget)
+            report = error_report(problem, pairs, grid)
+            samples = [sample_eigenvalues(problem, pairs, (0.02, 0.05), 40, 3, method).values
+                       for method in ("direct", "rayleigh")]
+            runs.append([report.eig_errors, report.vec_deviation, report.matching,
+                         report.rayleigh_errors, *samples])
+        for batched, single in zip(*runs):
+            assert batched.tobytes() == single.tobytes()
+        eig, dev, match, ray = pointwise_report(problem, pairs, grid)
+        assert runs[0][0].tobytes() == eig.tobytes()
+        np.testing.assert_array_equal(runs[0][2], match)
+        assert np.max(np.abs(runs[0][1] - dev)) <= 1e-14
+        assert np.max(np.abs(runs[0][3] - ray)) <= 1e-14
+        mus = sample_eigenvalues(problem, pairs, (0.02, 0.05), 40, 3, "direct").samples
+        assert np.any(mus < 0) and np.any(mus > 0)
+        assert runs[0][4].tobytes() == pointwise_samples(problem, pairs, mus, "direct").tobytes()
 
     def test_greedy_batch_equals_row_scan_with_ties_and_nan(self):
         rng = np.random.default_rng(7)

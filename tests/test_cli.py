@@ -245,6 +245,38 @@ def test_sample_and_report_identical_across_blas_threads(tmp_path, problem, n, m
         assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
 
 
+def _residuals_over_scales(out):
+    """Per pair file of ``out``, its order residuals over their scales."""
+    ratios = []
+    for path in sorted(out.glob("eigenpair_*.json")):
+        diagnostics = json.loads(path.read_text())["diagnostics"]
+        residuals = np.array(diagnostics["order_residuals"])
+        scales = np.array(diagnostics["order_residual_scales"])
+        assert residuals.shape == scales.shape and np.all(scales >= 1.0)
+        ratios.append(residuals / scales)
+    return ratios
+
+
+def test_order_residuals_read_against_their_scales(tmp_path):
+    """The absolute order residuals grow with the coefficients (1.5e-7 at
+    order 1, 82 at order 10 on index 0 here); over each order's recorded
+    scale they read as the relative error of that order's solve."""
+    taylor = ["expand", "--method", "taylor", "--eig", "all"]
+    rounded = tmp_path / "rounded"
+    assert run(taylor + ["--problem", "example1", "--n", "8", "--mu0", "0.2", "--order", "10",
+                         "--single-precision-e", "--out", str(rounded)]) == 0
+    index0 = _residuals_over_scales(rounded)[0]
+    # the single-precision rounding of E, near 3e-8 at every order
+    assert index0.shape == (10,) and np.all((index0 >= 1e-9) & (index0 <= 1e-6))
+    for problem, n, mu0, order in (("example1", "8", "0.2", "10"), ("example2", "16", "0.8", "12")):
+        out = tmp_path / f"{problem}-exact"
+        assert run(taylor + ["--problem", problem, "--n", n, "--mu0", mu0, "--order", order,
+                             "--out", str(out)]) == 0
+        ratios = _residuals_over_scales(out)
+        assert len(ratios) == int(n)
+        assert max(float(r.max()) for r in ratios) <= 1e-13
+
+
 def _degenerate_pair(mu_zero):
     """A Taylor pair about 0 whose eigenvector [1 - mu / mu_zero, 0] vanishes at mu_zero."""
     basis = SeriesBasis.taylor(0.0)

@@ -14,6 +14,7 @@ from eigenpath.linalg import (
     build_bordered,
     eigen_all,
     eigenvalues,
+    phase_fix,
     solve_bordered,
     solve_bordered_reduced,
 )
@@ -114,6 +115,90 @@ class TestEigenAll:
             assert np.linalg.norm(a - q_i @ t_i @ q_i.conj().T) <= 1e-12 * np.linalg.norm(a)
             np.testing.assert_array_equal(np.tril(t_i, -1), 0.0)
         assert not (q.flags.writeable or t.flags.writeable or d.vectors.flags.writeable)
+
+
+class TestRealArithmetic:
+    def test_real_spectrum_gives_real_triangular_schur_form(self):
+        # Q T Q^T with T upper triangular (distinct real diagonal, dense
+        # strict upper part): real, non-normal, with a real spectrum
+        rng = np.random.default_rng(41)
+        n = 9
+        q0, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        a = q0 @ (np.diag(np.arange(1.0, n + 1)) + np.triu(rng.normal(size=(n, n)), 1)) @ q0.T
+        d = eigen_all(a)
+        q, t = d.schur_q, d.schur_t
+        assert q.dtype == t.dtype == d.vectors.dtype == d.matrix.dtype == np.float64
+        assert d.values.dtype == complex and np.all(d.values.imag == 0)
+        np.testing.assert_array_equal(np.tril(t, -1), 0.0)
+        assert np.linalg.norm(q.T @ q - np.eye(n)) <= 1e-14 * n
+        assert np.linalg.norm(a - q @ t @ q.T) <= 1e-14 * np.linalg.norm(a)
+        np.testing.assert_allclose(d.values.real, np.arange(n, 0.0, -1), rtol=1e-12)
+
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_real_symmetric_input_is_real(self, hermitian):
+        a = random_hermitian(6, np.random.default_rng(43)).real
+        d = eigen_all(a, hermitian=hermitian)
+        assert d.matrix.dtype == d.vectors.dtype == d.schur_t.dtype == np.float64
+        assert np.linalg.norm(a - d.schur_q @ d.schur_t @ d.schur_q.T) <= 1e-13 * np.linalg.norm(a)
+
+    def test_complex_pair_keeps_the_real_solvers_pairs_and_complex_schur_factors(self):
+        """A real matrix whose real Schur form has a 2x2 block (a complex
+        pair) gets the eigenpairs of the real solver, as complex128, and the
+        Schur factors of its complex cast."""
+        rng = np.random.default_rng(47)
+        rotation = np.array([[0.0, -1.0], [1.0, 0.0]])
+        a = np.kron(np.eye(3), rotation) + 0.1 * rng.normal(size=(6, 6))
+        _, t_real = scipy.linalg.schur(a, output="real")
+        assert np.any(np.diagonal(t_real, -1))
+        d = eigen_all(a)
+        values, vectors = np.linalg.eig(a)
+        order = np.lexsort((-values.imag, -values.real))
+        assert d.matrix.dtype == np.float64 and d.vectors.dtype == complex
+        assert d.values.tobytes() == values[order].tobytes()
+        for k in np.flatnonzero(d.values.imag > 0):   # conjugate partners tie: +i first
+            assert d.values[k + 1] == np.conj(d.values[k])
+        expected = vectors[:, order] / np.linalg.norm(vectors[:, order], axis=0)
+        np.testing.assert_allclose(d.vectors, phase_fix(expected), rtol=0, atol=1e-15)
+        t, q = scipy.linalg.schur(a.astype(complex), output="complex")
+        assert d.schur_t.tobytes() == t.tobytes() and d.schur_q.tobytes() == q.tobytes()
+        only = np.linalg.eigvals(a)
+        assert eigenvalues(a).tobytes() == only[np.lexsort((-only.imag, -only.real))].tobytes()
+
+    def test_stack_mixing_real_and_complex_spectra_solves_each_matrix_alone(self):
+        rng = np.random.default_rng(53)
+        rotation = np.array([[0.0, -1.0], [1.0, 0.0]])
+        complex_pair = np.kron(np.eye(3), rotation) + 0.1 * rng.normal(size=(6, 6))
+        q0, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        real = q0 @ (np.diag(np.arange(1.0, 7.0)) + np.triu(rng.normal(size=(6, 6)), 1)) @ q0.T
+        stack = np.stack([real, complex_pair, real])
+        d = eigen_all(stack)
+        assert d.vectors.dtype == complex   # numpy's one dtype for the stack
+        for k, matrix in enumerate(stack):
+            alone = eigen_all(matrix)
+            assert d.values[k].tobytes() == alone.values.tobytes()
+            assert np.asarray(d.vectors[k], dtype=complex).tobytes() == \
+                np.asarray(alone.vectors, dtype=complex).tobytes()
+        looped = np.stack([eigenvalues(matrix) for matrix in stack])
+        assert eigenvalues(stack).tobytes() == looped.tobytes()
+
+    def test_real_pair_beside_a_2x2_schur_block_takes_the_complex_schur_form(self):
+        # a nearly defective quadruple eigenvalue 1 (off by ~5e-10 in exact
+        # arithmetic): eig rounds it to four real values, while the real
+        # Schur form keeps a 2x2 block
+        a = np.array([[1.0, 100.0, 0.0, 0.0], [0.0, 1.0, 4.0, 0.0],
+                      [0.0, 0.0, 1.0, 0.1], [1e-38, 0.0, 0.0, 1.0]])
+        _, t_real = scipy.linalg.schur(a, output="real")
+        assert not np.iscomplexobj(np.linalg.eigvals(a)) and np.any(np.diagonal(t_real, -1))
+        d = eigen_all(a)
+        assert d.vectors.dtype == np.float64
+        t, q = scipy.linalg.schur(a.astype(complex), output="complex")
+        assert d.schur_t.dtype == complex
+        assert d.schur_t.tobytes() == t.tobytes() and d.schur_q.tobytes() == q.tobytes()
+        np.testing.assert_array_equal(np.tril(d.schur_t, -1), 0.0)
+
+    def test_complex_input_with_zero_imaginary_parts_stays_complex(self):
+        d = eigen_all(np.diag([1.0, 2.0]).astype(complex))
+        assert d.matrix.dtype == d.vectors.dtype == d.schur_t.dtype == complex
 
 
 def random_general(n, rng):

@@ -47,6 +47,24 @@ class TestTorusKernel:
     def test_derivative_self_test(self):
         assert make_torus_kernel(8).check_derivatives(0.2) <= 1e-5
 
+    def test_running_product_matches_float_powers(self):
+        # d^k/dmu^k exp(-mu U) = (-U)^k exp(-mu U), with U the pairwise
+        # distances of the documented points, by float power (the oracle)
+        n, mu0, p = 16, 0.3, 30
+        theta = np.arange(1, n + 1) / n
+        ring = 5 + np.cos(4 * np.pi * theta)
+        pts = np.column_stack((np.cos(2 * np.pi * theta) * ring,
+                               np.sin(2 * np.pi * theta) * ring, np.sin(4 * np.pi * theta)))
+        dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+        base = np.exp(-mu0 * dist)
+        problem = make_torus_kernel(n)
+        derivs = problem.derivs_at(mu0, p)
+        assert derivs.shape == (p + 1, n, n) and derivs.dtype == np.float64
+        for k in range(p + 1):
+            expected = (-dist) ** k * base
+            assert np.all(np.abs(derivs[k] - expected) <= 1e-13 * np.abs(expected))
+        assert problem.check_derivatives(mu0) <= 1e-5
+
 
 class TestSpringChain:
     def test_at_one_equals_stiffness_matrix(self):

@@ -227,7 +227,7 @@ class TestSchurKernel:
     def test_matches_per_pair_oracle(self, name, mu0):
         problem = make_spring_chain(8) if name == "spring" else make_torus_kernel(8)
         p = 6
-        derivs = np.asarray(problem.derivs_at(mu0, p), dtype=complex)
+        derivs = problem.derivs_at(mu0, p)
         d = eigen_all(derivs[0], hermitian=problem.hermitian)
         results = taylor_expand_all(TaylorRequest(problem, mu0, p))
         assert len(expansion_series(results)) == 8
@@ -464,7 +464,7 @@ def test_single_precision_residuals_measure_the_exact_system(torus8):
     # Each order solves with the rounded E, while its recorded residual is
     # taken against the exact E, so it shows the single-precision rounding.
     p = 6
-    derivs = np.asarray(torus8.derivs_at(0.2, p), dtype=complex)
+    derivs = torus8.derivs_at(0.2, p)
     d = eigen_all(derivs[0], hermitian=True)
     results = taylor_expand_all(TaylorRequest(torus8, 0.2, p, single_precision_e=True))
     assert len(expansion_series(results)) == 8
