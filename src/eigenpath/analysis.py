@@ -29,7 +29,7 @@ import numpy as np
 
 from dataclasses import dataclass
 
-from .errors import DegenerateEvaluationError, NumericalError
+from .errors import DegenerateEvaluationError
 from .linalg import (
     BLOCK_BYTES,
     block_slices,
@@ -38,8 +38,8 @@ from .linalg import (
     overflow_reported,
     phase_fix,
     vector_norms,
-    working_dtype,
 )
+from .problems import check_finite_at, matrix_stack
 from .series import (  # noqa: F401  (eval_taylor, eval_cheb_u: looked up here by benchmarks/tracing.py)
     CHEBYSHEV_U,
     TAYLOR,
@@ -62,37 +62,11 @@ def _blocks(count, n):
     A point counts as four n x n arrays of 16 bytes per entry: A(mu), the
     solver's copy and eigenvectors, and the sorted eigenvectors (the grid
     report's ``eigen_all``; the values-only ``direct`` solve holds only the
-    first two). That is their complex size; a real stack (see ``_matrices``)
-    holds half of it, and blocks keep the size the complex count gives.
+    first two). That is their complex size; a real stack (see
+    ``problems.matrix_stack``) holds half of it, and blocks keep the size
+    the complex count gives.
     """
     return block_slices(count, 4 * 16 * n * n, BLOCK_BYTES)
-
-
-@overflow_reported()
-def _matrices(problem, mus):
-    """The stack A(mu_0), A(mu_1), ... (m, n, n), float64 when every A(mu)
-    is real (so the stack's eigensolve may run in real arithmetic, see
-    ``linalg.eigen_all``), else complex128; an entry that overflows is
-    reported by the caller (:func:`_finite_matrices`, or ``cli`` for
-    non-finite sampled values)."""
-    a = np.stack([np.asarray(problem.eval_at(mu)) for mu in mus])
-    return np.asarray(a, dtype=working_dtype(a))
-
-
-def _check_finite_rows(mus, rows, what):
-    """Raise NumericalError naming ``what`` and the first of ``mus`` whose
-    row of ``rows`` (one row per point) is not all finite."""
-    bad = np.flatnonzero(~np.isfinite(rows.reshape(len(mus), -1)).all(axis=1))
-    if bad.size:
-        raise NumericalError(f"{what} is not finite at mu={mus[bad[0]]:.17g}")
-
-
-def _finite_matrices(problem, mus, context):
-    """:func:`_matrices`, raising NumericalError that names ``context`` and
-    the first mu where A(mu) is not finite."""
-    a = _matrices(problem, mus)
-    _check_finite_rows(mus, a, f"{context}: A(mu)")
-    return a
 
 
 def _eval_series(series, mus):
@@ -150,8 +124,8 @@ def rayleigh_refine(problem, pair, mu):
     promised.
     """
     _, q = _eval_paths([pair], [mu])
-    a = np.asarray(problem.eval_at(mu))
-    return complex(_rayleigh_quotients(a[None], q)[0, 0])
+    a = matrix_stack(problem, [mu], "rayleigh_refine")
+    return complex(_rayleigh_quotients(a, q)[0, 0])
 
 
 def greedy_match(approx, direct):
@@ -232,7 +206,7 @@ def error_report(problem, pairs, grid):
     matching = np.empty(shape, dtype=int)
     deviations = np.empty(grid.size)
     for block in _blocks(grid.size, problem.n):
-        a = _finite_matrices(problem, grid[block], "report grid")
+        a = matrix_stack(problem, grid[block], "report grid")
         decomp = eigen_all(a, hermitian=problem.hermitian)
         lam_hat, vec_hat = _eval_paths(pairs, grid[block])
         matching[block], eig_errors[block] = _matched_errors(lam_hat, decomp.values)
@@ -241,7 +215,7 @@ def error_report(problem, pairs, grid):
         overlaps = np.abs(np.swapaxes(decomp.vectors.conj(), -1, -2) @ columns)
         deviations[block] = np.max(np.abs(overlaps.max(axis=-2) - 1.0), axis=-1)
         errors = np.column_stack((eig_errors[block], rayleigh[block], deviations[block]))
-        _check_finite_rows(grid[block], errors, "report grid: series value")
+        check_finite_at(grid[block], errors, "report grid: series value")
     return ErrorReport(
         grid=grid,
         eig_errors=eig_errors,
@@ -292,10 +266,10 @@ def sample_eigenvalues(problem, pairs, dist, count, seed, method, setup_seconds=
     the Rayleigh quotient; direct computes the eigenvalues, and no
     eigenvectors, of each sample's dense matrix (one stacked values-only
     solve per block of samples) and matches each tracked pair to the nearest
-    direct eigenvalue. It raises NumericalError, naming the first such
-    sample's mu, when A(mu) is not finite. Sampled values that are not
-    finite are returned as they are, with no numpy warning, for the
-    caller to report.
+    direct eigenvalue. Under rayleigh and direct it raises NumericalError,
+    naming the method and the first such sample's mu, when A(mu) is not
+    finite. Sampled values that are not finite are returned as they are,
+    with no numpy warning, for the caller to report.
     """
     if count < 1:
         raise ValueError("sample count must be >= 1")
@@ -309,11 +283,12 @@ def sample_eigenvalues(problem, pairs, dist, count, seed, method, setup_seconds=
     if method == "rayleigh":
         for block in _blocks(count, problem.n):
             _, q = _eval_paths(pairs, mus[block])
-            values[block] = _rayleigh_quotients(_matrices(problem, mus[block]), q)
+            a = matrix_stack(problem, mus[block], "method rayleigh")
+            values[block] = _rayleigh_quotients(a, q)
     elif method == "direct":
         predicted = _eval_eigenvalues(pairs, mus)
         for block in _blocks(count, problem.n):
-            a = _finite_matrices(problem, mus[block], "method direct")
+            a = matrix_stack(problem, mus[block], "method direct")
             direct = eigenvalues(a, hermitian=problem.hermitian)
             assignment = greedy_match(predicted[block], direct)
             values[block] = np.take_along_axis(direct, assignment, axis=-1)

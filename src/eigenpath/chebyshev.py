@@ -75,6 +75,7 @@ from .linalg import (  # noqa: F401  (build_bordered, solve_bordered: looked up 
     solve_bordered,
     working_dtype,
 )
+from .problems import matrix_stack
 from .series import (  # noqa: F401  (eval_cheb_u: looked up here by benchmarks/tracing.py)
     EigenPairSeries,
     MatrixSeries,
@@ -114,7 +115,7 @@ def quadrature_size(p, m=None):
 
 @dataclass(frozen=True)
 class ChebRequest:
-    """Expansion request over [mu1, mu2] with quadrature and Newton controls.
+    """Expansion request over [mu1, mu2] with its quadrature size.
 
     ``quad_m`` defaults and is checked as in :func:`quadrature_size`.
     """
@@ -124,8 +125,6 @@ class ChebRequest:
     order: int
     quad_m: int | None = None
     selector: object = "all"
-    newton_tol: float = DEFAULT_NEWTON_TOL
-    newton_max_iter: int = DEFAULT_NEWTON_MAX_ITER
 
     def __post_init__(self):
         mu1, mu2 = self.interval
@@ -133,8 +132,6 @@ class ChebRequest:
             raise ValueError("interval must satisfy mu1 < mu2")
         if self.order < 0:
             raise ValueError("order must be nonnegative")
-        if self.newton_tol <= 0:
-            raise ValueError("newton_tol must be positive")
         quadrature_size(self.order, self.quad_m)
 
 
@@ -149,28 +146,18 @@ def gauss_chebyshev_u(m):
     return np.cos(angles), (np.pi / (m + 1)) * np.sin(angles) ** 2
 
 
-@overflow_reported()
 def project_matrix_coeffs(problem, interval, p, m=None):
     """Project A(mu) onto U_0..U_p over the interval by quadrature.
 
     A_i = (2/pi) sum_j w_j A(mu(s_j)) U_i(s_j). Unlike the Taylor case,
     A_0 here is a weighted average of A over the interval, not A at a point.
-    The coefficients are real (float64) when every sample is real.
+    The coefficients are real (float64) when every sample is real. A sample
+    that is not finite raises NumericalError (``problems.matrix_stack``).
     """
     basis = SeriesBasis.chebyshev(*interval)
     m = quadrature_size(p, m)
     nodes, weights = gauss_chebyshev_u(m)
-    mus = basis.from_affine(nodes)
-    samples = []
-    for idx, mu in enumerate(mus):
-        sample = np.asarray(problem.eval_at(mu))
-        if not np.all(np.isfinite(sample)):
-            raise NumericalError(
-                f"A(mu) is not finite at quadrature node {idx + 1} (mu={mu})"
-            )
-        samples.append(sample)
-    samples = np.stack(samples)
-    samples = np.asarray(samples, dtype=working_dtype(samples))
+    samples = matrix_stack(problem, basis.from_affine(nodes), "quadrature node")
     u_table = u_values(nodes, p)
     coeffs = (2.0 / np.pi) * np.einsum("j,ij,jkl->ikl", weights, u_table, samples)
     return MatrixSeries(basis, coeffs)
@@ -474,7 +461,7 @@ def _detect_collisions(pairs, basis):
     return collisions
 
 
-def _expand(request, coeffs, decomp, indices):
+def _expand(coeffs, decomp, indices):
     """Warm start plus Newton for the eigenpairs ``indices`` of A_0 =
     ``decomp``: one EigenPairSeries or ExpansionFailure per index.
 
@@ -486,7 +473,7 @@ def _expand(request, coeffs, decomp, indices):
     size = (coeffs.order + 1) * (coeffs.n + 1)
     outcomes = []
     for block in block_slices(x.shape[0], 16 * size * size, BLOCK_BYTES):
-        outcomes += _newton(system, x[block], request.newton_tol, request.newton_max_iter)
+        outcomes += _newton(system, x[block], DEFAULT_NEWTON_TOL, DEFAULT_NEWTON_MAX_ITER)
     refined = iter(zip(outcomes, x))
     out = []
     for index, error in zip(indices, errors):
@@ -517,6 +504,6 @@ def cheb_expand_all(request):
     about, not treated as failures.
     """
     coeffs, decomp = _projected(request)
-    out = _expand(request, coeffs, decomp, selected_indices(request.selector, decomp.n))
+    out = _expand(coeffs, decomp, selected_indices(request.selector, decomp.n))
     _detect_collisions(out, coeffs.basis)
     return out

@@ -14,6 +14,7 @@ Error offsets are 1-based.
 """
 
 import math
+import operator
 import re
 
 import numpy as np
@@ -193,44 +194,6 @@ def parse_expression(text):
     return _Parser(text).parse()
 
 
-def eval_expr(node, mu):
-    """Evaluate an AST at a parameter value."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Mu):
-        return float(mu)
-    if isinstance(node, Neg):
-        return -eval_expr(node.operand, mu)
-    if isinstance(node, Add):
-        return eval_expr(node.left, mu) + eval_expr(node.right, mu)
-    if isinstance(node, Sub):
-        return eval_expr(node.left, mu) - eval_expr(node.right, mu)
-    if isinstance(node, Mul):
-        return eval_expr(node.left, mu) * eval_expr(node.right, mu)
-    if isinstance(node, Div):
-        denom = eval_expr(node.right, mu)
-        if denom == 0.0:
-            raise DomainError("division by zero")
-        return eval_expr(node.left, mu) / denom
-    if isinstance(node, Pow):
-        base = eval_expr(node.base, mu)
-        if node.exponent < 0 and base == 0.0:
-            raise DomainError("zero raised to a negative power")
-        return base ** node.exponent
-    if isinstance(node, Call):
-        arg = eval_expr(node.arg, mu)
-        if node.func == "sqrt":
-            if arg < 0.0:
-                raise DomainError("sqrt of a negative value")
-            return math.sqrt(arg)
-        if node.func == "log":
-            if arg <= 0.0:
-                raise DomainError("log of a nonpositive value")
-            return math.log(arg)
-        return getattr(math, node.func)(arg)
-    raise TypeError(f"unknown AST node {node!r}")
-
-
 # ---------------------------------------------------------------------------
 # Truncated Taylor arithmetic on derivative values.
 #
@@ -293,7 +256,7 @@ class Jet:
     def __truediv__(self, other):
         f, g = self.values, other.values
         if g[0] == 0.0:
-            raise DomainError("division by a series with zero constant term")
+            raise ZeroDivisionError("division by a series with zero constant term")
         p = self.order
         c = self.binom
         out = np.zeros(p + 1)
@@ -304,9 +267,9 @@ class Jet:
             out[k] = acc / g[0]
         return self._new(out)
 
-    def powi(self, exponent):
+    def __pow__(self, exponent):
         if exponent < 0:
-            return Jet.constant(1.0, self.order, self.binom) / self.powi(-exponent)
+            return Jet.constant(1.0, self.order, self.binom) / self ** -exponent
         result = Jet.constant(1.0, self.order, self.binom)
         for _ in range(exponent):
             result = result * self
@@ -346,8 +309,9 @@ class Jet:
 
     def sqrt(self):
         f = self.values
-        if f[0] <= 0.0:
-            raise DomainError("sqrt of a series with nonpositive constant term")
+        if f[0] == 0.0:
+            # every derivative of sqrt divides by sqrt(f(mu0))
+            raise ZeroDivisionError("sqrt of a series with zero constant term")
         p = self.order
         c = self.binom
         out = np.zeros(p + 1)
@@ -362,8 +326,6 @@ class Jet:
 
     def log(self):
         f = self.values
-        if f[0] <= 0.0:
-            raise DomainError("log of a series with nonpositive constant term")
         p = self.order
         out = np.zeros(p + 1)
         out[0] = math.log(f[0])
@@ -375,36 +337,50 @@ class Jet:
         return self._new(out)
 
 
-def _jet_eval(node, mu0, p, binom):
-    if isinstance(node, Num):
-        return Jet.constant(node.value, p, binom)
-    if isinstance(node, Mu):
-        return Jet.variable(mu0, p, binom)
-    if isinstance(node, Neg):
-        return -_jet_eval(node.operand, mu0, p, binom)
-    if isinstance(node, Add):
-        return _jet_eval(node.left, mu0, p, binom) + _jet_eval(node.right, mu0, p, binom)
-    if isinstance(node, Sub):
-        return _jet_eval(node.left, mu0, p, binom) - _jet_eval(node.right, mu0, p, binom)
-    if isinstance(node, Mul):
-        return _jet_eval(node.left, mu0, p, binom) * _jet_eval(node.right, mu0, p, binom)
-    if isinstance(node, Div):
-        return _jet_eval(node.left, mu0, p, binom) / _jet_eval(node.right, mu0, p, binom)
-    if isinstance(node, Pow):
-        return _jet_eval(node.base, mu0, p, binom).powi(node.exponent)
-    if isinstance(node, Call):
-        arg = _jet_eval(node.arg, mu0, p, binom)
-        if node.func == "exp":
-            return arg.exp()
-        if node.func == "sin":
-            return arg.sin_cos()[0]
-        if node.func == "cos":
-            return arg.sin_cos()[1]
-        if node.func == "sqrt":
-            return arg.sqrt()
-        if node.func == "log":
-            return arg.log()
+# ---------------------------------------------------------------------------
+# One walk evaluates an expression over Python floats (eval_expr) or over
+# jets (taylor_arith_eval). An operation outside its domain raises what
+# Python raises for it (x / 0, 0 ** -k, math.sqrt or math.log outside their
+# domain, math.exp or a float power that overflows), as Jet does; the node
+# that raised it turns that into a DomainError naming the operation.
+# ---------------------------------------------------------------------------
+
+_DOMAIN_FAILURES = {ZeroDivisionError: "division by zero", ValueError: "domain error",
+                    OverflowError: "overflow"}
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+_FLOAT_FUNCTIONS = {name: getattr(math, name) for name in FUNCTIONS}
+_JET_FUNCTIONS = {"exp": Jet.exp, "sin": lambda f: f.sin_cos()[0],
+                  "cos": lambda f: f.sin_cos()[1], "sqrt": Jet.sqrt, "log": Jet.log}
+
+
+def _walk(node, mu, const, funcs):
+    """The value of ``node`` at ``mu``, in mu's number type: ``const`` makes
+    a literal of that type, and ``funcs`` holds the FUNCTIONS over it."""
+    kind = type(node)  # exact types: half the cost of isinstance calls
+    try:  # a child raises DomainError, so this catches only the node's own failure
+        if kind is Num:
+            return const(node.value)
+        if kind is Mu:
+            return mu
+        if kind is Neg:
+            return -_walk(node.operand, mu, const, funcs)
+        if kind is Pow:
+            return _walk(node.base, mu, const, funcs) ** node.exponent
+        if kind is Call:
+            return funcs[node.func](_walk(node.arg, mu, const, funcs))
+        if kind in _BINARY:
+            left, right = _walk(node.left, mu, const, funcs), _walk(node.right, mu, const, funcs)
+            return _BINARY[kind](left, right)
+    except tuple(_DOMAIN_FAILURES) as exc:
+        reason = next(text for cls, text in _DOMAIN_FAILURES.items() if isinstance(exc, cls))
+        operation = node.func if kind is Call else f"'^{node.exponent}'" if kind is Pow else "'/'"
+        raise DomainError(f"{reason} in {operation}") from exc
     raise TypeError(f"unknown AST node {node!r}")
+
+
+def eval_expr(node, mu):
+    """Evaluate an AST at a parameter value, in Python floats."""
+    return _walk(node, float(mu), float, _FLOAT_FUNCTIONS)
 
 
 def taylor_arith_eval(node, mu0, p):
@@ -414,4 +390,6 @@ def taylor_arith_eval(node, mu0, p):
     """
     if p < 0:
         raise ValueError("order must be nonnegative")
-    return _jet_eval(node, float(mu0), p, binomial_table(max(p, 1))).values
+    binom = binomial_table(max(p, 1))
+    mu = Jet.variable(float(mu0), p, binom)
+    return _walk(node, mu, lambda value: Jet.constant(value, p, binom), _JET_FUNCTIONS).values

@@ -331,10 +331,10 @@ def build_bordered(a0, v0, lam0, hermitian=False, unit_norm_check=True, single_p
     """Build and factorize the bordered system for (lam0, v0) at A0.
 
     Raises NonSimpleEigenvalueError when the reciprocal condition estimate
-    falls below 1e-12, which happens exactly when lam0 is not a simple
-    eigenvalue of A0. ``single_precision`` rounds the assembled matrix to
-    single precision (float32, or complex64 for complex E) before
-    factorization (error-floor experiment).
+    falls below ``SINGULARITY_RCOND``, which happens exactly when lam0 is
+    not a simple eigenvalue of A0. ``single_precision`` rounds the
+    assembled matrix to single precision (float32, or complex64 for
+    complex E) before factorization (error-floor experiment).
     """
     a0 = _check_square(a0)
     v0 = np.asarray(v0)
@@ -445,7 +445,7 @@ def solve_bordered_reduced(q, t, v0, lam0, rhs, hermitian=False):
     pivot_scale = max(abs(m00) + abs(m01), abs(m10) + abs(m11), 1.0)
     if abs(det) < SINGULARITY_RCOND * pivot_scale:
         raise NonSimpleEigenvalueError(
-            "non-simple eigenvalue at expansion point (eliminated pivot below 1e-12)"
+            f"non-simple eigenvalue at expansion point (eliminated pivot below {SINGULARITY_RCOND})"
         )
     w_j = (b0 * m11 - m01 * b1) / det
     lam_k = (m00 * b1 - m10 * b0) / det

@@ -19,8 +19,9 @@ import numpy as np
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import ConfigError, DomainError, ExpressionError
+from .errors import ConfigError, DomainError, ExpressionError, NumericalError
 from .expressions import eval_expr, parse_expression, taylor_arith_eval
+from .linalg import overflow_reported, working_dtype
 
 # Central finite-difference step per derivative order, balancing truncation
 # against roundoff for the 1e-5 relative self-test tolerance.
@@ -74,6 +75,26 @@ class ParametricProblem:
             scale = max(1.0, float(np.linalg.norm(derivs[k])))
             worst = max(worst, float(np.linalg.norm(derivs[k] - fd)) / scale)
         return worst
+
+
+def check_finite_at(mus, rows, what):
+    """Raise NumericalError naming ``what`` and the first of ``mus`` whose
+    row of ``rows`` (one row per point) is not all finite."""
+    bad = np.flatnonzero(~np.isfinite(rows.reshape(len(mus), -1)).all(axis=1))
+    if bad.size:
+        raise NumericalError(f"{what} is not finite at mu={mus[bad[0]]:.17g}")
+
+
+@overflow_reported()
+def matrix_stack(problem, mus, context):
+    """The stack A(mu_0), A(mu_1), ... (m, n, n) of ``problem.eval_at``,
+    float64 when every A(mu) is real (so its eigensolve may run in real
+    arithmetic), else complex128. Raises NumericalError naming ``context``
+    and the first mu where A(mu) is not finite, with no numpy warning."""
+    a = np.stack([np.asarray(problem.eval_at(mu)) for mu in mus])
+    a = np.asarray(a, dtype=working_dtype(a))
+    check_finite_at(mus, a, f"{context}: A(mu)")
+    return a
 
 
 def make_torus_kernel(n):
@@ -136,12 +157,11 @@ def make_spring_chain(n):
         return a
 
     def derivs_at(mu0, p):
-        if mu0 == 0.0:
-            raise DomainError("spring chain is undefined at mu = 0")
         derivs = np.zeros((p + 1, n, n))
-        derivs[0] = eval_at(mu0)
+        derivs[0] = eval_at(mu0)  # a DomainError at mu0 = 0
         for k in range(1, p + 1):
-            factor = (-1.0) ** k * math.factorial(k) * mu0 ** (-(k + 1))
+            # a numpy power overflows to inf, which the caller reports
+            factor = (-1.0) ** k * math.factorial(k) * np.float64(mu0) ** (-(k + 1))
             derivs[k][rows, :] = factor * k_mat[rows, :]
         return derivs
 
@@ -296,22 +316,23 @@ def problem_from_config(path):
         raise ConfigError("mu_domain must be null or a [lo, hi] pair of numbers or nulls")
     parsed = _load_entries(doc, n)
 
-    def eval_at(mu):
-        a = np.zeros((n, n))
+    def fill(out, evaluate, point, mu):
+        """out[i, j] = evaluate(node, mu) for each entry; a DomainError names it."""
         for i, j, node in parsed:
             try:
-                a[i, j] = eval_expr(node, mu)
+                out[i, j] = evaluate(node, mu)
             except DomainError as exc:
-                raise DomainError(f"entry ({i + 1}, {j + 1}) at mu={mu}: {exc}") from exc
-        return a
+                raise DomainError(f"entry ({i + 1}, {j + 1}) at {point}={mu}: {exc}") from exc
+        return out
+
+    def eval_at(mu):
+        return fill(np.zeros((n, n)), eval_expr, "mu", mu)
 
     def derivs_at(mu0, p):
         derivs = np.zeros((p + 1, n, n))
-        for i, j, node in parsed:
-            try:
-                derivs[:, i, j] = taylor_arith_eval(node, mu0, p)
-            except DomainError as exc:
-                raise DomainError(f"entry ({i + 1}, {j + 1}) at mu0={mu0}: {exc}") from exc
+        # a view whose entry (i, j) is the derivative column derivs[:, i, j]
+        fill(np.moveaxis(derivs, 0, -1), lambda node, mu: taylor_arith_eval(node, mu, p),
+             "mu0", mu0)
         return derivs
 
     return ParametricProblem(

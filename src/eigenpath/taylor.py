@@ -171,10 +171,17 @@ def selected_indices(selector, n):
 
 
 def _check_derivatives(problem, mu0, order):
-    derivs = np.asarray(problem.derivs_at(mu0, order))
+    """A_0..A_order at mu0, or NumericalError naming the first order that is
+    not finite (with no numpy warning before it)."""
+    with overflow_reported():
+        derivs = np.asarray(problem.derivs_at(mu0, order))
     derivs = np.asarray(derivs, dtype=working_dtype(derivs))
     if derivs.shape[0] < order + 1:
         raise DerivativeOrderError(derivs.shape[0])
+    finite = np.isfinite(derivs).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericalError(f"derivative of A(mu) at order {np.argmin(finite)} is not finite "
+                             f"at mu0={mu0:.17g}")
     return derivs
 
 
@@ -262,9 +269,10 @@ def expand_schur(derivs, weights, decomp, indices, v0, hermitian, single_precisi
     vs (p+1, n, m), the per-order residuals (p, m) of the exact bordered
     systems, and a dict of the pairs' other diagnostics, each array's last
     axis running over the pairs: ``order_residual_scales`` (p, m), each
-    order's 1 + max(|z|, max |y|) of its rhs, and with ``single_precision``
-    the rounded matrices' ``condition_estimate`` (m,). Only those pairs
-    enter the order loop.
+    order's 1 + max(|z|, max |y|) of its rhs, ``gaps`` (m,), each
+    eigenvalue's distance to the nearest other one (inf when n = 1), and
+    with ``single_precision`` the rounded matrices' ``condition_estimate``
+    (m,). Only those pairs enter the order loop.
     """
     gaps = _eigenvalue_gaps(decomp.values)[indices]
     pivots, errors = _simplicity_failures(decomp, indices, gaps)
@@ -293,7 +301,7 @@ def expand_schur(derivs, weights, decomp, indices, v0, hermitian, single_precisi
     )
     for col in cols[~ok]:
         errors[col] = NonSimpleEigenvalueError(
-            "non-simple eigenvalue at expansion point (eliminated pivot below 1e-12)"
+            f"non-simple eigenvalue at expansion point (eliminated pivot below {SINGULARITY_RCOND})"
         )
     systems = []
     if single_precision:
@@ -305,8 +313,8 @@ def expand_schur(derivs, weights, decomp, indices, v0, hermitian, single_precisi
             except NumericalError as exc:
                 errors[cols[j]] = exc
                 ok[j] = False
-    lam0, v0, border, shifts, c, ell, ell_c, border_v0 = (
-        a[..., ok] for a in (lam0, v0, border, shifts, c, ell, ell_c, border_v0)
+    lam0, v0, border, shifts, c, ell, ell_c, border_v0, gaps = (
+        a[..., ok] for a in (lam0, v0, border, shifts, c, ell, ell_c, border_v0, gaps[cols])
     )
 
     def schur_solve(z, y):
@@ -333,7 +341,7 @@ def expand_schur(derivs, weights, decomp, indices, v0, hermitian, single_precisi
             lams.append(lam_k)
             vs.append(v_k)
     shape = (len(residuals), lam0.size)
-    extras = {"order_residual_scales": np.reshape(scales, shape)}
+    extras = {"order_residual_scales": np.reshape(scales, shape), "gaps": gaps}
     if single_precision:
         extras["condition_estimate"] = np.array([s.condition_estimate for s in systems])
     return errors, np.array(lams), np.array(vs), np.reshape(residuals, shape), extras
@@ -361,11 +369,10 @@ def taylor_expand_all(request):
         derivs, binomial_table(p), decomp, indices, decomp.vectors[:, indices],
         problem.hermitian, request.single_precision_e,
     )
-    gaps = _eigenvalue_gaps(decomp.values)[indices]
     basis = SeriesBasis.taylor(request.mu0)
     columns = iter(range(lams.shape[1]))
     out = []
-    for index, err, gap in zip(indices, errors, gaps):
+    for index, err in zip(indices, errors):
         if err is None:
             col = next(columns)
             lam, vec = lams[:, col], vs[:, :, col]
@@ -373,11 +380,12 @@ def taylor_expand_all(request):
         if err is not None:
             out.append(ExpansionFailure(index, complex(decomp.values[index]), err))
             continue
+        gap = float(extras["gaps"][col])
         diagnostics = {
             "method": "taylor",
             "order_residuals": [float(r) for r in residuals[:, col]],
             "order_residual_scales": [float(s) for s in extras["order_residual_scales"][:, col]],
-            "gap": float(gap) if np.isfinite(gap) else None,
+            "gap": gap if np.isfinite(gap) else None,
         }
         if "condition_estimate" in extras:
             diagnostics["condition_estimate"] = float(extras["condition_estimate"][col])

@@ -114,6 +114,30 @@ class TestExpand:
         assert "eigenpair 1 (lambda0 ~ 1+0j): series coefficient at order 25 is not finite" in err
         assert err.count("is not finite") == 2 and "Warning" not in err
 
+    @pytest.mark.parametrize("problem, flags, message", [
+        ("config", ["--method", "taylor", "--mu0=800", "--order", "2"],
+         "error: entry (1, 1) at mu0=800.0: overflow in exp"),
+        ("config", ["--method", "chebyshev", "--interval", "0,800", "--order", "2"],
+         ": overflow in exp"),
+        ("example1", ["--n", "4", "--method", "taylor", "--mu0=-1000", "--order", "2"],
+         "numerical failure: derivative of A(mu) at order 0 is not finite at mu0=-1000"),
+        ("example2", ["--n", "4", "--method", "taylor", "--mu0=1e-300", "--order", "3"],
+         "numerical failure: derivative of A(mu) at order 1 is not finite at mu0=1e-300"),
+    ], ids=["config-taylor", "config-chebyshev", "example1-taylor", "example2-taylor"])
+    def test_unusable_a_of_mu_exits_2_with_one_line(self, tmp_path, capsys, problem, flags,
+                                                   message):
+        if problem == "config":
+            config = tmp_path / "exp.json"
+            config.write_text(json.dumps({"n": 1, "entries": {"dense": ["exp(mu)"]}}))
+            problem = f"config:{config}"
+        argv = ["expand", "--problem", problem, *flags, "--out", str(tmp_path / "x")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert "Traceback" not in err and "Warning" not in err
+
     @pytest.mark.parametrize("flags", [
         ["--method", "chebyshev", "--interval", "0,1,2"],
         ["--method", "taylor", "--mu0", "0.2", "--eig", "9"],
@@ -652,18 +676,19 @@ class TestOutputFiles:
         assert not out.exists()
 
 
-    def test_direct_method_on_non_finite_matrices_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("method", ["direct", "rayleigh"])
+    def test_non_finite_matrices_exit_2_naming_the_method(self, tmp_path, capsys, method):
         out = tmp_path / "s"
         code = run(
             [
                 "sample", "--problem", "example1", "--n", "8", "--mu0", "0.2",
                 "--order", "8", "--pairs", "2,3", "--dist", "0.2,1e200", "--count", "50",
-                "--seed", "1", "--method", "direct", "--out", str(out),
+                "--seed", "1", "--method", method, "--out", str(out),
             ]
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert "numerical failure: method direct: A(mu) is not finite at mu=" in err
+        assert f"numerical failure: method {method}: A(mu) is not finite at mu=" in err
         # the named point is the first draw whose A(mu) overflows
         mu = float(err.split("mu=")[1])
         draws = draw_samples(0.2, 1e200, 50, 1)

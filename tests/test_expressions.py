@@ -1,6 +1,7 @@
 """Expression parser and truncated Taylor arithmetic."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -150,6 +151,23 @@ class TestDomainErrors:
         with pytest.raises(DomainError):
             taylor_arith_eval(parse_expression("log(mu)"), 0.0, 1)
 
-    def test_eval_expr_division(self):
-        with pytest.raises(DomainError):
-            eval_expr(parse_expression("1/(mu-1)"), 1.0)
+    @pytest.mark.parametrize("text, mu, operation", [
+        ("1/(mu-1)", 1.0, "division by zero in '/'"),
+        ("mu^-2", 0.0, "division by zero in '^-2'"),
+        ("sqrt(mu)", -1.0, "domain error in sqrt"),
+        ("log(mu)", 0.0, "domain error in log"),
+        ("exp(mu)", 800.0, "overflow in exp"),
+    ], ids=["division", "negative-power", "sqrt", "log", "exp"])
+    def test_eval_expr_names_the_failing_operation(self, text, mu, operation):
+        with pytest.raises(DomainError, match=f"^{re.escape(operation)}$"):
+            eval_expr(parse_expression(text), mu)
+
+    def test_exp_overflow_in_taylor_arithmetic(self):
+        with pytest.raises(DomainError, match="^overflow in exp$"):
+            taylor_arith_eval(parse_expression("exp(mu)"), 800.0, 2)
+
+    def test_sqrt_at_zero_evaluates_but_its_derivatives_fail(self):
+        node = parse_expression("sqrt(mu)")
+        assert eval_expr(node, 0.0) == 0.0
+        with pytest.raises(DomainError, match="^division by zero in sqrt$"):
+            taylor_arith_eval(node, 0.0, 1)

@@ -1,7 +1,9 @@
 """Built-in problems (torus kernel, spring chain, Jordan block) and
 config-defined problems."""
 
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from eigenpath import (
     ConfigError,
     DomainError,
+    NumericalError,
     eigen_all,
     jordan_eigenvalues,
     make_jordan,
@@ -16,6 +19,7 @@ from eigenpath import (
     make_torus_kernel,
     problem_from_config,
 )
+from eigenpath.problems import matrix_stack
 
 
 class TestTorusKernel:
@@ -150,6 +154,30 @@ class TestJordan:
         assert problem.check_derivatives(0.5) <= 1e-5
 
 
+class TestMatrixStack:
+    def test_real_stack_in_float64_with_one_call_per_point(self):
+        problem = make_spring_chain(4)
+        calls = []
+
+        def eval_at(mu):
+            calls.append(mu)
+            return problem.eval_at(mu)
+
+        mus = np.array([0.5, 1.0, 2.0])
+        a = matrix_stack(dataclasses.replace(problem, eval_at=eval_at), mus, "grid")
+        assert a.dtype == np.float64 and a.shape == (3, 4, 4)
+        assert calls == list(mus)
+        for stacked, mu in zip(a, mus):
+            np.testing.assert_array_equal(stacked, problem.eval_at(mu))
+
+    def test_names_the_first_point_where_a_is_not_finite(self):
+        # exp(-mu * dist) overflows at both negative points, silently
+        mus = np.array([0.5, -1e200, -1e300])
+        message = f"grid: A(mu) is not finite at mu={-1e200:.17g}"
+        with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+            matrix_stack(make_torus_kernel(4), mus, "grid")
+
+
 class TestConfigProblems:
     def _write(self, tmp_path, doc):
         path = tmp_path / "problem.json"
@@ -170,10 +198,13 @@ class TestConfigProblems:
         )
 
     def test_reciprocal_domain_error(self, tmp_path):
-        doc = {"n": 1, "entries": {"dense": ["1/mu"]}}
+        doc = {"n": 2, "entries": {"sparse": [[2, 1, "1/mu"]]}}
         problem = problem_from_config(self._write(tmp_path, doc))
-        with pytest.raises(DomainError):
+        operation = re.escape("division by zero in '/'")
+        with pytest.raises(DomainError, match=rf"^entry \(2, 1\) at mu0=0.0: {operation}$"):
             problem.derivs_at(0.0, 2)
+        with pytest.raises(DomainError, match=rf"^entry \(2, 1\) at mu=0.0: {operation}$"):
+            problem.eval_at(0.0)
 
     def test_sparse_single_entry(self, tmp_path):
         doc = {"n": 2, "entries": {"sparse": [[1, 1, "mu"]]}}
