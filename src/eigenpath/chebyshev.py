@@ -38,10 +38,10 @@ real for every real A(mu), and when A_0's spectrum is real too its
 decomposition is real (``linalg.eigen_all``), so the warm starts, the
 residuals, the Jacobians and their LUs all run in float64. A complex pair
 of A_0 (complex eigenvectors and Schur factors) or complex input makes
-every step complex128. Newton factors each Jacobian without
-scipy's finiteness scan: a Jacobian that is not finite gives a step that
-is not finite, after which the pair's iterates and residuals are not
-finite either, and the pair fails.
+every step complex128. Newton solves each Jacobian system with one raw
+LAPACK ``gesv`` call, which scans nothing for finiteness: a Jacobian that
+is not finite gives a step that is not finite, after which the pair's
+iterates and residuals are not finite either, and the pair fails.
 
 The single-pair functions (:func:`warm_start`, :func:`newton_refine`,
 :func:`cheb_residual`, :func:`cheb_jacobian`) run the same code on one
@@ -352,19 +352,21 @@ def _series_from_packed(x, coeffs, diagnostics):
 def _newton_steps(system, x, residual, pairs):
     """One Newton step, in place, for each of ``pairs`` of the block x.
 
-    Their Jacobians are built in one call and factored one LU each. Returns
-    the pairs left as they were because their LU has a pivot below 1e-14 of
-    the factor scale.
+    Their Jacobians are built in one call, and each pair's step is one
+    LAPACK ``gesv`` call (LU factors and solve). Returns the pairs left as
+    they were because their LU has a pivot below 1e-14 of the factor scale.
     """
     singular = []
-    for pair, jac in zip(pairs, system.jacobians(x[pairs])):
-        # no finiteness scan: a non-finite step fails the pair (see _newton)
-        lu, piv = scipy.linalg.lu_factor(jac, check_finite=False)
+    jacobians = system.jacobians(x[pairs])
+    gesv = scipy.linalg.get_lapack_funcs("gesv", (jacobians,))
+    for pair, jac in zip(pairs, jacobians):
+        # no finiteness scan: a non-finite step fails the pair (see _newton);
+        # an exactly zero pivot (info > 0) fails the pivot test
+        lu, _, step, _ = gesv(jac, residual[pair].ravel())
         diag = np.abs(np.diagonal(lu))
         if diag.min() < 1e-14 * max(1.0, diag.max()):
             singular.append(pair)
             continue
-        step = scipy.linalg.lu_solve((lu, piv), residual[pair].ravel(), check_finite=False)
         x[pair] -= step.reshape(x.shape[1:])
     return singular
 

@@ -24,6 +24,7 @@ import argparse
 import contextlib
 import functools
 import hashlib
+import math
 import sys
 import time
 
@@ -72,14 +73,26 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _finite_float(text, flag):
+    """The value of a float flag, which must be finite."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from exc
+    if not math.isfinite(value):
+        raise UsageError(f"{flag}: {text!r} is not finite")
+    return value
+
+
 def _parse_floats(text, count, flag):
     parts = text.split(",")
     if len(parts) != count:
         raise UsageError(f"{flag} expects {count} comma-separated values")
-    try:
-        return tuple(float(part) for part in parts)
-    except ValueError as exc:
-        raise UsageError(f"{flag}: {exc}") from exc
+    return tuple(_finite_float(part, flag) for part in parts)
+
+
+def _mu0(text):
+    return _finite_float(text, "--mu0")
 
 
 def _parse_int_list(text, flag):
@@ -96,8 +109,8 @@ def _parse_grid(text):
     parts = text.split(",")
     if len(parts) != 3:
         raise UsageError("--grid expects a,b,count")
+    a, b = (_finite_float(part, "--grid") for part in parts[:2])
     try:
-        a, b = float(parts[0]), float(parts[1])
         count = int(parts[2])
     except ValueError as exc:
         raise UsageError(f"--grid: {exc}") from exc
@@ -346,7 +359,9 @@ def cmd_bench(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once: parsing leaves it unchanged."""
     parser = _ArgumentParser(prog="eigenpath", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -355,7 +370,7 @@ def build_parser():
                         help="example1|example2|example3|config:<path>")
     expand.add_argument("--n", type=int, default=None)
     expand.add_argument("--method", required=True, choices=("taylor", "chebyshev"))
-    expand.add_argument("--mu0", type=float, default=None)
+    expand.add_argument("--mu0", type=_mu0, default=None)
     expand.add_argument("--interval", default=None, help="a,b")
     expand.add_argument("--order", type=int, required=True)
     expand.add_argument("--eig", default="all", help="'all' or a 1-based index")
@@ -378,7 +393,7 @@ def build_parser():
     sample = sub.add_parser("sample", help="Monte-Carlo eigenvalue sampling")
     sample.add_argument("--problem", required=True)
     sample.add_argument("--n", type=int, default=None)
-    sample.add_argument("--mu0", type=float, default=None)
+    sample.add_argument("--mu0", type=_mu0, default=None)
     sample.add_argument("--interval", default=None, help="a,b")
     sample.add_argument("--order", type=int, required=True)
     sample.add_argument("--quad-m", dest="quad_m", type=int, default=None)
@@ -396,7 +411,7 @@ def build_parser():
     bench.add_argument("--problem", default="example1")
     bench.add_argument("--n-list", dest="n_list", required=True)
     bench.add_argument("--p-list", dest="p_list", required=True)
-    bench.add_argument("--mu0", type=float, default=0.2)
+    bench.add_argument("--mu0", type=_mu0, default=0.2)
     bench.add_argument("--repeats", type=int, default=3)
     bench.add_argument("--out", required=True)
     bench.set_defaults(func=cmd_bench)

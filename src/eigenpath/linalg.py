@@ -1,5 +1,5 @@
-"""Dense eigendecomposition, values-only eigensolves, bordered linear
-systems, and the Schur-reduced bordered solve of one eigenpair.
+"""Dense eigendecomposition, values-only eigensolves, and bordered linear
+systems, solved densely or through the Schur form of A0.
 
 The bordered matrix is
 
@@ -7,9 +7,9 @@ The bordered matrix is
         [ v0  lam0 I - A0 ]
 
 Each expansion order solves E x = rhs with the same E, so the LU factors are
-computed once. A single Schur form A0 = Q T Q^H reduces one pair's solve to
-O(n^2) triangular work (:func:`solve_bordered_reduced`); the Taylor kernel
-in ``taylor`` does the same elimination for all pairs at once.
+computed once. A single Schur form A0 = Q T Q^H reduces every pair's solve
+to O(n^2) triangular work (:func:`schur_bordered_solver`, which the Taylor
+kernel in ``taylor`` calls for all pairs at once).
 
 :func:`eigen_all` also takes a stack of matrices, as the analysis layer
 passes it a block of sample or grid points; every matrix of a stack gets
@@ -25,13 +25,12 @@ quantities, each vanishing exactly when lam0 is a repeated or defective
 eigenvalue of A0:
 
 * the relative eigenvalue gap: lam0 against the other diagonal entries of
-  T, relative to 1 + |lam0| + max |T_jj| (:func:`solve_bordered_reduced`,
-  and the Schur pivot test of ``taylor._simplicity_failures``), or the gap
-  to the nearest other eigenvalue relative to 1 + max |lam| (the same
-  function's gap test);
-* the eliminated pivot, or reciprocal eigenvalue condition: the 2x2
-  determinant of :func:`solve_bordered_reduced` relative to its row sums,
-  and in ``taylor.expand_schur`` |l_i c_i| relative to ||l_i|| ||v0_i||
+  T, relative to 1 + |lam0| + max |T_jj| (the Schur pivot test of
+  :func:`schur_bordered_solver`), or the gap to the nearest other
+  eigenvalue relative to 1 + max |lam| (``taylor.expand_schur``'s gap
+  test, which reads the whole spectrum);
+* the eliminated pivot, or reciprocal eigenvalue condition: in
+  :func:`schur_bordered_solver`, |l_i c_i| relative to ||l_i|| ||v0_i||
   and |b_i^T v0_i| relative to ||v0_i||^2.
 
 It also bounds the reciprocal 1-norm condition estimate of a factorized
@@ -367,91 +366,106 @@ def solve_bordered(system, rhs):
     return x[0], x[1:]
 
 
-def solve_bordered_reduced(q, t, v0, lam0, rhs, hermitian=False):
-    """Solve the bordered system through the Schur factors of A0 in O(n^2).
+def column_dot(x, y, hermitian=False):
+    """x^T y (x^H y when Hermitian); one value per column for 2-D x and y."""
+    if hermitian:
+        x = np.conj(x)
+    return x @ y if x.ndim == 1 else np.einsum("ij,ij->j", x, y)
 
-    With A0 = Q T Q^H the bordered matrix factors through a system whose
-    core lam0 I - T is upper triangular (diagonal when Hermitian). The rhs
-    vector part is transformed by Q^H, the triangular system is solved by
-    block elimination around the near-zero pivot at the matched diagonal
-    entry, and the result is transformed back by Q.
 
-    The elimination treats (w_j, lam_k) as terminal unknowns: suffix and
-    prefix rows are solved with the right sides parameterized affinely in
-    those two, and a final 2x2 system determines them. Nothing is dropped,
-    so the result agrees with the dense solve to backward-error accuracy.
+def _left_null_rows(t, shifts, pivots):
+    """Columns l_i with l_i^T (lam0_i I - T) = 0: 0 before pivot row i, 1 at it.
+
+    ``shifts[r, i]`` is lam0_i - T_rr with inf at the pivot row, so row r
+    adds (sum_{s<r} l_s T_sr) / shifts[r] to each column at once.
     """
-    q = np.asarray(q, dtype=complex)
-    t = np.asarray(t, dtype=complex)
-    v0 = np.asarray(v0, dtype=complex)
-    rhs = np.asarray(rhs, dtype=complex)
-    n = q.shape[0]
-    if rhs.shape != (n + 1,):
-        raise ValueError(f"rhs must have length {n + 1}")
+    ell = np.zeros_like(shifts)
+    ell[pivots, np.arange(len(pivots))] = 1.0
+    for r in range(1, t.shape[0]):
+        ell[r] += (t[:r, r] @ ell[:r]) / shifts[r]
+    return ell
 
-    z, y = rhs[0], rhs[1:]
-    c = q.conj().T @ v0                     # transformed border column
-    r = border_row(v0, hermitian) @ q       # transformed border row
-    yhat = q.conj().T @ y
 
+def _back_substitute(t, shifts, g):
+    """Solve (lam0_i I - T) w_i = g_i for every column i, w_i = 0 at pivot i.
+
+    The pivot row is the one equation g_i's consistency makes redundant;
+    its inf shift pins the pivot entry to 0.
+    """
+    w = np.empty_like(g)
+    for r in range(t.shape[0] - 1, -1, -1):
+        w[r] = (g[r] + t[r, r + 1:] @ w[r + 1:]) / shifts[r]
+    return w
+
+
+def non_simple_error(reason):
+    """The NonSimpleEigenvalueError of a pair that fails the ``reason`` test."""
+    return NonSimpleEigenvalueError(f"non-simple eigenvalue at expansion point ({reason})")
+
+
+def schur_bordered_solver(q, t, lam0, v0, hermitian=False):
+    """The bordered systems of the pairs (lam0_i, v0_i), lam0 (m,) and the
+    columns of v0 (n, m), reduced through the Schur factors A0 = Q T Q^H
+    (set out in the ``taylor`` module docstring), in the arithmetic of the
+    arguments.
+
+    Returns per pair None or the NonSimpleEigenvalueError of its Schur-pivot
+    or eliminated-pivot test (the module's singularity policy), and
+    ``solve(z, y) -> (lam_k, v_k)`` over the pairs that pass, in order:
+    z (m',) or a scalar, y (n, m'). A failing pair enters no computation
+    after the test it fails.
+    """
     diag = np.diagonal(t)
-    j = int(np.argmin(np.abs(lam0 - diag)))
-    s = lam0 * np.eye(n) - t
+    dist = np.abs(lam0[None, :] - diag[:, None])
+    pivots = np.argmin(dist, axis=0)
+    dist[pivots, np.arange(lam0.size)] = np.inf
+    repeated = dist.min(axis=0) < SINGULARITY_RCOND * (
+        1.0 + np.abs(lam0) + float(np.max(np.abs(diag)))
+    )
+    errors = [non_simple_error("repeated Schur diagonal entry") if r else None for r in repeated]
+    cols = np.flatnonzero(~repeated)
 
-    scale = 1.0 + abs(lam0) + float(np.max(np.abs(diag)))
-    off_pivot = np.abs(lam0 - np.delete(diag, j))
-    if off_pivot.size and np.min(off_pivot) < SINGULARITY_RCOND * scale:
-        raise NonSimpleEigenvalueError(
-            "non-simple eigenvalue at expansion point (repeated Schur diagonal entry)"
-        )
+    qh = q.conj().T
+    lam0, v0 = lam0[cols], v0[:, cols]
+    border = border_row(v0, hermitian)
+    shifts = lam0[None, :] - diag[:, None]
+    shifts[pivots[cols], np.arange(cols.size)] = np.inf
+    c = qh @ v0
+    ell = _left_null_rows(t, shifts, pivots[cols])
+    ell_c = column_dot(ell, c)
+    border_v0 = column_dot(border, v0)
+    # The two pivots the bordered system's elimination divides by: l_i c_i,
+    # the reciprocal eigenvalue condition number up to ||l_i|| ||c_i||, and
+    # b_i^T v0_i relative to ||v0_i||^2. Each vanishes when the eigenvalue
+    # is not simple, and neither depends on the scale of v0_i.
+    v0_norms = vector_norms(v0, axis=0)
+    ok = (np.abs(ell_c) >= SINGULARITY_RCOND * np.linalg.norm(ell, axis=0) * v0_norms) & (
+        np.abs(border_v0) >= SINGULARITY_RCOND * v0_norms**2
+    )
+    for col in cols[~ok]:
+        errors[col] = non_simple_error(f"eliminated pivot below {SINGULARITY_RCOND}")
+    v0, border, shifts, c, ell, ell_c, border_v0 = (
+        a[..., ok] for a in (v0, border, shifts, c, ell, ell_c, border_v0)
+    )
 
-    lo = slice(0, j)
-    hi = slice(j + 1, n)
-    n_hi = n - j - 1
+    def solve(z, y):
+        yhat = qh @ y
+        lam_k = column_dot(ell, yhat) / ell_c
+        v_k = q @ _back_substitute(t, shifts, yhat - c * lam_k)
+        return lam_k, v_k + v0 * ((z - column_dot(border, v_k)) / border_v0)
 
-    # Suffix rows i > j: w_hi = alpha_hi + beta_hi * lam.
-    if n_hi:
-        cols = np.column_stack((yhat[hi], -c[hi]))
-        sol = scipy.linalg.solve_triangular(s[hi, hi], cols, lower=False)
-        alpha_hi, beta_hi = sol[:, 0], sol[:, 1]
-    else:
-        alpha_hi = beta_hi = np.zeros(0, dtype=complex)
+    return errors, solve
 
-    # Prefix rows i < j: w_lo = alpha_lo + beta_lo * lam + delta_lo * w_j.
-    if j:
-        s_lo_hi = s[lo, hi]
-        cols = np.column_stack(
-            (
-                yhat[lo] - s_lo_hi @ alpha_hi,
-                -c[lo] - s_lo_hi @ beta_hi,
-                -s[lo, j],
-            )
-        )
-        sol = scipy.linalg.solve_triangular(s[lo, lo], cols, lower=False)
-        alpha_lo, beta_lo, delta_lo = sol[:, 0], sol[:, 1], sol[:, 2]
-    else:
-        alpha_lo = beta_lo = delta_lo = np.zeros(0, dtype=complex)
 
-    # Remaining equations: Schur row j and the border row, in (w_j, lam).
-    s_j_hi = s[j, hi]
-    m00 = s[j, j]
-    m01 = c[j] + s_j_hi @ beta_hi
-    b0 = yhat[j] - s_j_hi @ alpha_hi
-    m10 = r[lo] @ delta_lo + r[j]
-    m11 = r[lo] @ beta_lo + r[hi] @ beta_hi
-    b1 = z - r[lo] @ alpha_lo - r[hi] @ alpha_hi
-
-    det = m00 * m11 - m01 * m10
-    pivot_scale = max(abs(m00) + abs(m01), abs(m10) + abs(m11), 1.0)
-    if abs(det) < SINGULARITY_RCOND * pivot_scale:
-        raise NonSimpleEigenvalueError(
-            f"non-simple eigenvalue at expansion point (eliminated pivot below {SINGULARITY_RCOND})"
-        )
-    w_j = (b0 * m11 - m01 * b1) / det
-    lam_k = (m00 * b1 - m10 * b0) / det
-
-    w = np.empty(n, dtype=complex)
-    w[lo] = alpha_lo + beta_lo * lam_k + delta_lo * w_j
-    w[j] = w_j
-    w[hi] = alpha_hi + beta_hi * lam_k
-    return complex(lam_k), q @ w
+def solve_bordered_reduced(q, t, v0, lam0, rhs, hermitian=False):
+    """Solve the bordered system of the one pair (lam0, v0) by
+    :func:`schur_bordered_solver`, raising the pair's error there; returns
+    (lam_k, v_k)."""
+    rhs = np.asarray(rhs)
+    if rhs.shape != (len(q) + 1,):
+        raise ValueError(f"rhs must have length {len(q) + 1}")
+    (error,), solve = schur_bordered_solver(q, t, np.array([lam0]), v0[:, None], hermitian)
+    if error is not None:
+        raise error
+    lam_k, v_k = solve(rhs[0], rhs[1:, None])
+    return lam_k[0], v_k[:, 0]

@@ -12,7 +12,6 @@ derivative matrices at a point. The three built-ins:
 """
 
 import json
-import math
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from typing import Callable
 from .errors import ConfigError, DomainError, ExpressionError, NumericalError
 from .expressions import eval_expr, parse_expression, taylor_arith_eval
 from .linalg import overflow_reported, working_dtype
+from .series import float_factorial
 
 # Central finite-difference step per derivative order, balancing truncation
 # against roundoff for the 1e-5 relative self-test tolerance.
@@ -160,8 +160,8 @@ def make_spring_chain(n):
         derivs = np.zeros((p + 1, n, n))
         derivs[0] = eval_at(mu0)  # a DomainError at mu0 = 0
         for k in range(1, p + 1):
-            # a numpy power overflows to inf, which the caller reports
-            factor = (-1.0) ** k * math.factorial(k) * np.float64(mu0) ** (-(k + 1))
+            # a numpy power or k! past 170 overflows to inf; the caller reports it
+            factor = (-1.0) ** k * float_factorial(k) * np.float64(mu0) ** (-(k + 1))
             derivs[k][rows, :] = factor * k_mat[rows, :]
         return derivs
 

@@ -202,10 +202,15 @@ def _check_point(mu):
     return mu
 
 
+def float_factorial(k):
+    """k! as a float: inf past 170, where it overflows float64."""
+    return float(math.factorial(k)) if k <= 170 else math.inf
+
+
 def taylor_scaled_coeffs(coeffs):
     """Divide derivative values by k! so Horner's rule applies directly."""
     p = coeffs.shape[0] - 1
-    scale = np.array([1.0 / math.factorial(k) for k in range(p + 1)])
+    scale = np.array([1.0 / float_factorial(k) for k in range(p + 1)])
     return coeffs * scale.reshape((-1,) + (1,) * (coeffs.ndim - 1))
 
 

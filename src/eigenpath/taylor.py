@@ -22,7 +22,8 @@ lam_k = l_i Q^H y_i / (l_i c_i). Back-substitution with w_j pinned to 0,
 plus the multiple of c_i that satisfies the normalization row, gives
 v_k = Q w. One row loop over T serves every pair, so order k costs k + 3
 products of n x n by n x m matrices and O(n^2 m) triangular work for m
-pairs: O(p^2 n^3) for all n pairs up to order p.
+pairs: O(p^2 n^3) for all n pairs up to order p. That solve, with its
+pivot tests, is ``linalg.schur_bordered_solver``.
 
 The kernel computes in the arithmetic of its inputs: float64 when the
 derivative stack, the Schur factors and the starting vectors are real,
@@ -64,17 +65,19 @@ import numpy as np
 
 from dataclasses import dataclass
 
-from .errors import DerivativeOrderError, NonSimpleEigenvalueError, NumericalError
+from .errors import DerivativeOrderError, NumericalError
 from .linalg import (
     SINGULARITY_RCOND,
     border_row,
     build_bordered,
+    column_dot,
     eigen_all,
     in_dtype,
+    non_simple_error,
     overflow_reported,
+    schur_bordered_solver,
     solve_bordered,
     solve_bordered_reduced,  # noqa: F401  (looked up here by benchmarks/tracing.py)
-    vector_norms,
     working_dtype,
 )
 from .series import (
@@ -120,13 +123,6 @@ class ExpansionFailure:
     error: Exception
 
 
-def _column_dot(x, y, hermitian=False):
-    """x^T y (x^H y when Hermitian); one value per column for 2-D x and y."""
-    if hermitian:
-        x = np.conj(x)
-    return x @ y if x.ndim == 1 else np.einsum("ij,ij->j", x, y)
-
-
 def taylor_rhs(k, a_derivs, vs, lams, hermitian=False, binomials=None):
     """Right-hand side (z, y) of the order-k bordered system.
 
@@ -147,7 +143,7 @@ def taylor_rhs(k, a_derivs, vs, lams, hermitian=False, binomials=None):
         y = y + weights[l] * (a_derivs[k - l] @ vs[l])
         if l >= 1:
             y = y - weights[l] * vs[k - l] * lams[l]
-            z = z - 0.5 * weights[l] * _column_dot(vs[k - l], vs[l], hermitian)
+            z = z - 0.5 * weights[l] * column_dot(vs[k - l], vs[l], hermitian)
     return z, y
 
 
@@ -192,58 +188,9 @@ def _eigenvalue_gaps(values):
     return dist.min(axis=1)
 
 
-def _simplicity_failures(decomp, indices, gaps):
-    """Each pair's pivot row of T, and per pair None if its eigenvalue passes
-    the gap and Schur-pivot tests, else the NonSimpleEigenvalueError."""
-    values = decomp.values
-    diag = np.diagonal(decomp.schur_t)
-    lam0 = values[indices]
-    dist = np.abs(lam0[None, :] - diag[:, None])
-    pivots = np.argmin(dist, axis=0)
-    dist[pivots, np.arange(len(indices))] = np.inf
-    runner_up = dist.min(axis=0)
-    gap_tol = SINGULARITY_RCOND * (1.0 + float(np.max(np.abs(values))))
-    pivot_tol = SINGULARITY_RCOND * (1.0 + np.abs(lam0) + float(np.max(np.abs(diag))))
-    errors = []
-    for col, index in enumerate(indices):
-        reason = None
-        if gaps[col] < gap_tol:
-            reason = f"index {index}"
-        elif runner_up[col] < pivot_tol[col]:
-            reason = "repeated Schur diagonal entry"
-        message = f"non-simple eigenvalue at expansion point ({reason})"
-        errors.append(reason and NonSimpleEigenvalueError(message))
-    return pivots, errors
-
-
-def _left_null_rows(t, shifts, pivots):
-    """Columns l_i with l_i^T (lam0_i I - T) = 0: 0 before pivot row i, 1 at it.
-
-    ``shifts[r, i]`` is lam0_i - T_rr with inf at the pivot row, so row r
-    adds (sum_{s<r} l_s T_sr) / shifts[r] to each column at once.
-    """
-    ell = np.zeros_like(shifts)
-    ell[pivots, np.arange(len(pivots))] = 1.0
-    for r in range(1, t.shape[0]):
-        ell[r] += (t[:r, r] @ ell[:r]) / shifts[r]
-    return ell
-
-
-def _back_substitute(t, shifts, g):
-    """Solve (lam0_i I - T) w_i = g_i for every column i, w_i = 0 at pivot i.
-
-    The pivot row is the one equation g_i's consistency makes redundant;
-    its inf shift pins the pivot entry to 0.
-    """
-    w = np.empty_like(g)
-    for r in range(t.shape[0] - 1, -1, -1):
-        w[r] = (g[r] + t[r, r + 1:] @ w[r + 1:]) / shifts[r]
-    return w
-
-
 def _bordered_residuals(a0, lam0, v0, border, lam_k, v_k, z, y):
     """max |E x - rhs| per column: each pair's order-k bordered system."""
-    row = _column_dot(border, v_k) - z
+    row = column_dot(border, v_k) - z
     body = v0 * lam_k + v_k * lam0 - a0 @ v_k - y
     return np.maximum(np.abs(row), np.abs(body).max(axis=0))
 
@@ -274,54 +221,31 @@ def expand_schur(derivs, weights, decomp, indices, v0, hermitian, single_precisi
     with ``single_precision`` the rounded matrices' ``condition_estimate``
     (m,). Only those pairs enter the order loop.
     """
-    gaps = _eigenvalue_gaps(decomp.values)[indices]
-    pivots, errors = _simplicity_failures(decomp, indices, gaps)
-    cols = np.array([col for col, err in enumerate(errors) if err is None], dtype=int)
-
     q, t = decomp.schur_q, decomp.schur_t
     dtype = working_dtype(derivs, t, v0)
     derivs = np.asarray(derivs, dtype=dtype)
-    qh = q.conj().T
-    lam0 = in_dtype(decomp.values[np.asarray(indices, dtype=int)[cols]], dtype)
-    v0 = v0[:, cols]
-    border = border_row(v0, hermitian)
-    shifts = lam0[None, :] - np.diagonal(t)[:, None]
-    shifts[pivots[cols], np.arange(cols.size)] = np.inf
-    c = qh @ v0
-    ell = _left_null_rows(t, shifts, pivots[cols])
-    ell_c = _column_dot(ell, c)
-    border_v0 = _column_dot(border, v0)
-    # The two pivots the bordered system's elimination divides by: l_i c_i,
-    # the reciprocal eigenvalue condition number up to ||l_i|| ||c_i||, and
-    # b_i^T v0_i relative to ||v0_i||^2. Each vanishes when the eigenvalue
-    # is not simple, and neither depends on the scale of v0_i.
-    v0_norms = vector_norms(v0, axis=0)
-    ok = (np.abs(ell_c) >= SINGULARITY_RCOND * np.linalg.norm(ell, axis=0) * v0_norms) & (
-        np.abs(border_v0) >= SINGULARITY_RCOND * v0_norms**2
-    )
-    for col in cols[~ok]:
-        errors[col] = NonSimpleEigenvalueError(
-            f"non-simple eigenvalue at expansion point (eliminated pivot below {SINGULARITY_RCOND})"
-        )
+    lam0 = in_dtype(decomp.values[indices], dtype)
+    gaps = _eigenvalue_gaps(decomp.values)[indices]
+    gap_tol = SINGULARITY_RCOND * (1.0 + float(np.max(np.abs(decomp.values))))
+    errors = [non_simple_error(f"index {index}") if gap < gap_tol else None
+              for index, gap in zip(indices, gaps)]
+    cols = np.flatnonzero([err is None for err in errors])
+    solver_errors, schur_solve = schur_bordered_solver(q, t, lam0[cols], v0[:, cols], hermitian)
+    for col, err in zip(cols, solver_errors):
+        errors[col] = err
+    cols = np.flatnonzero([err is None for err in errors])
     systems = []
     if single_precision:
-        for j in np.flatnonzero(ok):
+        for col in cols:
             try:
                 systems.append(
-                    build_bordered(derivs[0], v0[:, j], lam0[j], hermitian, single_precision=True)
+                    build_bordered(derivs[0], v0[:, col], lam0[col], hermitian, single_precision=True)
                 )
             except NumericalError as exc:
-                errors[cols[j]] = exc
-                ok[j] = False
-    lam0, v0, border, shifts, c, ell, ell_c, border_v0, gaps = (
-        a[..., ok] for a in (lam0, v0, border, shifts, c, ell, ell_c, border_v0, gaps[cols])
-    )
-
-    def schur_solve(z, y):
-        yhat = qh @ y
-        lam_k = _column_dot(ell, yhat) / ell_c
-        v_k = q @ _back_substitute(t, shifts, yhat - c * lam_k)
-        return lam_k, v_k + v0 * ((z - _column_dot(border, v_k)) / border_v0)
+                errors[col] = exc
+        cols = np.flatnonzero([err is None for err in errors])
+    lam0, v0, gaps = lam0[cols], v0[:, cols], gaps[cols]
+    border = border_row(v0, hermitian)
 
     def rounded_solve(z, y):
         x = np.empty_like(y, shape=(y.shape[0] + 1, len(systems)))

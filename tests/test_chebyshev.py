@@ -520,7 +520,6 @@ class TestAllPairsKernel:
         for a, b in zip(whole, split):
             assert_same_pair(a, b)
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_failing_pairs_leave_their_block_neighbours_unchanged(self):
         coeffs = project_matrix_coeffs(make_torus_kernel(8), (0.25, 1.0), 6)
         _, starts = _warm_starts(coeffs, eigen_all(coeffs.coeffs[0]), range(8))

@@ -123,7 +123,12 @@ class TestExpand:
          "numerical failure: derivative of A(mu) at order 0 is not finite at mu0=-1000"),
         ("example2", ["--n", "4", "--method", "taylor", "--mu0=1e-300", "--order", "3"],
          "numerical failure: derivative of A(mu) at order 1 is not finite at mu0=1e-300"),
-    ], ids=["config-taylor", "config-chebyshev", "example1-taylor", "example2-taylor"])
+        # 171! overflows float64
+        ("example2", ["--n", "4", "--method", "taylor", "--mu0", "1", "--order", "171",
+                      "--eig", "1"],
+         "numerical failure: derivative of A(mu) at order 171 is not finite at mu0=1"),
+    ], ids=["config-taylor", "config-chebyshev", "example1-taylor", "example2-taylor",
+            "example2-order-171"])
     def test_unusable_a_of_mu_exits_2_with_one_line(self, tmp_path, capsys, problem, flags,
                                                    message):
         if problem == "config":
@@ -462,6 +467,33 @@ class TestReport:
         assert err == f"numerical failure: report grid: series value is not finite at mu={5e19:.17g}\n"
         assert not out.exists()
 
+    def test_series_past_order_170_evaluates(self, tmp_path):
+        # 1/k! underflows past order 170 instead of raising
+        series = tmp_path / "s"
+        flags = ["--problem", "example1", "--n", "2", "--mu0", "0.5", "--order", "171"]
+        assert run(["expand", *flags, "--method", "taylor", "--out", str(series)]) == 0
+        report = tmp_path / "r"
+        assert run(
+            [
+                "report", "--problem", "example1", "--n", "2",
+                "--series", str(series / "eigenpair_01.json"),
+                "--grid", "0.45,0.55,3", "--out", str(report),
+            ]
+        ) == 0
+        rows = list(csv.DictReader((report / "report.csv").open()))
+        assert len(rows) == 3 and all(float(row["abs_err_lambda"]) <= 1e-12 for row in rows)
+        sample = tmp_path / "x"
+        assert run(
+            [
+                "sample", *flags, "--pairs", "1", "--dist", "0.5,0.01", "--count", "5",
+                "--seed", "1", "--method", "taylor-eval,rayleigh", "--out", str(sample),
+            ]
+        ) == 0
+        rows = list(csv.DictReader((sample / "samples.csv").open()))
+        assert len(rows) == 5
+        assert all(float(row["re_taylor-eval_pair0"]) == pytest.approx(
+            float(row["re_rayleigh_pair0"]), rel=1e-12) for row in rows)
+
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: {key: doc[key] for key in doc if key != "lambda"}, "KeyError: 'lambda'"),
         (lambda doc: [doc], "TypeError: "),
@@ -697,6 +729,26 @@ class TestOutputFiles:
             finite = [np.all(np.isfinite(problem.eval_at(m))) for m in draws]
         assert mu == draws[finite.index(False)]
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["expand", "--method", "taylor", "--mu0", "nan"], "--mu0"),
+    (["expand", "--method", "taylor", "--mu0", "inf"], "--mu0"),
+    (["expand", "--method", "chebyshev", "--interval", "0,inf"], "--interval"),
+    (["sample", "--mu0", "0.2", "--dist", "0.2,nan", "--count", "5", "--seed", "1",
+      "--method", "taylor-eval"], "--dist"),
+    (["report", "--series", "x.json", "--grid", "0,nan,3"], "--grid"),
+    (["bench", "--n-list", "4", "--p-list", "2", "--mu0=-inf"], "--mu0"),
+], ids=["mu0-nan", "mu0-inf", "interval-inf", "dist-nan", "grid-nan", "bench-mu0-inf"])
+def test_non_finite_float_flag_is_a_usage_error(tmp_path, capsys, argv, flag):
+    command, *flags = argv
+    problem = [] if command == "bench" else ["--problem", "example1", "--n", "4"]
+    order = ["--order", "2"] if command in ("expand", "sample") else []
+    out = tmp_path / "x"
+    assert run([command, *problem, *order, *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {flag}: ") and err.endswith("is not finite\n")
+    assert not out.exists()
 
 
 def test_module_entry_point():

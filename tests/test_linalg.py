@@ -363,6 +363,17 @@ class TestSolveBorderedReduced:
                 np.ones(5), hermitian=True,
             )
 
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_ill_conditioned_pair_fails_the_eliminated_pivot_test(self, index):
+        # gap 1e-9 passes the Schur-pivot test, but the eigenvalue condition
+        # number ~1e17 does not: both pairs fail, as in taylor_expand_all
+        d = eigen_all(np.array([[1.0, 1e8], [0.0, 1.0 + 1e-9]]))
+        with pytest.raises(NonSimpleEigenvalueError, match=r"\(eliminated pivot below 1e-12\)"):
+            solve_bordered_reduced(
+                d.schur_q, d.schur_t, d.vectors[:, index].copy(), complex(d.values[index]),
+                np.ones(3),
+            )
+
     def test_assembled_residual(self):
         rng = np.random.default_rng(9)
         a = rng.normal(size=(12, 12))

@@ -20,11 +20,10 @@ from eigenpath import (
     expansion_series,
     make_spring_chain,
     make_torus_kernel,
-    solve_bordered_reduced,
     taylor_expand_all,
     taylor_rhs,
 )
-from eigenpath.linalg import assemble_bordered, border_row
+from eigenpath.linalg import assemble_bordered, border_row, build_bordered, solve_bordered
 from eigenpath.problems import builtin_problem
 from eigenpath.taylor import _bordered_residuals, binomial_table, expand_schur
 
@@ -177,8 +176,6 @@ class TestExpandAll:
 
     def test_residual_invariant_normalized(self, torus8):
         # order-k residual <= 1e-11 (1 + ||rhs||_inf), checked directly
-        from eigenpath.linalg import build_bordered, solve_bordered
-
         derivs = torus8.derivs_at(0.2, 6)
         d = eigen_all(derivs[0], hermitian=True)
         v0, lam0 = d.vectors[:, 0].copy(), complex(d.values[0])
@@ -197,16 +194,15 @@ class TestExpandAll:
 
 
 def _per_pair_oracle(derivs, decomp, index, p, hermitian):
-    """One pair's order loop: taylor_rhs plus the Schur-reduced bordered solve."""
+    """One pair's order loop: taylor_rhs plus the dense bordered LU solve."""
     lam0 = complex(decomp.values[index])
     v0 = decomp.vectors[:, index].copy()
+    system = build_bordered(derivs[0], v0, lam0, hermitian)
     binomials = binomial_table(max(p, 1))
     lams, vs = [lam0], [v0]
     for k in range(1, p + 1):
         z, y = taylor_rhs(k, derivs, vs, lams, hermitian=hermitian, binomials=binomials)
-        lam_k, v_k = solve_bordered_reduced(
-            decomp.schur_q, decomp.schur_t, v0, lam0, np.concatenate(([z], y)), hermitian
-        )
+        lam_k, v_k = solve_bordered(system, np.concatenate(([z], y)))
         lams.append(lam_k)
         vs.append(v_k)
     return np.array(lams), np.array(vs)
