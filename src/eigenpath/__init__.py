@@ -69,11 +69,8 @@ from .series import (
     eigenpair_to_dict,
     eval_cheb_u,
     eval_taylor,
-    evaluate_series,
     load_eigenpair,
     save_eigenpair,
-    series_from_dict,
-    series_to_dict,
     u_product_degrees,
 )
 from .taylor import (

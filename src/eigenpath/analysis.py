@@ -40,14 +40,13 @@ from .linalg import (
     vector_norms,
 )
 from .problems import check_finite_at, matrix_stack
-from .series import (  # noqa: F401  (eval_taylor, eval_cheb_u: looked up here by benchmarks/tracing.py)
+from .series import (  # noqa: F401  (eval_*, horner, clenshaw_u: looked up here by benchmarks/tracing.py)
     CHEBYSHEV_U,
     TAYLOR,
     clenshaw_u,
     eval_cheb_u,
     eval_taylor,
     horner,
-    taylor_scaled_coeffs,
     write_atomic,
 )
 from .taylor import TaylorRequest, taylor_expand_all
@@ -69,17 +68,9 @@ def _blocks(count, n):
     return block_slices(count, 4 * 16 * n * n, BLOCK_BYTES)
 
 
-def _eval_series(series, mus):
-    """A series at an array of points: shape mus.shape + one coefficient's shape."""
-    basis = series.basis
-    if basis.kind == TAYLOR:
-        return horner(taylor_scaled_coeffs(series.coeffs), mus - basis.mu0)
-    return clenshaw_u(series.coeffs, basis.affine(mus))
-
-
 def _eval_eigenvalues(pairs, mus):
     """Every pair's eigenvalue series at every point: shape (m, k)."""
-    return np.stack([_eval_series(pair.lam, mus) for pair in pairs], axis=-1)
+    return np.stack([pair.basis.evaluate(pair.lam.coeffs, mus) for pair in pairs], axis=-1)
 
 
 def _eval_paths(pairs, mus):
@@ -90,10 +81,8 @@ def _eval_paths(pairs, mus):
     within a point) where an evaluated eigenvector has norm below 1e-14.
     """
     mus = np.asarray(mus, dtype=float)
-    if not np.all(np.isfinite(mus)):
-        raise ValueError("evaluation point must be finite")
     lam = _eval_eigenvalues(pairs, mus)
-    vec = np.stack([_eval_series(pair.vec, mus) for pair in pairs], axis=-2)
+    vec = np.stack([pair.basis.evaluate(pair.vec.coeffs, mus) for pair in pairs], axis=-2)
     norms = vector_norms(vec)
     degenerate = np.argwhere(norms < 1e-14)
     if degenerate.size:

@@ -58,7 +58,6 @@ computed coefficients additionally carry the Newton residual perturbation.
 """
 
 import functools
-import warnings
 
 import numpy as np
 import scipy.linalg
@@ -82,7 +81,6 @@ from .series import (  # noqa: F401  (eval_cheb_u: looked up here by benchmarks/
     ScalarSeries,
     SeriesBasis,
     VectorSeries,
-    clenshaw_u,
     eval_cheb_u,
     u_product_degrees,
     u_values,
@@ -440,27 +438,33 @@ def newton_refine(x0, coeffs, tol=DEFAULT_NEWTON_TOL, max_iter=DEFAULT_NEWTON_MA
 
 
 def _detect_collisions(pairs, basis):
-    """Flag result pairs whose eigenvalue paths coincide at 5 probe points."""
-    mu1, mu2 = basis.interval
-    probes = basis.affine(np.linspace(mu1, mu2, 5))
+    """The positions (a, b), a < b, of result pairs whose eigenvalue paths
+    coincide at 5 probe points across the interval."""
     series = [a for a, pair in enumerate(pairs) if isinstance(pair, EigenPairSeries)]
-    collisions = []
-    if series:
-        lams = np.stack([pairs[a].lam.coeffs for a in series], axis=-1)
-        values = clenshaw_u(lams, probes)
-        apart = np.abs(values[:, :, None] - values[:, None, :]).max(axis=0)
-        close = np.argwhere(np.triu(apart < COLLISION_TOL, k=1))
-        collisions = [(series[i], series[j]) for i, j in close]
-    for a, b in collisions:
-        pairs[a].diagnostics.setdefault("collisions", []).append(b)
-        pairs[b].diagnostics.setdefault("collisions", []).append(a)
-    if collisions:
-        warnings.warn(
-            f"Chebyshev expansion produced coinciding eigenpaths: {collisions}; "
-            "Newton offers no guarantee of n distinct eigenpairs",
-            stacklevel=2,
-        )
-    return collisions
+    if not series:
+        return []
+    lams = np.stack([pairs[a].lam.coeffs for a in series], axis=-1)
+    values = basis.evaluate(lams, np.linspace(*basis.interval, 5))
+    apart = np.abs(values[:, :, None] - values[:, None, :]).max(axis=0)
+    close = np.argwhere(np.triu(apart < COLLISION_TOL, k=1))
+    return [(series[i], series[j]) for i, j in close]
+
+
+def _reject_collisions(pairs, indices, values, basis):
+    """``pairs``, the results for the eigenpairs ``indices`` of A_0 (eigenvalues
+    ``values``), with each member of a coinciding pair (:func:`_detect_collisions`)
+    an ExpansionFailure naming its partners: Newton promises no distinct paths."""
+    partners = [[] for _ in pairs]
+    for a, b in _detect_collisions(pairs, basis):
+        partners[a].append(b)
+        partners[b].append(a)
+    out = list(pairs)
+    for a, others in enumerate(partners):
+        if others:
+            names = " and ".join(f"eigenpair {indices[b] + 1}" for b in others)
+            error = NumericalError(f"eigenvalue path coincides with that of {names}")
+            out[a] = ExpansionFailure(indices[a], complex(values[indices[a]]), error)
+    return out
 
 
 def _expand(coeffs, decomp, indices):
@@ -502,10 +506,10 @@ def cheb_expand_all(request):
     ``taylor.selected_indices``), one entry per selected eigenvalue.
 
     Per-pair failures are reported individually as ExpansionFailure
-    entries; coinciding eigenpaths are flagged in diagnostics and warned
-    about, not treated as failures.
+    entries, among them both members of each pair of coinciding eigenvalue
+    paths (:func:`_reject_collisions`).
     """
     coeffs, decomp = _projected(request)
-    out = _expand(coeffs, decomp, selected_indices(request.selector, decomp.n))
-    _detect_collisions(out, coeffs.basis)
-    return out
+    indices = selected_indices(request.selector, decomp.n)
+    out = _expand(coeffs, decomp, indices)
+    return _reject_collisions(out, indices, decomp.values, coeffs.basis)

@@ -49,7 +49,7 @@ from .analysis import (  # noqa: F401  (eigpath_eval, rayleigh_errors: looked up
 )
 from .chebyshev import ChebRequest, cheb_expand_all
 from .errors import ConfigError, EigenPathError, NumericalError
-from .problems import builtin_problem, problem_from_config
+from .problems import builtin_problem, check_finite_at, problem_from_config
 from .series import (  # noqa: F401  (eigenpair_to_dict: looked up here by benchmarks/tracing.py)
     eigenpair_to_dict,
     load_eigenpair,
@@ -291,17 +291,6 @@ def _select_tracked(pairs, positions, mean):
     return tracked
 
 
-def _check_finite(sample_sets):
-    """Raise NumericalError at the first method whose sampled values are not
-    all finite, naming that method and the first such sample's mu."""
-    for ss in sample_sets:
-        bad = np.flatnonzero(~np.isfinite(ss.values).all(axis=1))
-        if bad.size:
-            raise NumericalError(
-                f"method {ss.method}: non-finite sampled value at mu={ss.samples[bad[0]]:.17g}"
-            )
-
-
 def cmd_sample(args):
     problem, config_hash = _resolve_problem(args)
     if args.count < 1:
@@ -338,7 +327,8 @@ def cmd_sample(args):
             )
         )
 
-    _check_finite(sample_sets)
+    for ss in sample_sets:
+        check_finite_at(ss.samples, ss.values, f"method {ss.method}: sampled value")
     outputs = [
         ("samples.csv", functools.partial(write_samples_csv, sample_sets)),
         ("histogram.csv", functools.partial(write_histogram_csv, sample_sets)),

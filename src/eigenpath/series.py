@@ -13,6 +13,10 @@ Two bases are supported:
 All containers are immutable after construction and safe to share between
 threads; coefficient arrays are marked read-only.
 
+:meth:`SeriesBasis.evaluate` is the one evaluator, from coefficients of any
+trailing shape and a point or an array of points to values; every caller,
+in this module, :mod:`eigenpath.analysis` and :mod:`eigenpath.chebyshev`, goes through it.
+
 :func:`write_atomic` is the one way files are written: pair series here, and
 the manifests and CSV files of :mod:`eigenpath.analysis` and
 :mod:`eigenpath.cli`.
@@ -77,12 +81,20 @@ class SeriesBasis:
         mu1, mu2 = self.interval
         return 0.5 * (mu2 - mu1) * s + 0.5 * (mu1 + mu2)
 
-    def contains(self, mu):
-        """Whether mu lies inside the approximation domain (always for Taylor)."""
+    def evaluate(self, coeffs, mu):
+        """The series with coefficients ``coeffs`` (shape (p+1, ...)) in this
+        basis at mu, a point or an array of points: shape mu's shape + one
+        coefficient's shape. Taylor is :func:`horner` on the k!-scaled
+        coefficients at mu - mu0; Chebyshev is :func:`clenshaw_u` at s(mu),
+        extrapolating outside the interval. Raises ValueError when a point
+        is not finite.
+        """
+        mu = np.asarray(mu, dtype=float) if np.ndim(mu) else float(mu)
+        if not np.all(np.isfinite(mu)):
+            raise ValueError("evaluation point must be finite")
         if self.kind == TAYLOR:
-            return True
-        mu1, mu2 = self.interval
-        return mu1 <= mu <= mu2
+            return horner(taylor_scaled_coeffs(coeffs), mu - self.mu0)
+        return clenshaw_u(coeffs, self.affine(mu))
 
 
 def _freeze(coeffs, ndim, dtype=complex):
@@ -187,21 +199,6 @@ class EigenPairSeries:
         return self.vec.n
 
 
-@dataclass(frozen=True)
-class SeriesValue:
-    """Evaluation result; ``extrapolated`` flags mu outside a Chebyshev interval."""
-
-    value: complex | np.ndarray
-    extrapolated: bool
-
-
-def _check_point(mu):
-    mu = float(mu)
-    if not math.isfinite(mu):
-        raise ValueError("evaluation point must be finite")
-    return mu
-
-
 def float_factorial(k):
     """k! as a float: inf past 170, where it overflows float64."""
     return float(math.factorial(k)) if k <= 170 else math.inf
@@ -242,8 +239,7 @@ def eval_taylor(series, mu):
     """Evaluate a Taylor series at mu: sum_k coeffs[k] (mu - mu0)^k / k!."""
     if series.basis.kind != TAYLOR:
         raise ValueError("eval_taylor requires a Taylor-basis series")
-    mu = _check_point(mu)
-    return horner(taylor_scaled_coeffs(series.coeffs), mu - series.basis.mu0)
+    return series.basis.evaluate(series.coeffs, mu)
 
 
 def clenshaw_u(coeffs, s):
@@ -265,16 +261,7 @@ def eval_cheb_u(series, mu):
     """Evaluate a Chebyshev-U series at mu (extrapolation permitted)."""
     if series.basis.kind != CHEBYSHEV_U:
         raise ValueError("eval_cheb_u requires a Chebyshev-basis series")
-    mu = _check_point(mu)
-    return clenshaw_u(series.coeffs, series.basis.affine(mu))
-
-
-def evaluate_series(series, mu):
-    """Evaluate in either basis, flagging extrapolation outside the interval."""
-    if series.basis.kind == TAYLOR:
-        return SeriesValue(eval_taylor(series, mu), extrapolated=False)
-    value = eval_cheb_u(series, mu)
-    return SeriesValue(value, extrapolated=not series.basis.contains(mu))
+    return series.basis.evaluate(series.coeffs, mu)
 
 
 def binomial_table(p):
@@ -315,9 +302,10 @@ def u_values(s, pmax):
 # ---------------------------------------------------------------------------
 # JSON serialization
 #
-# Schema: { "basis": {...}, "n": int, "p": int, "coeffs": [[re, im], ...] }
-# with coefficients nested one level deeper per tensor dimension. Every float
-# is written as its shortest round-trip decimal, so round-trips are lossless.
+# Schema: { "basis": {...}, "n": int, "p": int, "lambda": [[re, im], ...],
+# "v": [[[re, im], ...], ...], "diagnostics": {...} }, coefficients nested one
+# level deeper per tensor dimension. Every float is written as its shortest
+# round-trip decimal, so round-trips are lossless.
 # ---------------------------------------------------------------------------
 
 
@@ -345,6 +333,7 @@ def _re_im(arr):
 
 
 def _coeffs_to_nested(arr):
+    """The nested [re, im] lists of a coefficient array (the JSON leaves)."""
     return _re_im(arr).tolist()
 
 
@@ -355,31 +344,6 @@ def _coeffs_from_nested(doc):
     # [re, im] pairs are a complex array's memory layout; reinterpreting them
     # keeps every bit, where re + 1j * im would turn a -0.0 real part into 0.0
     return np.ascontiguousarray(doc).view(complex)[..., 0]
-
-
-def series_to_dict(series):
-    """Serialize a Scalar/Vector/MatrixSeries to the documented JSON schema."""
-    coeffs = series.coeffs
-    n = 1 if coeffs.ndim == 1 else coeffs.shape[1]
-    return {
-        "basis": _basis_to_dict(series.basis),
-        "n": n,
-        "p": coeffs.shape[0] - 1,
-        "coeffs": _coeffs_to_nested(coeffs),
-    }
-
-
-def series_from_dict(doc):
-    """Inverse of :func:`series_to_dict`; nesting depth selects the container."""
-    basis = _basis_from_dict(doc["basis"])
-    coeffs = _coeffs_from_nested(doc["coeffs"])
-    if coeffs.ndim == 1:
-        return ScalarSeries(basis, coeffs)
-    if coeffs.ndim == 2:
-        return VectorSeries(basis, coeffs)
-    if coeffs.ndim == 3:
-        return MatrixSeries(basis, coeffs)
-    raise ValueError("unsupported coefficient nesting depth")
 
 
 def _json_safe(value):

@@ -227,8 +227,8 @@ def expand_schur(derivs, weights, decomp, indices, v0, hermitian, single_precisi
     lam0 = in_dtype(decomp.values[indices], dtype)
     gaps = _eigenvalue_gaps(decomp.values)[indices]
     gap_tol = SINGULARITY_RCOND * (1.0 + float(np.max(np.abs(decomp.values))))
-    errors = [non_simple_error(f"index {index}") if gap < gap_tol else None
-              for index, gap in zip(indices, gaps)]
+    errors = [non_simple_error(f"eigenvalue gap {gap:.3g} below {gap_tol:.3g}")
+              if gap < gap_tol else None for gap in gaps]
     cols = np.flatnonzero([err is None for err in errors])
     solver_errors, schur_solve = schur_bordered_solver(q, t, lam0[cols], v0[:, cols], hermitian)
     for col, err in zip(cols, solver_errors):

@@ -26,6 +26,7 @@ from eigenpath.chebyshev import (
     _CoupledSystem,
     _detect_collisions,
     _newton,
+    _reject_collisions,
     _warm_starts,
     cheb_jacobian,
     cheb_residual,
@@ -379,16 +380,20 @@ class TestExpandAll:
                 assert np.min(np.abs(oracle - lam)) <= 1e-6
 
     def test_collision_detection_flags_duplicates(self, cheb_e1_p10):
-        duplicated = [cheb_e1_p10[0], cheb_e1_p10[0], cheb_e1_p10[1]]
-        pairs = [type(p)(p.lam, p.vec, dict(p.diagnostics)) for p in duplicated]
-        with pytest.warns(UserWarning):
-            collisions = _detect_collisions(pairs, pairs[0].basis)
-        assert (0, 1) in collisions
-        assert 1 in pairs[0].diagnostics["collisions"]
+        pairs = [cheb_e1_p10[0], cheb_e1_p10[0], cheb_e1_p10[1]]
+        assert _detect_collisions(pairs, pairs[0].basis) == [(0, 1)]
+        values = np.array([0.9, 0.7, 0.5, 0.3])
+        out = _reject_collisions(pairs, [3, 1, 2], values, pairs[0].basis)
+        for failure, index, partner in ((out[0], 3, 2), (out[1], 1, 4)):
+            assert isinstance(failure, ExpansionFailure)
+            assert failure.index == index and failure.eigenvalue == values[index]
+            assert type(failure.error) is NumericalError
+            assert str(failure.error) == f"eigenvalue path coincides with that of eigenpair {partner}"
+        assert out[2] is pairs[2]
 
     def test_no_collisions_on_example1(self, cheb_e1_p10):
-        for pair in cheb_e1_p10:
-            assert "collisions" not in pair.diagnostics
+        assert len(cheb_e1_p10) == 8    # no pair of the n=8 torus fails, by collision or else
+        assert _detect_collisions(cheb_e1_p10, cheb_e1_p10[0].basis) == []
 
 
 class TestRequestValidation:
@@ -586,16 +591,15 @@ class TestAllPairsKernel:
 
         p0, p1, p2 = cheb_e1_p10[:3]
         failure = ExpansionFailure(9, 0j, NumericalError("failed"))
-        picks = [p0, failure, p1, p0, p2, p1, failure, p0]
-        pairs = [
-            p if isinstance(p, ExpansionFailure) else type(p)(p.lam, p.vec, dict(p.diagnostics))
-            for p in picks
-        ]
+        pairs = [p0, failure, p1, p0, p2, p1, failure, p0]
         expected = pairwise_scan(pairs, p0.basis)
-        with pytest.warns(UserWarning, match="coinciding eigenpaths"):
-            assert _detect_collisions(pairs, p0.basis) == expected
+        assert _detect_collisions(pairs, p0.basis) == expected
         assert expected == [(0, 3), (0, 7), (2, 5), (3, 7)]
-        assert pairs[0].diagnostics["collisions"] == [3, 7]
-        assert pairs[3].diagnostics["collisions"] == [0, 7]
-        assert pairs[7].diagnostics["collisions"] == [0, 3]
-        assert "collisions" not in pairs[4].diagnostics
+        out = _reject_collisions(pairs, range(8), np.zeros(8), p0.basis)
+        partners = {0: "4 and eigenpair 8", 2: "6", 3: "1 and eigenpair 8",
+                    5: "3", 7: "1 and eigenpair 4"}
+        for a, names in partners.items():
+            assert isinstance(out[a], ExpansionFailure) and out[a].index == a
+            assert str(out[a].error) == f"eigenvalue path coincides with that of eigenpair {names}"
+        assert out[1] is out[6] is failure
+        assert out[4] is p2

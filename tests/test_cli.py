@@ -64,7 +64,10 @@ class TestExpand:
             ]
         )
         assert code == 2
-        assert "non-simple" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # A_0 is a Jordan block: every pair's reason names the gap, 0, and its tolerance
+        assert "eigenpair 1 (lambda0 ~ 1+0j): non-simple eigenvalue at expansion point " \
+               "(eigenvalue gap 0 below 2e-12)" in err
 
     def test_overflowing_coefficients_exit_2_without_pair_files(self, tmp_path, capsys):
         argv = ["expand", "--problem", "example3", "--n", "2", "--method", "taylor",
@@ -181,6 +184,30 @@ class TestExpand:
         )
         assert code == 0
         assert (out / "eigenpair_02.json").exists()
+
+    def test_coinciding_chebyshev_paths_fail(self, tmp_path, capsys):
+        # on the n=64 torus Newton takes the two warm starts of each of five
+        # near-double eigenvalues of A_0 to one path; both members fail and
+        # write no file
+        out = tmp_path / "c64"
+        code = run(
+            [
+                "expand", "--problem", "example1", "--n", "64", "--method", "chebyshev",
+                "--interval", "0.25,1.0", "--order", "6", "--eig", "all", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        pairs = [(22, 23), (24, 25), (36, 37), (38, 39), (61, 62)]
+        assert err.count("eigenvalue path coincides with that of eigenpair") == 2 * len(pairs)
+        for a, b in pairs:
+            assert f"eigenpair {a} (lambda0 ~ " in err
+            assert f"): eigenvalue path coincides with that of eigenpair {b}\n" in err
+            assert f"): eigenvalue path coincides with that of eigenpair {a}\n" in err
+            for index in (a, b):
+                assert not (out / f"eigenpair_{index:02d}.json").exists()
+        assert len(list(out.glob("eigenpair_*.json"))) == 42
+        assert "Warning" not in err
 
     def test_config_problem(self, tmp_path):
         config = tmp_path / "jordan2.json"
@@ -480,7 +507,7 @@ class TestReport:
                 "--grid", "0.45,0.55,3", "--out", str(report),
             ]
         ) == 0
-        rows = list(csv.DictReader((report / "report.csv").open()))
+        rows = list(csv.DictReader((report / "report.csv").read_text().splitlines()))
         assert len(rows) == 3 and all(float(row["abs_err_lambda"]) <= 1e-12 for row in rows)
         sample = tmp_path / "x"
         assert run(
@@ -489,7 +516,7 @@ class TestReport:
                 "--seed", "1", "--method", "taylor-eval,rayleigh", "--out", str(sample),
             ]
         ) == 0
-        rows = list(csv.DictReader((sample / "samples.csv").open()))
+        rows = list(csv.DictReader((sample / "samples.csv").read_text().splitlines()))
         assert len(rows) == 5
         assert all(float(row["re_taylor-eval_pair0"]) == pytest.approx(
             float(row["re_rayleigh_pair0"]), rel=1e-12) for row in rows)
@@ -704,7 +731,7 @@ class TestOutputFiles:
         # first non-finite sample is the first one drawn
         first = draw_samples(0.2, 1e200, 50, 1)[0]
         err = capsys.readouterr().err
-        assert f"method taylor-eval: non-finite sampled value at mu={first:.17g}" in err
+        assert f"method taylor-eval: sampled value is not finite at mu={first:.17g}" in err
         assert not out.exists()
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from eigenpath.analysis import eigpath_eval
 from eigenpath.series import (
     EigenPairSeries,
     ScalarSeries,
@@ -22,12 +23,9 @@ from eigenpath.series import (
     eigenpair_to_dict,
     eval_cheb_u,
     eval_taylor,
-    evaluate_series,
     horner,
     load_eigenpair,
     save_eigenpair,
-    series_from_dict,
-    series_to_dict,
     taylor_scaled_coeffs,
     u_product_degrees,
     u_values,
@@ -136,35 +134,38 @@ class TestEvalChebU:
             got = eval_cheb_u(s, sval)
             assert abs(got - naive) <= 1e-12 * max(1.0, abs(naive))
 
-    def test_extrapolation_flagged(self):
-        s = ScalarSeries(SeriesBasis.chebyshev(0.0, 1.0), [1.0, 0.5])
-        inside = evaluate_series(s, 0.5)
-        outside = evaluate_series(s, 1.5)
-        assert not inside.extrapolated
-        assert outside.extrapolated
-
-    def test_taylor_never_flagged(self):
-        s = ScalarSeries(SeriesBasis.taylor(0.0), [1.0, 1.0])
-        assert not evaluate_series(s, 100.0).extrapolated
-
 
 class TestBatchedEvaluation:
-    @pytest.mark.parametrize("shape", [(9,), (9, 6)])
+    @pytest.mark.parametrize("shape", [(9,), (9, 6), (9, 3, 3)])
     def test_rows_bit_identical_to_pointwise(self, shape):
         rng = np.random.default_rng(17)
         coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         mus = np.concatenate((rng.normal(0.5, 0.3, size=40), [0.0, 0.2, 1.0, 2.5]))
         taylor = SeriesBasis.taylor(0.2)
         cheb = SeriesBasis.chebyshev(0.0, 1.0)
-        container = ScalarSeries if len(shape) == 1 else VectorSeries
-        t_rows = horner(taylor_scaled_coeffs(coeffs), mus - taylor.mu0)
-        c_rows = clenshaw_u(coeffs, cheb.affine(mus))
+        container = {1: ScalarSeries, 2: VectorSeries, 3: MatrixSeries}[len(shape)]
+        t_rows = taylor.evaluate(coeffs, mus)
+        c_rows = cheb.evaluate(coeffs, mus)
         assert t_rows.shape == c_rows.shape == mus.shape + shape[1:]
+        # the evaluator is the recurrence on the basis's variable, bit for bit
+        assert t_rows.tobytes() == horner(taylor_scaled_coeffs(coeffs), mus - 0.2).tobytes()
+        assert c_rows.tobytes() == clenshaw_u(coeffs, cheb.affine(mus)).tobytes()
         for mu, t_row, c_row in zip(mus, t_rows, c_rows):
             t_point = np.asarray(eval_taylor(container(taylor, coeffs), mu))
             c_point = np.asarray(eval_cheb_u(container(cheb, coeffs), mu))
             assert t_row.tobytes() == t_point.tobytes()
             assert c_row.tobytes() == c_point.tobytes()
+
+
+@pytest.mark.parametrize("point", [math.nan, math.inf, -math.inf])
+def test_non_finite_point_rejected(point):
+    taylor = ScalarSeries(SeriesBasis.taylor(0.2), [1.0, 2.0])
+    basis = SeriesBasis.chebyshev(0.0, 1.0)
+    pair = EigenPairSeries(ScalarSeries(basis, [1.0, 0.5]), VectorSeries(basis, np.ones((2, 3))))
+    # eigpath_eval evaluates on an array of points, the others on one point
+    for evaluate, series in ((eval_taylor, taylor), (eval_cheb_u, pair.vec), (eigpath_eval, pair)):
+        with pytest.raises(ValueError, match="evaluation point must be finite"):
+            evaluate(series, point)
 
 
 class TestLinearity:
@@ -216,31 +217,6 @@ class TestUProductRule:
 
 
 class TestSerialization:
-    def test_scalar_roundtrip(self):
-        rng = np.random.default_rng(8)
-        s = ScalarSeries(SeriesBasis.taylor(0.3), rng.normal(size=5) + 1j * rng.normal(size=5))
-        doc = json.loads(json.dumps(series_to_dict(s)))
-        back = series_from_dict(doc)
-        assert back.basis == s.basis
-        np.testing.assert_array_equal(back.coeffs, s.coeffs)
-
-    def test_vector_and_matrix_roundtrip(self):
-        rng = np.random.default_rng(9)
-        v = VectorSeries(SeriesBasis.chebyshev(0.25, 1.0), rng.normal(size=(4, 3)))
-        m = MatrixSeries(SeriesBasis.chebyshev(0.25, 1.0), rng.normal(size=(3, 2, 2)))
-        for series in (v, m):
-            doc = json.loads(json.dumps(series_to_dict(series)))
-            back = series_from_dict(doc)
-            assert type(back) is type(series)
-            np.testing.assert_array_equal(back.coeffs, series.coeffs)
-
-    def test_schema_fields(self):
-        s = VectorSeries(SeriesBasis.taylor(0.0), np.ones((3, 5)))
-        doc = series_to_dict(s)
-        assert doc["n"] == 5 and doc["p"] == 2
-        assert doc["basis"] == {"kind": "taylor", "mu0": 0.0}
-        assert doc["coeffs"][0][0] == [1.0, 0.0]
-
     def test_eigenpair_roundtrip(self):
         rng = np.random.default_rng(10)
         basis = SeriesBasis.chebyshev(0.1, 0.5)

@@ -289,7 +289,7 @@ class TestSchurKernel:
         "a0, hermitian, failing, reason",
         [
             # repeated eigenvalue: the gap test
-            (np.diag([3.0, 2.0, 1.0, 1.0]), True, [2, 3], "index"),
+            (np.diag([3.0, 2.0, 1.0, 1.0]), True, [2, 3], "gap 0 below"),
             # gap 4.5e-12 passes the gap test (4e-12) but not the Schur-pivot
             # test (5e-12)
             (np.diag([3.0, 2.0, 1.0, 1.0 + 4.5e-12]), True, [2, 3], "Schur diagonal"),
