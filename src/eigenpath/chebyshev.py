@@ -1,7 +1,6 @@
 """Chebyshev-U expansion of eigenpaths over an interval: matrix-coefficient
-projection by Gauss-Chebyshev quadrature, a warm start from the simplified
-block-lower-triangular system, and Newton refinement of the full coupled
-system.
+projection by Gauss-Chebyshev quadrature, a start from the eigenpairs at the
+quadrature nodes, and Newton refinement of the full coupled system.
 
 The coupled system collects, for each retained degree k, the U_k coefficient
 of A(mu) v(mu) - lambda(mu) v(mu) (vector rows) and of v(mu)^T v(mu) - 1
@@ -22,9 +21,20 @@ block, giving a dense Jacobian of size (p+1)(n+1).
 Every eigenpair of the averaged matrix A_0 is expanded by one kernel, with
 no loop over pairs outside Newton's LU step:
 
-* the warm starts of all pairs are one call of the Taylor Schur kernel
-  (``taylor.expand_schur``) on the one eigendecomposition of A_0, with unit
-  weights and the bilinear border v0^T;
+* the starts of all pairs come from one stacked eigensolve of the m node
+  matrices A(mu(s_j)) that the projection of A(mu) evaluates anyway. Each
+  eigenpair of A_0 is assigned a node eigenpair at the middle node, and
+  its path runs outward node by node, one to one, by the overlaps
+  |V_prev^H V_j| of the eigenvectors, so it keeps to its eigenvector where
+  sorted eigenvalues swap at a crossing. Each node vector is scaled to
+  v^T v = 1, its sign continuous along the path, and lambda(mu_j) and
+  v(mu_j) are projected onto U_0..U_p with the projection's own weights
+  (2/pi) w_j U_i(s_j): the pseudospectral (non-intrusive) projection of
+  stochastic collocation (Xiu & Hesthaven, SIAM J. Sci. Comput. 27, 2005).
+  Newton then corrects only the Galerkin truncation, and a pair whose
+  start meets the tolerance takes no step. A pair starts when A_0's
+  eigenvalue passes the gap test (``linalg.gap_errors``) and no node
+  vector on its path is numerically isotropic (|v^T v| < 1e-8);
 * Newton runs on blocks of pairs, an array (pairs, p+1, n+1) whose stacked
   Jacobians fit ``linalg.BLOCK_BYTES``. Each iteration builds the residuals
   and the Jacobians of the block's active pairs in one batched call each,
@@ -34,18 +44,19 @@ no loop over pairs outside Newton's LU step:
   count, history and error.
 
 The arithmetic is chosen once per expansion: the projected stack A_i is
-real for every real A(mu), and when A_0's spectrum is real too its
-decomposition is real (``linalg.eigen_all``), so the warm starts, the
-residuals, the Jacobians and their LUs all run in float64. A complex pair
-of A_0 (complex eigenvectors and Schur factors) or complex input makes
-every step complex128. Newton solves each Jacobian system with one raw
-LAPACK ``gesv`` call, which scans nothing for finiteness: a Jacobian that
-is not finite gives a step that is not finite, after which the pair's
-iterates and residuals are not finite either, and the pair fails.
+real for every real A(mu), and when the spectrum is real at every node
+too the node eigenvectors are real (``linalg.eigen_all``), so the starts,
+the residuals, the Jacobians and their LUs all run in float64. A complex
+pair at any node or complex input makes every step complex128. Newton
+solves each Jacobian system with one raw LAPACK ``gesv`` call, which scans
+nothing for finiteness: a Jacobian that is not finite gives a step that is
+not finite, after which the pair's iterates and residuals are not finite
+either, and the pair fails.
 
 The single-pair functions (:func:`warm_start`, :func:`newton_refine`,
 :func:`cheb_residual`, :func:`cheb_jacobian`) run the same code on one
-pair.
+pair; the start of one pair still tracks every path, so it is that pair's
+column of the all-pairs start.
 
 On accuracy: a degree-p best approximation interpolates the target at p+1
 unknown points, so its error is governed by the (p+1)-st derivative at an
@@ -63,6 +74,7 @@ import numpy as np
 import scipy.linalg
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import JacobianSingularError, NewtonDivergenceError, NumericalError
 from .linalg import (  # noqa: F401  (build_bordered, solve_bordered: looked up here by benchmarks/tracing.py)
@@ -70,6 +82,8 @@ from .linalg import (  # noqa: F401  (build_bordered, solve_bordered: looked up 
     block_slices,
     build_bordered,
     eigen_all,
+    gap_errors,
+    in_dtype,
     overflow_reported,
     solve_bordered,
     working_dtype,
@@ -87,7 +101,6 @@ from .series import (  # noqa: F401  (eval_cheb_u: looked up here by benchmarks/
 )
 from .taylor import (  # noqa: F401  (taylor_rhs: looked up here by benchmarks/tracing.py)
     ExpansionFailure,
-    expand_schur,
     non_finite_error,
     selected_indices,
     taylor_rhs,
@@ -144,6 +157,23 @@ def gauss_chebyshev_u(m):
     return np.cos(angles), (np.pi / (m + 1)) * np.sin(angles) ** 2
 
 
+def _quadrature(problem, interval, p, m=None):
+    """The interval's basis, the weighted table w_j U_i(s_j) (p+1, m) of the
+    quadrature's weights w_j and nodes s_j, and the samples A(mu(s_j))
+    (m, n, n)."""
+    basis = SeriesBasis.chebyshev(*interval)
+    nodes, weights = gauss_chebyshev_u(quadrature_size(p, m))
+    samples = matrix_stack(problem, basis.from_affine(nodes), "quadrature node")
+    return basis, weights * u_values(nodes, p), samples
+
+
+def _project(weighted, values):
+    """The U coefficients 0..p, (2/pi) sum_j w_j U_i(s_j) values[j], of
+    values (m, ...) at the quadrature nodes, from the weighted table of
+    :func:`_quadrature`."""
+    return (2.0 / np.pi) * np.einsum("ij,j...->i...", weighted, values)
+
+
 def project_matrix_coeffs(problem, interval, p, m=None):
     """Project A(mu) onto U_0..U_p over the interval by quadrature.
 
@@ -152,13 +182,16 @@ def project_matrix_coeffs(problem, interval, p, m=None):
     The coefficients are real (float64) when every sample is real. A sample
     that is not finite raises NumericalError (``problems.matrix_stack``).
     """
-    basis = SeriesBasis.chebyshev(*interval)
-    m = quadrature_size(p, m)
-    nodes, weights = gauss_chebyshev_u(m)
-    samples = matrix_stack(problem, basis.from_affine(nodes), "quadrature node")
-    u_table = u_values(nodes, p)
-    coeffs = (2.0 / np.pi) * np.einsum("j,ij,jkl->ikl", weights, u_table, samples)
-    return MatrixSeries(basis, coeffs)
+    basis, weighted, samples = _quadrature(problem, interval, p, m)
+    return MatrixSeries(basis, _project(weighted, samples))
+
+
+class _Nodes(NamedTuple):
+    """The eigendecompositions of an expansion's m quadrature node matrices
+    (one stack), and the weighted table of :func:`_quadrature`."""
+
+    decomp: object
+    weighted: np.ndarray
 
 
 def pack_unknowns(lams, vs):
@@ -195,52 +228,100 @@ def degree_pairs(k, p):
     return [tuple(ij) for ij in np.argwhere(coupling_tensor(p)[k]).tolist()]
 
 
-def _warm_starts(coeffs, decomp, indices):
-    """Warm starts of the eigenpairs ``indices`` of A_0 = ``decomp``.
+def _assignments(overlaps):
+    """For each (n, n) matrix of a stack, the one-to-one assignment of columns
+    to rows with the largest summed overlap, as the column of each row.
 
-    Keeping only the leading U_{i+j} term of every product makes the coupled
-    system forward-substitutable: block 0 is an eigenpair of A_0 normalized
-    to v_0^T v_0 = 1, and block k solves the same bordered system as the
-    Taylor recursion but with all binomial weights equal to 1. Every pair
-    runs through the Taylor Schur kernel in one call, with the general
-    (non-Hermitian) Schur form of A_0 and the bilinear border v0^T.
+    The row-wise argmax, where it is a bijection, is that assignment: every
+    row gets its largest entry. Elsewhere scipy's ``linear_sum_assignment``
+    decides; it is imported there only, as importing ``scipy.optimize``
+    would slow every command's start.
+    """
+    best = np.argmax(overlaps, axis=-1)
+    clashes = np.any(np.sort(best, axis=-1) != np.arange(overlaps.shape[-1]), axis=-1)
+    if clashes.any():
+        from scipy.optimize import linear_sum_assignment
 
-    Returns the per-index errors (None, a NumericalError for an isotropic
-    eigenvector, or a NonSimpleEigenvalueError) and the unknowns
-    (m, p+1, n+1) of the pairs without one, in order.
+        for k in np.flatnonzero(clashes):
+            best[k] = linear_sum_assignment(overlaps[k], maximize=True)[1]
+    return best
+
+
+def _node_paths(decomp, nodes):
+    """The column of each node's eigenpairs on the path of each eigenpair
+    of A_0 = ``decomp``, an (m, n) array over the m node decompositions
+    ``nodes``.
+
+    A_0's eigenvectors are assigned to those of the middle node, and the
+    paths run outward from there, each node's eigenvectors assigned to the
+    previous node's (:func:`_assignments` on |V_prev^H V_j|). Following
+    eigenvectors rather than sorted positions keeps a path through a
+    crossing, where the sort order of its eigenvalues swaps.
+    """
+    vectors = nodes.vectors
+    m, n = nodes.values.shape
+    # forward[j, a]: the column of node j+1 that follows column a of node j
+    forward = _assignments(np.abs(vectors[:-1].conj().transpose(0, 2, 1) @ vectors[1:]))
+    backward = np.argsort(forward, axis=-1)
+    mid = m // 2
+    cols = np.empty((m, n), dtype=int)
+    cols[mid] = _assignments(np.abs(decomp.vectors.conj().T @ vectors[mid])[None])[0]
+    for j in range(mid, m - 1):
+        cols[j + 1] = forward[j][cols[j]]
+    for j in range(mid - 1, -1, -1):
+        cols[j] = backward[j][cols[j + 1]]
+    return cols
+
+
+def _path_signs(v0, paths):
+    """Signs (m, k) that make the paths' node vectors ``paths`` (m, k, n)
+    continuous: each positive against the previous node's, and at the
+    middle node against A_0's eigenvectors ``v0`` (k, n)."""
+    mid = paths.shape[0] // 2
+    flips = np.where(np.vecdot(paths[:-1], paths[1:]).real < 0, -1.0, 1.0)
+    signs = np.empty(paths.shape[:2])
+    signs[mid] = np.where(np.vecdot(v0, paths[mid]).real < 0, -1.0, 1.0)
+    signs[mid + 1:] = signs[mid] * np.cumprod(flips[mid:], axis=0)
+    signs[:mid] = signs[mid] * np.cumprod(flips[:mid][::-1], axis=0)[::-1]
+    return signs
+
+
+def _node_starts(coeffs, decomp, nodes, indices):
+    """Newton's starts for the eigenpairs ``indices`` of A_0 = ``decomp``:
+    the projection onto U_0..U_p of each pair's path through the
+    eigenpairs at the quadrature nodes (``nodes``, see the module
+    docstring).
+
+    Returns the per-index errors (None, a NumericalError for a path with a
+    numerically isotropic node eigenvector, or the NonSimpleEigenvalueError
+    of A_0's gap test) and the unknowns (k, p+1, n+1) of the pairs without
+    one, in order.
     """
     indices = np.asarray(indices, dtype=int)
-    v0 = decomp.vectors[:, indices]
-    bilinear = np.einsum("ij,ij->j", v0, v0)
-    isotropic = np.abs(bilinear) < 1e-8
-    starts = ~isotropic
-    p = coeffs.order
-    kernel_errors, lams, vs, *_ = expand_schur(
-        coeffs.coeffs,
-        np.ones((p + 1, p + 1)),
-        decomp,
-        indices[starts],
-        v0[:, starts] / np.sqrt(bilinear[starts]),
-        hermitian=False,
-    )
-    kernel_errors = iter(kernel_errors)
+    cols = _node_paths(decomp, nodes.decomp)[:, indices]
+    at = np.arange(cols.shape[0])[:, None]
+    paths = nodes.decomp.vectors[at, :, cols]                      # (m, k, n)
+    bilinear = np.einsum("jka,jka->jk", paths, paths)
+    isotropic = np.any(np.abs(bilinear) < 1e-8, axis=0)
+    _, gap_failures = gap_errors(decomp.values, indices)
     errors = [
         NumericalError("cannot normalize v0^T v0 = 1: eigenvector is numerically isotropic")
-        if iso
-        else next(kernel_errors)
-        for iso in isotropic
+        if iso else error
+        for iso, error in zip(isotropic, gap_failures)
     ]
-    x = np.empty((lams.shape[1], p + 1, coeffs.n + 1), dtype=working_dtype(lams, vs))
-    x[:, :, 0] = lams.T
-    x[:, :, 1:] = vs.transpose(2, 0, 1)
-    return errors, x
+    ok = np.array([error is None for error in errors], dtype=bool)
+    lams = in_dtype(nodes.decomp.values[at, cols[:, ok]], working_dtype(coeffs.coeffs, paths))
+    vs = paths[:, ok] / np.sqrt(bilinear[:, ok, None])
+    vs *= _path_signs(decomp.vectors[:, indices[ok]].T, vs)[:, :, None]
+    unknowns = np.concatenate((lams[:, :, None], vs), axis=2)     # (m, k, n+1)
+    return errors, np.ascontiguousarray(_project(nodes.weighted, unknowns).transpose(1, 0, 2))
 
 
-def warm_start(coeffs, eigindex):
-    """Initial packed unknowns of one eigenpair: :func:`_warm_starts` on
-    its own, raising the pair's error."""
-    decomp = eigen_all(np.asarray(coeffs.coeffs[0]))
-    (error,), x = _warm_starts(coeffs, decomp, selected_indices(eigindex, decomp.n))
+def warm_start(request, eigindex):
+    """Newton's packed start for the eigenpair ``eigindex`` of the request's
+    A_0: :func:`_node_starts` on that pair alone, raising its error."""
+    coeffs, decomp, nodes = _projected(request)
+    (error,), x = _node_starts(coeffs, decomp, nodes, selected_indices(eigindex, decomp.n))
     if error is not None:
         raise error
     return x[0].ravel()
@@ -467,14 +548,14 @@ def _reject_collisions(pairs, indices, values, basis):
     return out
 
 
-def _expand(coeffs, decomp, indices):
-    """Warm start plus Newton for the eigenpairs ``indices`` of A_0 =
+def _expand(coeffs, decomp, nodes, indices):
+    """Node start plus Newton for the eigenpairs ``indices`` of A_0 =
     ``decomp``: one EigenPairSeries or ExpansionFailure per index.
 
     Pairs go through Newton in blocks whose stacked Jacobians fit
     BLOCK_BYTES.
     """
-    errors, x = _warm_starts(coeffs, decomp, indices)
+    errors, x = _node_starts(coeffs, decomp, nodes, indices)
     system = _CoupledSystem(coeffs, x.dtype)
     size = (coeffs.order + 1) * (coeffs.n + 1)
     outcomes = []
@@ -494,14 +575,17 @@ def _expand(coeffs, decomp, indices):
 
 
 def _projected(request):
-    coeffs = project_matrix_coeffs(
-        request.problem, request.interval, request.order, request.quad_m
-    )
-    return coeffs, eigen_all(np.asarray(coeffs.coeffs[0]))
+    """The request's coefficients A_0..A_p, the decomposition of A_0, and
+    the :class:`_Nodes` of its quadrature."""
+    problem = request.problem
+    basis, weighted, samples = _quadrature(problem, request.interval, request.order, request.quad_m)
+    coeffs = MatrixSeries(basis, _project(weighted, samples))
+    nodes = _Nodes(eigen_all(samples, hermitian=problem.hermitian), weighted)
+    return coeffs, eigen_all(np.asarray(coeffs.coeffs[0])), nodes
 
 
 def cheb_expand_all(request):
-    """Warm start plus Newton for every eigenvalue of the averaged matrix A_0
+    """Node start plus Newton for every eigenvalue of the averaged matrix A_0
     that the request's selector picks (all of them by default; see
     ``taylor.selected_indices``), one entry per selected eigenvalue.
 
@@ -509,7 +593,7 @@ def cheb_expand_all(request):
     entries, among them both members of each pair of coinciding eigenvalue
     paths (:func:`_reject_collisions`).
     """
-    coeffs, decomp = _projected(request)
+    coeffs, decomp, nodes = _projected(request)
     indices = selected_indices(request.selector, decomp.n)
-    out = _expand(coeffs, decomp, indices)
+    out = _expand(coeffs, decomp, nodes, indices)
     return _reject_collisions(out, indices, decomp.values, coeffs.basis)

@@ -27,8 +27,8 @@ eigenvalue of A0:
 * the relative eigenvalue gap: lam0 against the other diagonal entries of
   T, relative to 1 + |lam0| + max |T_jj| (the Schur pivot test of
   :func:`schur_bordered_solver`), or the gap to the nearest other
-  eigenvalue relative to 1 + max |lam| (``taylor.expand_schur``'s gap
-  test, which reads the whole spectrum);
+  eigenvalue relative to 1 + max |lam| (:func:`gap_errors`, the gap test
+  of both expansions, which reads the whole spectrum);
 * the eliminated pivot, or reciprocal eigenvalue condition: in
   :func:`schur_bordered_solver`, |l_i c_i| relative to ||l_i|| ||v0_i||
   and |b_i^T v0_i| relative to ||v0_i||^2.
@@ -401,6 +401,23 @@ def _back_substitute(t, shifts, g):
 def non_simple_error(reason):
     """The NonSimpleEigenvalueError of a pair that fails the ``reason`` test."""
     return NonSimpleEigenvalueError(f"non-simple eigenvalue at expansion point ({reason})")
+
+
+def gap_errors(values, indices):
+    """The gap test of both expansions, on the eigenvalues ``values[indices]``
+    of one spectrum ``values``.
+
+    Returns each one's distance to the nearest other eigenvalue (inf when
+    n = 1), and per index its NonSimpleEigenvalueError when that gap is
+    below SINGULARITY_RCOND (1 + max |lam|), else None.
+    """
+    dist = np.abs(values[:, None] - values[None, :])
+    np.fill_diagonal(dist, np.inf)
+    gaps = dist.min(axis=1)[indices]
+    gap_tol = SINGULARITY_RCOND * (1.0 + float(np.max(np.abs(values))))
+    errors = [non_simple_error(f"eigenvalue gap {gap:.3g} below {gap_tol:.3g}")
+              if gap < gap_tol else None for gap in gaps]
+    return gaps, errors
 
 
 def schur_bordered_solver(q, t, lam0, v0, hermitian=False):

@@ -33,11 +33,8 @@ the Jordan problem, where the Schur factors are complex, or complex
 input). A real kernel runs every product, solve and
 residual in real BLAS, at a third or less of the complex cost.
 
-The kernel (:func:`expand_schur`) takes the order weights and the starting
-vectors from its caller. Taylor passes the binomials C(k, l) and the
-unit-norm eigenvectors; the Chebyshev warm start passes all ones and the
-eigenvectors of its averaged matrix scaled to v0^T v0 = 1, with the
-bilinear border v0^T.
+The kernel (:func:`expand_schur`) takes the starting vectors from its
+caller, which passes the unit-norm, phase-fixed eigenvectors of A0.
 
 The kernel stays in the Schur basis rather than the eigenvector basis,
 where V^{-1} A_k V would make every solve diagonal: Q is unitary and
@@ -67,13 +64,12 @@ from dataclasses import dataclass
 
 from .errors import DerivativeOrderError, NumericalError
 from .linalg import (
-    SINGULARITY_RCOND,
     border_row,
     build_bordered,
     column_dot,
     eigen_all,
+    gap_errors,
     in_dtype,
-    non_simple_error,
     overflow_reported,
     schur_bordered_solver,
     solve_bordered,
@@ -128,8 +124,8 @@ def taylor_rhs(k, a_derivs, vs, lams, hermitian=False, binomials=None):
 
     ``vs[l]`` is one coefficient vector, or an (n, m) array whose columns
     are m eigenpairs' coefficients, with ``lams[l]`` of length m; z then
-    holds one value per column. Term l is weighted by ``binomials[k, l]``;
-    the Chebyshev warm start passes all ones, its forward-substitution step.
+    holds one value per column. Term l is weighted by the binomial
+    ``binomials[k, l]`` (``series.binomial_table``, built here when None).
     """
     if k < 1:
         raise ValueError("rhs is defined for k >= 1")
@@ -181,13 +177,6 @@ def _check_derivatives(problem, mu0, order):
     return derivs
 
 
-def _eigenvalue_gaps(values):
-    """Distance from each eigenvalue to the nearest other one (inf if n = 1)."""
-    dist = np.abs(values[:, None] - values[None, :])
-    np.fill_diagonal(dist, np.inf)
-    return dist.min(axis=1)
-
-
 def _bordered_residuals(a0, lam0, v0, border, lam_k, v_k, z, y):
     """max |E x - rhs| per column: each pair's order-k bordered system."""
     row = column_dot(border, v_k) - z
@@ -195,14 +184,13 @@ def _bordered_residuals(a0, lam0, v0, border, lam_k, v_k, z, y):
     return np.maximum(np.abs(row), np.abs(body).max(axis=0))
 
 
-def expand_schur(derivs, weights, decomp, indices, v0, hermitian, single_precision=False):
+def expand_schur(derivs, decomp, indices, v0, hermitian, single_precision=False):
     """Advance the eigenpairs ``indices`` of ``decomp``, starting from the
     columns of ``v0``, together one order at a time in its Schur basis (see
-    the module docstring), up to order p = len(weights) - 1.
+    the module docstring), up to order p = len(derivs) - 1.
 
-    Order k weights its term l by ``weights[k, l]``: the binomials for
-    Taylor, all ones for the Chebyshev warm start. The normalization row is
-    v0^H v_k for Hermitian problems and v0^T v_k otherwise. With
+    Order k weights its term l by the binomial C(k, l). The normalization
+    row is v0^H v_k for Hermitian problems and v0^T v_k otherwise. With
     ``single_precision`` every order solves with the LU factors of each
     pair's bordered matrix rounded to single precision, and a pair whose
     rounded matrix fails ``build_bordered``'s condition test fails too.
@@ -225,10 +213,7 @@ def expand_schur(derivs, weights, decomp, indices, v0, hermitian, single_precisi
     dtype = working_dtype(derivs, t, v0)
     derivs = np.asarray(derivs, dtype=dtype)
     lam0 = in_dtype(decomp.values[indices], dtype)
-    gaps = _eigenvalue_gaps(decomp.values)[indices]
-    gap_tol = SINGULARITY_RCOND * (1.0 + float(np.max(np.abs(decomp.values))))
-    errors = [non_simple_error(f"eigenvalue gap {gap:.3g} below {gap_tol:.3g}")
-              if gap < gap_tol else None for gap in gaps]
+    gaps, errors = gap_errors(decomp.values, indices)
     cols = np.flatnonzero([err is None for err in errors])
     solver_errors, schur_solve = schur_bordered_solver(q, t, lam0[cols], v0[:, cols], hermitian)
     for col, err in zip(cols, solver_errors):
@@ -255,10 +240,11 @@ def expand_schur(derivs, weights, decomp, indices, v0, hermitian, single_precisi
         return x[0], x[1:]
 
     solve = rounded_solve if single_precision else schur_solve
+    binomials = binomial_table(derivs.shape[0] - 1)
     lams, vs, residuals, scales = [lam0], [v0], [], []
     with overflow_reported():
-        for k in range(1, weights.shape[0]):
-            z, y = taylor_rhs(k, derivs, vs, lams, hermitian=hermitian, binomials=weights)
+        for k in range(1, derivs.shape[0]):
+            z, y = taylor_rhs(k, derivs, vs, lams, hermitian=hermitian, binomials=binomials)
             lam_k, v_k = solve(z, y)
             residuals.append(_bordered_residuals(derivs[0], lam0, v0, border, lam_k, v_k, z, y))
             scales.append(1.0 + np.maximum(np.abs(z), np.abs(y).max(axis=0)))
@@ -290,7 +276,7 @@ def taylor_expand_all(request):
     decomp = eigen_all(derivs[0], hermitian=problem.hermitian)
     indices = [int(index) for index in selected_indices(request.selector, decomp.n)]
     errors, lams, vs, residuals, extras = expand_schur(
-        derivs, binomial_table(p), decomp, indices, decomp.vectors[:, indices],
+        derivs, decomp, indices, decomp.vectors[:, indices],
         problem.hermitian, request.single_precision_e,
     )
     basis = SeriesBasis.taylor(request.mu0)

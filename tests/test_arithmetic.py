@@ -1,7 +1,8 @@
-"""The arithmetic rule: a real problem whose A_0 has a real spectrum expands
-in float64 (Schur factors, the Taylor order loop, Newton's Jacobians and
-LUs); a complex spectrum or complex input runs in complex128. On the same
-numbers the two paths agree to rounding."""
+"""The arithmetic rule: a real problem with a real spectrum (at mu0 for
+Taylor, at every quadrature node for Chebyshev) expands in float64 (Schur
+factors, the Taylor order loop, Newton's residuals, Jacobians and LUs); a
+complex spectrum or complex input runs in complex128. On the same numbers
+the two paths agree to rounding."""
 
 import dataclasses
 import json
@@ -31,25 +32,27 @@ JORDAN_N2 = Path(__file__).resolve().parent.parent / "configs" / "example_jordan
 
 @pytest.fixture
 def dtypes(monkeypatch):
-    """Record the dtypes of the Schur factors every expansion's kernel reads
-    and of every block of Newton Jacobians."""
-    seen = {"schur": set(), "jacobian": set()}
+    """Record the dtypes of the Schur factors the Taylor kernel reads and of
+    every block of Newton residuals and Jacobians (a pair whose start meets
+    the tolerance takes no step, so no Jacobian)."""
+    seen = {"schur": set(), "newton": set()}
     kernel = taylor.expand_schur
 
-    def expand_schur(derivs, weights, decomp, *args, **kwargs):
+    def expand_schur(derivs, decomp, *args, **kwargs):
         seen["schur"] |= {decomp.schur_q.dtype, decomp.schur_t.dtype}
-        return kernel(derivs, weights, decomp, *args, **kwargs)
+        return kernel(derivs, decomp, *args, **kwargs)
 
-    jacobians = chebyshev._CoupledSystem.jacobians
-
-    def record_jacobians(system, x):
-        jac = jacobians(system, x)
-        seen["jacobian"].add(jac.dtype)
-        return jac
+    def recording(method):
+        def record(system, x):
+            out = method(system, x)
+            seen["newton"].add(out.dtype)
+            return out
+        return record
 
     monkeypatch.setattr(taylor, "expand_schur", expand_schur)
-    monkeypatch.setattr(chebyshev, "expand_schur", expand_schur)
-    monkeypatch.setattr(chebyshev._CoupledSystem, "jacobians", record_jacobians)
+    for name in ("residuals", "jacobians"):
+        method = getattr(chebyshev._CoupledSystem, name)
+        monkeypatch.setattr(chebyshev._CoupledSystem, name, recording(method))
     return seen
 
 
@@ -76,7 +79,7 @@ def expand_both(problem, mu0, interval, order):
 ], ids=["torus", "spring"])
 def test_real_problems_with_a_real_spectrum_take_the_real_path(dtypes, make, mu0, interval):
     expand_both(make(8), mu0, interval, 5)
-    assert dtypes == {"schur": {np.dtype(np.float64)}, "jacobian": {np.dtype(np.float64)}}
+    assert dtypes == {"schur": {np.dtype(np.float64)}, "newton": {np.dtype(np.float64)}}
 
 
 @pytest.mark.parametrize("case", ["example3", "jordan-n2", "rotation"])
@@ -88,14 +91,14 @@ def test_complex_spectra_take_the_complex_path(dtypes, tmp_path, case):
         pairs = expand_both(problem_from_config(JORDAN_N2), -0.25, (-0.3, -0.2), 6)
     else:
         pairs = expand_both(rotation_config(tmp_path), 0.5, (0.4, 0.6), 6)
-    assert dtypes == {"schur": {np.dtype(complex)}, "jacobian": {np.dtype(complex)}}
+    assert dtypes == {"schur": {np.dtype(complex)}, "newton": {np.dtype(complex)}}
     assert max(abs(pair.lam.coeffs[0].imag) for pair in pairs) > 0.1
 
 
 def test_jordan_n2_config_is_real_where_its_spectrum_is(dtypes):
     # eigenvalues 1 +- 0.5 at mu = 0.25
     expand_both(problem_from_config(JORDAN_N2), 0.25, (0.2, 0.3), 6)
-    assert dtypes == {"schur": {np.dtype(np.float64)}, "jacobian": {np.dtype(np.float64)}}
+    assert dtypes == {"schur": {np.dtype(np.float64)}, "newton": {np.dtype(np.float64)}}
 
 
 def as_complex(problem):

@@ -235,17 +235,31 @@ class TestExpand:
         assert code == 1
 
 
-def _cli_in_subprocess(command, args, out, threads):
-    """Run ``python -m eigenpath <command>`` with BLAS pinned to ``threads``."""
+def _python_in_subprocess(args, threads=1):
+    """Run ``python <args>`` on this source tree with BLAS pinned to ``threads``."""
     env = dict(os.environ)
     env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = str(threads)
     src = str(Path(eigenpath.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "eigenpath", command, *args, "--out", str(out)],
-        capture_output=True, text=True, env=env,
-    )
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _cli_in_subprocess(command, args, out, threads):
+    """Run ``python -m eigenpath <command>`` with BLAS pinned to ``threads``."""
+    _python_in_subprocess(["-m", "eigenpath", command, *args, "--out", str(out)], threads)
+
+
+def _assert_expand_identical_across_blas_threads(tmp_path, args, count):
+    outs = [tmp_path / f"threads{threads}" for threads in (1, 2)]
+    for threads, out in zip((1, 2), outs):
+        _cli_in_subprocess("expand", args, out, threads)
+    names = sorted(p.name for p in outs[0].glob("eigenpair_*.json"))
+    assert names == sorted(p.name for p in outs[1].glob("eigenpair_*.json"))
+    assert len(names) == count
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 @pytest.mark.parametrize("eig", ["all", "1"])
@@ -260,14 +274,28 @@ def test_expand_identical_across_blas_threads(tmp_path, problem, n, mu0, order, 
         "--problem", problem, "--n", n, "--method", "taylor", "--mu0", mu0,
         "--order", order, "--eig", eig,
     ]
-    outs = [tmp_path / f"threads{threads}" for threads in (1, 2)]
-    for threads, out in zip((1, 2), outs):
-        _cli_in_subprocess("expand", args, out, threads)
-    names = sorted(p.name for p in outs[0].glob("eigenpair_*.json"))
-    assert names == sorted(p.name for p in outs[1].glob("eigenpair_*.json"))
-    assert len(names) == (int(n) if eig == "all" else 1)
-    for name in names:
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    _assert_expand_identical_across_blas_threads(tmp_path, args, int(n) if eig == "all" else 1)
+
+
+@pytest.mark.parametrize("eig", ["all", "1"])
+@pytest.mark.parametrize("problem, n, interval, order", [
+    pytest.param("example1", "8", "0.25,1.0", "6", id="example1-8"),
+    pytest.param("example2", "32", "0.5,2.0", "12", id="example2-32"),
+])
+def test_chebyshev_expand_identical_across_blas_threads(tmp_path, problem, n, interval, order, eig):
+    args = [
+        "--problem", problem, "--n", n, "--method", "chebyshev", "--interval", interval,
+        "--order", order, "--eig", eig,
+    ]
+    _assert_expand_identical_across_blas_threads(tmp_path, args, int(n) if eig == "all" else 1)
+
+
+def test_cli_import_leaves_out_scipy_optimize_and_sparse():
+    # importing scipy.optimize alone would take most of a command's start-up
+    # time; the node start's assignment imports it only when it needs it
+    code = ("import sys, eigenpath.cli; "
+            "print([m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules])")
+    assert _python_in_subprocess(["-c", code]).strip() == "[]"
 
 
 @pytest.mark.parametrize(

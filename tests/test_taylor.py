@@ -393,9 +393,7 @@ class TestNormalizationRows:
 
 def _schur_expansion(derivs, decomp, index, v0, p):
     """One Hermitian pair through the Schur kernel from the starting column v0."""
-    errors, lams, vs, _, _ = expand_schur(
-        derivs, binomial_table(p), decomp, [index], v0[:, None], hermitian=True
-    )
+    errors, lams, vs, _, _ = expand_schur(derivs[:p + 1], decomp, [index], v0[:, None], hermitian=True)
     assert errors == [None]
     return lams[:, 0], vs[:, :, 0]
 
