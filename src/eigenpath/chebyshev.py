@@ -43,6 +43,12 @@ no loop over pairs outside Newton's LU step:
   active set when it converges or fails, and keeps its own iteration
   count, history and error.
 
+Two expanded pairs whose paths coincide both fail (:func:`_reject_collisions`):
+at 5 probes across the interval their eigenvalues agree within
+``COLLISION_TOL`` and their eigenvectors are parallel, 1 - |cos| of their
+angle below it. Eigenvalues alone would also fail the distinct, orthogonal
+paths of a near-double eigenvalue (five pairs of the torus at n=64).
+
 The arithmetic is chosen once per expansion: the projected stack A_i is
 real for every real A(mu), and when the spectrum is real at every node
 too the node eigenvectors are real (``linalg.eigen_all``), so the starts,
@@ -100,8 +106,8 @@ from .series import (  # noqa: F401  (eval_cheb_u: looked up here by benchmarks/
     u_values,
 )
 from .taylor import (  # noqa: F401  (taylor_rhs: looked up here by benchmarks/tracing.py)
-    ExpansionFailure,
     non_finite_error,
+    pair_results,
     selected_indices,
     taylor_rhs,
 )
@@ -519,16 +525,27 @@ def newton_refine(x0, coeffs, tol=DEFAULT_NEWTON_TOL, max_iter=DEFAULT_NEWTON_MA
 
 
 def _detect_collisions(pairs, basis):
-    """The positions (a, b), a < b, of result pairs whose eigenvalue paths
-    coincide at 5 probe points across the interval."""
+    """The positions (a, b), a < b, of result pairs whose paths coincide (see
+    the module docstring). Only pairs whose eigenvalues agree evaluate their
+    eigenvectors."""
     series = [a for a, pair in enumerate(pairs) if isinstance(pair, EigenPairSeries)]
     if not series:
         return []
+    probes = np.linspace(*basis.interval, 5)
     lams = np.stack([pairs[a].lam.coeffs for a in series], axis=-1)
-    values = basis.evaluate(lams, np.linspace(*basis.interval, 5))
+    values = basis.evaluate(lams, probes)
     apart = np.abs(values[:, :, None] - values[:, None, :]).max(axis=0)
     close = np.argwhere(np.triu(apart < COLLISION_TOL, k=1))
-    return [(series[i], series[j]) for i, j in close]
+    if not len(close):
+        return []
+    first, second = (  # (5, n, candidates)
+        basis.evaluate(np.stack([pairs[series[i]].vec.coeffs for i in side], axis=-1), probes)
+        for side in close.T
+    )
+    norms = np.linalg.norm(first, axis=1) * np.linalg.norm(second, axis=1)
+    cos = np.abs(np.vecdot(first, second, axis=1)) / norms
+    parallel = np.all(1.0 - cos < COLLISION_TOL, axis=0)
+    return [(series[i], series[j]) for (i, j), same in zip(close, parallel) if same]
 
 
 def _reject_collisions(pairs, indices, values, basis):
@@ -539,13 +556,11 @@ def _reject_collisions(pairs, indices, values, basis):
     for a, b in _detect_collisions(pairs, basis):
         partners[a].append(b)
         partners[b].append(a)
-    out = list(pairs)
-    for a, others in enumerate(partners):
-        if others:
-            names = " and ".join(f"eigenpair {indices[b] + 1}" for b in others)
-            error = NumericalError(f"eigenvalue path coincides with that of {names}")
-            out[a] = ExpansionFailure(indices[a], complex(values[indices[a]]), error)
-    return out
+    names = [" and ".join(f"eigenpair {indices[b] + 1}" for b in others) for others in partners]
+    errors = [NumericalError(f"eigenvalue path coincides with that of {name}") if name else None
+              for name in names]
+    kept = (pair for pair, error in zip(pairs, errors) if error is None)
+    return pair_results(indices, values, errors, kept)
 
 
 def _expand(coeffs, decomp, nodes, indices):
@@ -561,17 +576,11 @@ def _expand(coeffs, decomp, nodes, indices):
     outcomes = []
     for block in block_slices(x.shape[0], 16 * size * size, BLOCK_BYTES):
         outcomes += _newton(system, x[block], DEFAULT_NEWTON_TOL, DEFAULT_NEWTON_MAX_ITER)
-    refined = iter(zip(outcomes, x))
-    out = []
-    for index, error in zip(indices, errors):
-        if error is None:
-            outcome, unknowns = next(refined)
-            if not isinstance(outcome, NumericalError):
-                out.append(_series_from_packed(unknowns, coeffs, outcome))
-                continue
-            error = outcome
-        out.append(ExpansionFailure(index, complex(decomp.values[index]), error))
-    return out
+    refined = (
+        outcome if isinstance(outcome, NumericalError) else _series_from_packed(unknowns, coeffs, outcome)
+        for outcome, unknowns in zip(outcomes, x)
+    )
+    return pair_results(indices, decomp.values, errors, refined)
 
 
 def _projected(request):

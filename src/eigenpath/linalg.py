@@ -163,37 +163,21 @@ class EigenDecomposition:
 
     Eigenvalues are sorted by descending real part (ties by descending
     imaginary part); eigenvectors are unit 2-norm columns with the phase fix
-    applied. The sorted eigenvectors and the Schur factors are computed on
-    first access, so a caller that reads only ``values`` pays for neither
-    (LAPACK still computes the eigenvectors; :func:`eigenvalues` does not).
-    T is diagonal for Hermitian input. ``matrix`` is the checked input, in
-    float64 when it is real; ``vectors`` and the Schur factors are float64
-    when it is real with a real spectrum, else complex128 (see the module's
-    dtype policy). Every array computed here is read-only.
+    applied. The Schur factors are computed on first access. T is diagonal
+    for Hermitian input. ``matrix`` is the checked input, in float64 when it
+    is real; ``vectors`` and the Schur factors are float64 when it is real
+    with a real spectrum, else complex128 (see the module's dtype policy).
+    Every array computed here is read-only.
     """
 
     matrix: np.ndarray = field(repr=False)
     values: np.ndarray
+    vectors: np.ndarray = field(repr=False)
     hermitian: bool
-    solver_vectors: np.ndarray = field(repr=False)   # unsorted, as LAPACK returns them
-    order: np.ndarray = field(repr=False)            # sort permutation of the columns
 
     @property
     def n(self):
         return self.values.shape[-1]
-
-    @cached_property
-    def vectors(self):
-        vectors = np.take_along_axis(self.solver_vectors, self.order[..., None, :], axis=-1)
-        norms = vector_norms(vectors, axis=-2)[..., None, :]
-        unit = phase_fix(vectors / norms, axis=-2)
-        if np.iscomplexobj(vectors) and not np.iscomplexobj(self.matrix):
-            # numpy's real eig returns a whole stack in complex when one of
-            # its matrices has a complex pair; a matrix with a real spectrum
-            # is normalized and sign-fixed in float64, as it is when alone
-            real = np.all(self.values.imag == 0, axis=-1)[..., None, None]
-            unit = np.where(real, phase_fix(vectors.real / norms, axis=-2), unit)
-        return _readonly(unit)
 
     @cached_property
     def _schur(self):
@@ -256,7 +240,16 @@ def eigen_all(a, hermitian=False):
     values = values.astype(complex)
     order = _sort_order(values)
     values = _readonly(np.take_along_axis(values, order, axis=-1))
-    return EigenDecomposition(a, values, hermitian, vectors, order)
+    vectors = np.take_along_axis(vectors, order[..., None, :], axis=-1)
+    norms = vector_norms(vectors, axis=-2)[..., None, :]
+    unit = phase_fix(vectors / norms, axis=-2)
+    if np.iscomplexobj(vectors) and not np.iscomplexobj(a):
+        # numpy's real eig returns a whole stack in complex when one of its
+        # matrices has a complex pair; a matrix with a real spectrum is
+        # normalized and sign-fixed in float64, as it is when alone
+        real = np.all(values.imag == 0, axis=-1)[..., None, None]
+        unit = np.where(real, phase_fix(vectors.real / norms, axis=-2), unit)
+    return EigenDecomposition(a, values, _readonly(unit), hermitian)
 
 
 def eigenvalues(a, hermitian=False):
@@ -326,7 +319,7 @@ def _rcond_from_lu(e, lu_piv):
     return float(rcond)
 
 
-def build_bordered(a0, v0, lam0, hermitian=False, unit_norm_check=True, single_precision=False):
+def build_bordered(a0, v0, lam0, hermitian=False, single_precision=False):
     """Build and factorize the bordered system for (lam0, v0) at A0.
 
     Raises NonSimpleEigenvalueError when the reciprocal condition estimate
@@ -337,7 +330,7 @@ def build_bordered(a0, v0, lam0, hermitian=False, unit_norm_check=True, single_p
     """
     a0 = _check_square(a0)
     v0 = np.asarray(v0)
-    if unit_norm_check and abs(np.linalg.norm(v0) - 1.0) > 1e-12:
+    if abs(np.linalg.norm(v0) - 1.0) > 1e-12:
         raise ValueError("v0 must have unit 2-norm")
     e = assemble_bordered(a0, v0, lam0, hermitian)
     if single_precision:

@@ -34,7 +34,8 @@ input). A real kernel runs every product, solve and
 residual in real BLAS, at a third or less of the complex cost.
 
 The kernel (:func:`expand_schur`) takes the starting vectors from its
-caller, which passes the unit-norm, phase-fixed eigenvectors of A0.
+caller, which passes the unit-norm, phase-fixed eigenvectors of A0, and
+returns the results, built by :func:`pair_results` as both expansions do.
 
 The kernel stays in the Schur basis rather than the eigenvector basis,
 where V^{-1} A_k V would make every solve diagonal: Q is unitary and
@@ -119,6 +120,23 @@ class ExpansionFailure:
     error: Exception
 
 
+def pair_results(indices, values, errors, outcomes):
+    """One result per index of ``indices`` into the spectrum ``values``: an
+    ExpansionFailure carrying the index's error, or where it is None the
+    next of ``outcomes`` (the surviving pairs' results), which becomes one
+    too if it is an exception and is passed through otherwise."""
+    outcomes = iter(outcomes)
+    out = []
+    for index, error in zip(indices, errors):
+        if error is None:
+            error = next(outcomes)
+            if not isinstance(error, Exception):
+                out.append(error)
+                continue
+        out.append(ExpansionFailure(index, complex(values[index]), error))
+    return out
+
+
 def taylor_rhs(k, a_derivs, vs, lams, hermitian=False, binomials=None):
     """Right-hand side (z, y) of the order-k bordered system.
 
@@ -184,7 +202,7 @@ def _bordered_residuals(a0, lam0, v0, border, lam_k, v_k, z, y):
     return np.maximum(np.abs(row), np.abs(body).max(axis=0))
 
 
-def expand_schur(derivs, decomp, indices, v0, hermitian, single_precision=False):
+def expand_schur(derivs, decomp, indices, v0, hermitian, basis, single_precision=False):
     """Advance the eigenpairs ``indices`` of ``decomp``, starting from the
     columns of ``v0``, together one order at a time in its Schur basis (see
     the module docstring), up to order p = len(derivs) - 1.
@@ -198,16 +216,13 @@ def expand_schur(derivs, decomp, indices, v0, hermitian, single_precision=False)
     The loop computes in ``linalg.working_dtype`` of ``derivs``, the Schur
     factors and ``v0``: float64 when all are real.
 
-    Returns the per-index errors (None, or the NumericalError, mostly a
-    NonSimpleEigenvalueError, that rejects the pair) and, for the pairs
-    that passed every test and in their order, lams (p+1, m),
-    vs (p+1, n, m), the per-order residuals (p, m) of the exact bordered
-    systems, and a dict of the pairs' other diagnostics, each array's last
-    axis running over the pairs: ``order_residual_scales`` (p, m), each
-    order's 1 + max(|z|, max |y|) of its rhs, ``gaps`` (m,), each
-    eigenvalue's distance to the nearest other one (inf when n = 1), and
-    with ``single_precision`` the rounded matrices' ``condition_estimate``
-    (m,). Only those pairs enter the order loop.
+    Returns per index (:func:`pair_results`) the pair's EigenPairSeries in
+    ``basis``, or an ExpansionFailure carrying the NumericalError (mostly a
+    NonSimpleEigenvalueError) that rejects it before the order loop or names
+    its first order that is not finite. A series' diagnostics hold the exact
+    bordered systems' ``order_residuals``, each order's rhs scale
+    1 + max(|z|, max |y|), its ``gap`` to the nearest other eigenvalue (None
+    when n = 1) and, with ``single_precision``, the ``condition_estimate``.
     """
     q, t = decomp.schur_q, decomp.schur_t
     dtype = working_dtype(derivs, t, v0)
@@ -240,21 +255,31 @@ def expand_schur(derivs, decomp, indices, v0, hermitian, single_precision=False)
         return x[0], x[1:]
 
     solve = rounded_solve if single_precision else schur_solve
-    binomials = binomial_table(derivs.shape[0] - 1)
+    p = derivs.shape[0] - 1
+    binomials = binomial_table(p)
     lams, vs, residuals, scales = [lam0], [v0], [], []
     with overflow_reported():
-        for k in range(1, derivs.shape[0]):
+        for k in range(1, p + 1):
             z, y = taylor_rhs(k, derivs, vs, lams, hermitian=hermitian, binomials=binomials)
             lam_k, v_k = solve(z, y)
             residuals.append(_bordered_residuals(derivs[0], lam0, v0, border, lam_k, v_k, z, y))
             scales.append(1.0 + np.maximum(np.abs(z), np.abs(y).max(axis=0)))
             lams.append(lam_k)
             vs.append(v_k)
-    shape = (len(residuals), lam0.size)
-    extras = {"order_residual_scales": np.reshape(scales, shape), "gaps": gaps}
-    if single_precision:
-        extras["condition_estimate"] = np.array([s.condition_estimate for s in systems])
-    return errors, np.array(lams), np.array(vs), np.reshape(residuals, shape), extras
+    lams, vs = np.array(lams), np.array(vs)
+    # (pairs, p), also when no pair is left
+    residuals, scales = (np.reshape(r, (p, lam0.size)).T for r in (residuals, scales))
+    series = []
+    for col, gap in enumerate(gaps):
+        lam, vec = lams[:, col], vs[:, :, col]
+        diagnostics = {"method": "taylor", "order_residuals": residuals[col].tolist(),
+                       "order_residual_scales": scales[col].tolist(),
+                       "gap": float(gap) if np.isfinite(gap) else None}
+        if single_precision:
+            diagnostics["condition_estimate"] = systems[col].condition_estimate
+        series.append(non_finite_error(lam, vec) or EigenPairSeries(
+            ScalarSeries(basis, lam), VectorSeries(basis, vec), diagnostics))
+    return pair_results(indices, decomp.values, errors, series)
 
 
 def taylor_expand_all(request):
@@ -265,42 +290,14 @@ def taylor_expand_all(request):
     EigenPairSeries on success, or an ExpansionFailure carrying the error
     when that particular eigenvalue is not simple or its coefficients are
     not all finite. All simple pairs advance together through
-    :func:`expand_schur` in O(p^2 n^3) work; each pair's diagnostics hold
-    its per-order bordered residuals, and beside them the scale
-    1 + max(|z|, max |y|) of each order's rhs (a residual over its scale
-    reads as a relative error), its eigenvalue gap and, under
-    ``single_precision_e``, the rounded bordered matrix's condition estimate.
+    :func:`expand_schur` in O(p^2 n^3) work.
     """
-    problem, p = request.problem, request.order
-    derivs = _check_derivatives(problem, request.mu0, p)
+    problem = request.problem
+    derivs = _check_derivatives(problem, request.mu0, request.order)
     decomp = eigen_all(derivs[0], hermitian=problem.hermitian)
-    indices = [int(index) for index in selected_indices(request.selector, decomp.n)]
-    errors, lams, vs, residuals, extras = expand_schur(
-        derivs, decomp, indices, decomp.vectors[:, indices],
-        problem.hermitian, request.single_precision_e,
-    )
-    basis = SeriesBasis.taylor(request.mu0)
-    columns = iter(range(lams.shape[1]))
-    out = []
-    for index, err in zip(indices, errors):
-        if err is None:
-            col = next(columns)
-            lam, vec = lams[:, col], vs[:, :, col]
-            err = non_finite_error(lam, vec)
-        if err is not None:
-            out.append(ExpansionFailure(index, complex(decomp.values[index]), err))
-            continue
-        gap = float(extras["gaps"][col])
-        diagnostics = {
-            "method": "taylor",
-            "order_residuals": [float(r) for r in residuals[:, col]],
-            "order_residual_scales": [float(s) for s in extras["order_residual_scales"][:, col]],
-            "gap": gap if np.isfinite(gap) else None,
-        }
-        if "condition_estimate" in extras:
-            diagnostics["condition_estimate"] = float(extras["condition_estimate"][col])
-        out.append(EigenPairSeries(ScalarSeries(basis, lam), VectorSeries(basis, vec), diagnostics))
-    return out
+    indices = selected_indices(request.selector, decomp.n)
+    return expand_schur(derivs, decomp, indices, decomp.vectors[:, indices], problem.hermitian,
+                        SeriesBasis.taylor(request.mu0), request.single_precision_e)
 
 
 def expansion_series(results):

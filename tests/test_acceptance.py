@@ -298,7 +298,7 @@ def test_criterion_11_property_suites(torus, cheb20):
         build_bordered(a, v0, lam0, hermitian=True), np.concatenate(([0.2 + 0j], y))
     )
     spun = solve_bordered(
-        build_bordered(a, gamma * v0, lam0, hermitian=True, unit_norm_check=False),
+        build_bordered(a, gamma * v0, lam0, hermitian=True),
         np.concatenate(([0.2 + 0j], gamma * y)),
     )
     gamma_err = max(

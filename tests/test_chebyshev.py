@@ -395,6 +395,18 @@ class TestExpandAll:
             assert str(failure.error) == f"eigenvalue path coincides with that of eigenpair {partner}"
         assert out[2] is pairs[2]
 
+    def test_equal_eigenvalues_with_orthogonal_eigenvectors_do_not_collide(self, cheb_e1_p10):
+        # the near-double eigenvalues of the n=64 torus: equal eigenvalue
+        # paths, distinct (here orthogonal) eigenvector paths
+        p0, p1 = cheb_e1_p10[:2]
+        twin = dataclasses.replace(p0, vec=p1.vec)
+        assert _detect_collisions([p0, twin], p0.basis) == []
+        out = _reject_collisions([p0, twin], [0, 1], np.zeros(2), p0.basis)
+        assert out[0] is p0 and out[1] is twin
+        # an eigenvector path with the opposite sign is the same path
+        flipped = dataclasses.replace(p0, vec=dataclasses.replace(p0.vec, coeffs=-p0.vec.coeffs))
+        assert _detect_collisions([p0, twin, flipped], p0.basis) == [(0, 2)]
+
     def test_no_collisions_on_example1(self, cheb_e1_p10):
         assert len(cheb_e1_p10) == 8    # no pair of the n=8 torus fails, by collision or else
         assert _detect_collisions(cheb_e1_p10, cheb_e1_p10[0].basis) == []

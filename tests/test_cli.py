@@ -185,10 +185,11 @@ class TestExpand:
         assert code == 0
         assert (out / "eigenpair_02.json").exists()
 
-    def test_coinciding_chebyshev_paths_fail(self, tmp_path, capsys):
-        # on the n=64 torus Newton takes the two warm starts of each of five
-        # near-double eigenvalues of A_0 to one path; both members fail and
-        # write no file
+    def test_near_double_chebyshev_paths_expand(self, tmp_path, capsys):
+        # on the n=64 torus the paths of five near-double eigenvalues of A_0
+        # agree in value within COLLISION_TOL but have orthogonal
+        # eigenvectors: distinct paths, each written to its file; exit 2
+        # comes from the twelve pairs A_0's gap test rejects
         out = tmp_path / "c64"
         code = run(
             [
@@ -198,16 +199,12 @@ class TestExpand:
         )
         assert code == 2
         err = capsys.readouterr().err
-        pairs = [(22, 23), (24, 25), (36, 37), (38, 39), (61, 62)]
-        assert err.count("eigenvalue path coincides with that of eigenpair") == 2 * len(pairs)
-        for a, b in pairs:
-            assert f"eigenpair {a} (lambda0 ~ " in err
-            assert f"): eigenvalue path coincides with that of eigenpair {b}\n" in err
-            assert f"): eigenvalue path coincides with that of eigenpair {a}\n" in err
-            for index in (a, b):
-                assert not (out / f"eigenpair_{index:02d}.json").exists()
-        assert len(list(out.glob("eigenpair_*.json"))) == 42
-        assert "Warning" not in err
+        assert "coincides" not in err
+        assert len(err.splitlines()) == 12
+        assert err.count("): non-simple eigenvalue at expansion point (eigenvalue gap ") == 12
+        for index in (22, 23, 24, 25, 36, 37, 38, 39, 61, 62):
+            assert (out / f"eigenpair_{index:02d}.json").exists()
+        assert len(list(out.glob("eigenpair_*.json"))) == 52
 
     def test_config_problem(self, tmp_path):
         config = tmp_path / "jordan2.json"
@@ -263,16 +260,20 @@ def _assert_expand_identical_across_blas_threads(tmp_path, args, count):
 
 
 @pytest.mark.parametrize("eig", ["all", "1"])
-@pytest.mark.parametrize("problem, n, mu0, order", [
-    pytest.param("example1", "8", "0.2", "4", id="example1-0.2-4"),
-    pytest.param("example2", "8", "0.8", "6", id="example2-0.8-6"),
+@pytest.mark.parametrize("problem, n, mu0, order, flags", [
+    pytest.param("example1", "8", "0.2", "4", [], id="example1-0.2-4"),
+    pytest.param("example2", "8", "0.8", "6", [], id="example2-0.8-6"),
     # at n=8 two BLAS threads do not speed up a complex product; at n=64 they do
-    pytest.param("example2", "64", "0.8", "10", id="example2-64-0.8-10"),
+    pytest.param("example2", "64", "0.8", "10", [], id="example2-64-0.8-10"),
+    pytest.param("example1", "16", "0.2", "10", ["--single-precision-e"],
+                 id="example1-16-0.2-10-single-e"),
+    pytest.param("example2", "64", "0.8", "10", ["--single-precision-e"],
+                 id="example2-64-0.8-10-single-e"),
 ])
-def test_expand_identical_across_blas_threads(tmp_path, problem, n, mu0, order, eig):
+def test_expand_identical_across_blas_threads(tmp_path, problem, n, mu0, order, flags, eig):
     args = [
         "--problem", problem, "--n", n, "--method", "taylor", "--mu0", mu0,
-        "--order", order, "--eig", eig,
+        "--order", order, "--eig", eig, *flags,
     ]
     _assert_expand_identical_across_blas_threads(tmp_path, args, int(n) if eig == "all" else 1)
 
@@ -327,6 +328,22 @@ def test_sample_and_report_identical_across_blas_threads(tmp_path, problem, n, m
         _cli_in_subprocess("report", report, outs[threads] / "report", threads)
     for name in ("sample/samples.csv", "sample/histogram.csv", "report/report.csv"):
         assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("problem, interval, dist", [
+    ("example1", "0.25,1.0", "0.6,0.05"), ("example2", "0.5,2.0", "1.2,0.1")
+])
+def test_chebyshev_sample_identical_across_blas_threads(tmp_path, problem, interval, dist):
+    sample = [
+        "--problem", problem, "--n", "12", "--interval", interval, "--order", "8",
+        "--pairs", "2,3", "--dist", dist, "--count", "300", "--seed", "4",
+        "--method", "cheb-eval,rayleigh,direct",
+    ]
+    outs = [tmp_path / f"threads{threads}" for threads in (1, 2)]
+    for threads, out in zip((1, 2), outs):
+        _cli_in_subprocess("sample", sample, out, threads)
+    for name in ("samples.csv", "histogram.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def _residuals_over_scales(out):

@@ -401,7 +401,7 @@ class TestGammaEquivariance:
             build_bordered(a, v0, lam0, hermitian=True), np.concatenate(([z], y))
         )
         scaled = solve_bordered(
-            build_bordered(a, gamma * v0, lam0, hermitian=True, unit_norm_check=False),
+            build_bordered(a, gamma * v0, lam0, hermitian=True),
             np.concatenate(([z], gamma * y)),
         )
         assert abs(base[0] - scaled[0]) <= 1e-12 * max(1.0, abs(base[0]))

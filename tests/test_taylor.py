@@ -9,10 +9,12 @@ from conftest import constant_problem, linear_problem, shift_problem
 
 from eigenpath import (
     DerivativeOrderError,
+    EigenPairSeries,
     ExpansionFailure,
     NonSimpleEigenvalueError,
     NumericalError,
     ParametricProblem,
+    SeriesBasis,
     TaylorRequest,
     eigen_all,
     eval_taylor,
@@ -393,9 +395,10 @@ class TestNormalizationRows:
 
 def _schur_expansion(derivs, decomp, index, v0, p):
     """One Hermitian pair through the Schur kernel from the starting column v0."""
-    errors, lams, vs, _, _ = expand_schur(derivs[:p + 1], decomp, [index], v0[:, None], hermitian=True)
-    assert errors == [None]
-    return lams[:, 0], vs[:, :, 0]
+    (pair,) = expand_schur(derivs[:p + 1], decomp, [index], v0[:, None], hermitian=True,
+                           basis=SeriesBasis.taylor(0.2))
+    assert isinstance(pair, EigenPairSeries)
+    return pair.lam.coeffs, pair.vec.coeffs
 
 
 class TestGammaInvariance:
