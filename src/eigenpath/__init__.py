@@ -62,9 +62,7 @@ from .expressions import parse_expression, taylor_arith_eval
 from .series import (
     EigenPairSeries,
     MatrixSeries,
-    ScalarSeries,
     SeriesBasis,
-    VectorSeries,
     eigenpair_from_dict,
     eigenpair_to_dict,
     eval_cheb_u,

@@ -70,7 +70,7 @@ def _blocks(count, n):
 
 def _eval_eigenvalues(pairs, mus):
     """Every pair's eigenvalue series at every point: shape (m, k)."""
-    return np.stack([pair.basis.evaluate(pair.lam.coeffs, mus) for pair in pairs], axis=-1)
+    return np.stack([pair.basis.evaluate(pair.lam, mus) for pair in pairs], axis=-1)
 
 
 def _eval_paths(pairs, mus):
@@ -82,7 +82,7 @@ def _eval_paths(pairs, mus):
     """
     mus = np.asarray(mus, dtype=float)
     lam = _eval_eigenvalues(pairs, mus)
-    vec = np.stack([pair.basis.evaluate(pair.vec.coeffs, mus) for pair in pairs], axis=-2)
+    vec = np.stack([pair.basis.evaluate(pair.vec, mus) for pair in pairs], axis=-2)
     norms = vector_norms(vec)
     degenerate = np.argwhere(norms < 1e-14)
     if degenerate.size:

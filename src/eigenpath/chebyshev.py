@@ -98,9 +98,7 @@ from .problems import matrix_stack
 from .series import (  # noqa: F401  (eval_cheb_u: looked up here by benchmarks/tracing.py)
     EigenPairSeries,
     MatrixSeries,
-    ScalarSeries,
     SeriesBasis,
-    VectorSeries,
     eval_cheb_u,
     u_product_degrees,
     u_values,
@@ -429,9 +427,7 @@ def cheb_jacobian(x, coeffs):
 def _series_from_packed(x, coeffs, diagnostics):
     """The series of packed (or (p+1, n+1)) unknowns x, copied out of x."""
     lams, vs = unpack_unknowns(x, coeffs.n)
-    lam = ScalarSeries(coeffs.basis, lams)
-    vec = VectorSeries(coeffs.basis, vs)
-    return EigenPairSeries(lam, vec, diagnostics)
+    return EigenPairSeries(coeffs.basis, lams, vs, diagnostics)
 
 
 def _newton_steps(system, x, residual, pairs):
@@ -532,14 +528,14 @@ def _detect_collisions(pairs, basis):
     if not series:
         return []
     probes = np.linspace(*basis.interval, 5)
-    lams = np.stack([pairs[a].lam.coeffs for a in series], axis=-1)
+    lams = np.stack([pairs[a].lam for a in series], axis=-1)
     values = basis.evaluate(lams, probes)
     apart = np.abs(values[:, :, None] - values[:, None, :]).max(axis=0)
     close = np.argwhere(np.triu(apart < COLLISION_TOL, k=1))
     if not len(close):
         return []
     first, second = (  # (5, n, candidates)
-        basis.evaluate(np.stack([pairs[series[i]].vec.coeffs for i in side], axis=-1), probes)
+        basis.evaluate(np.stack([pairs[series[i]].vec for i in side], axis=-1), probes)
         for side in close.T
     )
     norms = np.linalg.norm(first, axis=1) * np.linalg.norm(second, axis=1)

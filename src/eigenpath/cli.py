@@ -376,7 +376,8 @@ def build_parser():
     report.add_argument("--series", nargs="+", required=True)
     report.add_argument("--grid", required=True, help="a,b,count")
     report.add_argument("--metrics", default="eig-error,vec-deviation",
-                        help="comma list of eig-error|vec-deviation|rayleigh")
+                        help="comma list of eig-error|vec-deviation|rayleigh; abs_err_lambda "
+                             "and vec_deviation are always written, rayleigh adds a column")
     report.add_argument("--out", required=True)
     report.set_defaults(func=cmd_report)
 

@@ -1,5 +1,5 @@
-"""Series bases, coefficient containers, evaluation recurrences, and the
-product rule for second-kind Chebyshev polynomials.
+"""Series bases, the eigenpath record, evaluation recurrences, the product
+rule for second-kind Chebyshev polynomials, and the pair file encoder.
 
 Two bases are supported:
 
@@ -10,6 +10,7 @@ Two bases are supported:
   (U_0 = 1, U_1(s) = 2s, U_{k+1} = 2 s U_k - U_{k-1}) composed with the
   affine map s(mu) = (2 mu - mu2 - mu1) / (mu2 - mu1).
 
+:class:`EigenPairSeries` is the one eigenpath record, its basis stored once.
 All containers are immutable after construction and safe to share between
 threads; coefficient arrays are marked read-only.
 
@@ -19,7 +20,8 @@ in this module, :mod:`eigenpath.analysis` and :mod:`eigenpath.chebyshev`, goes t
 
 :func:`write_atomic` is the one way files are written: pair series here, and
 the manifests and CSV files of :mod:`eigenpath.analysis` and
-:mod:`eigenpath.cli`.
+:mod:`eigenpath.cli`. One encoder, ``_encode``, gives a pair's JSON bytes:
+:func:`save_eigenpair` writes them and :func:`eigenpair_to_dict` parses them.
 """
 
 import contextlib
@@ -112,40 +114,6 @@ def _freeze(coeffs, ndim, dtype=complex):
 
 
 @dataclass(frozen=True)
-class ScalarSeries:
-    """Complex scalar coefficients, orders 0..p, in one basis."""
-
-    basis: SeriesBasis
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _freeze(self.coeffs, 1))
-
-    @property
-    def order(self):
-        return self.coeffs.shape[0] - 1
-
-
-@dataclass(frozen=True)
-class VectorSeries:
-    """Complex n-vector coefficients, orders 0..p. coeffs has shape (p+1, n)."""
-
-    basis: SeriesBasis
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _freeze(self.coeffs, 2))
-
-    @property
-    def order(self):
-        return self.coeffs.shape[0] - 1
-
-    @property
-    def n(self):
-        return self.coeffs.shape[1]
-
-
-@dataclass(frozen=True)
 class MatrixSeries:
     """n-by-n coefficients, orders 0..p. coeffs has shape (p+1, n, n) and
     keeps its dtype: float64 for a real stack, else complex128."""
@@ -170,33 +138,32 @@ class MatrixSeries:
 
 @dataclass(frozen=True)
 class EigenPairSeries:
-    """Paired eigenvalue/eigenvector series for one eigenpath, plus diagnostics.
+    """One eigenpath in one basis: eigenvalue coefficients ``lam`` (p+1,)
+    and eigenvector coefficients ``vec`` (p+1, n), read-only complex128
+    arrays, plus diagnostics.
 
     ``diagnostics`` typically records per-order bordered residuals (Taylor)
     or Newton iteration counts and residual history (Chebyshev).
     """
 
-    lam: ScalarSeries
-    vec: VectorSeries
+    basis: SeriesBasis
+    lam: np.ndarray
+    vec: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.lam.basis != self.vec.basis:
-            raise ValueError("eigenvalue and eigenvector series must share one basis")
-        if self.lam.order != self.vec.order:
+        object.__setattr__(self, "lam", _freeze(self.lam, 1))
+        object.__setattr__(self, "vec", _freeze(self.vec, 2))
+        if self.lam.shape[0] != self.vec.shape[0]:
             raise ValueError("eigenvalue and eigenvector series must share one order")
 
     @property
-    def basis(self):
-        return self.lam.basis
-
-    @property
     def order(self):
-        return self.lam.order
+        return self.lam.shape[0] - 1
 
     @property
     def n(self):
-        return self.vec.n
+        return self.vec.shape[1]
 
 
 def float_factorial(k):
@@ -235,11 +202,11 @@ def horner(scaled_coeffs, dx):
     return acc
 
 
-def eval_taylor(series, mu):
+def eval_taylor(basis, coeffs, mu):
     """Evaluate a Taylor series at mu: sum_k coeffs[k] (mu - mu0)^k / k!."""
-    if series.basis.kind != TAYLOR:
+    if basis.kind != TAYLOR:
         raise ValueError("eval_taylor requires a Taylor-basis series")
-    return series.basis.evaluate(series.coeffs, mu)
+    return basis.evaluate(coeffs, mu)
 
 
 def clenshaw_u(coeffs, s):
@@ -257,11 +224,11 @@ def clenshaw_u(coeffs, s):
     return b1
 
 
-def eval_cheb_u(series, mu):
+def eval_cheb_u(basis, coeffs, mu):
     """Evaluate a Chebyshev-U series at mu (extrapolation permitted)."""
-    if series.basis.kind != CHEBYSHEV_U:
+    if basis.kind != CHEBYSHEV_U:
         raise ValueError("eval_cheb_u requires a Chebyshev-basis series")
-    return series.basis.evaluate(series.coeffs, mu)
+    return basis.evaluate(coeffs, mu)
 
 
 def binomial_table(p):
@@ -326,15 +293,9 @@ def _basis_from_dict(doc):
 
 
 def _re_im(arr):
-    """The float64 [re, im] pairs of a complex array, shape arr.shape + (2,):
-    a view of the array's own memory (a contiguous copy of it if need be)."""
-    arr = np.ascontiguousarray(arr, dtype=complex)
+    """The float64 [re, im] pairs of a contiguous complex128 array, shape
+    arr.shape + (2,): a view of the array's own memory."""
     return arr.view(np.float64).reshape(arr.shape + (2,))
-
-
-def _coeffs_to_nested(arr):
-    """The nested [re, im] lists of a coefficient array (the JSON leaves)."""
-    return _re_im(arr).tolist()
 
 
 def _coeffs_from_nested(doc):
@@ -346,24 +307,11 @@ def _coeffs_from_nested(doc):
     return np.ascontiguousarray(doc).view(complex)[..., 0]
 
 
-def _json_safe(value):
-    """value with numpy scalars and arrays as Python numbers and lists, a
-    complex number as [re, im], and every non-finite float as None."""
-    if isinstance(value, np.ndarray):
-        value = value.tolist()
-    elif isinstance(value, (np.floating, np.integer)):
-        value = value.item()
+def _json_default(value):
+    """orjson's fallback for a complex diagnostic: its [re, im] pair."""
     if isinstance(value, complex):
-        value = [value.real, value.imag]
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(item) for item in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
-def _json_safe_diag(diagnostics):
-    return {key: _json_safe(value) for key, value in diagnostics.items()}
+        return [value.real, value.imag]
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def non_finite_order(lam, vec):
@@ -373,29 +321,44 @@ def non_finite_order(lam, vec):
     return None if finite.all() else int(np.argmin(finite))
 
 
-def _pair_doc(pair, leaves):
-    """The eigenpair document, with ``leaves`` turning each coefficient
-    array into its nested [re, im] pairs."""
-    return {
+def _encode(pair):
+    """The eigenpair document as compact JSON bytes ending in a newline.
+
+    orjson encodes the coefficients straight from their float64 [re, im]
+    view, with no Python float or list built, and writes every non-finite
+    diagnostic as null. Raises ValueError when a coefficient is not finite,
+    since JSON has no such number.
+    """
+    order = non_finite_order(pair.lam, pair.vec)
+    if order is not None:
+        raise ValueError(f"cannot write a non-finite series coefficient (order {order})")
+    doc = {
         "basis": _basis_to_dict(pair.basis),
         "n": pair.n,
         "p": pair.order,
-        "lambda": leaves(pair.lam.coeffs),
-        "v": leaves(pair.vec.coeffs),
-        "diagnostics": _json_safe_diag(pair.diagnostics),
+        "lambda": _re_im(pair.lam),
+        "v": _re_im(pair.vec),
+        "diagnostics": pair.diagnostics,
     }
+    options = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
+    return orjson.dumps(doc, default=_json_default, option=options)
 
 
 def eigenpair_to_dict(pair):
-    """Serialize an EigenPairSeries (eigenvalue + eigenvector + diagnostics)."""
-    return _pair_doc(pair, _coeffs_to_nested)
+    """The document :func:`save_eigenpair` writes for pair, as Python objects;
+    a coefficient that is not finite raises the same ValueError."""
+    return orjson.loads(_encode(pair))
 
 
 def eigenpair_from_dict(doc):
-    basis = _basis_from_dict(doc["basis"])
-    lam = ScalarSeries(basis, _coeffs_from_nested(doc["lambda"]))
-    vec = VectorSeries(basis, _coeffs_from_nested(doc["v"]))
-    return EigenPairSeries(lam, vec, dict(doc.get("diagnostics", {})))
+    """The EigenPairSeries of an eigenpair document. Raises ValueError when
+    the document's ``n`` or ``p`` disagrees with its coefficient arrays."""
+    pair = EigenPairSeries(_basis_from_dict(doc["basis"]), _coeffs_from_nested(doc["lambda"]),
+                           _coeffs_from_nested(doc["v"]), dict(doc.get("diagnostics", {})))
+    if (doc["n"], doc["p"]) != (pair.n, pair.order):
+        raise ValueError(f"header n={doc['n']}, p={doc['p']} disagrees with coefficients "
+                         f"of n={pair.n}, p={pair.order}")
+    return pair
 
 
 def write_atomic(path, data):
@@ -420,17 +383,10 @@ def write_atomic(path, data):
 
 
 def save_eigenpair(pair, path):
-    """Write one eigenpair as compact JSON, atomically (:func:`write_atomic`).
-
-    orjson encodes the coefficients straight from their float64 [re, im]
-    view, with no Python float or list built. Raises ValueError, writing
-    nothing, when a coefficient is not finite, since JSON has no such number.
-    """
-    order = non_finite_order(pair.lam.coeffs, pair.vec.coeffs)
-    if order is not None:
-        raise ValueError(f"cannot write a non-finite series coefficient (order {order})")
-    options = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
-    write_atomic(path, orjson.dumps(_pair_doc(pair, _re_im), option=options))
+    """Write one eigenpair as compact JSON (:func:`_encode`), atomically
+    (:func:`write_atomic`). Raises ValueError, writing nothing, when a
+    coefficient is not finite."""
+    write_atomic(path, _encode(pair))
 
 
 def load_eigenpair(path):

@@ -79,9 +79,7 @@ from .linalg import (
 )
 from .series import (
     EigenPairSeries,
-    ScalarSeries,
     SeriesBasis,
-    VectorSeries,
     binomial_table,
     non_finite_order,
 )
@@ -277,8 +275,7 @@ def expand_schur(derivs, decomp, indices, v0, hermitian, basis, single_precision
                        "gap": float(gap) if np.isfinite(gap) else None}
         if single_precision:
             diagnostics["condition_estimate"] = systems[col].condition_estimate
-        series.append(non_finite_error(lam, vec) or EigenPairSeries(
-            ScalarSeries(basis, lam), VectorSeries(basis, vec), diagnostics))
+        series.append(non_finite_error(lam, vec) or EigenPairSeries(basis, lam, vec, diagnostics))
     return pair_results(indices, decomp.values, errors, series)
 
 

@@ -57,7 +57,7 @@ def test_criterion_01_trace_identity(torus):
     start = time.perf_counter()
     series = expansion_series(taylor_expand_all(TaylorRequest(torus, 0.2, 6)))
     elapsed = time.perf_counter() - start
-    sums = sum(pair.lam.coeffs for pair in series)
+    sums = sum(pair.lam for pair in series)
     ok = (
         len(series) == 8
         and abs(sums[0] - 8.0) <= 1e-10
@@ -151,7 +151,7 @@ def test_criterion_06_jordan_analytic_oracle():
     worst = 0.0
     for mu in np.linspace(0.10, 0.50, 41)[1:-1]:
         oracle = jordan_eigenvalues(8, mu)
-        approx = np.array([eval_cheb_u(pair.lam, mu) for pair in series])
+        approx = np.array([eval_cheb_u(pair.basis, pair.lam, mu) for pair in series])
         matched = greedy_match(approx, oracle)
         worst = max(worst, float(np.max(np.abs(approx - oracle[matched]))))
     cheb_ok = len(series) == 8 and worst <= 1e-6
@@ -161,7 +161,7 @@ def test_criterion_06_jordan_analytic_oracle():
     errs = {}
     for p in (2, 8):
         tseries = expansion_series(taylor_expand_all(TaylorRequest(problem, 0.2, p)))
-        approx = np.array([eval_taylor(pair.lam, 0.25) for pair in tseries])
+        approx = np.array([eval_taylor(pair.basis, pair.lam, 0.25) for pair in tseries])
         matched = greedy_match(approx, oracle)
         errs[p] = np.abs(approx - oracle[matched])
     order_ok = np.all(errs[8] < errs[2])
@@ -188,11 +188,11 @@ def test_criterion_07_first_order_derivative_oracle():
         plus = eigen_all(problem.eval_at(mu0 + h), hermitian=problem.hermitian)
         minus = eigen_all(problem.eval_at(mu0 - h), hermitian=problem.hermitian)
         for pair in series:
-            lam0 = pair.lam.coeffs[0]
+            lam0 = pair.lam[0]
             jp = int(np.argmin(np.abs(plus.values - lam0)))
             jm = int(np.argmin(np.abs(minus.values - lam0)))
             fd = (plus.values[jp] - minus.values[jm]) / (2 * h)
-            rel = abs(pair.lam.coeffs[1] - fd) / max(abs(fd), 1e-12)
+            rel = abs(pair.lam[1] - fd) / max(abs(fd), 1e-12)
             worst = max(worst, rel)
     ok = worst <= 1e-6
     report(7, ok, f"max relative |lam_1 - central FD| on Examples 1-2 = {worst:.2e} (<= 1e-6)")
@@ -215,7 +215,7 @@ def test_criterion_08_rayleigh_median_improvement(torus):
 def test_criterion_09_sampling_speedup(torus):
     start = time.perf_counter()
     series = expansion_series(taylor_expand_all(TaylorRequest(torus, 0.2, 6)))
-    order = np.argsort([-eval_taylor(p.lam, 0.2).real for p in series])
+    order = np.argsort([-eval_taylor(p.basis, p.lam, 0.2).real for p in series])
     tracked = [series[order[1]], series[order[2]]]  # second and third largest
     fast = sample_eigenvalues(torus, tracked, (0.2, 0.1), 10_000, 42, "taylor-eval")
     direct = sample_eigenvalues(torus, tracked, (0.2, 0.1), 10_000, 42, "direct")
@@ -327,7 +327,7 @@ def test_criterion_11_property_suites(torus, cheb20):
     tol = 1e-12 * (1.0 + max(float(np.linalg.norm(c)) for c in coeffs20.coeffs))
     galerkin_err = 0.0
     for pair in cheb20_series:
-        packed = pack_unknowns(pair.lam.coeffs, pair.vec.coeffs)
+        packed = pack_unknowns(pair.lam, pair.vec)
         galerkin_err = max(galerkin_err, float(np.max(np.abs(cheb_residual(packed, coeffs20)))))
 
     # (f) seeded sampling determinism (bitwise)

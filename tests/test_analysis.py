@@ -15,10 +15,8 @@ from eigenpath import (
     ChebRequest,
     DegenerateEvaluationError,
     EigenPairSeries,
-    ScalarSeries,
     SeriesBasis,
     TaylorRequest,
-    VectorSeries,
     cheb_expand_all,
     eigen_all,
     eigenvalues,
@@ -62,9 +60,7 @@ def brute_force_assignment(approx, direct):
 class TestEigpathEval:
     def test_constant_problem(self, taylor_e1_p6):
         basis = SeriesBasis.taylor(0.0)
-        lam = ScalarSeries(basis, [2.5])
-        vec = VectorSeries(basis, [[3.0, 4.0]])
-        pair = EigenPairSeries(lam, vec)
+        pair = EigenPairSeries(basis, [2.5], [[3.0, 4.0]])
         value, v = eigpath_eval(pair, 1.7)
         assert value == 2.5
         np.testing.assert_allclose(v, [0.6, 0.8])  # unit norm, positive phase
@@ -84,9 +80,7 @@ class TestEigpathEval:
 
     def test_degenerate_vector(self):
         basis = SeriesBasis.taylor(0.0)
-        pair = EigenPairSeries(
-            ScalarSeries(basis, [1.0]), VectorSeries(basis, [[0.0, 0.0]])
-        )
+        pair = EigenPairSeries(basis, [1.0], [[0.0, 0.0]])
         with pytest.raises(DegenerateEvaluationError):
             eigpath_eval(pair, 0.3)
 
@@ -97,8 +91,9 @@ class TestRayleigh:
         d = eigen_all(a, hermitian=True)
         basis = SeriesBasis.taylor(0.4)
         pair = EigenPairSeries(
-            ScalarSeries(basis, [d.values[0] + 0.01]),  # deliberately off
-            VectorSeries(basis, [d.vectors[:, 0]]),
+            basis,
+            [d.values[0] + 0.01],  # deliberately off
+            [d.vectors[:, 0]],
         )
         refined = rayleigh_refine(torus8, pair, 0.4)
         assert abs(refined - d.values[0]) <= 1e-12
@@ -172,7 +167,7 @@ class TestSampling:
         ss = sample_eigenvalues(torus8, taylor_e1_p6[:2], (0.2, 0.0), 1, 7, "taylor-eval")
         assert ss.samples.shape == (1,)
         assert ss.samples[0] == pytest.approx(0.2)
-        lam0 = eval_taylor(taylor_e1_p6[0].lam, 0.2)
+        lam0 = eval_taylor(taylor_e1_p6[0].basis, taylor_e1_p6[0].lam, 0.2)
         assert ss.values[0, 0] == pytest.approx(lam0)
 
     def test_determinism_bitwise(self, taylor_e1_p6, torus8):
@@ -191,7 +186,7 @@ class TestSampling:
         assert np.max(np.abs(r.values - d.values)) <= 1e-6
 
     def test_histogram_agreement(self, taylor_e1_p6, torus8):
-        order = np.argsort([-eval_taylor(s.lam, 0.2).real for s in taylor_e1_p6])
+        order = np.argsort([-eval_taylor(s.basis, s.lam, 0.2).real for s in taylor_e1_p6])
         tracked = [taylor_e1_p6[order[1]], taylor_e1_p6[order[2]]]
         count = 4000
         t = sample_eigenvalues(torus8, tracked, (0.2, 0.1), count, 42, "taylor-eval")
@@ -491,10 +486,10 @@ def pointwise_eval(pair, mu):
     """One pair at one point: eval_taylor / eval_cheb_u, np.linalg.norm and
     the phase fix of that one vector (oracle)."""
     evaluate = eval_taylor if pair.basis.kind == "taylor" else eval_cheb_u
-    vec = evaluate(pair.vec, mu)
+    vec = evaluate(pair.basis, pair.vec, mu)
     vec = vec / np.linalg.norm(vec)
     pivot = vec[int(np.argmax(np.abs(vec)))]
-    return complex(evaluate(pair.lam, mu)), vec * (abs(pivot) / pivot)
+    return complex(evaluate(pair.basis, pair.lam, mu)), vec * (abs(pivot) / pivot)
 
 
 def pointwise_rayleigh(a, q):
@@ -597,8 +592,7 @@ class TestBatchedEquivalence:
     def test_eigpath_eval_matches_pointwise(self, batch_case):
         _, pairs, _, grid = batch_case
         # a unit phase on the coefficients must come back out as the phase fix
-        rotated = [EigenPairSeries(p.lam, VectorSeries(p.basis, np.exp(0.7j) * p.vec.coeffs))
-                   for p in pairs[:2]]
+        rotated = [EigenPairSeries(p.basis, p.lam, np.exp(0.7j) * p.vec) for p in pairs[:2]]
         for pair in [*pairs, *rotated]:
             for mu in grid[::4]:
                 lam, vec = eigpath_eval(pair, mu)
@@ -665,9 +659,7 @@ class TestBatchedEquivalence:
     def test_degenerate_vector_inside_a_block_names_its_point(self, torus8):
         # v(mu) = [1 - 2 mu, 0]: exactly zero at mu = 0.5, the third grid point
         basis = SeriesBasis.taylor(0.0)
-        pair = EigenPairSeries(
-            ScalarSeries(basis, [1.0, 0.0]), VectorSeries(basis, [[1.0, 0.0], [-2.0, 0.0]])
-        )
+        pair = EigenPairSeries(basis, [1.0, 0.0], [[1.0, 0.0], [-2.0, 0.0]])
         problem = constant_problem(np.diag([1.0, 2.0]), hermitian=True)
         with pytest.raises(DegenerateEvaluationError, match=r"mu=0\.5 "):
             error_report(problem, [pair], np.linspace(0.0, 1.0, 5))

@@ -18,10 +18,8 @@ import eigenpath
 from eigenpath import (
     DegenerateEvaluationError,
     EigenPairSeries,
-    ScalarSeries,
     SeriesBasis,
     TaylorRequest,
-    VectorSeries,
     eigpath_eval,
     expansion_series,
     load_eigenpair,
@@ -83,7 +81,7 @@ class TestExpand:
         assert run(argv + ["--order", "20", "--out", str(out)]) == 0
         for index in (1, 2):
             pair = load_eigenpair(out / f"eigenpair_{index:02d}.json")
-            assert np.all(np.isfinite(pair.vec.coeffs))
+            assert np.all(np.isfinite(pair.vec))
 
     @pytest.mark.parametrize("flags", [
         ["--method", "taylor", "--mu0", "1e-12", "--order", "40"],
@@ -299,6 +297,14 @@ def test_cli_import_leaves_out_scipy_optimize_and_sparse():
     assert _python_in_subprocess(["-c", code]).strip() == "[]"
 
 
+def test_readme_library_quick_start_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "eigpath_eval" in code
+    _python_in_subprocess(["-c", code])
+
+
 @pytest.mark.parametrize(
     "problem, n, mu0", [("example1", "48", "0.5"), ("example2", "12", "0.8")]
 )
@@ -381,10 +387,7 @@ def test_order_residuals_read_against_their_scales(tmp_path):
 def _degenerate_pair(mu_zero):
     """A Taylor pair about 0 whose eigenvector [1 - mu / mu_zero, 0] vanishes at mu_zero."""
     basis = SeriesBasis.taylor(0.0)
-    return EigenPairSeries(
-        ScalarSeries(basis, [1.0, 0.0]),
-        VectorSeries(basis, [[1.0, 0.0], [-1.0 / mu_zero, 0.0]]),
-    )
+    return EigenPairSeries(basis, [1.0, 0.0], [[1.0, 0.0], [-1.0 / mu_zero, 0.0]])
 
 
 class TestDegenerateEvaluation:
@@ -486,7 +489,8 @@ class TestReport:
         assert code == 0
         with open(out / "report.csv", newline="") as handle:
             header = next(csv.reader(handle))
-        assert header[-1] == "abs_err_rayleigh"
+        # the eigenvalue and eigenvector columns are always written
+        assert header == ["mu", "pair_index", "abs_err_lambda", "vec_deviation", "abs_err_rayleigh"]
 
     def test_zero_grid_count_exit_1(self, tmp_path, series_dir):
         series = sorted(str(p) for p in series_dir.glob("eigenpair_*.json"))[:1]
@@ -569,7 +573,13 @@ class TestReport:
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: {key: doc[key] for key in doc if key != "lambda"}, "KeyError: 'lambda'"),
         (lambda doc: [doc], "TypeError: "),
-    ], ids=["without-lambda", "list-root"])
+        (lambda doc: {key: doc[key] for key in doc if key != "n"}, "KeyError: 'n'"),
+        (lambda doc: {key: doc[key] for key in doc if key != "p"}, "KeyError: 'p'"),
+        (lambda doc: {**doc, "n": 5, "p": 7},
+         "ValueError: header n=5, p=7 disagrees with coefficients of n=2, p=1"),
+        (lambda doc: {**doc, "p": 0},
+         "ValueError: header n=2, p=0 disagrees with coefficients of n=2, p=1"),
+    ], ids=["without-lambda", "list-root", "without-n", "without-p", "header-n-p", "header-p"])
     def test_malformed_series_file_exit_1_naming_it(self, tmp_path, capsys, edit, message):
         path = tmp_path / "pair.json"
         save_eigenpair(_degenerate_pair(0.5), path)

@@ -2,6 +2,8 @@
 
 import math
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from eigenpath import (
     expansion_series,
     make_spring_chain,
     make_torus_kernel,
+    problem_from_config,
     taylor_expand_all,
     taylor_rhs,
 )
@@ -75,32 +78,32 @@ class TestTaylorRhs:
 class TestExpandEigenpair:
     def test_scalar_linear_problem(self):
         pair = taylor_expand_all(TaylorRequest(linear_problem(), 0.3, 4, selector=0))[0]
-        np.testing.assert_allclose(pair.lam.coeffs, [0.3, 1.0, 0.0, 0.0, 0.0], atol=1e-14)
-        np.testing.assert_allclose(pair.vec.coeffs[0], [1.0], atol=1e-14)
-        np.testing.assert_allclose(pair.vec.coeffs[1:], 0.0, atol=1e-14)
+        np.testing.assert_allclose(pair.lam, [0.3, 1.0, 0.0, 0.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(pair.vec[0], [1.0], atol=1e-14)
+        np.testing.assert_allclose(pair.vec[1:], 0.0, atol=1e-14)
 
     def test_uniform_shift(self):
         rng = np.random.default_rng(4)
         a0 = rng.normal(size=(5, 5))
         problem = shift_problem(a0, mu0=0.4)
         pair = taylor_expand_all(TaylorRequest(problem, 0.4, 3, selector=2))[0]
-        assert pair.lam.coeffs[1] == pytest.approx(1.0, abs=1e-10)
-        np.testing.assert_allclose(pair.lam.coeffs[2:], 0.0, atol=1e-9)
-        np.testing.assert_allclose(pair.vec.coeffs[1:], 0.0, atol=1e-9)
+        assert pair.lam[1] == pytest.approx(1.0, abs=1e-10)
+        np.testing.assert_allclose(pair.lam[2:], 0.0, atol=1e-9)
+        np.testing.assert_allclose(pair.vec[1:], 0.0, atol=1e-9)
 
     def test_jordan_derivative(self):
         # largest eigenvalue path 1 + sqrt(mu): d/dmu at 0.2 is 1/(2 sqrt(0.2))
         from eigenpath import make_jordan
 
         pair = taylor_expand_all(TaylorRequest(make_jordan(2), 0.2, 2, selector=0))[0]
-        assert pair.lam.coeffs[0] == pytest.approx(1 + math.sqrt(0.2), abs=1e-12)
-        assert pair.lam.coeffs[1] == pytest.approx(1 / (2 * math.sqrt(0.2)), abs=1e-8)
+        assert pair.lam[0] == pytest.approx(1 + math.sqrt(0.2), abs=1e-12)
+        assert pair.lam[1] == pytest.approx(1 / (2 * math.sqrt(0.2)), abs=1e-8)
 
     def test_p_zero_returns_phase_fixed_eigenpair(self, torus8):
         pair = taylor_expand_all(TaylorRequest(torus8, 0.2, 0, selector=1))[0]
         d = eigen_all(torus8.eval_at(0.2), hermitian=True)
-        assert pair.lam.coeffs[0] == pytest.approx(complex(d.values[1]), abs=1e-13)
-        np.testing.assert_allclose(pair.vec.coeffs[0], d.vectors[:, 1], atol=1e-13)
+        assert pair.lam[0] == pytest.approx(complex(d.values[1]), abs=1e-13)
+        np.testing.assert_allclose(pair.vec[0], d.vectors[:, 1], atol=1e-13)
 
     def test_missing_derivative_orders(self):
         problem = ParametricProblem(
@@ -122,14 +125,14 @@ class TestExpandAll:
         series = expansion_series(results)
         assert len(series) == 4
         for pair in series:
-            np.testing.assert_allclose(pair.lam.coeffs[1:], 0.0, atol=1e-11)
-            np.testing.assert_allclose(pair.vec.coeffs[1:], 0.0, atol=1e-11)
+            np.testing.assert_allclose(pair.lam[1:], 0.0, atol=1e-11)
+            np.testing.assert_allclose(pair.vec[1:], 0.0, atol=1e-11)
 
     def test_example2_at_expansion_point(self, spring8):
         series = expansion_series(taylor_expand_all(TaylorRequest(spring8, 0.8, 6)))
         assert len(series) == 8
         direct = eigen_all(spring8.eval_at(0.8))
-        approx = sorted((eval_taylor(s.lam, 0.8).real for s in series), reverse=True)
+        approx = sorted((eval_taylor(s.basis, s.lam, 0.8).real for s in series), reverse=True)
         np.testing.assert_allclose(approx, direct.values.real, atol=1e-10)
 
     def test_defective_reported_per_eigenpair(self):
@@ -163,7 +166,7 @@ class TestExpandAll:
             # the same pair one order short is still finite
             before = expand(order - 1)[failure.index]
             assert not isinstance(before, ExpansionFailure)
-            assert np.all(np.isfinite(before.vec.coeffs)) and np.all(np.isfinite(before.lam.coeffs))
+            assert np.all(np.isfinite(before.vec)) and np.all(np.isfinite(before.lam))
             assert isinstance(expand(order)[failure.index], ExpansionFailure)
         (failure,) = taylor_expand_all(
             TaylorRequest(problem, 1e-12, 40, selector=0, single_precision_e=single_precision_e)
@@ -193,6 +196,45 @@ class TestExpandAll:
             )
             lams.append(lam_k)
             vs.append(v_k)
+
+
+CROSSING = Path(__file__).resolve().parent.parent / "configs" / "crossing_rotating_n2.json"
+
+
+class TestIntersection:
+    """The paper's claim that eigenpaths are tracked through intersection
+    points, on A(mu) = R(mu) diag(mu, 1 - mu) R(mu)^T with R(mu) the
+    rotation by mu: paths 1 - mu and mu with eigenvectors (-sin mu, cos mu)
+    and (cos mu, sin mu), crossing at mu = 0.5."""
+
+    def test_taylor_tracks_both_paths_through_the_crossing(self):
+        results = taylor_expand_all(TaylorRequest(problem_from_config(CROSSING), 0.2, 24))
+        assert len(expansion_series(results)) == 2
+        grid = np.arange(13) / 20.0      # 0, 0.05, ..., 0.6, with 0.5 exact
+        c, s = np.cos(grid), np.sin(grid)
+        paths = [(1.0 - grid, np.stack([-s, c], axis=-1)), (grid, np.stack([c, s], axis=-1))]
+        for pair, (lam, vec) in zip(results, paths):
+            got_lam = pair.basis.evaluate(pair.lam, grid)
+            got_vec = pair.basis.evaluate(pair.vec, grid)
+            assert np.max(np.abs(got_lam - lam)) <= 1e-13
+            norms = np.linalg.norm(got_vec, axis=-1)
+            cos = np.abs(np.vecdot(vec, got_vec)) / norms
+            sin = np.abs(vec[:, 0] * got_vec[:, 1] - vec[:, 1] * got_vec[:, 0]) / norms
+            assert np.max(1.0 - cos) <= 1e-13
+            # The angle is first order in the error, unlike 1 - |cos|. At
+            # mu = 0.6 it reads 4.2e-13 and 5.4e-13: rounding amplified by the
+            # order recursion, where the k-th derivative of v errs by about
+            # 1e-16 k! 3.3^k, so 0.4 from mu0 the angle grows with p (1.7e-13
+            # at p=20, 1.3e-12 at p=28) while the linear eigenvalues do not.
+            assert np.max(sin) <= 1e-12
+
+    def test_taylor_at_the_crossing_fails_both_pairs_on_the_gap(self):
+        results = taylor_expand_all(TaylorRequest(problem_from_config(CROSSING), 0.5, 24))
+        assert len(results) == 2
+        for failure in results:
+            assert isinstance(failure, ExpansionFailure)
+            assert isinstance(failure.error, NonSimpleEigenvalueError)
+            assert "eigenvalue gap" in str(failure.error)
 
 
 def _per_pair_oracle(derivs, decomp, index, p, hermitian):
@@ -231,15 +273,15 @@ class TestSchurKernel:
         assert len(expansion_series(results)) == 8
         for index, pair in enumerate(results):
             lams, vs = _per_pair_oracle(derivs, d, index, p, problem.hermitian)
-            assert np.max(_relative_error(pair.lam.coeffs, lams)) <= 1e-12
+            assert np.max(_relative_error(pair.lam, lams)) <= 1e-12
             if name == "spring":
-                assert np.max(_relative_error(pair.vec.coeffs, vs)) <= 1e-11
+                assert np.max(_relative_error(pair.vec, vs)) <= 1e-11
             # Small gaps (torus: 9.9e-4) amplify rounding by about 1/gap^k in
             # both paths, so torus eigenvectors are checked by each order's
             # bordered residual rather than against the oracle.
             lam0 = complex(d.values[index])
             e = assemble_bordered(derivs[0], d.vectors[:, index], lam0, problem.hermitian)
-            lam_c, vec_c = list(pair.lam.coeffs), list(pair.vec.coeffs)
+            lam_c, vec_c = list(pair.lam), list(pair.vec)
             residuals = pair.diagnostics["order_residuals"]
             assert len(residuals) == p
             for k in range(1, p + 1):
@@ -284,8 +326,8 @@ class TestSchurKernel:
         assert len(separated) == 8
         for index in separated:
             lams, vs = _per_pair_oracle(derivs, d, index, p, False)
-            assert np.max(_relative_error(results[index].lam.coeffs, lams)) <= 1e-12
-            assert np.max(_relative_error(results[index].vec.coeffs, vs)) <= 1e-12
+            assert np.max(_relative_error(results[index].lam, lams)) <= 1e-12
+            assert np.max(_relative_error(results[index].vec, vs)) <= 1e-12
 
     @pytest.mark.parametrize(
         "a0, hermitian, failing, reason",
@@ -309,9 +351,9 @@ class TestSchurKernel:
         expanded = [pair for pair in results if not isinstance(pair, ExpansionFailure)]
         assert len(expanded) == len(results) - len(failing)
         for pair in expanded:
-            np.testing.assert_allclose(pair.lam.coeffs[1:], 0.0, atol=1e-14)
-            np.testing.assert_allclose(pair.vec.coeffs[1:], 0.0, atol=1e-14)
-            dist = np.sort(np.abs(np.diagonal(a0) - pair.lam.coeffs[0]))
+            np.testing.assert_allclose(pair.lam[1:], 0.0, atol=1e-14)
+            np.testing.assert_allclose(pair.vec[1:], 0.0, atol=1e-14)
+            dist = np.sort(np.abs(np.diagonal(a0) - pair.lam[0]))
             assert dist[0] <= 1e-14
             assert pair.diagnostics["gap"] == pytest.approx(dist[1])
 
@@ -345,7 +387,7 @@ class TestSchurKernel:
         a_size = np.linalg.norm(a, axis=(1, 2))
         dot = np.vdot if problem.hermitian else np.dot
         for pair in taylor_expand_all(TaylorRequest(problem, mu0, p)):
-            lam, v = pair.lam.coeffs, pair.vec.coeffs
+            lam, v = pair.lam, pair.vec
             v_size = np.linalg.norm(v, axis=1)
             for k in range(1, p + 1):
                 w = [math.comb(k, l) for l in range(k + 1)]
@@ -376,8 +418,8 @@ class TestSchurKernel:
     def test_single_pair_matches_its_column(self, spring8):
         column = taylor_expand_all(TaylorRequest(spring8, 0.8, 6))[3]
         single = taylor_expand_all(TaylorRequest(spring8, 0.8, 6, selector=3))[0]
-        assert np.max(_relative_error(single.lam.coeffs, column.lam.coeffs)) <= 1e-12
-        assert np.max(_relative_error(single.vec.coeffs, column.vec.coeffs)) <= 1e-12
+        assert np.max(_relative_error(single.lam, column.lam)) <= 1e-12
+        assert np.max(_relative_error(single.vec, column.vec)) <= 1e-12
 
     def test_single_non_simple_pair_raises(self):
         problem = constant_problem(np.diag([3.0, 2.0, 1.0, 1.0]), hermitian=True)
@@ -388,7 +430,7 @@ class TestSchurKernel:
 class TestNormalizationRows:
     def test_first_and_second_order(self, taylor_e1_p6):
         for pair in taylor_e1_p6:
-            v = pair.vec.coeffs
+            v = pair.vec
             assert abs(np.conj(v[0]) @ v[1]) <= 1e-12
             assert abs(np.conj(v[0]) @ v[2] + np.conj(v[1]) @ v[1]) <= 1e-11
 
@@ -398,7 +440,7 @@ def _schur_expansion(derivs, decomp, index, v0, p):
     (pair,) = expand_schur(derivs[:p + 1], decomp, [index], v0[:, None], hermitian=True,
                            basis=SeriesBasis.taylor(0.2))
     assert isinstance(pair, EigenPairSeries)
-    return pair.lam.coeffs, pair.vec.coeffs
+    return pair.lam, pair.vec
 
 
 class TestGammaInvariance:
@@ -440,8 +482,8 @@ class TestTruncatedSeriesResidual:
         for mu in np.linspace(0.15, 0.25, 11):
             a = torus8.eval_at(mu)
             for pair in taylor_e1_p6:
-                lam = eval_taylor(pair.lam, mu)
-                v = eval_taylor(pair.vec, mu)
+                lam = eval_taylor(pair.basis, pair.lam, mu)
+                v = eval_taylor(pair.basis, pair.vec, mu)
                 worst = max(worst, np.linalg.norm(a @ v - lam * v))
         assert worst <= 1e-6
 
@@ -452,7 +494,7 @@ def test_single_precision_flag_changes_results(torus8):
         taylor_expand_all(TaylorRequest(torus8, 0.2, 10, single_precision_e=True))
     )
     diff = max(
-        np.max(np.abs(a.lam.coeffs - b.lam.coeffs)) for a, b in zip(exact, rounded)
+        np.max(np.abs(a.lam - b.lam)) for a, b in zip(exact, rounded)
     )
     assert diff > 1e-8  # single rounding must actually perturb the recursion
 
@@ -467,7 +509,7 @@ def test_single_precision_residuals_measure_the_exact_system(torus8):
     assert len(expansion_series(results)) == 8
     for index, pair in enumerate(results):
         e = assemble_bordered(derivs[0], d.vectors[:, index], complex(d.values[index]), True)
-        lam_c, vec_c = list(pair.lam.coeffs), list(pair.vec.coeffs)
+        lam_c, vec_c = list(pair.lam), list(pair.vec)
         residuals = pair.diagnostics["order_residuals"]
         assert len(residuals) == p
         for k in range(1, p + 1):
