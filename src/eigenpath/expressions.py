@@ -7,8 +7,11 @@ Grammar (whitespace-insensitive):
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
-    factor := base ('^' intliteral)?
-    base   := number | 'mu' | func '(' expr ')' | '(' expr ')' | '-' base
+    factor := '-' factor | base ('^' intliteral)?
+    base   := number | 'mu' | func '(' expr ')' | '(' expr ')'
+
+so unary minus binds looser than '^' (-mu^2 is -(mu^2)) and tighter than
+'*' and '/'.
 
 Error offsets are 1-based.
 """
@@ -143,6 +146,8 @@ class _Parser:
                 return node
 
     def factor(self):
+        if self._accept("-"):
+            return Neg(self.factor())
         node = self.base()
         if self._accept("^"):
             self._skip_ws()
@@ -157,9 +162,6 @@ class _Parser:
         ch = self._peek()
         if ch == "":
             self._fail("unexpected end of expression")
-        if ch == "-":
-            self.pos += 1
-            return Neg(self.base())
         if ch == "(":
             self.pos += 1
             node = self.expr()
@@ -197,144 +199,109 @@ def parse_expression(text):
 # ---------------------------------------------------------------------------
 # Truncated Taylor arithmetic on derivative values.
 #
-# A jet stores (f(mu0), f'(mu0), ..., f^(p)(mu0)). Products follow Leibniz'
-# rule with binomial weights; quotients invert it; the elementary functions
-# use h' = f' h (exp), the coupled sin/cos pair, h^2 = f (sqrt), and
-# h' = f'/f (log). The representation plugs directly into the binomial sums
-# of the expansion order loop, no factorial rescaling at the interface.
+# A jet stores (f(mu0), f'(mu0), ..., f^(p)(mu0)). Leibniz' rule makes the
+# product a matrix-vector product, (f g)^(k) = sum_m C(k, m) f^(k-m) g^(m),
+# over the lower-triangular Leibniz matrix of f. The quotient, exp (h' = f' h)
+# and the coupled sin/cos pair solve that rule row by row, one dot per order;
+# log is the quotient h' = f'/f, and sqrt solves h^2 = f. The representation
+# plugs directly into the binomial sums of the expansion order loop, no
+# factorial rescaling at the interface.
 # ---------------------------------------------------------------------------
 
 
 class Jet:
     """Derivative values of one scalar function at mu0, orders 0..p."""
 
-    __slots__ = ("values", "binom")
+    __slots__ = ("values",)
 
-    def __init__(self, values, binom):
+    def __init__(self, values):
         self.values = values
-        self.binom = binom
-
-    @property
-    def order(self):
-        return self.values.shape[0] - 1
 
     @classmethod
-    def constant(cls, value, p, binom):
+    def constant(cls, value, p):
         values = np.zeros(p + 1)
         values[0] = value
-        return cls(values, binom)
+        return cls(values)
 
-    @classmethod
-    def variable(cls, mu0, p, binom):
-        values = np.zeros(p + 1)
-        values[0] = mu0
-        if p >= 1:
-            values[1] = 1.0
-        return cls(values, binom)
-
-    def _new(self, values):
-        return Jet(values, self.binom)
+    def leibniz(self):
+        """L[k, m] = C(k, m) f^(k-m) for m <= k, zero above the diagonal, so
+        that ``L @ g`` holds the derivative values of the product f g."""
+        f = self.values
+        orders = np.arange(len(f))
+        return binomial_table(len(f) - 1) * np.tril(f[orders[:, None] - orders])
 
     def __neg__(self):
-        return self._new(-self.values)
+        return Jet(-self.values)
 
     def __add__(self, other):
-        return self._new(self.values + other.values)
+        return Jet(self.values + other.values)
 
     def __sub__(self, other):
-        return self._new(self.values - other.values)
+        return Jet(self.values - other.values)
 
     def __mul__(self, other):
-        p = self.order
-        c = self.binom
-        f, g = self.values, other.values
-        out = np.zeros(p + 1)
-        for k in range(p + 1):
-            out[k] = np.dot(c[k, : k + 1] * f[: k + 1], g[k::-1])
-        return self._new(out)
+        # L(f) @ g, with row k summed over orders <= k only: zero times a
+        # higher order that overflowed would turn the lower orders NaN
+        return Jet(np.tril(self.leibniz() * other.values).sum(axis=1))
 
     def __truediv__(self, other):
-        f, g = self.values, other.values
+        g = other.values
         if g[0] == 0.0:
             raise ZeroDivisionError("division by a series with zero constant term")
-        p = self.order
-        c = self.binom
-        out = np.zeros(p + 1)
-        for k in range(p + 1):
-            acc = f[k]
-            for l in range(k):
-                acc -= c[k, l] * out[l] * g[k - l]
-            out[k] = acc / g[0]
-        return self._new(out)
+        rows = other.leibniz()  # f = L(g) @ h, solved for h row by row
+        out = self.values.copy()
+        for k in range(len(out)):
+            out[k] = (out[k] - rows[k, :k] @ out[:k]) / g[0]
+        return Jet(out)
 
     def __pow__(self, exponent):
+        result = Jet.constant(1.0, len(self.values) - 1)
         if exponent < 0:
-            return Jet.constant(1.0, self.order, self.binom) / self ** -exponent
-        result = Jet.constant(1.0, self.order, self.binom)
+            return result / self ** -exponent
         for _ in range(exponent):
-            result = result * self
+            result = self * result
         return result
 
     def exp(self):
-        p = self.order
-        c = self.binom
         f = self.values
-        out = np.zeros(p + 1)
+        out = np.zeros_like(f)
         out[0] = math.exp(f[0])
-        for k in range(1, p + 1):
-            # h' = f' h, so h^(k) = sum_l C(k-1, l) f^(l+1) h^(k-1-l)
-            acc = 0.0
-            for l in range(k):
-                acc += c[k - 1, l] * f[l + 1] * out[k - 1 - l]
-            out[k] = acc
-        return self._new(out)
+        rows = Jet(f[1:]).leibniz()  # h' = f' h, so h^(k) is row k-1 of L(f') times h
+        for k in range(1, len(f)):
+            out[k] = rows[k - 1, :k] @ out[:k]
+        return Jet(out)
 
     def sin_cos(self):
-        p = self.order
-        c = self.binom
         f = self.values
-        s = np.zeros(p + 1)
-        co = np.zeros(p + 1)
-        s[0] = math.sin(f[0])
-        co[0] = math.cos(f[0])
-        for k in range(1, p + 1):
-            accs = 0.0
-            accc = 0.0
-            for l in range(k):
-                accs += c[k - 1, l] * f[l + 1] * co[k - 1 - l]
-                accc += c[k - 1, l] * f[l + 1] * s[k - 1 - l]
-            s[k] = accs
-            co[k] = -accc
-        return self._new(s), self._new(co)
+        s, c = np.zeros_like(f), np.zeros_like(f)
+        s[0], c[0] = math.sin(f[0]), math.cos(f[0])
+        rows = Jet(f[1:]).leibniz()  # s' = f' c and c' = -f' s
+        for k in range(1, len(f)):
+            s[k] = rows[k - 1, :k] @ c[:k]
+            c[k] = -(rows[k - 1, :k] @ s[:k])
+        return Jet(s), Jet(c)
 
     def sqrt(self):
         f = self.values
         if f[0] == 0.0:
             # every derivative of sqrt divides by sqrt(f(mu0))
             raise ZeroDivisionError("sqrt of a series with zero constant term")
-        p = self.order
-        c = self.binom
-        out = np.zeros(p + 1)
+        c = binomial_table(len(f) - 1)
+        out = np.zeros_like(f)
         out[0] = math.sqrt(f[0])
-        for k in range(1, p + 1):
+        for k in range(1, len(f)):
             # f = h^2, so f^(k) = 2 h0 h^(k) + sum_{0<l<k} C(k,l) h^(l) h^(k-l)
-            acc = f[k]
-            for l in range(1, k):
-                acc -= c[k, l] * out[l] * out[k - l]
-            out[k] = acc / (2.0 * out[0])
-        return self._new(out)
+            out[k] = (f[k] - c[k, 1:k] * out[1:k] @ out[k - 1:0:-1]) / (2.0 * out[0])
+        return Jet(out)
 
     def log(self):
         f = self.values
-        p = self.order
-        out = np.zeros(p + 1)
+        out = np.zeros_like(f)
         out[0] = math.log(f[0])
-        if p >= 1:
+        if len(f) > 1:
             # h' = f'/f; the derivative jet of f is a plain index shift.
-            shifted = Jet(f[1:].copy(), self.binom)
-            quot = shifted / Jet(f[:p].copy(), self.binom)
-            out[1:] = quot.values
-        return self._new(out)
+            out[1:] = (Jet(f[1:]) / Jet(f[:-1])).values
+        return Jet(out)
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +357,5 @@ def taylor_arith_eval(node, mu0, p):
     """
     if p < 0:
         raise ValueError("order must be nonnegative")
-    binom = binomial_table(max(p, 1))
-    mu = Jet.variable(float(mu0), p, binom)
-    return _walk(node, mu, lambda value: Jet.constant(value, p, binom), _JET_FUNCTIONS).values
+    mu = Jet(np.array([float(mu0), 1.0] + [0.0] * (p - 1))[: p + 1])
+    return _walk(node, mu, lambda value: Jet.constant(value, p), _JET_FUNCTIONS).values

@@ -279,7 +279,7 @@ def _load_entries(doc, n):
             if not (isinstance(item, list) and len(item) == 3):
                 raise ConfigError("sparse entries must be [row, col, expr] triplets")
             i, j, text = item
-            if not (isinstance(i, int) and isinstance(j, int) and 1 <= i <= n and 1 <= j <= n):
+            if not (type(i) is int and type(j) is int and 1 <= i <= n and 1 <= j <= n):
                 raise ConfigError(f"entry ({i}, {j}): indices must be 1-based in 1..{n}")
             if (i, j) in seen:
                 raise ConfigError(f"entry ({i}, {j}): duplicate")

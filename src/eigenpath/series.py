@@ -25,7 +25,7 @@ the manifests and CSV files of :mod:`eigenpath.analysis` and
 """
 
 import contextlib
-import json
+import functools
 import math
 import os
 
@@ -231,13 +231,15 @@ def eval_cheb_u(basis, coeffs, mu):
     return basis.evaluate(coeffs, mu)
 
 
+@functools.lru_cache(maxsize=32)
 def binomial_table(p):
-    """Pascal-recurrence binomial coefficients C[k, l]; exact for k <= 56."""
+    """Pascal-recurrence binomial coefficients C[k, l] (zero for l > k);
+    exact for k <= 56. Cached per p, so the array is read-only."""
     c = np.zeros((p + 1, p + 1))
-    c[:, 0] = 1.0
+    c[:, :1] = 1.0
     for k in range(1, p + 1):
-        for l in range(1, k + 1):
-            c[k, l] = c[k - 1, l - 1] + c[k - 1, l]
+        c[k, 1:] = c[k - 1, :-1] + c[k - 1, 1:]
+    c.flags.writeable = False
     return c
 
 
@@ -393,9 +395,9 @@ def load_eigenpair(path):
     """Read an eigenpair file. A file that is not an eigenpair document (bad
     JSON, a missing key, a value of the wrong type) raises ValueError naming
     the file."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            return eigenpair_from_dict(json.load(handle))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise ValueError(f"{path} is not an eigenpair file: "
-                             f"{type(exc).__name__}: {exc}") from exc
+    data = Path(path).read_bytes()
+    try:
+        return eigenpair_from_dict(orjson.loads(data))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path} is not an eigenpair file: "
+                         f"{type(exc).__name__}: {exc}") from exc

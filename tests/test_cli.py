@@ -579,7 +579,10 @@ class TestReport:
          "ValueError: header n=5, p=7 disagrees with coefficients of n=2, p=1"),
         (lambda doc: {**doc, "p": 0},
          "ValueError: header n=2, p=0 disagrees with coefficients of n=2, p=1"),
-    ], ids=["without-lambda", "list-root", "without-n", "without-p", "header-n-p", "header-p"])
+        (lambda doc: {**doc, "lambda": [[float("nan"), 0.0]] + doc["lambda"][1:]},
+         "JSONDecodeError: "),
+    ], ids=["without-lambda", "list-root", "without-n", "without-p", "header-n-p", "header-p",
+            "nan-coefficient"])
     def test_malformed_series_file_exit_1_naming_it(self, tmp_path, capsys, edit, message):
         path = tmp_path / "pair.json"
         save_eigenpair(_degenerate_pair(0.5), path)

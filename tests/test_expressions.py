@@ -26,8 +26,8 @@ from eigenpath.expressions import (
 class TestParser:
     def test_exp_neg_product(self):
         node = parse_expression("exp(-mu*2.5)")
-        # '-' binds to the base, so the tree is exp(Neg(mu) * 2.5); the value
-        # is identical to exp(-(mu * 2.5)).
+        # '-' binds tighter than '*', so the tree is exp(Neg(mu) * 2.5); the
+        # value is identical to exp(-(mu * 2.5)).
         assert node == Call("exp", Mul(Neg(Mu()), Num(2.5)))
         for mu in (-1.0, 0.3, 2.0):
             assert eval_expr(node, mu) == pytest.approx(math.exp(-mu * 2.5))
@@ -57,6 +57,14 @@ class TestParser:
         assert parse_expression("1+2*mu") == Add(Num(1.0), Mul(Num(2.0), Mu()))
         assert parse_expression("1-2-3") == Sub(Sub(Num(1.0), Num(2.0)), Num(3.0))
         assert parse_expression("6/2/3") == Div(Div(Num(6.0), Num(2.0)), Num(3.0))
+        # unary minus binds looser than '^' and tighter than '*'
+        assert parse_expression("-mu^2") == Neg(Pow(Mu(), 2))
+        assert parse_expression("2*-mu^2") == Mul(Num(2.0), Neg(Pow(Mu(), 2)))
+        assert parse_expression("(-mu)^2") == Pow(Neg(Mu()), 2)
+        assert parse_expression("mu^-2") == Pow(Mu(), -2)
+        assert parse_expression("-mu*2") == Mul(Neg(Mu()), Num(2.0))
+        assert eval_expr(parse_expression("-2^2"), 0.0) == -4.0
+        assert eval_expr(parse_expression("exp(-mu^2)"), 3.0) == math.exp(-9.0)
 
     def test_scientific_literals(self):
         assert eval_expr(parse_expression("2.5e-3*mu"), 2.0) == pytest.approx(5e-3)
@@ -130,6 +138,33 @@ class TestJetArithmetic:
         fd = (eval_expr(node, mu0 + h) - eval_expr(node, mu0 - h)) / (2 * h)
         assert values[0] == pytest.approx(eval_expr(node, mu0), rel=1e-13)
         assert values[1] == pytest.approx(fd, rel=1e-8)
+
+    @pytest.mark.parametrize("text, derivative", [
+        ("exp(2.5*mu)", lambda k, x: 2.5**k * math.exp(2.5 * x)),
+        ("sin(3*mu)", lambda k, x: 3**k * math.sin(3 * x + k * math.pi / 2)),
+        ("cos(3*mu)", lambda k, x: 3**k * math.cos(3 * x + k * math.pi / 2)),
+        ("log(1+mu)", lambda k, x: math.log(1 + x) if k == 0
+         else (-1) ** (k - 1) * math.factorial(k - 1) / (1 + x) ** k),
+        ("1/(1+mu)", lambda k, x: (-1) ** k * math.factorial(k) / (1 + x) ** (k + 1)),
+        ("(1+mu)^-3", lambda k, x: (-1) ** k * math.factorial(k + 2) / 2 / (1 + x) ** (k + 3)),
+        ("sqrt(1+mu)", lambda k, x: math.prod(0.5 - j for j in range(k)) * (1 + x) ** (0.5 - k)),
+    ])
+    def test_closed_form_derivatives_to_order_24(self, text, derivative):
+        mu0, p = 0.4, 24
+        values = taylor_arith_eval(parse_expression(text), mu0, p)
+        exact = np.array([derivative(k, mu0) for k in range(p + 1)])
+        assert np.max(np.abs(values - exact) / np.abs(exact)) <= 1e-12
+
+    def test_exp_to_order_200(self):
+        # derivative values, not f^(k)/k!, so orders past 170 stay finite
+        values = taylor_arith_eval(parse_expression("exp(mu)"), 0.3, 200)
+        assert values.shape == (201,) and np.all(values == math.exp(0.3))
+
+    def test_an_overflowing_order_leaves_the_lower_orders_finite(self):
+        with np.errstate(all="ignore"):
+            values = taylor_arith_eval(parse_expression("(1+mu)^-3*log(1+mu)"), 0.3, 200)
+        finite = np.isfinite(values)
+        assert not finite[-1] and np.argmin(finite) > 170
 
     def test_log_sqrt_consistency(self):
         # sqrt(f) == exp(log(f)/2) as jets

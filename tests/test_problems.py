@@ -228,6 +228,7 @@ class TestConfigProblems:
             {"n": 2, "entries": {"dense": ["mu"] * 4, "sparse": []}},
             {"n": 2, "entries": {"sparse": [[0, 1, "mu"]]}},     # 0-based index
             {"n": 2, "entries": {"sparse": [[1, 1, "mu"], [1, 1, "1"]]}},
+            {"n": 2, "entries": {"sparse": [[True, 1, "mu"]]}},  # a bool is no index
         ]
         for doc in bad:
             with pytest.raises(ConfigError):
