@@ -56,6 +56,7 @@ from .problems import (
     make_jordan,
     make_spring_chain,
     make_torus_kernel,
+    pointwise,
     problem_from_config,
 )
 from .expressions import parse_expression, taylor_arith_eval

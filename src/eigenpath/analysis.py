@@ -1,12 +1,14 @@
 """Pointwise evaluation, Rayleigh-quotient refinement, grid error reports
 against direct eigensolves, Monte-Carlo sampling, and timing benchmarks.
 
-Sampling and grid reports work on blocks of points: one stacked eigensolve
-on an (m, n, n) stack (``eigen_all`` for the grid report, which reads
+Sampling and grid reports work on blocks of points: one ``eval_at`` call
+for the block's (m, n, n) stack of A(mu) (``problems.matrix_stack``), one
+stacked eigensolve on it (``eigen_all`` for the grid report, which reads
 eigenvectors; the values-only ``eigenvalues`` for the ``direct`` sampler),
-one evaluation of every series at every point of the block, and one batched
-greedy match. Every value equals, bit for bit, what a loop over the block's
-points computes one at a time: a real stack is solved by the real solver
+one evaluation per group of series sharing a basis and an order, on their
+stacked coefficients, at every point of the block, and one batched greedy
+match. Every value equals, bit for bit, what a loop over the block's points
+and pairs computes one at a time: a real stack is solved by the real solver
 matrix by matrix (``linalg``'s dtype policy), also when some A(mu) has a
 complex pair.
 
@@ -68,9 +70,23 @@ def _blocks(count, n):
     return block_slices(count, 4 * 16 * n * n, BLOCK_BYTES)
 
 
+def _eval_series(pairs, mus, field):
+    """Every pair's ``field`` series ("lam" or "vec") at every point: shape
+    (m, k) or (m, k, n). Pairs that share a basis and an order are stacked,
+    (p+1, k) or (p+1, k, n), into one evaluation."""
+    groups = {}
+    for i, pair in enumerate(pairs):
+        groups.setdefault((pair.basis, pair.order), []).append(i)
+    out = np.empty((len(mus), len(pairs)) + getattr(pairs[0], field).shape[1:], dtype=complex)
+    for (basis, _), members in groups.items():
+        coeffs = np.stack([getattr(pairs[i], field) for i in members], axis=1)
+        out[:, members] = basis.evaluate(coeffs, mus)
+    return out
+
+
 def _eval_eigenvalues(pairs, mus):
     """Every pair's eigenvalue series at every point: shape (m, k)."""
-    return np.stack([pair.basis.evaluate(pair.lam, mus) for pair in pairs], axis=-1)
+    return _eval_series(pairs, mus, "lam")
 
 
 def _eval_paths(pairs, mus):
@@ -82,7 +98,7 @@ def _eval_paths(pairs, mus):
     """
     mus = np.asarray(mus, dtype=float)
     lam = _eval_eigenvalues(pairs, mus)
-    vec = np.stack([pair.basis.evaluate(pair.vec, mus) for pair in pairs], axis=-2)
+    vec = _eval_series(pairs, mus, "vec")
     norms = vector_norms(vec)
     degenerate = np.argwhere(norms < 1e-14)
     if degenerate.size:

@@ -32,9 +32,12 @@ _FD_STEPS = {1: 1e-5, 2: 1e-4, 3: 5e-4}
 class ParametricProblem:
     """A parametric matrix A(mu) with exact derivative matrices.
 
-    ``derivs_at(mu0, p)`` returns the stack A_0..A_p of derivative values
-    (not series coefficients): A_k[i, j] = d^k A_ij / d mu^k at mu0, so
-    A_0 equals eval_at(mu0). ``domain`` is advisory; the evaluators raise
+    ``eval_at(mu)`` returns A at a point, (n, n), or at an array of points,
+    mu's shape + (n, n), each slice bit-identical to A at its point alone
+    (:func:`pointwise` lifts a one-point evaluator to this). ``derivs_at(mu0,
+    p)`` returns the stack A_0..A_p of derivative values (not series
+    coefficients): A_k[i, j] = d^k A_ij / d mu^k at mu0, so A_0 equals
+    eval_at(mu0). ``domain`` is advisory; the evaluators raise
     DomainError where A(mu) is genuinely undefined.
     """
 
@@ -85,13 +88,28 @@ def check_finite_at(mus, rows, what):
         raise NumericalError(f"{what} is not finite at mu={mus[bad[0]]:.17g}")
 
 
+def pointwise(eval_one):
+    """Lift ``eval_one``, A at one point, to the ``eval_at`` contract: an
+    array of points is evaluated one point at a time, in order."""
+
+    def eval_at(mu):
+        if not np.ndim(mu):
+            return eval_one(mu)
+        mu = np.asarray(mu)
+        a = np.stack([eval_one(point) for point in mu.reshape(-1)])
+        return a.reshape(mu.shape + a.shape[1:])
+
+    return eval_at
+
+
 @overflow_reported()
 def matrix_stack(problem, mus, context):
-    """The stack A(mu_0), A(mu_1), ... (m, n, n) of ``problem.eval_at``,
-    float64 when every A(mu) is real (so its eigensolve may run in real
+    """The stack A(mu_0), A(mu_1), ... (m, n, n) of one ``problem.eval_at``
+    call, float64 when every A(mu) is real (so its eigensolve may run in real
     arithmetic), else complex128. Raises NumericalError naming ``context``
     and the first mu where A(mu) is not finite, with no numpy warning."""
-    a = np.stack([np.asarray(problem.eval_at(mu)) for mu in mus])
+    mus = np.asarray(mus, dtype=float)
+    a = np.asarray(problem.eval_at(mus))
     a = np.asarray(a, dtype=working_dtype(a))
     check_finite_at(mus, a, f"{context}: A(mu)")
     return a
@@ -117,7 +135,7 @@ def make_torus_kernel(n):
     dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
 
     def eval_at(mu):
-        return np.exp(-mu * dist)
+        return np.exp(-np.asarray(mu, dtype=float)[..., None, None] * dist)
 
     def derivs_at(mu0, p):
         # d^k/dmu^k exp(-mu U) = (-U)^k exp(-mu U), entrywise, as a running
@@ -150,10 +168,11 @@ def make_spring_chain(n):
     rows = (n // 2 - 1, n // 2)
 
     def eval_at(mu):
-        if mu == 0.0:
+        mu = np.asarray(mu, dtype=float)
+        if np.any(mu == 0.0):
             raise DomainError("spring chain is undefined at mu = 0")
-        a = k_mat.copy()
-        a[rows, :] /= mu
+        a = np.broadcast_to(k_mat, mu.shape + (n, n)).copy()
+        a[..., rows, :] /= mu[..., None, None]
         return a
 
     def derivs_at(mu0, p):
@@ -185,8 +204,9 @@ def make_jordan(n):
     base = np.eye(n) + np.eye(n, k=1)
 
     def eval_at(mu):
-        a = base.copy()
-        a[n - 1, 0] = mu
+        mu = np.asarray(mu, dtype=float)
+        a = np.broadcast_to(base, mu.shape + (n, n)).copy()
+        a[..., n - 1, 0] = mu
         return a
 
     def derivs_at(mu0, p):
@@ -311,9 +331,11 @@ def problem_from_config(path):
     domain = doc.get("mu_domain")
     if domain is None:
         domain = [None, None]
+    # stdlib json reads NaN and Infinity as floats: a bound must be finite too
     if not (isinstance(domain, list) and len(domain) == 2
-            and all(bound is None or type(bound) in (int, float) for bound in domain)):
-        raise ConfigError("mu_domain must be null or a [lo, hi] pair of numbers or nulls")
+            and all(bound is None or type(bound) is int
+                    or (type(bound) is float and np.isfinite(bound)) for bound in domain)):
+        raise ConfigError("mu_domain must be null or a [lo, hi] pair of finite numbers or nulls")
     parsed = _load_entries(doc, n)
 
     def fill(out, evaluate, point, mu):
@@ -325,7 +347,7 @@ def problem_from_config(path):
                 raise DomainError(f"entry ({i + 1}, {j + 1}) at {point}={mu}: {exc}") from exc
         return out
 
-    def eval_at(mu):
+    def eval_one(mu):
         return fill(np.zeros((n, n)), eval_expr, "mu", mu)
 
     def derivs_at(mu0, p):
@@ -338,7 +360,7 @@ def problem_from_config(path):
     return ParametricProblem(
         name=name,
         n=n,
-        eval_at=eval_at,
+        eval_at=pointwise(eval_one),
         derivs_at=derivs_at,
         hermitian=hermitian,
         domain=tuple(domain),

@@ -12,6 +12,7 @@ from eigenpath import (
     make_jordan,
     make_spring_chain,
     make_torus_kernel,
+    pointwise,
     taylor_expand_all,
 )
 
@@ -30,7 +31,7 @@ def linear_problem():
         return derivs
 
     return ParametricProblem(
-        name="linear", n=1, eval_at=eval_at, derivs_at=derivs_at, hermitian=True
+        name="linear", n=1, eval_at=pointwise(eval_at), derivs_at=derivs_at, hermitian=True
     )
 
 
@@ -48,7 +49,7 @@ def constant_problem(a0, hermitian=False):
         return derivs
 
     return ParametricProblem(
-        name="constant", n=n, eval_at=eval_at, derivs_at=derivs_at, hermitian=hermitian
+        name="constant", n=n, eval_at=pointwise(eval_at), derivs_at=derivs_at, hermitian=hermitian
     )
 
 
@@ -68,7 +69,7 @@ def shift_problem(a0, mu0):
         return derivs
 
     return ParametricProblem(
-        name="shift", n=n, eval_at=eval_at, derivs_at=derivs_at, hermitian=False
+        name="shift", n=n, eval_at=pointwise(eval_at), derivs_at=derivs_at, hermitian=False
     )
 
 

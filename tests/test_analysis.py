@@ -44,6 +44,7 @@ from eigenpath.analysis import (
     write_sampling_summary_csv,
     write_timing_csv,
 )
+from eigenpath.linalg import phase_fix, vector_norms
 
 
 def brute_force_assignment(approx, direct):
@@ -664,3 +665,74 @@ class TestBatchedEquivalence:
         with pytest.raises(DegenerateEvaluationError, match=r"mu=0\.5 "):
             error_report(problem, [pair], np.linspace(0.0, 1.0, 5))
         assert eigpath_eval(pair, 0.25)[0] == 1.0
+
+
+def per_pair_paths(pairs, mus):
+    """lambda (m, k) and phase-fixed unit v (m, k, n) from one evaluation
+    per pair and series (oracle for the grouped evaluation)."""
+    mus = np.asarray(mus, dtype=float)
+    lam = np.stack([pair.basis.evaluate(pair.lam, mus) for pair in pairs], axis=-1)
+    vec = np.stack([pair.basis.evaluate(pair.vec, mus) for pair in pairs], axis=-2)
+    return lam, phase_fix(vec / vector_norms(vec)[..., None], axis=-1)
+
+
+@pytest.fixture(scope="module")
+def mixed_pairs(torus8, cheb_e1_p10):
+    """Eight torus pairs, one per eigen-index, from five (basis, order)
+    groups interleaved: Taylor about 0.4 and 0.6 at orders 6 and 8, and one
+    Chebyshev pair."""
+    taylor = {(mu0, p): expansion_series(taylor_expand_all(TaylorRequest(torus8, mu0, p)))
+              for mu0 in (0.4, 0.6) for p in (6, 8)}
+    sources = [taylor[0.4, 6], taylor[0.6, 8], cheb_e1_p10, taylor[0.4, 8],
+               taylor[0.6, 6], taylor[0.4, 6], taylor[0.6, 8], taylor[0.4, 8]]
+    return [pairs[i] for i, pairs in enumerate(sources)]
+
+
+class TestGroupedEvaluation:
+    GRID = np.linspace(0.3, 0.7, 23)
+
+    def test_paths_match_per_pair_loop_with_one_call_per_group(self, mixed_pairs, monkeypatch):
+        calls = []
+        evaluate = SeriesBasis.evaluate
+
+        def counted(basis, coeffs, mu):
+            calls.append(coeffs.shape)
+            return evaluate(basis, coeffs, mu)
+
+        monkeypatch.setattr(SeriesBasis, "evaluate", counted)
+        lam, vec = analysis._eval_paths(mixed_pairs, self.GRID)
+        assert sorted(calls) == sorted([(7, 2), (7, 1), (9, 2), (9, 2), (11, 1),
+                                        (7, 2, 8), (7, 1, 8), (9, 2, 8), (9, 2, 8), (11, 1, 8)])
+        expected_lam, expected_vec = per_pair_paths(mixed_pairs, self.GRID)
+        assert lam.tobytes() == expected_lam.tobytes()
+        assert vec.tobytes() == expected_vec.tobytes()
+        eigenvalue_values = analysis._eval_eigenvalues(mixed_pairs, self.GRID)
+        assert eigenvalue_values.tobytes() == expected_lam.tobytes()
+
+    def test_report_and_samples_match_per_pair_loop(self, torus8, mixed_pairs, tmp_path,
+                                                    monkeypatch):
+        def outputs(tag):
+            report = error_report(torus8, mixed_pairs, self.GRID)
+            write_error_report_csv(report, tmp_path / f"{tag}.csv", rayleigh=True)
+            samples = [sample_eigenvalues(torus8, mixed_pairs, (0.5, 0.05), 40, 5, method)
+                       for method in ("direct", "rayleigh")]
+            write_samples_csv(samples, tmp_path / f"{tag}-samples.csv")
+            return [(tmp_path / name).read_bytes() for name in (f"{tag}.csv",
+                                                                f"{tag}-samples.csv")]
+
+        grouped = outputs("grouped")
+        monkeypatch.setattr(analysis, "_eval_paths", per_pair_paths)
+        monkeypatch.setattr(analysis, "_eval_eigenvalues",
+                            lambda pairs, mus: per_pair_paths(pairs, mus)[0])
+        assert grouped == outputs("per-pair")
+
+    def test_select_tracked_keeps_its_order(self, mixed_pairs):
+        from eigenpath import cli
+
+        mean = 0.47
+        lam, _ = per_pair_paths(mixed_pairs, [mean])
+        order = np.lexsort((-lam[0].imag, -lam[0].real))
+        positions = [4, 1, 8, 2, 7, 3, 6, 5]
+        tracked = cli._select_tracked(mixed_pairs, positions, mean)
+        assert [id(pair) for pair in tracked] == [id(mixed_pairs[order[pos - 1]])
+                                                  for pos in positions]

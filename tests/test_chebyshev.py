@@ -20,6 +20,7 @@ from eigenpath import (
     make_jordan,
     make_spring_chain,
     make_torus_kernel,
+    pointwise,
 )
 import eigenpath.chebyshev as chebyshev
 
@@ -95,7 +96,7 @@ class TestProjection:
         problem = ParametricProblem(
             name="u2",
             n=1,
-            eval_at=lambda mu: np.array([[u_values(basis.affine(mu), 2)[2]]]),
+            eval_at=pointwise(lambda mu: np.array([[u_values(basis.affine(mu), 2)[2]]])),
             derivs_at=lambda mu0, p: None,
         )
         ms = project_matrix_coeffs(problem, (0.2, 1.4), 4, m=256)
@@ -120,7 +121,7 @@ class TestProjection:
 
         problem = ParametricProblem(
             name="bad", n=1,
-            eval_at=lambda mu: np.array([[np.nan if mu > 0.5 else 1.0]]),
+            eval_at=pointwise(lambda mu: np.array([[np.nan if mu > 0.5 else 1.0]])),
             derivs_at=lambda mu0, p: None,
         )
         with pytest.raises(NumericalError) as err:
@@ -216,7 +217,7 @@ class TestJacobian:
         b_fixed = rng.normal(size=(4, 4))
         problem = ParametricProblem(
             name="rnd", n=4,
-            eval_at=lambda mu: a_fixed + mu * b_fixed + 0.3 * np.sin(mu) * np.eye(4),
+            eval_at=pointwise(lambda mu: a_fixed + mu * b_fixed + 0.3 * np.sin(mu) * np.eye(4)),
             derivs_at=lambda mu0, p: None,
         )
         coeffs = project_matrix_coeffs(problem, (0.0, 1.0), p)
@@ -415,7 +416,8 @@ def crossing_problem():
     eigenvectors (the columns of Q) stay put."""
     q, _ = np.linalg.qr(np.random.default_rng(21).normal(size=(3, 3)))
     return ParametricProblem(
-        name="crossing", n=3, eval_at=lambda mu: q @ np.diag([mu, 0.6 - mu, 2.0]) @ q.T,
+        name="crossing", n=3,
+        eval_at=pointwise(lambda mu: q @ np.diag([mu, 0.6 - mu, 2.0]) @ q.T),
         derivs_at=lambda mu0, p: None, hermitian=True,
     )
 
@@ -538,7 +540,8 @@ def isotropic_problem():
     vectors = np.array([[1.0, 1.0], [0.0, 1j]])
     a = vectors @ np.diag([2.0, 1.0]) @ np.linalg.inv(vectors)
     return ParametricProblem(
-        name="isotropic", n=2, eval_at=lambda mu: a.copy(), derivs_at=lambda mu0, p: None
+        name="isotropic", n=2, eval_at=pointwise(lambda mu: a.copy()),
+        derivs_at=lambda mu0, p: None,
     )
 
 

@@ -155,7 +155,7 @@ class TestJordan:
 
 
 class TestMatrixStack:
-    def test_real_stack_in_float64_with_one_call_per_point(self):
+    def test_real_stack_in_float64_with_one_call_per_stack(self):
         problem = make_spring_chain(4)
         calls = []
 
@@ -163,12 +163,14 @@ class TestMatrixStack:
             calls.append(mu)
             return problem.eval_at(mu)
 
-        mus = np.array([0.5, 1.0, 2.0])
+        mus = [0.5, 1.0, 2.0]
         a = matrix_stack(dataclasses.replace(problem, eval_at=eval_at), mus, "grid")
         assert a.dtype == np.float64 and a.shape == (3, 4, 4)
-        assert calls == list(mus)
+        assert len(calls) == 1
+        assert isinstance(calls[0], np.ndarray) and calls[0].dtype == np.float64
+        np.testing.assert_array_equal(calls[0], mus)
         for stacked, mu in zip(a, mus):
-            np.testing.assert_array_equal(stacked, problem.eval_at(mu))
+            assert stacked.tobytes() == problem.eval_at(mu).tobytes()
 
     def test_names_the_first_point_where_a_is_not_finite(self):
         # exp(-mu * dist) overflows at both negative points, silently
@@ -176,6 +178,42 @@ class TestMatrixStack:
         message = f"grid: A(mu) is not finite at mu={-1e200:.17g}"
         with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
             matrix_stack(make_torus_kernel(4), mus, "grid")
+
+
+class TestStackedEvaluation:
+    """eval_at over an array of points gives the stack of eval_at at each
+    point, bit for bit."""
+
+    MUS = np.array([0.25, -0.7, 1.3, 0.5, 2.0, -1e-3])
+
+    @pytest.mark.parametrize("make", [make_torus_kernel, make_spring_chain, make_jordan])
+    @pytest.mark.parametrize("n", [4, 12])
+    def test_array_equals_scalar_calls(self, make, n):
+        problem = make(n)
+        for mus in (self.MUS, self.MUS.reshape(2, 3), self.MUS[:1]):
+            a = problem.eval_at(mus)
+            assert a.shape == mus.shape + (n, n) and a.dtype == np.float64
+            expected = np.stack([problem.eval_at(mu) for mu in mus.ravel()])
+            assert a.tobytes() == expected.tobytes()
+        for mu in (0.25, np.float64(-0.7), 2):
+            assert problem.eval_at(mu).shape == (n, n)
+
+    def test_spring_chain_array_with_zero_raises(self):
+        with pytest.raises(DomainError, match="^spring chain is undefined at mu = 0$"):
+            make_spring_chain(4).eval_at(np.array([0.5, 0.0, -1.0]))
+
+    def test_config_names_the_first_failing_point_of_an_array(self, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"n": 2, "entries": {"sparse": [[2, 1, "1/mu"]]}}))
+        problem = problem_from_config(path)
+        operation = re.escape("division by zero in '/'")
+        with pytest.raises(DomainError, match=rf"^entry \(2, 1\) at mu=0.0: {operation}$"):
+            problem.eval_at(np.array([0.5, 0.0, -1.0]))
+        with pytest.raises(DomainError, match=rf"^entry \(2, 1\) at mu=-0.0: {operation}$"):
+            problem.eval_at(np.array([0.5, -0.0, 0.0]))
+        stack = problem.eval_at(np.array([[0.5], [-4.0]]))
+        assert stack.shape == (2, 1, 2, 2)
+        np.testing.assert_array_equal(stack[:, 0, 1, 0], [2.0, -0.25])
 
 
 class TestConfigProblems:
@@ -245,6 +283,14 @@ class TestConfigProblems:
     def test_field_of_the_wrong_type_rejected(self, tmp_path, field, value):
         doc = {"n": 2, field: value, "entries": {"sparse": [[1, 1, "mu"]]}}
         with pytest.raises(ConfigError, match=rf"\b{field}\b"):
+            problem_from_config(self._write(tmp_path, doc))
+
+    @pytest.mark.parametrize("domain", [[float("nan"), None], [0.0, float("inf")],
+                                        [float("nan"), -float("inf")]])
+    def test_non_finite_mu_domain_rejected(self, tmp_path, domain):
+        # stdlib json writes and reads these as the tokens NaN and Infinity
+        doc = {"n": 1, "mu_domain": domain, "entries": {"dense": ["mu"]}}
+        with pytest.raises(ConfigError, match=r"\bmu_domain\b"):
             problem_from_config(self._write(tmp_path, doc))
 
     def test_null_mu_domain_is_unbounded(self, tmp_path):

@@ -24,6 +24,7 @@ from eigenpath import (
     expansion_series,
     make_spring_chain,
     make_torus_kernel,
+    pointwise,
     problem_from_config,
     taylor_expand_all,
     taylor_rhs,
@@ -109,7 +110,7 @@ class TestExpandEigenpair:
         problem = ParametricProblem(
             name="broken",
             n=2,
-            eval_at=lambda mu: np.eye(2) * (1 + mu),
+            eval_at=pointwise(lambda mu: np.eye(2) * (1 + mu)),
             derivs_at=lambda mu0, p: np.zeros((1, 2, 2)) + np.eye(2),
         )
         with pytest.raises(DerivativeOrderError):
@@ -315,7 +316,7 @@ class TestSchurKernel:
             return derivs
 
         problem = ParametricProblem(
-            name="nearly-defective", n=10, eval_at=lambda mu: a0 + mu * a1,
+            name="nearly-defective", n=10, eval_at=pointwise(lambda mu: a0 + mu * a1),
             derivs_at=derivs_at, hermitian=False,
         )
         p = 6
@@ -374,7 +375,8 @@ class TestSchurKernel:
                 return derivs
 
             problem = ParametricProblem(
-                name=name, n=6, eval_at=lambda mu: h0 + mu * h1, derivs_at=derivs_at,
+                name=name, n=6, eval_at=pointwise(lambda mu: h0 + mu * h1),
+                derivs_at=derivs_at,
                 hermitian=True,
             )
             mu0 = 0.0
