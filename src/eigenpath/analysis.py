@@ -242,13 +242,11 @@ def rayleigh_errors(problem, pairs, grid):
 class SampleSet:
     """Sampled eigenvalue realizations for tracked pairs, with timings.
 
-    Reproducible: the same (seed, distribution, count, method) yields
-    bitwise-identical samples and values.
+    Reproducible: :func:`sample_eigenvalues` with the same seed,
+    distribution, count and method yields bitwise-identical samples and
+    values.
     """
 
-    seed: int
-    mean: float
-    stddev: float
     count: int
     method: str
     samples: np.ndarray          # shape (count,)
@@ -306,9 +304,6 @@ def sample_eigenvalues(problem, pairs, dist, count, seed, method, setup_seconds=
     elapsed = time.perf_counter() - start
 
     return SampleSet(
-        seed=seed,
-        mean=float(mean),
-        stddev=float(stddev),
         count=count,
         method=method,
         samples=mus,

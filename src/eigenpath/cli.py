@@ -49,6 +49,7 @@ from .analysis import (  # noqa: F401  (eigpath_eval, rayleigh_errors: looked up
 )
 from .chebyshev import ChebRequest, cheb_expand_all
 from .errors import ConfigError, EigenPathError, NumericalError
+from .linalg import sort_order
 from .problems import builtin_problem, check_finite_at, problem_from_config
 from .series import (  # noqa: F401  (eigenpair_to_dict: looked up here by benchmarks/tracing.py)
     eigenpair_to_dict,
@@ -97,12 +98,9 @@ def _mu0(text):
 
 def _parse_int_list(text, flag):
     try:
-        values = [int(part) for part in text.split(",")]
+        return [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"{flag}: {exc}") from exc
-    if not values:
-        raise UsageError(f"{flag} must list at least one integer")
-    return values
 
 
 def _parse_grid(text):
@@ -124,8 +122,6 @@ def _resolve_problem(args):
 
     It sets ``args.n`` to the problem's n, which the manifest records."""
     spec = args.problem
-    if spec is None:
-        raise UsageError("--problem is required")
     if spec.startswith("config:"):
         path = spec[len("config:"):]
         digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
@@ -282,7 +278,7 @@ def _expand_for_sampling(args, problem):
 def _select_tracked(pairs, positions, mean):
     """Order eigenpaths by value at the distribution mean, descending."""
     lam, _ = _eval_paths(pairs, [mean])
-    order = np.lexsort((-lam[0].imag, -lam[0].real))
+    order = sort_order(lam[0])
     tracked = []
     for pos in positions:
         if not 1 <= pos <= len(pairs):

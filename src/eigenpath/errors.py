@@ -21,17 +21,12 @@ class NonSimpleEigenvalueError(NumericalError):
 class EigenSolverError(NumericalError):
     """The dense eigensolver did not converge."""
 
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
-
 
 class DerivativeOrderError(NumericalError):
     """Derivative matrices are unavailable at the requested order."""
 
-    def __init__(self, order, message=None):
-        super().__init__(message or f"derivative matrix unavailable at order {order}")
-        self.order = order
+    def __init__(self, order):
+        super().__init__(f"derivative matrix unavailable at order {order}")
 
 
 class JacobianSingularError(NumericalError):

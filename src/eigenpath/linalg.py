@@ -146,8 +146,9 @@ def phase_fix(v, axis=0):
     return v * (np.hypot(pivot.real, pivot.imag) / pivot)
 
 
-def _sort_order(values):
-    # Descending real part, ties broken by descending imaginary part.
+def sort_order(values):
+    """The order that sorts ``values`` along the last axis by descending real
+    part, ties broken by descending imaginary part."""
     return np.lexsort((-values.imag, -values.real), axis=-1)
 
 
@@ -213,15 +214,12 @@ def _schur_factors(matrices):
     try:
         factors = [scipy.linalg.schur(a, output=output) for a in matrices.reshape(-1, n, n)]
     except scipy.linalg.LinAlgError as exc:
-        raise _solver_error(n, exc) from exc
+        raise _solver_error(exc) from exc
     return (np.stack(f).reshape(matrices.shape) for f in zip(*factors))
 
 
-def _solver_error(n, exc):
-    return EigenSolverError(
-        f"dense eigensolver failed to converge: {exc}",
-        diagnostics={"n": n, "reason": str(exc)},
-    )
+def _solver_error(exc):
+    return EigenSolverError(f"dense eigensolver failed to converge: {exc}")
 
 
 def eigen_all(a, hermitian=False):
@@ -236,9 +234,9 @@ def eigen_all(a, hermitian=False):
     try:
         values, vectors = (np.linalg.eigh if hermitian else np.linalg.eig)(a)
     except np.linalg.LinAlgError as exc:
-        raise _solver_error(a.shape[-1], exc) from exc
+        raise _solver_error(exc) from exc
     values = values.astype(complex)
-    order = _sort_order(values)
+    order = sort_order(values)
     values = _readonly(np.take_along_axis(values, order, axis=-1))
     vectors = np.take_along_axis(vectors, order[..., None, :], axis=-1)
     norms = vector_norms(vectors, axis=-2)[..., None, :]
@@ -265,9 +263,9 @@ def eigenvalues(a, hermitian=False):
     try:
         values = (np.linalg.eigvalsh if hermitian else np.linalg.eigvals)(a)
     except np.linalg.LinAlgError as exc:
-        raise _solver_error(a.shape[-1], exc) from exc
+        raise _solver_error(exc) from exc
     values = values.astype(complex)
-    return _readonly(np.take_along_axis(values, _sort_order(values), axis=-1))
+    return _readonly(np.take_along_axis(values, sort_order(values), axis=-1))
 
 
 def border_row(v0, hermitian):

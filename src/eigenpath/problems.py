@@ -37,16 +37,16 @@ class ParametricProblem:
     (:func:`pointwise` lifts a one-point evaluator to this). ``derivs_at(mu0,
     p)`` returns the stack A_0..A_p of derivative values (not series
     coefficients): A_k[i, j] = d^k A_ij / d mu^k at mu0, so A_0 equals
-    eval_at(mu0). ``domain`` is advisory; the evaluators raise
-    DomainError where A(mu) is genuinely undefined.
+    eval_at(mu0). The evaluators raise DomainError where A(mu) is
+    undefined; no other domain is stored or enforced. A config file's
+    ``name`` is ignored like any unknown key, and its ``mu_domain`` is
+    validated but neither stored nor enforced (:func:`problem_from_config`).
     """
 
-    name: str
     n: int
     eval_at: Callable
     derivs_at: Callable
     hermitian: bool = False
-    domain: tuple = (None, None)
 
     def finite_difference_derivs(self, mu0, max_order=3):
         """Central finite differences of eval_at, orders 1..max_order."""
@@ -146,14 +146,7 @@ def make_torus_kernel(n):
             derivs[k] = derivs[k - 1] * (-dist)
         return derivs
 
-    return ParametricProblem(
-        name="example1",
-        n=n,
-        eval_at=eval_at,
-        derivs_at=derivs_at,
-        hermitian=True,
-        domain=(0.0, None),
-    )
+    return ParametricProblem(n=n, eval_at=eval_at, derivs_at=derivs_at, hermitian=True)
 
 
 def make_spring_chain(n):
@@ -184,13 +177,7 @@ def make_spring_chain(n):
             derivs[k][rows, :] = factor * k_mat[rows, :]
         return derivs
 
-    return ParametricProblem(
-        name="example2",
-        n=n,
-        eval_at=eval_at,
-        derivs_at=derivs_at,
-        hermitian=False,
-    )
+    return ParametricProblem(n=n, eval_at=eval_at, derivs_at=derivs_at)
 
 
 def make_jordan(n):
@@ -216,13 +203,7 @@ def make_jordan(n):
             derivs[1][n - 1, 0] = 1.0
         return derivs
 
-    return ParametricProblem(
-        name="example3",
-        n=n,
-        eval_at=eval_at,
-        derivs_at=derivs_at,
-        hermitian=False,
-    )
+    return ParametricProblem(n=n, eval_at=eval_at, derivs_at=derivs_at)
 
 
 def jordan_eigenvalues(n, mu):
@@ -255,15 +236,15 @@ def builtin_problem(name, n):
 # Config-defined problems. Schema (JSON, 1-based indices):
 #
 #   {
-#     "name": "short identifier",            optional
 #     "n": 2,
 #     "hermitian": false,                    optional
-#     "mu_domain": [0.0, null],              optional advisory bounds
+#     "mu_domain": [0.0, null],              optional; validated, not stored
 #     "entries": {"dense": ["expr", ... n*n row-major]}
 #                or {"sparse": [[row, col, "expr"], ...]}
 #   }
 #
-# See docs/problem-config.md for the full description.
+# Other keys, "name" among them, are ignored. See docs/problem-config.md
+# for the full description.
 # ---------------------------------------------------------------------------
 
 
@@ -324,17 +305,15 @@ def problem_from_config(path):
     n = doc.get("n")
     if type(n) is not int or n < 1:
         raise ConfigError("config needs a positive integer 'n'")
-    name = doc.get("name", "config")
     hermitian = doc.get("hermitian", False)
     if not isinstance(hermitian, bool):
         raise ConfigError("hermitian must be true or false")
+    # mu_domain is validated but not kept; stdlib json reads NaN and Infinity
+    # as floats, so a bound must be finite too
     domain = doc.get("mu_domain")
-    if domain is None:
-        domain = [None, None]
-    # stdlib json reads NaN and Infinity as floats: a bound must be finite too
-    if not (isinstance(domain, list) and len(domain) == 2
+    if not (domain is None or (isinstance(domain, list) and len(domain) == 2
             and all(bound is None or type(bound) is int
-                    or (type(bound) is float and np.isfinite(bound)) for bound in domain)):
+                    or (type(bound) is float and np.isfinite(bound)) for bound in domain))):
         raise ConfigError("mu_domain must be null or a [lo, hi] pair of finite numbers or nulls")
     parsed = _load_entries(doc, n)
 
@@ -357,11 +336,5 @@ def problem_from_config(path):
              "mu0", mu0)
         return derivs
 
-    return ParametricProblem(
-        name=name,
-        n=n,
-        eval_at=pointwise(eval_one),
-        derivs_at=derivs_at,
-        hermitian=hermitian,
-        domain=tuple(domain),
-    )
+    return ParametricProblem(n=n, eval_at=pointwise(eval_one), derivs_at=derivs_at,
+                             hermitian=hermitian)

@@ -1,5 +1,7 @@
 """Shared fixtures. Expensive expansions are session-scoped and reused."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,11 @@ from eigenpath import (
     taylor_expand_all,
 )
 
+# A(mu) = R(mu) diag(mu, 1 - mu) R(mu)^T with R(mu) the rotation by mu: its
+# eigenvalue paths mu and 1 - mu, with eigenvectors R(mu) e_1 and R(mu) e_2,
+# cross at mu = 0.5
+CROSSING = Path(__file__).resolve().parent.parent / "configs" / "crossing_rotating_n2.json"
+
 
 def linear_problem():
     """The 1x1 problem A(mu) = [mu]."""
@@ -31,7 +38,7 @@ def linear_problem():
         return derivs
 
     return ParametricProblem(
-        name="linear", n=1, eval_at=pointwise(eval_at), derivs_at=derivs_at, hermitian=True
+        n=1, eval_at=pointwise(eval_at), derivs_at=derivs_at, hermitian=True
     )
 
 
@@ -49,7 +56,7 @@ def constant_problem(a0, hermitian=False):
         return derivs
 
     return ParametricProblem(
-        name="constant", n=n, eval_at=pointwise(eval_at), derivs_at=derivs_at, hermitian=hermitian
+        n=n, eval_at=pointwise(eval_at), derivs_at=derivs_at, hermitian=hermitian
     )
 
 
@@ -69,7 +76,7 @@ def shift_problem(a0, mu0):
         return derivs
 
     return ParametricProblem(
-        name="shift", n=n, eval_at=pointwise(eval_at), derivs_at=derivs_at, hermitian=False
+        n=n, eval_at=pointwise(eval_at), derivs_at=derivs_at, hermitian=False
     )
 
 

@@ -340,7 +340,7 @@ def _complex(re, im):
 def _sample_set(method, values, mus=None, setup=0.1, sampling=0.2):
     count = values.shape[0]
     mus = np.linspace(0.1, 0.3, count) if mus is None else mus
-    return analysis.SampleSet(5, 0.2, 0.05, count, method, mus, values, setup, sampling)
+    return analysis.SampleSet(count, method, mus, values, setup, sampling)
 
 
 def _csv_cases():

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import constant_problem, linear_problem
+from conftest import CROSSING, constant_problem, linear_problem
 
 from eigenpath import (
     ChebRequest,
@@ -21,6 +21,7 @@ from eigenpath import (
     make_spring_chain,
     make_torus_kernel,
     pointwise,
+    problem_from_config,
 )
 import eigenpath.chebyshev as chebyshev
 
@@ -94,7 +95,6 @@ class TestProjection:
 
         basis = SeriesBasis.chebyshev(0.2, 1.4)
         problem = ParametricProblem(
-            name="u2",
             n=1,
             eval_at=pointwise(lambda mu: np.array([[u_values(basis.affine(mu), 2)[2]]])),
             derivs_at=lambda mu0, p: None,
@@ -120,7 +120,7 @@ class TestProjection:
         from eigenpath import NumericalError, ParametricProblem
 
         problem = ParametricProblem(
-            name="bad", n=1,
+            n=1,
             eval_at=pointwise(lambda mu: np.array([[np.nan if mu > 0.5 else 1.0]])),
             derivs_at=lambda mu0, p: None,
         )
@@ -216,7 +216,7 @@ class TestJacobian:
         a_fixed = rng.normal(size=(4, 4))
         b_fixed = rng.normal(size=(4, 4))
         problem = ParametricProblem(
-            name="rnd", n=4,
+            n=4,
             eval_at=pointwise(lambda mu: a_fixed + mu * b_fixed + 0.3 * np.sin(mu) * np.eye(4)),
             derivs_at=lambda mu0, p: None,
         )
@@ -416,7 +416,7 @@ def crossing_problem():
     eigenvectors (the columns of Q) stay put."""
     q, _ = np.linalg.qr(np.random.default_rng(21).normal(size=(3, 3)))
     return ParametricProblem(
-        name="crossing", n=3,
+        n=3,
         eval_at=pointwise(lambda mu: q @ np.diag([mu, 0.6 - mu, 2.0]) @ q.T),
         derivs_at=lambda mu0, p: None, hermitian=True,
     )
@@ -457,6 +457,53 @@ class TestNodeStart:
         series = expansion_series(cheb_expand_all(ChebRequest(problem, (0.25, 1.0), 20)))
         assert len(series) == 16
         assert error_report(problem, series, np.linspace(0.25, 1.0, 3001)).max_error <= 1.6e-13
+
+
+class TestIntersection:
+    """The paper's claim that eigenpaths are tracked through intersection
+    points, for Chebyshev series on the crossing config: paths mu and
+    1 - mu with eigenvectors R(mu) e_1 and R(mu) e_2, crossing at 0.5."""
+
+    @staticmethod
+    def followed_path(pair, interval):
+        """The path, "mu" or "1-mu", that ``pair`` follows over 201 points of
+        ``interval`` to 1e-13 in lambda and in 1 - |cos| to its eigenvector."""
+        grid = np.linspace(*interval, 201)
+        lam = pair.basis.evaluate(pair.lam, grid)
+        vec = pair.basis.evaluate(pair.vec, grid)
+        c, s = np.cos(grid), np.sin(grid)
+        paths = {"mu": (grid, np.stack([c, s], axis=-1)),
+                 "1-mu": (1.0 - grid, np.stack([-s, c], axis=-1))}
+        # the paths are at least 0.2 apart at each interval's left end
+        path = min(paths, key=lambda name: abs(lam[0] - paths[name][0][0]))
+        exact_lam, exact_vec = paths[path]
+        assert np.max(np.abs(lam - exact_lam)) <= 1e-13
+        cos = np.abs(np.vecdot(exact_vec, vec)) / np.linalg.norm(vec, axis=-1)
+        assert np.max(1.0 - cos) <= 1e-13
+        return path
+
+    @pytest.mark.parametrize("interval, p", [
+        *(((0.0, 0.8), p) for p in (10, 12, 16, 20, 24)),
+        *(((0.2, 0.9), p) for p in (10, 12, 16, 20, 24)),
+        *(((0.0, 1.0), p) for p in (12, 16, 20, 24)),
+    ])
+    def test_chebyshev_tracks_both_paths_through_the_crossing(self, interval, p):
+        results = cheb_expand_all(ChebRequest(problem_from_config(CROSSING), interval, p))
+        assert len(expansion_series(results)) == 2
+        assert sorted(self.followed_path(pair, interval) for pair in results) == ["1-mu", "mu"]
+
+    @pytest.mark.parametrize("p", [6, 8, 10])
+    def test_low_orders_centred_on_the_crossing_follow_a_path_or_fail_singular(self, p):
+        # the crossing at the interval's midpoint makes the Galerkin Jacobian
+        # singular at these orders today; a pair that expands must still hold
+        results = cheb_expand_all(ChebRequest(problem_from_config(CROSSING), (0.0, 1.0), p))
+        paths = []
+        for result in results:
+            if isinstance(result, ExpansionFailure):
+                assert isinstance(result.error, JacobianSingularError)
+            else:
+                paths.append(self.followed_path(result, (0.0, 1.0)))
+        assert len(set(paths)) == len(paths)
 
 
 class TestRequestValidation:
@@ -540,7 +587,7 @@ def isotropic_problem():
     vectors = np.array([[1.0, 1.0], [0.0, 1j]])
     a = vectors @ np.diag([2.0, 1.0]) @ np.linalg.inv(vectors)
     return ParametricProblem(
-        name="isotropic", n=2, eval_at=pointwise(lambda mu: a.copy()),
+        n=2, eval_at=pointwise(lambda mu: a.copy()),
         derivs_at=lambda mu0, p: None,
     )
 

