@@ -183,7 +183,6 @@ class ErrorReport:
     matching: np.ndarray         # shape (len(grid), n_pairs), direct indices
     rayleigh_errors: np.ndarray  # shape (len(grid), n_pairs), Rayleigh-refined
     max_error: float
-    median_error: float
 
     @property
     def n_pairs(self):
@@ -228,7 +227,6 @@ def error_report(problem, pairs, grid):
         matching=matching,
         rayleigh_errors=rayleigh,
         max_error=float(eig_errors.max()),
-        median_error=float(np.median(eig_errors)),
     )
 
 
@@ -247,7 +245,6 @@ class SampleSet:
     values.
     """
 
-    count: int
     method: str
     samples: np.ndarray          # shape (count,)
     values: np.ndarray           # shape (count, n_pairs), complex
@@ -304,7 +301,6 @@ def sample_eigenvalues(problem, pairs, dist, count, seed, method, setup_seconds=
     elapsed = time.perf_counter() - start
 
     return SampleSet(
-        count=count,
         method=method,
         samples=mus,
         values=values,
@@ -399,7 +395,7 @@ def write_samples_csv(sample_sets, path):
     if not sample_sets:
         raise ValueError("at least one sample set is required")
     header = ["sample_index", "mu"]
-    columns = [np.arange(sample_sets[0].count), sample_sets[0].samples]
+    columns = [np.arange(len(sample_sets[0].samples)), sample_sets[0].samples]
     for ss in sample_sets:
         for i in range(ss.values.shape[1]):
             header += [f"re_{ss.method}_pair{i}", f"im_{ss.method}_pair{i}"]
@@ -410,14 +406,17 @@ def write_samples_csv(sample_sets, path):
 def write_histogram_csv(sample_sets, path, bins=HISTOGRAM_BINS):
     """Columns: pair_index, bin_lo, bin_hi, then one count column per method.
 
-    Bins span the combined sample range of all methods for each pair.
+    Bins span the combined sample range [lo, hi] of all methods for each
+    pair, or [lo, lo + 1] when the range is too narrow for ``bins`` bins of
+    positive width: hi = lo, or hi - lo a few ulps.
     """
     blocks = []
     for i in range(sample_sets[0].values.shape[1]):
         reals = [ss.values[:, i].real for ss in sample_sets]
         lo = min(float(r.min()) for r in reals)
         hi = max(float(r.max()) for r in reals)
-        if hi <= lo:
+        edges = np.linspace(lo, hi, bins + 1)
+        if np.any(edges[:-1] >= edges[1:]):   # np.histogram's own test of its edges
             hi = lo + 1.0
         hists = [histogram_counts(r, lo, hi, bins) for r in reals]
         edges = hists[0][0]

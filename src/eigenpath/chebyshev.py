@@ -80,7 +80,6 @@ import numpy as np
 import scipy.linalg
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import JacobianSingularError, NewtonDivergenceError, NumericalError
 from .linalg import (  # noqa: F401  (build_bordered, solve_bordered: looked up here by benchmarks/tracing.py)
@@ -104,6 +103,7 @@ from .series import (  # noqa: F401  (eval_cheb_u: looked up here by benchmarks/
     u_values,
 )
 from .taylor import (  # noqa: F401  (taylor_rhs: looked up here by benchmarks/tracing.py)
+    ExpansionFailure,
     non_finite_error,
     pair_results,
     selected_indices,
@@ -188,14 +188,6 @@ def project_matrix_coeffs(problem, interval, p, m=None):
     """
     basis, weighted, samples = _quadrature(problem, interval, p, m)
     return MatrixSeries(basis, _project(weighted, samples))
-
-
-class _Nodes(NamedTuple):
-    """The eigendecompositions of an expansion's m quadrature node matrices
-    (one stack), and the weighted table of :func:`_quadrature`."""
-
-    decomp: object
-    weighted: np.ndarray
 
 
 def pack_unknowns(lams, vs):
@@ -293,18 +285,20 @@ def _path_signs(v0, paths):
 def _node_starts(coeffs, decomp, nodes, indices):
     """Newton's starts for the eigenpairs ``indices`` of A_0 = ``decomp``:
     the projection onto U_0..U_p of each pair's path through the
-    eigenpairs at the quadrature nodes (``nodes``, see the module
-    docstring).
+    eigenpairs at the quadrature nodes, ``nodes`` = (their stacked
+    decomposition, the weighted table of :func:`_quadrature`; see the
+    module docstring).
 
     Returns the per-index errors (None, a NumericalError for a path with a
     numerically isotropic node eigenvector, or the NonSimpleEigenvalueError
     of A_0's gap test) and the unknowns (k, p+1, n+1) of the pairs without
     one, in order.
     """
+    node_decomp, weighted = nodes
     indices = np.asarray(indices, dtype=int)
-    cols = _node_paths(decomp, nodes.decomp)[:, indices]
+    cols = _node_paths(decomp, node_decomp)[:, indices]
     at = np.arange(cols.shape[0])[:, None]
-    paths = nodes.decomp.vectors[at, :, cols]                      # (m, k, n)
+    paths = node_decomp.vectors[at, :, cols]                       # (m, k, n)
     bilinear = np.einsum("jka,jka->jk", paths, paths)
     isotropic = np.any(np.abs(bilinear) < 1e-8, axis=0)
     _, gap_failures = gap_errors(decomp.values, indices)
@@ -314,11 +308,11 @@ def _node_starts(coeffs, decomp, nodes, indices):
         for iso, error in zip(isotropic, gap_failures)
     ]
     ok = np.array([error is None for error in errors], dtype=bool)
-    lams = in_dtype(nodes.decomp.values[at, cols[:, ok]], working_dtype(coeffs.coeffs, paths))
+    lams = in_dtype(node_decomp.values[at, cols[:, ok]], working_dtype(coeffs.coeffs, paths))
     vs = paths[:, ok] / np.sqrt(bilinear[:, ok, None])
     vs *= _path_signs(decomp.vectors[:, indices[ok]].T, vs)[:, :, None]
     unknowns = np.concatenate((lams[:, :, None], vs), axis=2)     # (m, k, n+1)
-    return errors, np.ascontiguousarray(_project(nodes.weighted, unknowns).transpose(1, 0, 2))
+    return errors, np.ascontiguousarray(_project(weighted, unknowns).transpose(1, 0, 2))
 
 
 def warm_start(request, eigindex):
@@ -424,12 +418,6 @@ def cheb_jacobian(x, coeffs):
     return system.jacobians(x)[0]
 
 
-def _series_from_packed(x, coeffs, diagnostics):
-    """The series of packed (or (p+1, n+1)) unknowns x, copied out of x."""
-    lams, vs = unpack_unknowns(x, coeffs.n)
-    return EigenPairSeries(coeffs.basis, lams, vs, diagnostics)
-
-
 def _newton_steps(system, x, residual, pairs):
     """One Newton step, in place, for each of ``pairs`` of the block x.
 
@@ -517,7 +505,7 @@ def newton_refine(x0, coeffs, tol=DEFAULT_NEWTON_TOL, max_iter=DEFAULT_NEWTON_MA
     (outcome,) = _newton(system, x, tol, max_iter)
     if isinstance(outcome, NumericalError):
         raise outcome
-    return _series_from_packed(x[0], coeffs, outcome)
+    return EigenPairSeries(coeffs.basis, x[0, :, 0], x[0, :, 1:], outcome)
 
 
 def _detect_collisions(pairs, basis):
@@ -545,18 +533,21 @@ def _detect_collisions(pairs, basis):
 
 
 def _reject_collisions(pairs, indices, values, basis):
-    """``pairs``, the results for the eigenpairs ``indices`` of A_0 (eigenvalues
-    ``values``), with each member of a coinciding pair (:func:`_detect_collisions`)
-    an ExpansionFailure naming its partners: Newton promises no distinct paths."""
+    """A copy of ``pairs``, the results for the eigenpairs ``indices`` of A_0
+    (eigenvalues ``values``), with each member of a coinciding pair
+    (:func:`_detect_collisions`) an ExpansionFailure naming its partners:
+    Newton promises no distinct paths."""
     partners = [[] for _ in pairs]
     for a, b in _detect_collisions(pairs, basis):
         partners[a].append(b)
         partners[b].append(a)
-    names = [" and ".join(f"eigenpair {indices[b] + 1}" for b in others) for others in partners]
-    errors = [NumericalError(f"eigenvalue path coincides with that of {name}") if name else None
-              for name in names]
-    kept = (pair for pair, error in zip(pairs, errors) if error is None)
-    return pair_results(indices, values, errors, kept)
+    out = list(pairs)
+    for a, others in enumerate(partners):
+        if others:
+            name = " and ".join(f"eigenpair {indices[b] + 1}" for b in others)
+            error = NumericalError(f"eigenvalue path coincides with that of {name}")
+            out[a] = ExpansionFailure(indices[a], complex(values[indices[a]]), error)
+    return out
 
 
 def _expand(coeffs, decomp, nodes, indices):
@@ -573,7 +564,8 @@ def _expand(coeffs, decomp, nodes, indices):
     for block in block_slices(x.shape[0], 16 * size * size, BLOCK_BYTES):
         outcomes += _newton(system, x[block], DEFAULT_NEWTON_TOL, DEFAULT_NEWTON_MAX_ITER)
     refined = (
-        outcome if isinstance(outcome, NumericalError) else _series_from_packed(unknowns, coeffs, outcome)
+        outcome if isinstance(outcome, NumericalError)
+        else EigenPairSeries(coeffs.basis, unknowns[:, 0], unknowns[:, 1:], outcome)
         for outcome, unknowns in zip(outcomes, x)
     )
     return pair_results(indices, decomp.values, errors, refined)
@@ -581,11 +573,12 @@ def _expand(coeffs, decomp, nodes, indices):
 
 def _projected(request):
     """The request's coefficients A_0..A_p, the decomposition of A_0, and
-    the :class:`_Nodes` of its quadrature."""
+    the pair (stacked decomposition of the quadrature's node matrices, its
+    weighted table) that :func:`_node_starts` reads."""
     problem = request.problem
     basis, weighted, samples = _quadrature(problem, request.interval, request.order, request.quad_m)
     coeffs = MatrixSeries(basis, _project(weighted, samples))
-    nodes = _Nodes(eigen_all(samples, hermitian=problem.hermitian), weighted)
+    nodes = eigen_all(samples, hermitian=problem.hermitian), weighted
     return coeffs, eigen_all(np.asarray(coeffs.coeffs[0])), nodes
 
 

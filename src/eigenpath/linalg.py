@@ -303,10 +303,6 @@ class BorderedSystem:
     lu: tuple = field(repr=False)
     condition_estimate: float = 0.0
 
-    @property
-    def size(self):
-        return self.matrix.shape[0]
-
 
 def _rcond_from_lu(e, lu_piv):
     anorm = np.linalg.norm(e, 1)
@@ -351,8 +347,8 @@ def solve_bordered(system, rhs):
     An rhs that is not finite gives a solution that is not finite, which
     the caller reports (an overflowing Taylor order)."""
     rhs = np.asarray(rhs)
-    if rhs.shape != (system.size,):
-        raise ValueError(f"rhs must have length {system.size}")
+    if rhs.shape != system.matrix.shape[:1]:
+        raise ValueError(f"rhs must have length {system.matrix.shape[0]}")
     x = scipy.linalg.lu_solve(system.lu, rhs, check_finite=False)
     return x[0], x[1:]
 

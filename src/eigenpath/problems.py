@@ -48,33 +48,20 @@ class ParametricProblem:
     derivs_at: Callable
     hermitian: bool = False
 
-    def finite_difference_derivs(self, mu0, max_order=3):
-        """Central finite differences of eval_at, orders 1..max_order."""
-        out = {}
+    def check_derivatives(self, mu0, max_order=3):
+        """Self-test hook: max relative mismatch of derivs_at, orders
+        1..max_order, against central finite differences of eval_at."""
+        derivs = self.derivs_at(mu0, max_order)
+        a = self.eval_at
+        worst = 0.0
         for k in range(1, max_order + 1):
             h = _FD_STEPS[k]
             if k == 1:
-                fd = (self.eval_at(mu0 + h) - self.eval_at(mu0 - h)) / (2 * h)
+                fd = (a(mu0 + h) - a(mu0 - h)) / (2 * h)
             elif k == 2:
-                fd = (
-                    self.eval_at(mu0 + h) - 2 * self.eval_at(mu0) + self.eval_at(mu0 - h)
-                ) / h**2
+                fd = (a(mu0 + h) - 2 * a(mu0) + a(mu0 - h)) / h**2
             else:
-                fd = (
-                    self.eval_at(mu0 + 2 * h)
-                    - 2 * self.eval_at(mu0 + h)
-                    + 2 * self.eval_at(mu0 - h)
-                    - self.eval_at(mu0 - 2 * h)
-                ) / (2 * h**3)
-            out[k] = fd
-        return out
-
-    def check_derivatives(self, mu0, max_order=3):
-        """Self-test hook: max relative mismatch of derivs_at vs differences."""
-        derivs = self.derivs_at(mu0, max_order)
-        fds = self.finite_difference_derivs(mu0, max_order)
-        worst = 0.0
-        for k, fd in fds.items():
+                fd = (a(mu0 + 2 * h) - 2 * a(mu0 + h) + 2 * a(mu0 - h) - a(mu0 - 2 * h)) / (2 * h**3)
             scale = max(1.0, float(np.linalg.norm(derivs[k])))
             worst = max(worst, float(np.linalg.norm(derivs[k] - fd)) / scale)
         return worst

@@ -200,13 +200,13 @@ def _bordered_residuals(a0, lam0, v0, border, lam_k, v_k, z, y):
     return np.maximum(np.abs(row), np.abs(body).max(axis=0))
 
 
-def expand_schur(derivs, decomp, indices, v0, hermitian, basis, single_precision=False):
+def expand_schur(derivs, decomp, indices, v0, basis, single_precision=False):
     """Advance the eigenpairs ``indices`` of ``decomp``, starting from the
     columns of ``v0``, together one order at a time in its Schur basis (see
     the module docstring), up to order p = len(derivs) - 1.
 
     Order k weights its term l by the binomial C(k, l). The normalization
-    row is v0^H v_k for Hermitian problems and v0^T v_k otherwise. With
+    row is v0^H v_k when ``decomp`` is Hermitian and v0^T v_k otherwise. With
     ``single_precision`` every order solves with the LU factors of each
     pair's bordered matrix rounded to single precision, and a pair whose
     rounded matrix fails ``build_bordered``'s condition test fails too.
@@ -222,7 +222,7 @@ def expand_schur(derivs, decomp, indices, v0, hermitian, basis, single_precision
     1 + max(|z|, max |y|), its ``gap`` to the nearest other eigenvalue (None
     when n = 1) and, with ``single_precision``, the ``condition_estimate``.
     """
-    q, t = decomp.schur_q, decomp.schur_t
+    q, t, hermitian = decomp.schur_q, decomp.schur_t, decomp.hermitian
     dtype = working_dtype(derivs, t, v0)
     derivs = np.asarray(derivs, dtype=dtype)
     lam0 = in_dtype(decomp.values[indices], dtype)
@@ -293,7 +293,7 @@ def taylor_expand_all(request):
     derivs = _check_derivatives(problem, request.mu0, request.order)
     decomp = eigen_all(derivs[0], hermitian=problem.hermitian)
     indices = selected_indices(request.selector, decomp.n)
-    return expand_schur(derivs, decomp, indices, decomp.vectors[:, indices], problem.hermitian,
+    return expand_schur(derivs, decomp, indices, decomp.vectors[:, indices],
                         SeriesBasis.taylor(request.mu0), request.single_precision_e)
 
 

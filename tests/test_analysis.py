@@ -259,7 +259,7 @@ def _per_cell_samples(sample_sets, path):
             for i in range(ss.values.shape[1]):
                 header += [f"re_{ss.method}_pair{i}", f"im_{ss.method}_pair{i}"]
         writer.writerow(header)
-        for s in range(sample_sets[0].count):
+        for s in range(len(sample_sets[0].samples)):
             row = [str(s), _fmt(sample_sets[0].samples[s])]
             for ss in sample_sets:
                 for i in range(ss.values.shape[1]):
@@ -338,9 +338,8 @@ def _complex(re, im):
 
 
 def _sample_set(method, values, mus=None, setup=0.1, sampling=0.2):
-    count = values.shape[0]
-    mus = np.linspace(0.1, 0.3, count) if mus is None else mus
-    return analysis.SampleSet(count, method, mus, values, setup, sampling)
+    mus = np.linspace(0.1, 0.3, values.shape[0]) if mus is None else mus
+    return analysis.SampleSet(method, mus, values, setup, sampling)
 
 
 def _csv_cases():
@@ -354,7 +353,6 @@ def _csv_cases():
         matching=np.zeros((grid.size, k), dtype=int),
         rayleigh_errors=_floats(rng, (grid.size, k)),
         max_error=0.0,
-        median_error=0.0,
     )
 
     count = 40

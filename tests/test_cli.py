@@ -30,6 +30,8 @@ from eigenpath import cli
 from eigenpath.analysis import draw_samples
 from eigenpath.cli import main
 
+CROSSING_N2 = Path(__file__).resolve().parents[1] / "configs" / "crossing_rotating_n2.json"
+
 
 def run(args):
     return main(args)
@@ -157,11 +159,26 @@ class TestExpand:
         (["--method", "taylor", "--mu0", "0.2", "--eig", "two"],
          "--eig must be 'all' or a 1-based index"),
         (["--method", "taylor", "--mu0", "0.2", "--bogus"], "unrecognized arguments: --bogus"),
+        (["--method", "taylor", "--mu0", "abc"], "--mu0: could not convert string to float: 'abc'"),
+        (["--problem", f"config:{CROSSING_N2}", "--n", "3", "--method", "taylor", "--mu0", "0.2"],
+         "--n 3 conflicts with config n=2"),
+        (["--problem", "example1", "--method", "taylor", "--mu0", "0.2"],
+         "--n is required for built-in problems"),
+        (["--problem", "example9", "--n", "8", "--method", "taylor", "--mu0", "0.2"],
+         "unknown built-in problem 'example9'"),
+        (["--problem", "example1", "--n", "1", "--method", "taylor", "--mu0", "0.2"],
+         "torus kernel needs n >= 2"),
+        (["--problem", "example3", "--n", "1", "--method", "taylor", "--mu0", "0.2"],
+         "Jordan problem needs n >= 2"),
     ], ids=["three-value-interval", "eig-beyond-n", "neither-basis", "both-bases",
-            "single-precision-e-with-interval", "eig-not-an-index", "unknown-flag"])
+            "single-precision-e-with-interval", "eig-not-an-index", "unknown-flag",
+            "mu0-not-a-number", "n-conflicts-with-config", "builtin-without-n",
+            "unknown-builtin", "torus-n-1", "jordan-n-1"])
     def test_usage_error_leaves_no_output_directory(self, tmp_path, capsys, flags, message):
         out = tmp_path / "x"
-        argv = ["expand", "--problem", "example1", "--n", "8", "--order", "4", *flags]
+        # a case that names its own problem gives its own --n, or none
+        problem = [] if "--problem" in flags else ["--problem", "example1", "--n", "8"]
+        argv = ["expand", *problem, "--order", "4", *flags]
         assert run(argv + ["--out", str(out)]) == 1
         assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not out.exists()
@@ -592,8 +609,10 @@ class TestReport:
          "ValueError: header n=2, p=0 disagrees with coefficients of n=2, p=1"),
         (lambda doc: {**doc, "lambda": [[float("nan"), 0.0]] + doc["lambda"][1:]},
          "JSONDecodeError: "),
+        (lambda doc: {**doc, "lambda": [[*leaf, 0.0] for leaf in doc["lambda"]]},
+         "ValueError: coefficient leaves must be [re, im] pairs"),
     ], ids=["without-lambda", "list-root", "without-n", "without-p", "header-n-p", "header-p",
-            "nan-coefficient"])
+            "nan-coefficient", "leaves-not-pairs"])
     def test_malformed_series_file_exit_1_naming_it(self, tmp_path, capsys, edit, message):
         path = tmp_path / "pair.json"
         save_eigenpair(_degenerate_pair(0.5), path)
@@ -727,6 +746,33 @@ class TestSample:
             for row in rows:
                 assert float(row["bin_hi"]) - float(row["bin_lo"]) == pytest.approx(0.02, abs=1e-15)
             assert [int(row["count_taylor-eval"]) for row in rows] == [10] + [0] * 49
+
+    def test_pair_within_ulps_histogram_spans_one_past_its_low(self, tmp_path):
+        # pair 2 of the Jordan problem is 1 + i mu^(1/4): its real parts
+        # differ by a few ulps across draws and methods, too narrow a range
+        # for 50 bins of positive width
+        out = tmp_path / "s"
+        code = run(
+            [
+                "sample", "--problem", "example3", "--n", "4", "--mu0", "0.5", "--order", "8",
+                "--pairs", "1,2", "--dist", "0.5,0.02", "--count", "200", "--seed", "3",
+                "--method", "taylor-eval,rayleigh,direct", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        methods = ("taylor-eval", "rayleigh", "direct")
+        with open(out / "samples.csv", newline="") as handle:
+            samples = list(csv.DictReader(handle))
+        with open(out / "histogram.csv", newline="") as handle:
+            bins = list(csv.DictReader(handle))
+        for pair in ("0", "1"):
+            rows = [row for row in bins if row["pair_index"] == pair]
+            assert len(rows) == 50
+            for method in methods:
+                assert sum(int(row[f"count_{method}"]) for row in rows) == 200
+        # pair 2's rows, the last ones, span one past its lowest sample
+        lo = min(float(row[f"re_{method}_pair1"]) for row in samples for method in methods)
+        assert float(bins[-50]["bin_lo"]) == lo and float(bins[-1]["bin_hi"]) == lo + 1.0
 
 
 class TestBench:
@@ -897,8 +943,13 @@ def test_non_finite_float_flag_is_a_usage_error(tmp_path, capsys, argv, flag):
      "--pairs position 9 out of range 1..4"),
     (["report", "--series", "x.json", "--grid", "0,1,3", "--metrics", "bogus"],
      "unknown metric 'bogus'"),
+    (["sample", "--mu0", "0.2", "--method", "direct", "--pairs", "1,x"],
+     "--pairs: invalid literal for int() with base 10: 'x'"),
+    (["report", "--series", "x.json", "--grid", "0,1"], "--grid expects a,b,count"),
+    (["report", "--series", "x.json", "--grid", "0,1,x"],
+     "--grid: invalid literal for int() with base 10: 'x'"),
 ], ids=["method-twice", "unknown-method", "taylor-eval-with-interval", "pair-beyond-n",
-        "unknown-metric"])
+        "unknown-metric", "pair-not-an-index", "two-value-grid", "grid-count-not-an-integer"])
 def test_sample_and_report_usage_error_leaves_no_output_directory(tmp_path, capsys, argv,
                                                                  message):
     command, *flags = argv

@@ -80,6 +80,18 @@ class TestParser:
             parse_expression("mu^1.5")
         assert parse_expression("mu^-2") == Pow(Mu(), -2)
 
+    @pytest.mark.parametrize("text, message, offset", [
+        ("mu^x", "expected integer exponent after '^'", 4),
+        ("mu+", "unexpected end of expression", 4),
+        (". + mu", "malformed number", 1),
+        ("mu $ 2", "unexpected character '$'", 4),
+    ])
+    def test_syntax_error_message_and_offset(self, text, message, offset):
+        with pytest.raises(ExpressionSyntaxError,
+                           match=rf"^{re.escape(message)} \(offset {offset}\)$") as err:
+            parse_expression(text)
+        assert err.value.offset == offset
+
 
 class TestJetArithmetic:
     def test_square_derivatives(self):

@@ -259,18 +259,36 @@ class TestConfigProblems:
         assert problem.check_derivatives(0.4) <= 1e-5
 
     def test_schema_violations(self, tmp_path):
+        entries = "config needs an 'entries' object with 'dense' or 'sparse'"
+        # (document, or the file's text when it is a string; the message's start)
         bad = [
-            {"entries": {"dense": ["mu"]}},                      # missing n
-            {"n": 2, "entries": {"dense": ["mu"]}},              # wrong count
-            {"n": 2},                                            # missing entries
-            {"n": 2, "entries": {"dense": ["mu"] * 4, "sparse": []}},
-            {"n": 2, "entries": {"sparse": [[0, 1, "mu"]]}},     # 0-based index
-            {"n": 2, "entries": {"sparse": [[1, 1, "mu"], [1, 1, "1"]]}},
-            {"n": 2, "entries": {"sparse": [[True, 1, "mu"]]}},  # a bool is no index
+            ({"entries": {"dense": ["mu"]}}, "config needs a positive integer 'n'"),
+            ({"n": 2, "entries": {"dense": ["mu"]}}, "dense entry list must have n*n = 4 expressions"),
+            ({"n": 2}, entries),
+            ({"n": 2, "entries": {"dense": ["mu"] * 4, "sparse": []}}, entries),
+            ({"n": 2, "entries": {"sparse": [[0, 1, "mu"]]}},     # 0-based index
+             "entry (0, 1): indices must be 1-based in 1..2"),
+            ({"n": 2, "entries": {"sparse": [[1, 1, "mu"], [1, 1, "1"]]}}, "entry (1, 1): duplicate"),
+            ({"n": 2, "entries": {"sparse": [[True, 1, "mu"]]}},  # a bool is no index
+             "entry (True, 1): indices must be 1-based in 1..2"),
+            ({"n": 2, "entries": {"sparse": [[1, 2, 5]]}}, "entry (1, 2): expression must be a string"),
+            ({"n": 2, "entries": {"sparse": {"1": "mu"}}},
+             "sparse entries must be a list of [row, col, expr]"),
+            ({"n": 2, "entries": {"sparse": [[1, 1]]}},
+             "sparse entries must be [row, col, expr] triplets"),
+            ({"n": 2, "entries": {"diagonal": ["mu", "mu"]}},
+             "entries must contain exactly one of 'dense' or 'sparse'"),
+            ('{"n": 2,', "config is not valid JSON: "),
+            ([{"n": 2}], "config root must be an object"),
         ]
-        for doc in bad:
-            with pytest.raises(ConfigError):
-                problem_from_config(self._write(tmp_path, doc))
+        for doc, message in bad:
+            if isinstance(doc, str):
+                path = tmp_path / "problem.json"
+                path.write_text(doc)
+            else:
+                path = self._write(tmp_path, doc)
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+                problem_from_config(path)
 
     @pytest.mark.parametrize("field, value", [
         ("n", True),

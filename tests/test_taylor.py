@@ -434,7 +434,7 @@ class TestNormalizationRows:
 
 def _schur_expansion(derivs, decomp, index, v0, p):
     """One Hermitian pair through the Schur kernel from the starting column v0."""
-    (pair,) = expand_schur(derivs[:p + 1], decomp, [index], v0[:, None], hermitian=True,
+    (pair,) = expand_schur(derivs[:p + 1], decomp, [index], v0[:, None],
                            basis=SeriesBasis.taylor(0.2))
     assert isinstance(pair, EigenPairSeries)
     return pair.lam, pair.vec
