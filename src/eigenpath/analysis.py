@@ -408,16 +408,20 @@ def write_histogram_csv(sample_sets, path, bins=HISTOGRAM_BINS):
 
     Bins span the combined sample range [lo, hi] of all methods for each
     pair, or [lo, lo + 1] when the range is too narrow for ``bins`` bins of
-    positive width: hi = lo, or hi - lo a few ulps.
+    positive width: hi = lo, or hi - lo a few ulps. From |lo| about 2^47
+    up, where the float spacing ulp(lo) exceeds 1/50, [lo, lo + 1] is too
+    narrow as well, and the bins span [lo, lo + 4 bins ulp(lo)], four ulps
+    of lo each.
     """
     blocks = []
     for i in range(sample_sets[0].values.shape[1]):
         reals = [ss.values[:, i].real for ss in sample_sets]
         lo = min(float(r.min()) for r in reals)
         hi = max(float(r.max()) for r in reals)
-        edges = np.linspace(lo, hi, bins + 1)
-        if np.any(edges[:-1] >= edges[1:]):   # np.histogram's own test of its edges
-            hi = lo + 1.0
+        for hi in (hi, lo + 1.0, lo + 4 * bins * float(np.spacing(abs(lo)))):
+            edges = np.linspace(lo, hi, bins + 1)
+            if not np.any(edges[:-1] >= edges[1:]):   # np.histogram's own test of its edges
+                break
         hists = [histogram_counts(r, lo, hi, bins) for r in reals]
         edges = hists[0][0]
         # one float table: "%d" renders its pair indices and counts exactly

@@ -59,6 +59,11 @@ nothing for finiteness: a Jacobian that is not finite gives a step that is
 not finite, after which the pair's iterates and residuals are not finite
 either, and the pair fails.
 
+Like ``linalg``, this module imports scipy only inside the routines that
+call it: ``scipy.linalg`` in :func:`_newton_steps` (Newton's ``gesv``) and
+``scipy.optimize`` in :func:`_assignments`. Importing the module loads
+numpy alone, so a command that never reaches them starts without scipy.
+
 The single-pair functions (:func:`warm_start`, :func:`newton_refine`,
 :func:`cheb_residual`, :func:`cheb_jacobian`) run the same code on one
 pair; the start of one pair still tracks every path, so it is that pair's
@@ -77,7 +82,6 @@ computed coefficients additionally carry the Newton residual perturbation.
 import functools
 
 import numpy as np
-import scipy.linalg
 
 from dataclasses import dataclass
 
@@ -425,6 +429,8 @@ def _newton_steps(system, x, residual, pairs):
     LAPACK ``gesv`` call (LU factors and solve). Returns the pairs left as
     they were because their LU has a pivot below 1e-14 of the factor scale.
     """
+    import scipy.linalg
+
     singular = []
     jacobians = system.jacobians(x[pairs])
     gesv = scipy.linalg.get_lapack_funcs("gesv", (jacobians,))

@@ -61,10 +61,17 @@ Floating-point warning policy: where the program reports a non-finite
 result itself, numpy's overflow and invalid-value warnings are silenced
 over the computation that produces it (:func:`overflow_reported`), and
 nowhere else.
+
+Import policy: ``scipy.linalg`` is imported inside the routines that call
+it (the Schur form of a non-Hermitian A0 in :func:`_schur_factors`, and
+the LU of :func:`build_bordered` and :func:`solve_bordered`), not with the
+module. Importing it takes most of a fresh command's start-up time, and
+the commands that never call it (a Hermitian Taylor ``expand`` or
+``sample``, every ``report``, ``bench`` on a Hermitian problem) start
+with numpy alone.
 """
 
 import numpy as np
-import scipy.linalg
 
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -209,6 +216,8 @@ class EigenDecomposition:
 def _schur_factors(matrices):
     """T and Q of each matrix of (n, n) or (m, n, n): the real Schur form for
     real input, the complex one for complex input."""
+    import scipy.linalg
+
     n = matrices.shape[-1]
     output = "complex" if np.iscomplexobj(matrices) else "real"
     try:
@@ -305,6 +314,8 @@ class BorderedSystem:
 
 
 def _rcond_from_lu(e, lu_piv):
+    import scipy.linalg
+
     anorm = np.linalg.norm(e, 1)
     gecon = scipy.linalg.get_lapack_funcs("gecon", (e,))
     rcond, info = gecon(lu_piv[0], anorm, norm="1")
@@ -322,6 +333,8 @@ def build_bordered(a0, v0, lam0, hermitian=False, single_precision=False):
     assembled matrix to single precision (float32, or complex64 for
     complex E) before factorization (error-floor experiment).
     """
+    import scipy.linalg
+
     a0 = _check_square(a0)
     v0 = np.asarray(v0)
     if abs(np.linalg.norm(v0) - 1.0) > 1e-12:
@@ -346,6 +359,8 @@ def solve_bordered(system, rhs):
 
     An rhs that is not finite gives a solution that is not finite, which
     the caller reports (an overflowing Taylor order)."""
+    import scipy.linalg
+
     rhs = np.asarray(rhs)
     if rhs.shape != system.matrix.shape[:1]:
         raise ValueError(f"rhs must have length {system.matrix.shape[0]}")
@@ -360,25 +375,31 @@ def column_dot(x, y, hermitian=False):
     return x @ y if x.ndim == 1 else np.einsum("ij,ij->j", x, y)
 
 
-def _left_null_rows(t, shifts, pivots):
+def _left_null_rows(t, shifts, pivots, diagonal):
     """Columns l_i with l_i^T (lam0_i I - T) = 0: 0 before pivot row i, 1 at it.
 
     ``shifts[r, i]`` is lam0_i - T_rr with inf at the pivot row, so row r
-    adds (sum_{s<r} l_s T_sr) / shifts[r] to each column at once.
+    adds (sum_{s<r} l_s T_sr) / shifts[r] to each column at once. For a
+    ``diagonal`` T every row adds 0, so l_i is the unit vector at pivot i.
     """
     ell = np.zeros_like(shifts)
     ell[pivots, np.arange(len(pivots))] = 1.0
+    if diagonal:
+        return ell
     for r in range(1, t.shape[0]):
         ell[r] += (t[:r, r] @ ell[:r]) / shifts[r]
     return ell
 
 
-def _back_substitute(t, shifts, g):
+def _back_substitute(t, shifts, g, diagonal):
     """Solve (lam0_i I - T) w_i = g_i for every column i, w_i = 0 at pivot i.
 
     The pivot row is the one equation g_i's consistency makes redundant;
-    its inf shift pins the pivot entry to 0.
+    its inf shift pins the pivot entry to 0. A ``diagonal`` T decouples the
+    rows, which are then solved at once.
     """
+    if diagonal:
+        return g / shifts
     w = np.empty_like(g)
     for r in range(t.shape[0] - 1, -1, -1):
         w[r] = (g[r] + t[r, r + 1:] @ w[r + 1:]) / shifts[r]
@@ -429,13 +450,15 @@ def schur_bordered_solver(q, t, lam0, v0, hermitian=False):
     errors = [non_simple_error("repeated Schur diagonal entry") if r else None for r in repeated]
     cols = np.flatnonzero(~repeated)
 
+    # T is diagonal for a Hermitian problem (EigenDecomposition._schur)
+    diagonal = not np.any(np.triu(t, 1))
     qh = q.conj().T
     lam0, v0 = lam0[cols], v0[:, cols]
     border = border_row(v0, hermitian)
     shifts = lam0[None, :] - diag[:, None]
     shifts[pivots[cols], np.arange(cols.size)] = np.inf
     c = qh @ v0
-    ell = _left_null_rows(t, shifts, pivots[cols])
+    ell = _left_null_rows(t, shifts, pivots[cols], diagonal)
     ell_c = column_dot(ell, c)
     border_v0 = column_dot(border, v0)
     # The two pivots the bordered system's elimination divides by: l_i c_i,
@@ -455,7 +478,7 @@ def schur_bordered_solver(q, t, lam0, v0, hermitian=False):
     def solve(z, y):
         yhat = qh @ y
         lam_k = column_dot(ell, yhat) / ell_c
-        v_k = q @ _back_substitute(t, shifts, yhat - c * lam_k)
+        v_k = q @ _back_substitute(t, shifts, yhat - c * lam_k, diagonal)
         return lam_k, v_k + v0 * ((z - column_dot(border, v_k)) / border_v0)
 
     return errors, solve

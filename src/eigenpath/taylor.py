@@ -22,8 +22,10 @@ lam_k = l_i Q^H y_i / (l_i c_i). Back-substitution with w_j pinned to 0,
 plus the multiple of c_i that satisfies the normalization row, gives
 v_k = Q w. One row loop over T serves every pair, so order k costs k + 3
 products of n x n by n x m matrices and O(n^2 m) triangular work for m
-pairs: O(p^2 n^3) for all n pairs up to order p. That solve, with its
-pivot tests, is ``linalg.schur_bordered_solver``.
+pairs: O(p^2 n^3) for all n pairs up to order p. A diagonal T (a Hermitian
+problem) needs no loop: l_i is the unit vector at the pivot and w is
+Q^H y_i - c_i lam_k divided by the diagonal shifts, O(n m) per order. That
+solve, with its pivot tests, is ``linalg.schur_bordered_solver``.
 
 The kernel computes in the arithmetic of its inputs: float64 when the
 derivative stack, the Schur factors and the starting vectors are real,

@@ -452,6 +452,18 @@ class TestCsvWriters:
                 writer(sets, tmp_path / f"{writer.__name__}.csv")
         assert [p.name for p in tmp_path.iterdir()] == ["_per_cell_histogram.csv"]
 
+    @pytest.mark.parametrize("lo", [1e15, 2.0**52, 2.0**53, 1e17, -1e17])
+    def test_constant_pair_histogram_at_large_magnitude(self, tmp_path, lo):
+        # ulp(lo) is 1/8 or more, so [lo, lo + 1] holds no 50 distinct edges
+        path = tmp_path / "hist.csv"
+        write_histogram_csv([_sample_set("direct", np.full((5, 1), lo + 0.5j))], path)
+        with open(path, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        edges = [float(rows[0]["bin_lo"])] + [float(row["bin_hi"]) for row in rows]
+        assert len(rows) == 50 and edges[0] == lo
+        assert all(a < b for a, b in zip(edges, edges[1:]))
+        assert [int(row["count_direct"]) for row in rows] == [5] + [0] * 49
+
     def test_timing_csv(self, tmp_path):
         rows = [BenchRow(8, 2, 0.5, None), BenchRow(16, 2, 1.5, 3.0)]
         path = tmp_path / "bench.csv"

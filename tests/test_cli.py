@@ -317,12 +317,48 @@ def test_chebyshev_expand_identical_across_blas_threads(tmp_path, problem, n, in
     _assert_expand_identical_across_blas_threads(tmp_path, args, int(n) if eig == "all" else 1)
 
 
-def test_cli_import_leaves_out_scipy_optimize_and_sparse():
-    # importing scipy.optimize alone would take most of a command's start-up
-    # time; the node start's assignment imports it only when it needs it
-    code = ("import sys, eigenpath.cli; "
-            "print([m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules])")
-    assert _python_in_subprocess(["-c", code]).strip() == "[]"
+def _scipy_modules_after(*commands):
+    """The scipy modules loaded in a fresh process that imports the CLI and
+    runs ``main`` on each argv of ``commands``, each of which must exit 0."""
+    code = ("import json, sys\n"
+            "from eigenpath.cli import main\n"
+            f"for argv in {list(commands)!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    return json.loads(_python_in_subprocess(["-c", code]))
+
+
+def test_cli_import_leaves_out_scipy():
+    # importing scipy.linalg alone takes most of a command's start-up time;
+    # the routines that call scipy import it when they run
+    assert _scipy_modules_after() == []
+
+
+def test_hermitian_taylor_expand_and_report_leave_out_scipy(tmp_path):
+    series = tmp_path / "series"
+    expand = ["expand", "--problem", "example1", "--n", "12", "--method", "taylor",
+              "--mu0", "0.5", "--order", "8", "--out", str(series)]
+    report = ["report", "--problem", "example1", "--n", "12",
+              "--series", *(str(series / f"eigenpair_{i:02d}.json") for i in (1, 2, 3)),
+              "--grid", "0.4,0.6,11", "--metrics", "eig-error,vec-deviation,rayleigh",
+              "--out", str(tmp_path / "report")]
+    assert _scipy_modules_after(expand, report) == []
+
+
+@pytest.mark.parametrize("problem, flags", [
+    # the Schur form of a non-Hermitian A0
+    pytest.param("example2", ["--method", "taylor", "--mu0", "1"], id="taylor-schur"),
+    # the LU of the rounded bordered matrix
+    pytest.param("example1", ["--method", "taylor", "--mu0", "0.2", "--single-precision-e"],
+                 id="taylor-single-e"),
+    # Newton's LAPACK solve
+    pytest.param("example1", ["--method", "chebyshev", "--interval", "0.25,1.0"],
+                 id="chebyshev-newton"),
+])
+def test_commands_that_call_scipy_load_it(tmp_path, problem, flags):
+    argv = ["expand", "--problem", problem, "--n", "8", *flags, "--order", "6",
+            "--out", str(tmp_path / "out")]
+    assert "scipy.linalg" in _scipy_modules_after(argv)
 
 
 def test_readme_library_quick_start_runs():
@@ -963,9 +999,5 @@ def test_sample_and_report_usage_error_leaves_no_output_directory(tmp_path, caps
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "eigenpath", "--help"],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0
-    assert "expand" in proc.stdout
+    # exit 0 is asserted by the helper
+    assert "expand" in _python_in_subprocess(["-m", "eigenpath", "--help"])

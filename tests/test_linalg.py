@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from eigenpath import linalg
 from eigenpath.analysis import draw_samples
 from eigenpath.errors import NonSimpleEigenvalueError
 from eigenpath.linalg import (
@@ -329,6 +330,21 @@ class TestSolveBorderedReduced:
         scale = max(1.0, abs(dense[0]), float(np.max(np.abs(dense[1]))))
         assert abs(dense[0] - fast[0]) <= 1e-10 * scale
         np.testing.assert_allclose(fast[1], dense[1], atol=1e-10 * scale)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_diagonal_t_skips_the_row_loops_with_their_values(self, dtype):
+        # a Hermitian problem's T is diagonal: every row loop term is 0
+        rng = np.random.default_rng(78)
+        n, pivots = 7, np.array([1, 3, 4, 6])
+        t = np.diag(rng.normal(size=n)).astype(dtype)
+        shifts = np.diagonal(t)[pivots][None, :] - np.diagonal(t)[:, None]
+        shifts[pivots, np.arange(pivots.size)] = np.inf
+        g = rng.normal(size=(n, pivots.size)).astype(dtype)
+        if dtype is complex:
+            g += 1j * rng.normal(size=g.shape)
+        for helper, args in ((linalg._left_null_rows, (pivots,)), (linalg._back_substitute, (g,))):
+            np.testing.assert_array_equal(helper(t, shifts, *args, True),
+                                          helper(t, shifts, *args, False))
 
     def test_arrowhead_closed_form(self):
         # diagonal T with lam0 = T_11: the eigenvalue part of the solution is
