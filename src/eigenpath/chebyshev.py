@@ -194,19 +194,6 @@ def project_matrix_coeffs(problem, interval, p, m=None):
     return MatrixSeries(basis, _project(weighted, samples))
 
 
-def pack_unknowns(lams, vs):
-    """Row-major flattening of the (p+1, n+1) array with rows (lam_k, v_k),
-    real when lams and vs are."""
-    x = np.column_stack((lams, vs))
-    return x.astype(working_dtype(x)).ravel()
-
-
-def unpack_unknowns(x, n):
-    """Split a packed vector into (lams, vs) arrays."""
-    blocks = x.reshape(-1, n + 1)
-    return blocks[:, 0].copy(), blocks[:, 1:].copy()
-
-
 @functools.lru_cache(maxsize=32)
 def coupling_tensor(p):
     """0/1 tensor G[k, i, j], 1 exactly when U_i U_j contains U_k (i, j, k <= p).
@@ -221,11 +208,6 @@ def coupling_tensor(p):
                     g[k, i, j] = 1.0
     g.flags.writeable = False
     return g
-
-
-def degree_pairs(k, p):
-    """Ordered pairs (i, j) with i, j <= p whose product U_i U_j contains U_k."""
-    return [tuple(ij) for ij in np.argwhere(coupling_tensor(p)[k]).tolist()]
 
 
 def _assignments(overlaps):

@@ -193,7 +193,11 @@ def parse_expression(text):
     """Parse an expression string into an AST; offsets in errors are 1-based."""
     if not text or not text.strip():
         raise ExpressionSyntaxError("empty expression", 1)
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ExpressionSyntaxError("expression nested too deeply", parser.pos + 1) from None
 
 
 # ---------------------------------------------------------------------------

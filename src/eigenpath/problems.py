@@ -38,9 +38,10 @@ class ParametricProblem:
     p)`` returns the stack A_0..A_p of derivative values (not series
     coefficients): A_k[i, j] = d^k A_ij / d mu^k at mu0, so A_0 equals
     eval_at(mu0). The evaluators raise DomainError where A(mu) is
-    undefined; no other domain is stored or enforced. A config file's
-    ``name`` is ignored like any unknown key, and its ``mu_domain`` is
-    validated but neither stored nor enforced (:func:`problem_from_config`).
+    undefined; no other domain is stored or enforced. A config problem is
+    ``hermitian`` when its entries mirror each other; a config file's
+    ``name`` and ``hermitian`` keys are ignored like any unknown key, and its
+    ``mu_domain`` is validated but not stored (:func:`problem_from_config`).
     """
 
     n: int
@@ -224,13 +225,13 @@ def builtin_problem(name, n):
 #
 #   {
 #     "n": 2,
-#     "hermitian": false,                    optional
 #     "mu_domain": [0.0, null],              optional; validated, not stored
 #     "entries": {"dense": ["expr", ... n*n row-major]}
 #                or {"sparse": [[row, col, "expr"], ...]}
 #   }
 #
-# Other keys, "name" among them, are ignored. See docs/problem-config.md
+# Other keys, "name" and "hermitian" among them, are ignored; the problem is
+# Hermitian when its entries mirror each other. See docs/problem-config.md
 # for the full description.
 # ---------------------------------------------------------------------------
 
@@ -239,12 +240,14 @@ def _parse_entry(i, j, text):
     if not isinstance(text, str):
         raise ConfigError(f"entry ({i}, {j}): expression must be a string")
     try:
-        return parse_expression(text)
+        return "".join(text.split()), parse_expression(text)
     except ExpressionError as exc:
         raise ConfigError(f"entry ({i}, {j}): {exc}") from exc
 
 
 def _load_entries(doc, n):
+    """The listed entries as {(row, col): (text without whitespace, tree)},
+    0-based, in file order."""
     entries = doc.get("entries")
     if not isinstance(entries, dict) or len(entries) != 1:
         raise ConfigError("config needs an 'entries' object with 'dense' or 'sparse'")
@@ -252,27 +255,22 @@ def _load_entries(doc, n):
         flat = entries["dense"]
         if not isinstance(flat, list) or len(flat) != n * n:
             raise ConfigError(f"dense entry list must have n*n = {n * n} expressions")
-        return [
-            (i, j, _parse_entry(i + 1, j + 1, flat[i * n + j]))
-            for i in range(n)
-            for j in range(n)
-        ]
+        return {(i, j): _parse_entry(i + 1, j + 1, flat[i * n + j])
+                for i in range(n) for j in range(n)}
     if "sparse" in entries:
         triplets = entries["sparse"]
         if not isinstance(triplets, list):
             raise ConfigError("sparse entries must be a list of [row, col, expr]")
-        out = []
-        seen = set()
+        out = {}
         for item in triplets:
             if not (isinstance(item, list) and len(item) == 3):
                 raise ConfigError("sparse entries must be [row, col, expr] triplets")
             i, j, text = item
             if not (type(i) is int and type(j) is int and 1 <= i <= n and 1 <= j <= n):
                 raise ConfigError(f"entry ({i}, {j}): indices must be 1-based in 1..{n}")
-            if (i, j) in seen:
+            if (i - 1, j - 1) in out:
                 raise ConfigError(f"entry ({i}, {j}): duplicate")
-            seen.add((i, j))
-            out.append((i - 1, j - 1, _parse_entry(i, j, text)))
+            out[i - 1, j - 1] = _parse_entry(i, j, text)
         return out
     raise ConfigError("entries must contain exactly one of 'dense' or 'sparse'")
 
@@ -286,15 +284,14 @@ def problem_from_config(path):
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ConfigError("config JSON is nested too deeply")
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
     # type(), not isinstance(): a JSON true is a Python bool, which is an int
     n = doc.get("n")
     if type(n) is not int or n < 1:
         raise ConfigError("config needs a positive integer 'n'")
-    hermitian = doc.get("hermitian", False)
-    if not isinstance(hermitian, bool):
-        raise ConfigError("hermitian must be true or false")
     # mu_domain is validated but not kept; stdlib json reads NaN and Infinity
     # as floats, so a bound must be finite too
     domain = doc.get("mu_domain")
@@ -303,14 +300,19 @@ def problem_from_config(path):
                     or (type(bound) is float and np.isfinite(bound)) for bound in domain))):
         raise ConfigError("mu_domain must be null or a [lo, hi] pair of finite numbers or nulls")
     parsed = _load_entries(doc, n)
+    # Real expressions of equal text have equal values at every mu. Texts, not
+    # trees, are compared: == on a tree recurses, past the limit on long sums.
+    hermitian = all(parsed.get((j, i), (None,))[0] == text for (i, j), (text, _) in parsed.items())
 
     def fill(out, evaluate, point, mu):
-        """out[i, j] = evaluate(node, mu) for each entry; a DomainError names it."""
-        for i, j, node in parsed:
+        """out[i, j] = evaluate(node, mu) for each entry; an error names the entry."""
+        for (i, j), (_, node) in parsed.items():
             try:
                 out[i, j] = evaluate(node, mu)
             except DomainError as exc:
                 raise DomainError(f"entry ({i + 1}, {j + 1}) at {point}={mu}: {exc}") from exc
+            except RecursionError:
+                raise ConfigError(f"entry ({i + 1}, {j + 1}): expression nested too deeply")
         return out
 
     def eval_one(mu):

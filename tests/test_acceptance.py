@@ -321,13 +321,11 @@ def test_criterion_11_property_suites(torus, cheb20):
     jac_err = float(np.max(np.abs(jac - fd)) / (1.0 + np.max(np.abs(jac))))
 
     # (e) Galerkin residual of accepted Chebyshev solutions
-    from eigenpath.chebyshev import pack_unknowns
-
     coeffs20 = project_matrix_coeffs(torus, (0.25, 1.0), 20)
     tol = 1e-12 * (1.0 + max(float(np.linalg.norm(c)) for c in coeffs20.coeffs))
     galerkin_err = 0.0
     for pair in cheb20_series:
-        packed = pack_unknowns(pair.lam, pair.vec)
+        packed = np.column_stack((pair.lam, pair.vec)).ravel()
         galerkin_err = max(galerkin_err, float(np.max(np.abs(cheb_residual(packed, coeffs20)))))
 
     # (f) seeded sampling determinism (bitwise)

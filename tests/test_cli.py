@@ -257,6 +257,70 @@ class TestExpand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("text, flags, message", [
+        ("(" * 5000 + "mu" + ")" * 5000, ["--method", "taylor", "--mu0", "0.5"],
+         "config error: entry (2, 1): expression nested too deeply (offset "),
+        ("exp(" * 1000 + "mu" + ")" * 1000, ["--method", "taylor", "--mu0", "0.5"],
+         "config error: entry (2, 1): expression nested too deeply (offset "),
+        ("+".join(["mu"] * 5000), ["--method", "taylor", "--mu0", "0.5"],
+         "config error: entry (2, 1): expression nested too deeply\n"),
+        ("+".join(["mu"] * 5000), ["--method", "chebyshev", "--interval", "0,1"],
+         "config error: entry (2, 1): expression nested too deeply\n"),
+    ], ids=["parentheses", "exp-calls", "sum-taylor", "sum-chebyshev"])
+    def test_too_deep_expression_exits_1_with_one_line(self, tmp_path, capsys, text, flags,
+                                                        message):
+        # past the interpreter's recursion limit in the parser (nesting) or
+        # in the evaluation (a sum's tree is as deep as it has terms)
+        config = tmp_path / "deep.json"
+        config.write_text(json.dumps({"n": 2, "entries": {"sparse": [[2, 1, text]]}}))
+        argv = ["expand", "--problem", f"config:{config}", *flags, "--order", "2",
+                "--out", str(tmp_path / "x")]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(message)
+        assert "Traceback" not in err
+
+    def test_config_expands_the_matrix_its_entries_define(self, tmp_path):
+        # A(0.5) = [[2, 0.5], [0, 3]], whatever a "hermitian" key claims: the
+        # eigenvector of lambda = 3 is (1, 2)/sqrt(5), not e_2
+        config = tmp_path / "upper.json"
+        config.write_text(json.dumps({"n": 2, "hermitian": True, "entries": {
+            "sparse": [[1, 1, "2"], [1, 2, "mu"], [2, 2, "3"]]}}))
+        out = tmp_path / "series"
+        assert run(["expand", "--problem", f"config:{config}", "--method", "taylor",
+                    "--mu0", "0.5", "--order", "6", "--out", str(out)]) == 0
+        pairs = [load_eigenpair(path) for path in sorted(out.glob("eigenpair_*.json"))]
+        assert sorted(pair.lam[0].real for pair in pairs) == [2.0, 3.0]
+        pair = next(pair for pair in pairs if pair.lam[0] == 3.0)
+        exact = np.array([1.0, 2.0]) / np.sqrt(5.0)
+        v = pair.vec[0]
+        assert np.linalg.norm(v - exact * (exact @ v)) / np.linalg.norm(v) <= 1e-12
+        assert max(float(ratios.max()) for ratios in _residuals_over_scales(out)) <= 1e-13
+        report = tmp_path / "report"
+        assert run(["report", "--problem", f"config:{config}",
+                    "--series", *(str(path) for path in sorted(out.glob("eigenpair_*.json"))),
+                    "--grid", "0.3,0.7,3", "--out", str(report)]) == 0
+        rows = list(csv.DictReader((report / "report.csv").read_text().splitlines()))
+        assert max(float(row["vec_deviation"]) for row in rows) <= 1e-11
+
+    @pytest.mark.parametrize("flags", [
+        ["--method", "taylor", "--mu0", "0.2", "--order", "24"],
+        ["--method", "chebyshev", "--interval", "0,0.8", "--order", "12"],
+    ], ids=["taylor", "chebyshev"])
+    def test_mirrored_config_is_hermitian_without_the_key(self, tmp_path, flags):
+        doc = json.loads(CROSSING_N2.read_text())
+        assert "hermitian" not in doc
+        keyed = tmp_path / "keyed.json"
+        keyed.write_text(json.dumps({**doc, "hermitian": True}))
+        outs = [tmp_path / "shipped", tmp_path / "keyed"]
+        for config, out in zip((CROSSING_N2, keyed), outs):
+            assert run(["expand", "--problem", f"config:{config}", *flags,
+                        "--out", str(out)]) == 0
+        names = sorted(path.name for path in outs[0].glob("eigenpair_*.json"))
+        assert names == ["eigenpair_01.json", "eigenpair_02.json"]
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
 
 def _python_in_subprocess(args, threads=1):
     """Run ``python <args>`` on this source tree with BLAS pinned to ``threads``."""

@@ -5,6 +5,8 @@ import dataclasses
 import json
 import re
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,14 +14,21 @@ from eigenpath import (
     ConfigError,
     DomainError,
     NumericalError,
+    TaylorRequest,
     eigen_all,
+    eigpath_eval,
+    expansion_series,
     jordan_eigenvalues,
     make_jordan,
     make_spring_chain,
     make_torus_kernel,
     problem_from_config,
+    taylor_expand_all,
 )
 from eigenpath.problems import matrix_stack
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+DOCS = Path(__file__).resolve().parents[1] / "docs"
 
 
 class TestTorusKernel:
@@ -279,6 +288,8 @@ class TestConfigProblems:
             ({"n": 2, "entries": {"diagonal": ["mu", "mu"]}},
              "entries must contain exactly one of 'dense' or 'sparse'"),
             ('{"n": 2,', "config is not valid JSON: "),
+            ('{"n": 2, "name": ' + "[" * 100000 + "]" * 100000 + "}",
+             "config JSON is nested too deeply"),
             ([{"n": 2}], "config root must be an object"),
         ]
         for doc, message in bad:
@@ -292,8 +303,6 @@ class TestConfigProblems:
 
     @pytest.mark.parametrize("field, value", [
         ("n", True),
-        ("hermitian", "false"),
-        ("hermitian", 1),
         ("mu_domain", 3),
         ("mu_domain", [0.0, "1"]),
         ("mu_domain", [True, None]),
@@ -324,3 +333,60 @@ class TestConfigProblems:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             problem_from_config(tmp_path / "nope.json")
+
+    @pytest.mark.parametrize("upper, lower, hermitian", [
+        ("2*mu", "2 * mu", True),
+        ("2*mu", " 2*mu\t", True),
+        ("2*mu", "mu*2", False),     # equal values, but not equal text
+        ("mu", None, False),         # the mirror is not listed
+        ("mu", "-mu", False),
+    ])
+    def test_hermitian_when_the_entries_mirror_each_other(self, tmp_path, upper, lower,
+                                                           hermitian):
+        sparse = [[1, 1, "1"], [1, 2, upper], [2, 2, "3"]]
+        if lower is not None:
+            sparse.append([2, 1, lower])
+        # the key is ignored: the entries decide
+        doc = {"n": 2, "hermitian": not hermitian, "entries": {"sparse": sparse}}
+        problem = problem_from_config(self._write(tmp_path, doc))
+        assert problem.hermitian is hermitian
+        assert problem_from_config(
+            self._write(tmp_path, {"n": 2, "entries": {"sparse": sparse}})).hermitian is hermitian
+
+    def test_unrecognised_mirror_still_expands_its_matrix(self, tmp_path):
+        doc = {"n": 2, "entries": {"dense": ["1", "2*mu", "mu*2", "3"]}}
+        problem = problem_from_config(self._write(tmp_path, doc))
+        assert not problem.hermitian
+        pairs = expansion_series(taylor_expand_all(TaylorRequest(problem, 0.3, 16)))
+        for mu in (0.25, 0.3, 0.35):
+            values = np.sort_complex(np.array([eigpath_eval(pair, mu)[0] for pair in pairs]))
+            direct = np.sort_complex(np.linalg.eigvals(problem.eval_at(mu)).astype(complex))
+            np.testing.assert_allclose(values, direct, rtol=0, atol=1e-10)
+
+    def test_shipped_configs_load(self):
+        hermitian = {"crossing_rotating_n2.json": True, "example_jordan_n2.json": False}
+        paths = sorted(CONFIGS.glob("*.json"))
+        assert [path.name for path in paths] == sorted(hermitian)
+        for path in paths:
+            assert problem_from_config(path).hermitian is hermitian[path.name]
+
+    def test_mirrored_long_sum_loads(self, tmp_path):
+        # long enough that == on the parsed trees would exceed the recursion limit
+        text = "+".join(["mu"] * 400)
+        doc = {"n": 2, "entries": {"sparse": [[1, 2, text], [2, 1, text]]}}
+        problem = problem_from_config(self._write(tmp_path, doc))
+        assert problem.hermitian
+        np.testing.assert_array_equal(problem.eval_at(0.5), [[0.0, 200.0], [200.0, 0.0]])
+
+
+def test_schema_doc_examples_load(tmp_path):
+    # every JSON block of the schema doc is a config the loader accepts, and
+    # its Jordan example is the shipped file
+    blocks = re.findall(r"```json\n(.*?)```", (DOCS / "problem-config.md").read_text(), re.S)
+    assert len(blocks) >= 2
+    for index, block in enumerate(blocks):
+        path = tmp_path / f"example{index}.json"
+        path.write_text(block)
+        assert problem_from_config(path).n >= 1
+    shipped = json.loads((CONFIGS / "example_jordan_n2.json").read_text())
+    assert shipped in [json.loads(block) for block in blocks]
