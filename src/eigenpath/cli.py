@@ -23,7 +23,6 @@ without their manifest.
 import argparse
 import contextlib
 import functools
-import hashlib
 import math
 import sys
 import time
@@ -123,6 +122,8 @@ def _resolve_problem(args):
     It sets ``args.n`` to the problem's n, which the manifest records."""
     spec = args.problem
     if spec.startswith("config:"):
+        import hashlib   # only a config's digest needs it; kept out of start-up
+
         path = spec[len("config:"):]
         digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
         problem = problem_from_config(path)

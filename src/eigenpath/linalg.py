@@ -40,22 +40,17 @@ failure, on the rounded E, after the two above.
 
 Dtype policy: the arithmetic follows the input's dtype and its spectrum,
 matrix by matrix. A real matrix is decomposed by the real solver (``eigh``
-for Hermitian input, else ``eig``); when its spectrum is real, ``vectors``
-and the Schur factors (a real Schur form, on first use) are float64. When
-it has a complex pair, the real solver's complex eigenvectors are kept and
-the Schur factors are those of its complex128 cast. Complex input (even
-with zero imaginary parts) is decomposed in complex arithmetic. In a real
-stack with a complex pair anywhere, numpy returns every matrix's vectors
-as complex128, but each matrix's eigenvalues and eigenvectors are the
-numbers the real solver gives it alone, so they never depend on the
-stack's other matrices (the Schur factors of such a stack, which no caller
-reads, are those of its complex cast). Should the real Schur form hold a
-2x2 block where ``eig`` found a real pair (a nearly defective pair that
-the two solvers round apart differently), the Schur factors are again
-those of the complex cast. ``EigenDecomposition.values`` are complex128
-either way; the Taylor kernel and Chebyshev Newton compute in the dtype of
-the Schur factors and vectors (:func:`working_dtype`, :func:`in_dtype`).
-On a real vector the phase fix is a sign fix.
+for Hermitian input, else ``eig``); ``vectors``, and the Schur factors
+built from them, are float64 when its spectrum is real and complex128 when
+it has a complex pair. Complex input (even with zero imaginary parts) is
+decomposed in complex arithmetic. In a real stack with a complex
+pair anywhere, numpy returns every matrix's vectors as complex128, but each
+matrix's eigenvalues and eigenvectors are the numbers the real solver gives
+it alone, so they never depend on the stack's other matrices.
+``EigenDecomposition.values`` are complex128 either way; the Taylor kernel
+and Chebyshev Newton compute in the dtype of the Schur factors and vectors
+(:func:`working_dtype`, :func:`in_dtype`). On a real vector the phase fix
+is a sign fix.
 
 Floating-point warning policy: where the program reports a non-finite
 result itself, numpy's overflow and invalid-value warnings are silenced
@@ -63,12 +58,11 @@ over the computation that produces it (:func:`overflow_reported`), and
 nowhere else.
 
 Import policy: ``scipy.linalg`` is imported inside the routines that call
-it (the Schur form of a non-Hermitian A0 in :func:`_schur_factors`, and
-the LU of :func:`build_bordered` and :func:`solve_bordered`), not with the
-module. Importing it takes most of a fresh command's start-up time, and
-the commands that never call it (a Hermitian Taylor ``expand`` or
-``sample``, every ``report``, ``bench`` on a Hermitian problem) start
-with numpy alone.
+it (the LU of :func:`build_bordered` and :func:`solve_bordered`), not with
+the module. Importing it takes most of a fresh command's start-up time,
+and the commands that never call it (every Taylor ``expand`` but
+``--single-precision-e``, every ``sample``, ``report`` and ``bench``)
+start with numpy alone.
 """
 
 import numpy as np
@@ -112,8 +106,11 @@ def in_dtype(values, dtype):
     return values if np.issubdtype(dtype, np.complexfloating) else values.real
 
 
-def _check_square(a, stack=False):
-    """a as float64 when it is real, else as complex128, checked square and finite."""
+def _check_square(a, stack=False, hermitian=False):
+    """a as float64 when it is real, else as complex128, checked square,
+    finite and, when ``hermitian``, equal to its conjugate transpose to
+    within SINGULARITY_RCOND max(1, max |a|): ``eigh`` and the conjugated
+    normalization row would take the flag on trust."""
     a = np.asarray(a)
     a = np.asarray(a, dtype=working_dtype(a))
     ndims = (2, 3) if stack else (2,)
@@ -121,6 +118,12 @@ def _check_square(a, stack=False):
         raise ValueError("expected a square matrix (or a stack of them) with n >= 1")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
+    if hermitian:
+        asymmetry = np.abs(a - a.swapaxes(-1, -2).conj())
+        if asymmetry.max() > SINGULARITY_RCOND * max(1.0, np.abs(a).max()):
+            entry = np.unravel_index(np.argmax(asymmetry), a.shape)
+            raise ValueError(f"hermitian=True, but |A - A^H| is {asymmetry[entry]:.3g} "
+                             f"at entry {tuple(int(i) for i in entry)}")
     return a
 
 
@@ -171,11 +174,14 @@ class EigenDecomposition:
 
     Eigenvalues are sorted by descending real part (ties by descending
     imaginary part); eigenvectors are unit 2-norm columns with the phase fix
-    applied. The Schur factors are computed on first access. T is diagonal
-    for Hermitian input. ``matrix`` is the checked input, in float64 when it
-    is real; ``vectors`` and the Schur factors are float64 when it is real
-    with a real spectrum, else complex128 (see the module's dtype policy).
-    Every array computed here is read-only.
+    applied. The Schur factors, computed on first access, come from the
+    eigenvector matrix V: Q = V and T diagonal for Hermitian input, else
+    V = QR and T = Q^H A Q with its strictly lower part, rounding, set to 0
+    (Q^H A Q = R diag(values) R^{-1} is upper triangular). ``matrix`` is the
+    checked input, in float64 when it is real; ``vectors`` and the Schur
+    factors are float64 when it is real with a real spectrum, else
+    complex128 (see the module's dtype policy). Every array computed here
+    is read-only.
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -196,12 +202,8 @@ class EigenDecomposition:
             diag = np.arange(self.n)
             t[..., diag, diag] = in_dtype(self.values, t.dtype)
             return self.vectors, _readonly(t)
-        if not np.iscomplexobj(self.vectors):
-            t, q = _schur_factors(self.matrix)
-            if not np.any(np.diagonal(t, -1, -2, -1)):
-                return _readonly(q), _readonly(t)
-            # a 2x2 block where eig found a real pair (see the dtype policy)
-        t, q = _schur_factors(self.matrix.astype(complex))
+        q, _ = np.linalg.qr(self.vectors)
+        t = np.triu(np.conj(np.swapaxes(q, -1, -2)) @ self.matrix @ q)
         return _readonly(q), _readonly(t)
 
     @property
@@ -211,20 +213,6 @@ class EigenDecomposition:
     @property
     def schur_t(self):
         return self._schur[1]
-
-
-def _schur_factors(matrices):
-    """T and Q of each matrix of (n, n) or (m, n, n): the real Schur form for
-    real input, the complex one for complex input."""
-    import scipy.linalg
-
-    n = matrices.shape[-1]
-    output = "complex" if np.iscomplexobj(matrices) else "real"
-    try:
-        factors = [scipy.linalg.schur(a, output=output) for a in matrices.reshape(-1, n, n)]
-    except scipy.linalg.LinAlgError as exc:
-        raise _solver_error(exc) from exc
-    return (np.stack(f).reshape(matrices.shape) for f in zip(*factors))
 
 
 def _solver_error(exc):
@@ -237,9 +225,10 @@ def eigen_all(a, hermitian=False):
 
     A stack is solved by one batched LAPACK call in the arithmetic of its
     dtype (the module's dtype policy), and each of its matrices gets the
-    same numbers as a call on that matrix alone.
+    same numbers as a call on that matrix alone. With ``hermitian`` a matrix
+    that is not Hermitian is a ValueError.
     """
-    a = _check_square(a, stack=True)
+    a = _check_square(a, stack=True, hermitian=hermitian)
     try:
         values, vectors = (np.linalg.eigh if hermitian else np.linalg.eig)(a)
     except np.linalg.LinAlgError as exc:
@@ -266,9 +255,10 @@ def eigenvalues(a, hermitian=False):
     One values-only LAPACK call (``eigvalsh`` for Hermitian input, else
     ``eigvals``) computes no eigenvectors, so the values may differ from
     ``eigen_all(a).values`` by rounding. A stack's matrices get the bits of
-    a call on each matrix alone.
+    a call on each matrix alone. With ``hermitian`` a matrix that is not
+    Hermitian is a ValueError.
     """
-    a = _check_square(a, stack=True)
+    a = _check_square(a, stack=True, hermitian=hermitian)
     try:
         values = (np.linalg.eigvalsh if hermitian else np.linalg.eigvals)(a)
     except np.linalg.LinAlgError as exc:

@@ -23,11 +23,6 @@ from .expressions import eval_expr, parse_expression, taylor_arith_eval
 from .linalg import overflow_reported, working_dtype
 from .series import float_factorial
 
-# Central finite-difference step per derivative order, balancing truncation
-# against roundoff for the 1e-5 relative self-test tolerance.
-_FD_STEPS = {1: 1e-5, 2: 1e-4, 3: 5e-4}
-
-
 @dataclass(frozen=True)
 class ParametricProblem:
     """A parametric matrix A(mu) with exact derivative matrices.
@@ -38,7 +33,8 @@ class ParametricProblem:
     p)`` returns the stack A_0..A_p of derivative values (not series
     coefficients): A_k[i, j] = d^k A_ij / d mu^k at mu0, so A_0 equals
     eval_at(mu0). The evaluators raise DomainError where A(mu) is
-    undefined; no other domain is stored or enforced. A config problem is
+    undefined; no other domain is stored or enforced. The eigensolves reject
+    ``hermitian`` on an A that is not Hermitian. A config problem is
     ``hermitian`` when its entries mirror each other; a config file's
     ``name`` and ``hermitian`` keys are ignored like any unknown key, and its
     ``mu_domain`` is validated but not stored (:func:`problem_from_config`).
@@ -48,24 +44,6 @@ class ParametricProblem:
     eval_at: Callable
     derivs_at: Callable
     hermitian: bool = False
-
-    def check_derivatives(self, mu0, max_order=3):
-        """Self-test hook: max relative mismatch of derivs_at, orders
-        1..max_order, against central finite differences of eval_at."""
-        derivs = self.derivs_at(mu0, max_order)
-        a = self.eval_at
-        worst = 0.0
-        for k in range(1, max_order + 1):
-            h = _FD_STEPS[k]
-            if k == 1:
-                fd = (a(mu0 + h) - a(mu0 - h)) / (2 * h)
-            elif k == 2:
-                fd = (a(mu0 + h) - 2 * a(mu0) + a(mu0 - h)) / h**2
-            else:
-                fd = (a(mu0 + 2 * h) - 2 * a(mu0 + h) + 2 * a(mu0 - h) - a(mu0 - 2 * h)) / (2 * h**3)
-            scale = max(1.0, float(np.linalg.norm(derivs[k])))
-            worst = max(worst, float(np.linalg.norm(derivs[k] - fd)) / scale)
-        return worst
 
 
 def check_finite_at(mus, rows, what):

@@ -50,15 +50,18 @@ stay clear of zero (``linalg.SINGULARITY_RCOND``). Each failing pair yields
 its own ExpansionFailure and takes no part in the others' computation. So
 does a pair whose coefficients overflow: its error names the first order
 that is not finite, and numpy's overflow warnings are silenced over the
-order loop, where they would only repeat it.
+order loop, where they would only repeat it. So, last, does a pair whose
+order-k solve, checked against A0 itself, leaves a normwise backward error
+|E x - rhs| / (|rhs| + |E| |x|) above ``ORDER_RESIDUAL_BOUND``; a nearly
+defective pair's ill-conditioned E, solved stably, stays below it.
 
 ``single_precision_e``, an experiment on the stored matrix E itself, swaps
 only the per-order solve: each pair's E is rounded to single precision and
 factorized once (``linalg.build_bordered``), and every order solves with
 those LU factors. The rounded E's condition estimate is one more per-pair
 test, and the order residuals stay measured against the exact E, so they
-show the rounding. Errors accumulate with growing order by construction;
-no mitigation is applied.
+show the rounding; they are not held to ``ORDER_RESIDUAL_BOUND``. Errors
+accumulate with growing order by construction; no mitigation is applied.
 """
 
 import numpy as np
@@ -85,6 +88,10 @@ from .series import (
     binomial_table,
     non_finite_order,
 )
+
+# The largest normwise backward error an exactly solved pair may leave at
+# any order; the built-ins' pairs leave at most about 1e-13.
+ORDER_RESIDUAL_BOUND = 1e-7
 
 
 @dataclass(frozen=True)
@@ -169,6 +176,15 @@ def non_finite_error(lams, vs):
         return NumericalError(f"series coefficient at order {order} is not finite")
 
 
+def residual_error(backward, bound):
+    """The NumericalError naming the first of orders 1..p whose backward
+    error, of one pair's ``backward`` (p,), exceeds ``bound``, or None."""
+    above = np.flatnonzero(backward > bound)
+    if above.size:
+        k = above[0]
+        return NumericalError(f"order {k + 1} backward error {backward[k]:.3g} above {bound:g}")
+
+
 def selected_indices(selector, n):
     """The eigenpair indices a request's ``selector`` picks among n: all of
     them for "all", else the one index, which must lie in 0..n-1."""
@@ -219,7 +235,8 @@ def expand_schur(derivs, decomp, indices, v0, basis, single_precision=False):
     Returns per index (:func:`pair_results`) the pair's EigenPairSeries in
     ``basis``, or an ExpansionFailure carrying the NumericalError (mostly a
     NonSimpleEigenvalueError) that rejects it before the order loop or names
-    its first order that is not finite. A series' diagnostics hold the exact
+    its first order that is not finite or (without ``single_precision``) over
+    ``ORDER_RESIDUAL_BOUND``. A series' diagnostics hold the exact
     bordered systems' ``order_residuals``, each order's rhs scale
     1 + max(|z|, max |y|), its ``gap`` to the nearest other eigenvalue (None
     when n = 1) and, with ``single_precision``, the ``condition_estimate``.
@@ -269,6 +286,11 @@ def expand_schur(derivs, decomp, indices, v0, basis, single_precision=False):
     lams, vs = np.array(lams), np.array(vs)
     # (pairs, p), also when no pair is left
     residuals, scales = (np.reshape(r, (p, lam0.size)).T for r in (residuals, scales))
+    # |E x - rhs| / (|rhs| + |E| |x|) in max-abs sizes
+    backward = residuals / (scales + (1.0 + np.abs(lam0) + np.abs(derivs[0]).max())[:, None]
+                            * np.maximum(np.abs(lams[1:]), np.abs(vs[1:]).max(axis=1)).T)
+    # the rounded solve's residuals measure its deliberate rounding
+    bound = np.inf if single_precision else ORDER_RESIDUAL_BOUND
     series = []
     for col, gap in enumerate(gaps):
         lam, vec = lams[:, col], vs[:, :, col]
@@ -277,7 +299,8 @@ def expand_schur(derivs, decomp, indices, v0, basis, single_precision=False):
                        "gap": float(gap) if np.isfinite(gap) else None}
         if single_precision:
             diagnostics["condition_estimate"] = systems[col].condition_estimate
-        series.append(non_finite_error(lam, vec) or EigenPairSeries(basis, lam, vec, diagnostics))
+        series.append(non_finite_error(lam, vec) or residual_error(backward[col], bound)
+                      or EigenPairSeries(basis, lam, vec, diagnostics))
     return pair_results(indices, decomp.values, errors, series)
 
 

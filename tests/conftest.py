@@ -24,6 +24,30 @@ from eigenpath import (
 CROSSING = Path(__file__).resolve().parent.parent / "configs" / "crossing_rotating_n2.json"
 
 
+# Central finite-difference step per derivative order, balancing truncation
+# against roundoff for the 1e-5 relative self-test tolerance.
+_FD_STEPS = {1: 1e-5, 2: 1e-4, 3: 5e-4}
+
+
+def derivative_mismatch(problem, mu0, max_order=3):
+    """Max relative mismatch of ``problem.derivs_at``, orders 1..max_order,
+    against central finite differences of its ``eval_at``."""
+    derivs = problem.derivs_at(mu0, max_order)
+    a = problem.eval_at
+    worst = 0.0
+    for k in range(1, max_order + 1):
+        h = _FD_STEPS[k]
+        if k == 1:
+            fd = (a(mu0 + h) - a(mu0 - h)) / (2 * h)
+        elif k == 2:
+            fd = (a(mu0 + h) - 2 * a(mu0) + a(mu0 - h)) / h**2
+        else:
+            fd = (a(mu0 + 2 * h) - 2 * a(mu0 + h) + 2 * a(mu0 - h) - a(mu0 - 2 * h)) / (2 * h**3)
+        scale = max(1.0, float(np.linalg.norm(derivs[k])))
+        worst = max(worst, float(np.linalg.norm(derivs[k] - fd)) / scale)
+    return worst
+
+
 def linear_problem():
     """The 1x1 problem A(mu) = [mu]."""
 
@@ -58,6 +82,22 @@ def constant_problem(a0, hermitian=False):
     return ParametricProblem(
         n=n, eval_at=pointwise(eval_at), derivs_at=derivs_at, hermitian=hermitian
     )
+
+
+def asymmetric_flagged_hermitian():
+    """A(mu) = [[2, mu], [0, 3]], flagged Hermitian although it is not."""
+
+    def eval_at(mu):
+        return np.array([[2.0, mu], [0.0, 3.0]])
+
+    def derivs_at(mu0, p):
+        derivs = np.zeros((p + 1, 2, 2))
+        derivs[0] = eval_at(mu0)
+        if p >= 1:
+            derivs[1, 0, 1] = 1.0
+        return derivs
+
+    return ParametricProblem(n=2, eval_at=pointwise(eval_at), derivs_at=derivs_at, hermitian=True)
 
 
 def shift_problem(a0, mu0):

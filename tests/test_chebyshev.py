@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import CROSSING, constant_problem, linear_problem
+from conftest import CROSSING, asymmetric_flagged_hermitian, constant_problem, linear_problem
 
 from eigenpath import (
     ChebRequest,
@@ -409,6 +409,10 @@ class TestExpandAll:
     def test_no_collisions_on_example1(self, cheb_e1_p10):
         assert len(cheb_e1_p10) == 8    # no pair of the n=8 torus fails, by collision or else
         assert _detect_collisions(cheb_e1_p10, cheb_e1_p10[0].basis) == []
+
+    def test_hermitian_flag_of_an_asymmetric_problem_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^hermitian=True, but \|A - A\^H\| is "):
+            cheb_expand_all(ChebRequest(asymmetric_flagged_hermitian(), (0.25, 0.75), 6))
 
 
 def crossing_problem():

@@ -1,6 +1,7 @@
 """CLI contract: flags, exit codes, output files, manifests, determinism."""
 
 import csv
+import hashlib
 import importlib
 import json
 import os
@@ -244,7 +245,7 @@ class TestExpand:
         )
         assert code == 0
         manifest = (out / "manifest.txt").read_text()
-        assert "config_sha256: -" not in manifest  # hash recorded
+        assert f"config_sha256: {hashlib.sha256(config.read_bytes()).hexdigest()}\n" in manifest
 
     def test_bad_config_exit_1(self, tmp_path):
         config = tmp_path / "bad.json"
@@ -355,6 +356,8 @@ def _assert_expand_identical_across_blas_threads(tmp_path, args, count):
     pytest.param("example2", "8", "0.8", "6", [], id="example2-0.8-6"),
     # at n=8 two BLAS threads do not speed up a complex product; at n=64 they do
     pytest.param("example2", "64", "0.8", "10", [], id="example2-64-0.8-10"),
+    # complex Schur factors from the QR of complex eigenvectors
+    pytest.param("example3", "64", "0.5", "10", [], id="example3-64-0.5-10"),
     pytest.param("example1", "16", "0.2", "10", ["--single-precision-e"],
                  id="example1-16-0.2-10-single-e"),
     pytest.param("example2", "64", "0.8", "10", ["--single-precision-e"],
@@ -398,7 +401,14 @@ def test_cli_import_leaves_out_scipy():
     assert _scipy_modules_after() == []
 
 
-def test_hermitian_taylor_expand_and_report_leave_out_scipy(tmp_path):
+def test_cli_import_leaves_out_hashlib():
+    # only a config's digest needs it, and a config command imports it
+    code = "import sys, eigenpath.cli; print('hashlib' in sys.modules)"
+    assert _python_in_subprocess(["-c", code]).strip() == "False"
+
+
+def test_taylor_expand_report_and_bench_leave_out_scipy(tmp_path):
+    # a non-Hermitian A0's Schur form comes from its eigenvectors, by numpy's QR
     series = tmp_path / "series"
     expand = ["expand", "--problem", "example1", "--n", "12", "--method", "taylor",
               "--mu0", "0.5", "--order", "8", "--out", str(series)]
@@ -406,12 +416,14 @@ def test_hermitian_taylor_expand_and_report_leave_out_scipy(tmp_path):
               "--series", *(str(series / f"eigenpair_{i:02d}.json") for i in (1, 2, 3)),
               "--grid", "0.4,0.6,11", "--metrics", "eig-error,vec-deviation,rayleigh",
               "--out", str(tmp_path / "report")]
-    assert _scipy_modules_after(expand, report) == []
+    spring = ["expand", "--problem", "example2", "--n", "8", "--method", "taylor",
+              "--mu0", "1", "--order", "6", "--out", str(tmp_path / "spring")]
+    bench = ["bench", "--problem", "example2", "--n-list", "8", "--p-list", "4",
+             "--repeats", "1", "--out", str(tmp_path / "bench")]
+    assert _scipy_modules_after(expand, report, spring, bench) == []
 
 
 @pytest.mark.parametrize("problem, flags", [
-    # the Schur form of a non-Hermitian A0
-    pytest.param("example2", ["--method", "taylor", "--mu0", "1"], id="taylor-schur"),
     # the LU of the rounded bordered matrix
     pytest.param("example1", ["--method", "taylor", "--mu0", "0.2", "--single-precision-e"],
                  id="taylor-single-e"),

@@ -118,6 +118,28 @@ class TestEigenAll:
         assert not (q.flags.writeable or t.flags.writeable or d.vectors.flags.writeable)
 
 
+def assert_schur_form(d, c):
+    """d's Schur factors: Q has orthonormal columns, T is exactly upper
+    triangular, both in the eigenvectors' dtype, and
+    ||A Q - Q T|| <= c eps ||A|| (Frobenius norms)."""
+    q, t, eps = d.schur_q, d.schur_t, np.finfo(float).eps
+    assert q.dtype == t.dtype == d.vectors.dtype
+    np.testing.assert_array_equal(np.tril(t, -1), 0.0)
+    assert np.linalg.norm(q.conj().T @ q - np.eye(d.n)) <= c * eps
+    assert np.linalg.norm(d.matrix @ q - q @ t) <= c * eps * np.linalg.norm(d.matrix)
+
+
+class TestSchurForm:
+    @pytest.mark.parametrize("problem, n, mu0, c", [
+        ("example2", 256, 1.0, 256),
+        ("example2", 256, 0.6, 256),
+        # near the Jordan point cond(V) is 6.5e5 and A Q - Q T is 2.4e3 eps ||A||
+        ("example3", 32, 1e-6, 1e4),
+    ])
+    def test_built_in_schur_form_from_the_eigenvectors(self, problem, n, mu0, c):
+        assert_schur_form(eigen_all(builtin_problem(problem, n).eval_at(mu0)), c)
+
+
 class TestRealArithmetic:
     def test_real_spectrum_gives_real_triangular_schur_form(self):
         # Q T Q^T with T upper triangular (distinct real diagonal, dense
@@ -144,8 +166,8 @@ class TestRealArithmetic:
 
     def test_complex_pair_keeps_the_real_solvers_pairs_and_complex_schur_factors(self):
         """A real matrix whose real Schur form has a 2x2 block (a complex
-        pair) gets the eigenpairs of the real solver, as complex128, and the
-        Schur factors of its complex cast."""
+        pair) gets the eigenpairs of the real solver, as complex128, and
+        complex Schur factors built from them."""
         rng = np.random.default_rng(47)
         rotation = np.array([[0.0, -1.0], [1.0, 0.0]])
         a = np.kron(np.eye(3), rotation) + 0.1 * rng.normal(size=(6, 6))
@@ -160,8 +182,7 @@ class TestRealArithmetic:
             assert d.values[k + 1] == np.conj(d.values[k])
         expected = vectors[:, order] / np.linalg.norm(vectors[:, order], axis=0)
         np.testing.assert_allclose(d.vectors, phase_fix(expected), rtol=0, atol=1e-15)
-        t, q = scipy.linalg.schur(a.astype(complex), output="complex")
-        assert d.schur_t.tobytes() == t.tobytes() and d.schur_q.tobytes() == q.tobytes()
+        assert_schur_form(d, 16)
         only = np.linalg.eigvals(a)
         assert eigenvalues(a).tobytes() == only[np.lexsort((-only.imag, -only.real))].tobytes()
 
@@ -182,20 +203,18 @@ class TestRealArithmetic:
         looped = np.stack([eigenvalues(matrix) for matrix in stack])
         assert eigenvalues(stack).tobytes() == looped.tobytes()
 
-    def test_real_pair_beside_a_2x2_schur_block_takes_the_complex_schur_form(self):
+    def test_real_pair_beside_a_2x2_schur_block_takes_a_real_schur_form(self):
         # a nearly defective quadruple eigenvalue 1 (off by ~5e-10 in exact
         # arithmetic): eig rounds it to four real values, while the real
-        # Schur form keeps a 2x2 block
+        # Schur form keeps a 2x2 block; the Schur factors follow eig's
+        # real vectors
         a = np.array([[1.0, 100.0, 0.0, 0.0], [0.0, 1.0, 4.0, 0.0],
                       [0.0, 0.0, 1.0, 0.1], [1e-38, 0.0, 0.0, 1.0]])
         _, t_real = scipy.linalg.schur(a, output="real")
         assert not np.iscomplexobj(np.linalg.eigvals(a)) and np.any(np.diagonal(t_real, -1))
         d = eigen_all(a)
         assert d.vectors.dtype == np.float64
-        t, q = scipy.linalg.schur(a.astype(complex), output="complex")
-        assert d.schur_t.dtype == complex
-        assert d.schur_t.tobytes() == t.tobytes() and d.schur_q.tobytes() == q.tobytes()
-        np.testing.assert_array_equal(np.tril(d.schur_t, -1), 0.0)
+        assert_schur_form(d, 16)
 
     def test_complex_input_with_zero_imaginary_parts_stays_complex(self):
         d = eigen_all(np.diag([1.0, 2.0]).astype(complex))
@@ -249,6 +268,28 @@ class TestEigenvalues:
             for solve in (eigen_all, eigenvalues):
                 with pytest.raises(ValueError):
                     solve(bad, hermitian=hermitian)
+
+
+class TestHermitianFlag:
+    def test_asymmetric_matrix_is_rejected_naming_its_largest_asymmetry(self):
+        a = np.array([[2.0, 0.5], [0.0, 3.0]])
+        stack = np.stack([np.eye(2), a])
+        for solve in (eigen_all, eigenvalues):
+            with pytest.raises(ValueError,
+                               match=r"^hermitian=True, but \|A - A\^H\| is 0.5 at entry \(0, 1\)$"):
+                solve(a, hermitian=True)
+            with pytest.raises(ValueError, match=r" at entry \(1, 0, 1\)$"):
+                solve(stack, hermitian=True)
+            solve(a)   # the general solver takes it
+
+    def test_matrix_symmetric_to_rounding_passes(self):
+        rng = np.random.default_rng(59)
+        q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
+        a = q @ np.diag(np.arange(1.0, 9.0)) @ q.T
+        assert np.any(a != a.T)
+        expected = np.arange(8.0, 0.0, -1)
+        np.testing.assert_allclose(eigen_all(a, hermitian=True).values.real, expected, rtol=1e-13)
+        np.testing.assert_allclose(eigenvalues(a, hermitian=True).real, expected, rtol=1e-13)
 
 
 class TestBuildBordered:

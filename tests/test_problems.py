@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import derivative_mismatch
+
 from eigenpath import (
     ConfigError,
     DomainError,
@@ -58,7 +60,7 @@ class TestTorusKernel:
             assert np.all(a > 0) and np.all(a <= 1.0)
 
     def test_derivative_self_test(self):
-        assert make_torus_kernel(8).check_derivatives(0.2) <= 1e-5
+        assert derivative_mismatch(make_torus_kernel(8), 0.2) <= 1e-5
 
     def test_running_product_matches_float_powers(self):
         # d^k/dmu^k exp(-mu U) = (-U)^k exp(-mu U), with U the pairwise
@@ -76,7 +78,7 @@ class TestTorusKernel:
         for k in range(p + 1):
             expected = (-dist) ** k * base
             assert np.all(np.abs(derivs[k] - expected) <= 1e-13 * np.abs(expected))
-        assert problem.check_derivatives(mu0) <= 1e-5
+        assert derivative_mismatch(problem, mu0) <= 1e-5
 
 
 class TestSpringChain:
@@ -118,7 +120,7 @@ class TestSpringChain:
             make_spring_chain(2)
 
     def test_derivative_self_test(self):
-        assert make_spring_chain(8).check_derivatives(0.8) <= 1e-5
+        assert derivative_mismatch(make_spring_chain(8), 0.8) <= 1e-5
 
 
 class TestJordan:
@@ -160,7 +162,7 @@ class TestJordan:
         expected[3, 0] = 1.0
         np.testing.assert_array_equal(derivs[1], expected)
         np.testing.assert_array_equal(derivs[2], 0.0)
-        assert problem.check_derivatives(0.5) <= 1e-5
+        assert derivative_mismatch(problem, 0.5) <= 1e-5
 
 
 class TestMatrixStack:
@@ -265,7 +267,7 @@ class TestConfigProblems:
             "entries": {"dense": ["exp(-mu)", "sin(mu)/(mu+2)", "sin(mu)/(mu+2)", "cos(mu)^2"]},
         }
         problem = problem_from_config(self._write(tmp_path, doc))
-        assert problem.check_derivatives(0.4) <= 1e-5
+        assert derivative_mismatch(problem, 0.4) <= 1e-5
 
     def test_schema_violations(self, tmp_path):
         entries = "config needs an 'entries' object with 'dense' or 'sparse'"

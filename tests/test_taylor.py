@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import CROSSING, constant_problem, linear_problem, shift_problem
+from conftest import (
+    CROSSING,
+    asymmetric_flagged_hermitian,
+    constant_problem,
+    linear_problem,
+    shift_problem,
+)
 
 from eigenpath import (
     DerivativeOrderError,
@@ -27,7 +33,14 @@ from eigenpath import (
     taylor_expand_all,
     taylor_rhs,
 )
-from eigenpath.linalg import assemble_bordered, border_row, build_bordered, solve_bordered
+from eigenpath.linalg import (
+    EigenDecomposition,
+    assemble_bordered,
+    border_row,
+    build_bordered,
+    phase_fix,
+    solve_bordered,
+)
 from eigenpath.problems import builtin_problem
 from eigenpath.taylor import _bordered_residuals, binomial_table, expand_schur
 import eigenpath.taylor as taylor
@@ -195,6 +208,28 @@ class TestExpandAll:
             )
             lams.append(lam_k)
             vs.append(v_k)
+
+
+class TestVerifiedPairs:
+    def test_hermitian_flag_of_an_asymmetric_problem_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^hermitian=True, but \|A - A\^H\| is 0.5 at entry \(0, 1\)$"):
+            taylor_expand_all(TaylorRequest(asymmetric_flagged_hermitian(), 0.5, 6))
+
+    def test_pair_solved_in_a_wrong_basis_fails_its_order_residual(self):
+        # eigh's decomposition of the asymmetric A0, built directly (eigen_all
+        # refuses the flag): T = diag(3, 2) misses A0's (0, 1) entry, which
+        # only the residuals against A0 itself see
+        derivs = asymmetric_flagged_hermitian().derivs_at(0.5, 6)
+        values, vectors = np.linalg.eigh(derivs[0])
+        decomp = EigenDecomposition(derivs[0], values[::-1].astype(complex),
+                                    phase_fix(vectors[:, ::-1]), hermitian=True)
+        three, two = expand_schur(derivs, decomp, [0, 1], decomp.vectors, SeriesBasis.taylor(0.5))
+        assert isinstance(three, ExpansionFailure) and three.eigenvalue == 3
+        assert type(three.error) is NumericalError
+        message = str(three.error)
+        assert message.startswith("order 2 backward error ") and message.endswith(" above 1e-07")
+        assert float(message.split()[4]) > 1e-2
+        assert isinstance(two, EigenPairSeries) and not np.any(two.vec[1:])
 
 
 class TestIntersection:
