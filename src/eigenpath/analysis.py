@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from .errors import DegenerateEvaluationError
 from .linalg import (
     BLOCK_BYTES,
+    DEGENERATE_NORM_TOL,
     block_slices,
     eigen_all,
     eigenvalues,
@@ -84,23 +85,18 @@ def _eval_series(pairs, mus, field):
     return out
 
 
-def _eval_eigenvalues(pairs, mus):
-    """Every pair's eigenvalue series at every point: shape (m, k)."""
-    return _eval_series(pairs, mus, "lam")
-
-
 def _eval_paths(pairs, mus):
     """Every pair at every point: lambda (m, k) and the unit-norm,
     phase-fixed eigenvector (m, k, n).
 
     Raises DegenerateEvaluationError naming the first point (pairs in order
-    within a point) where an evaluated eigenvector has norm below 1e-14.
+    within a point) where an eigenvector's norm is below DEGENERATE_NORM_TOL.
     """
     mus = np.asarray(mus, dtype=float)
-    lam = _eval_eigenvalues(pairs, mus)
+    lam = _eval_series(pairs, mus, "lam")
     vec = _eval_series(pairs, mus, "vec")
     norms = vector_norms(vec)
-    degenerate = np.argwhere(norms < 1e-14)
+    degenerate = np.argwhere(norms < DEGENERATE_NORM_TOL)
     if degenerate.size:
         s, i = degenerate[0]
         raise DegenerateEvaluationError(
@@ -286,7 +282,7 @@ def sample_eigenvalues(problem, pairs, dist, count, seed, method, setup_seconds=
             a = matrix_stack(problem, mus[block], "method rayleigh")
             values[block] = _rayleigh_quotients(a, q)
     elif method == "direct":
-        predicted = _eval_eigenvalues(pairs, mus)
+        predicted = _eval_series(pairs, mus, "lam")
         for block in _blocks(count, problem.n):
             a = matrix_stack(problem, mus[block], "method direct")
             direct = eigenvalues(a, hermitian=problem.hermitian)
@@ -297,7 +293,7 @@ def sample_eigenvalues(problem, pairs, dist, count, seed, method, setup_seconds=
         for pair in pairs:
             if pair.basis.kind != expected:
                 raise ValueError(f"method {method} requires {expected} series")
-        values[:] = _eval_eigenvalues(pairs, mus)
+        values[:] = _eval_series(pairs, mus, "lam")
     elapsed = time.perf_counter() - start
 
     return SampleSet(

@@ -34,7 +34,7 @@ no loop over pairs outside Newton's LU step:
   Newton then corrects only the Galerkin truncation, and a pair whose
   start meets the tolerance takes no step. A pair starts when A_0's
   eigenvalue passes the gap test (``linalg.gap_errors``) and no node
-  vector on its path is numerically isotropic (|v^T v| < 1e-8);
+  vector on its path is isotropic (|v^T v| < ``linalg.ISOTROPIC_TOL``);
 * Newton runs on blocks of pairs, an array (pairs, p+1, n+1) whose stacked
   Jacobians fit ``linalg.BLOCK_BYTES``. Each iteration builds the residuals
   and the Jacobians of the block's active pairs in one batched call each,
@@ -44,10 +44,10 @@ no loop over pairs outside Newton's LU step:
   count, history and error.
 
 Two expanded pairs whose paths coincide both fail (:func:`_reject_collisions`):
-at 5 probes across the interval their eigenvalues agree within
-``COLLISION_TOL`` and their eigenvectors are parallel, 1 - |cos| of their
-angle below it. Eigenvalues alone would also fail the distinct, orthogonal
-paths of a near-double eigenvalue (five pairs of the torus at n=64).
+at 5 probes across the interval their eigenvalues agree and their
+eigenvectors are parallel, both within ``linalg.COLLISION_TOL``. Eigenvalues
+alone would also fail the distinct, orthogonal paths of a near-double
+eigenvalue (five pairs of the torus at n=64).
 
 The arithmetic is chosen once per expansion: the projected stack A_i is
 real for every real A(mu), and when the spectrum is real at every node
@@ -88,6 +88,11 @@ from dataclasses import dataclass
 from .errors import JacobianSingularError, NewtonDivergenceError, NumericalError
 from .linalg import (  # noqa: F401  (build_bordered, solve_bordered: looked up here by benchmarks/tracing.py)
     BLOCK_BYTES,
+    COLLISION_TOL,
+    ISOTROPIC_TOL,
+    NEWTON_MAX_ITER,
+    NEWTON_PIVOT_TOL,
+    NEWTON_TOL,
     block_slices,
     build_bordered,
     eigen_all,
@@ -113,10 +118,6 @@ from .taylor import (  # noqa: F401  (taylor_rhs: looked up here by benchmarks/t
     selected_indices,
     taylor_rhs,
 )
-
-DEFAULT_NEWTON_TOL = 1e-12
-DEFAULT_NEWTON_MAX_ITER = 30
-COLLISION_TOL = 1e-8
 
 
 def quadrature_size(p, m=None):
@@ -286,7 +287,7 @@ def _node_starts(coeffs, decomp, nodes, indices):
     at = np.arange(cols.shape[0])[:, None]
     paths = node_decomp.vectors[at, :, cols]                       # (m, k, n)
     bilinear = np.einsum("jka,jka->jk", paths, paths)
-    isotropic = np.any(np.abs(bilinear) < 1e-8, axis=0)
+    isotropic = np.any(np.abs(bilinear) < ISOTROPIC_TOL, axis=0)
     _, gap_failures = gap_errors(decomp.values, indices)
     errors = [
         NumericalError("cannot normalize v0^T v0 = 1: eigenvector is numerically isotropic")
@@ -408,8 +409,8 @@ def _newton_steps(system, x, residual, pairs):
     """One Newton step, in place, for each of ``pairs`` of the block x.
 
     Their Jacobians are built in one call, and each pair's step is one
-    LAPACK ``gesv`` call (LU factors and solve). Returns the pairs left as
-    they were because their LU has a pivot below 1e-14 of the factor scale.
+    LAPACK ``gesv`` call (LU factors and solve). Returns the pairs, left as
+    they were, whose LU has a pivot below NEWTON_PIVOT_TOL of its scale.
     """
     import scipy.linalg
 
@@ -421,7 +422,7 @@ def _newton_steps(system, x, residual, pairs):
         # an exactly zero pivot (info > 0) fails the pivot test
         lu, _, step, _ = gesv(jac, residual[pair].ravel())
         diag = np.abs(np.diagonal(lu))
-        if diag.min() < 1e-14 * max(1.0, diag.max()):
+        if diag.min() < NEWTON_PIVOT_TOL * max(1.0, diag.max()):
             singular.append(pair)
             continue
         x[pair] -= step.reshape(x.shape[1:])
@@ -429,18 +430,18 @@ def _newton_steps(system, x, residual, pairs):
 
 
 @overflow_reported()
-def _newton(system, x, tol, max_iter):
+def _newton(system, x):
     """Full-step Newton on a block of pairs' unknowns x (pairs, p+1, n+1),
     updated in place; every pair iterates on its own.
 
-    A pair stops when ||R||_inf <= tol * (1 + max_i ||A_i||_F) and leaves
-    the block's active set, as does a pair whose residual is not finite.
-    Returns per pair its diagnostics, or its error: JacobianSingularError
-    (see :func:`_newton_steps`), NewtonDivergenceError, carrying the best
-    iterate, when the budget runs out, or a NumericalError naming the first
-    order of a final iterate that is not finite.
+    A pair stops when ||R||_inf <= NEWTON_TOL (1 + max_i ||A_i||_F) and
+    leaves the block's active set, as does a pair whose residual is not
+    finite. Returns per pair its diagnostics, or its error: a
+    JacobianSingularError (:func:`_newton_steps`), a NewtonDivergenceError
+    with the best iterate after NEWTON_MAX_ITER steps, or a NumericalError
+    naming the first order of a final iterate that is not finite.
     """
-    threshold = tol * system.scale
+    threshold = NEWTON_TOL * system.scale
     residual = system.residuals(x)
     norms = np.abs(residual).max(axis=(1, 2))
     histories = [[float(norm)] for norm in norms]
@@ -449,10 +450,10 @@ def _newton(system, x, tol, max_iter):
     active = norms > threshold
     iterations = 0
     while active.any():
-        if iterations >= max_iter:
+        if iterations >= NEWTON_MAX_ITER:
             for pair in np.flatnonzero(active):
                 outcomes[pair] = NewtonDivergenceError(
-                    f"Newton did not reach {threshold:.2e} in {max_iter} iterations "
+                    f"Newton did not reach {threshold:.2e} in {NEWTON_MAX_ITER} iterations "
                     f"(best residual {best_norms[pair]:.2e})",
                     best_x=best_x[pair].flatten(),
                     best_residual=float(best_norms[pair]),
@@ -485,12 +486,12 @@ def _newton(system, x, tol, max_iter):
     return outcomes
 
 
-def newton_refine(x0, coeffs, tol=DEFAULT_NEWTON_TOL, max_iter=DEFAULT_NEWTON_MAX_ITER):
+def newton_refine(x0, coeffs):
     """Full-step Newton iteration on the coupled system from packed x0:
     :func:`_newton` on one pair, raising its error."""
     system, x = _one_pair(x0, coeffs)
     x = x.copy()
-    (outcome,) = _newton(system, x, tol, max_iter)
+    (outcome,) = _newton(system, x)
     if isinstance(outcome, NumericalError):
         raise outcome
     return EigenPairSeries(coeffs.basis, x[0, :, 0], x[0, :, 1:], outcome)
@@ -550,7 +551,7 @@ def _expand(coeffs, decomp, nodes, indices):
     size = (coeffs.order + 1) * (coeffs.n + 1)
     outcomes = []
     for block in block_slices(x.shape[0], 16 * size * size, BLOCK_BYTES):
-        outcomes += _newton(system, x[block], DEFAULT_NEWTON_TOL, DEFAULT_NEWTON_MAX_ITER)
+        outcomes += _newton(system, x[block])
     refined = (
         outcome if isinstance(outcome, NumericalError)
         else EigenPairSeries(coeffs.basis, unknowns[:, 0], unknowns[:, 1:], outcome)

@@ -19,25 +19,6 @@ one values-only LAPACK call, sorted alike, with no eigenvectors computed.
 ``BLOCK_BYTES`` is the one memory budget of such blocks, and of the blocks
 of pairs that Chebyshev Newton iterates together.
 
-Singularity policy: one constant, ``SINGULARITY_RCOND`` = 1e-12, decides
-when an eigenvalue counts as not simple. It bounds two relative
-quantities, each vanishing exactly when lam0 is a repeated or defective
-eigenvalue of A0:
-
-* the relative eigenvalue gap: lam0 against the other diagonal entries of
-  T, relative to 1 + |lam0| + max |T_jj| (the Schur pivot test of
-  :func:`schur_bordered_solver`), or the gap to the nearest other
-  eigenvalue relative to 1 + max |lam| (:func:`gap_errors`, the gap test
-  of both expansions, which reads the whole spectrum);
-* the eliminated pivot, or reciprocal eigenvalue condition: in
-  :func:`schur_bordered_solver`, |l_i c_i| relative to ||l_i|| ||v0_i||
-  and |b_i^T v0_i| relative to ||v0_i||^2.
-
-It also bounds the reciprocal 1-norm condition estimate of a factorized
-bordered matrix E (:func:`build_bordered`). Taylor factorizes E only when
-it is rounded to single precision, so there the test is one more per-pair
-failure, on the rounded E, after the two above.
-
 Dtype policy: the arithmetic follows the input's dtype and its spectrum,
 matrix by matrix. A real matrix is decomposed by the real solver (``eigh``
 for Hermitian input, else ``eig``); ``vectors``, and the Schur factors
@@ -72,7 +53,31 @@ from functools import cached_property
 
 from .errors import EigenSolverError, NonSimpleEigenvalueError
 
+# The threshold table: every number that decides whether a computed result
+# is kept. No other module defines one, and no option or argument sets one.
+# Whether lam0 is simple: the lower bound on the relative sizes that vanish
+# exactly at a repeated or defective eigenvalue of A0 (the gap tests of
+# :func:`gap_errors` and :func:`schur_bordered_solver`, its eliminated
+# pivots, the condition estimate of :func:`build_bordered`). It is also the
+# upper bound on the relative |A - A^H| of input declared Hermitian.
 SINGULARITY_RCOND = 1e-12
+# | ||v0|| - 1 | of the vector that :func:`build_bordered` borders E with.
+UNIT_NORM_TOL = 1e-12
+# Taylor: the normwise backward error |E x - rhs| / (|rhs| + |E| |x|) an
+# order's solve may leave; the built-ins' pairs leave at most about 1e-13.
+ORDER_RESIDUAL_BOUND = 1e-7
+# Chebyshev Newton: a pair converges at ||R||_inf <= this (1 + max_i ||A_i||_F).
+NEWTON_TOL = 1e-12
+# Newton: a pair that has not converged after this many steps diverges.
+NEWTON_MAX_ITER = 30
+# Newton: a Jacobian is singular at an LU pivot below this max(1, max pivot).
+NEWTON_PIVOT_TOL = 1e-14
+# Chebyshev start: a node eigenvector with |v^T v| below this is isotropic.
+ISOTROPIC_TOL = 1e-8
+# Chebyshev: paths coincide when |lam_a - lam_b| and 1 - |cos(v_a, v_b)| stay below this.
+COLLISION_TOL = 1e-8
+# analysis: an evaluated eigenvector with a norm below this is degenerate.
+DEGENERATE_NORM_TOL = 1e-14
 
 # Batched work (blocks of sample or grid points in ``analysis``, blocks of
 # pairs' Newton Jacobians in ``chebyshev``) goes in blocks of at most this
@@ -327,7 +332,7 @@ def build_bordered(a0, v0, lam0, hermitian=False, single_precision=False):
 
     a0 = _check_square(a0)
     v0 = np.asarray(v0)
-    if abs(np.linalg.norm(v0) - 1.0) > 1e-12:
+    if abs(np.linalg.norm(v0) - 1.0) > UNIT_NORM_TOL:
         raise ValueError("v0 must have unit 2-norm")
     e = assemble_bordered(a0, v0, lam0, hermitian)
     if single_precision:
@@ -425,7 +430,7 @@ def schur_bordered_solver(q, t, lam0, v0, hermitian=False):
     arguments.
 
     Returns per pair None or the NonSimpleEigenvalueError of its Schur-pivot
-    or eliminated-pivot test (the module's singularity policy), and
+    or eliminated-pivot test (``SINGULARITY_RCOND``), and
     ``solve(z, y) -> (lam_k, v_k)`` over the pairs that pass, in order:
     z (m',) or a scalar, y (n, m'). A failing pair enters no computation
     after the test it fails.

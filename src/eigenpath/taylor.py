@@ -52,8 +52,8 @@ does a pair whose coefficients overflow: its error names the first order
 that is not finite, and numpy's overflow warnings are silenced over the
 order loop, where they would only repeat it. So, last, does a pair whose
 order-k solve, checked against A0 itself, leaves a normwise backward error
-|E x - rhs| / (|rhs| + |E| |x|) above ``ORDER_RESIDUAL_BOUND``; a nearly
-defective pair's ill-conditioned E, solved stably, stays below it.
+|E x - rhs| / (|rhs| + |E| |x|) above ``linalg.ORDER_RESIDUAL_BOUND``; a
+nearly defective pair's ill-conditioned E, solved stably, stays below it.
 
 ``single_precision_e``, an experiment on the stored matrix E itself, swaps
 only the per-order solve: each pair's E is rounded to single precision and
@@ -70,6 +70,7 @@ from dataclasses import dataclass
 
 from .errors import DerivativeOrderError, NumericalError
 from .linalg import (
+    ORDER_RESIDUAL_BOUND,
     border_row,
     build_bordered,
     column_dot,
@@ -88,10 +89,6 @@ from .series import (
     binomial_table,
     non_finite_order,
 )
-
-# The largest normwise backward error an exactly solved pair may leave at
-# any order; the built-ins' pairs leave at most about 1e-13.
-ORDER_RESIDUAL_BOUND = 1e-7
 
 
 @dataclass(frozen=True)
@@ -176,13 +173,14 @@ def non_finite_error(lams, vs):
         return NumericalError(f"series coefficient at order {order} is not finite")
 
 
-def residual_error(backward, bound):
+def residual_error(backward):
     """The NumericalError naming the first of orders 1..p whose backward
-    error, of one pair's ``backward`` (p,), exceeds ``bound``, or None."""
-    above = np.flatnonzero(backward > bound)
+    error in ``backward`` (p,) exceeds ORDER_RESIDUAL_BOUND, or None."""
+    above = np.flatnonzero(backward > ORDER_RESIDUAL_BOUND)
     if above.size:
         k = above[0]
-        return NumericalError(f"order {k + 1} backward error {backward[k]:.3g} above {bound:g}")
+        return NumericalError(f"order {k + 1} backward error {backward[k]:.3g} "
+                              f"above {ORDER_RESIDUAL_BOUND:g}")
 
 
 def selected_indices(selector, n):
@@ -289,8 +287,6 @@ def expand_schur(derivs, decomp, indices, v0, basis, single_precision=False):
     # |E x - rhs| / (|rhs| + |E| |x|) in max-abs sizes
     backward = residuals / (scales + (1.0 + np.abs(lam0) + np.abs(derivs[0]).max())[:, None]
                             * np.maximum(np.abs(lams[1:]), np.abs(vs[1:]).max(axis=1)).T)
-    # the rounded solve's residuals measure its deliberate rounding
-    bound = np.inf if single_precision else ORDER_RESIDUAL_BOUND
     series = []
     for col, gap in enumerate(gaps):
         lam, vec = lams[:, col], vs[:, :, col]
@@ -299,7 +295,9 @@ def expand_schur(derivs, decomp, indices, v0, basis, single_precision=False):
                        "gap": float(gap) if np.isfinite(gap) else None}
         if single_precision:
             diagnostics["condition_estimate"] = systems[col].condition_estimate
-        series.append(non_finite_error(lam, vec) or residual_error(backward[col], bound)
+        # the rounded solve's residuals measure its deliberate rounding
+        series.append(non_finite_error(lam, vec)
+                      or (not single_precision and residual_error(backward[col]))
                       or EigenPairSeries(basis, lam, vec, diagnostics))
     return pair_results(indices, decomp.values, errors, series)
 

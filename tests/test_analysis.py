@@ -716,7 +716,7 @@ class TestGroupedEvaluation:
         expected_lam, expected_vec = per_pair_paths(mixed_pairs, self.GRID)
         assert lam.tobytes() == expected_lam.tobytes()
         assert vec.tobytes() == expected_vec.tobytes()
-        eigenvalue_values = analysis._eval_eigenvalues(mixed_pairs, self.GRID)
+        eigenvalue_values = analysis._eval_series(mixed_pairs, self.GRID, "lam")
         assert eigenvalue_values.tobytes() == expected_lam.tobytes()
 
     def test_report_and_samples_match_per_pair_loop(self, torus8, mixed_pairs, tmp_path,
@@ -730,10 +730,13 @@ class TestGroupedEvaluation:
             return [(tmp_path / name).read_bytes() for name in (f"{tag}.csv",
                                                                 f"{tag}-samples.csv")]
 
+        def per_pair_eigenvalues(pairs, mus, field):
+            assert field == "lam"    # the replaced _eval_paths evaluates the vectors
+            return per_pair_paths(pairs, mus)[0]
+
         grouped = outputs("grouped")
         monkeypatch.setattr(analysis, "_eval_paths", per_pair_paths)
-        monkeypatch.setattr(analysis, "_eval_eigenvalues",
-                            lambda pairs, mus: per_pair_paths(pairs, mus)[0])
+        monkeypatch.setattr(analysis, "_eval_series", per_pair_eigenvalues)
         assert grouped == outputs("per-pair")
 
     def test_select_tracked_keeps_its_order(self, mixed_pairs):

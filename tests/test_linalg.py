@@ -1,7 +1,12 @@
 """Dense eigendecomposition contract, bordered systems, and the reduced
 O(n^2) solve."""
 
+import ast
+import re
 import time
+import tokenize
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -487,3 +492,57 @@ def test_reduced_solve_scales_quadratically():
         times.append(best)
     exponent = np.polyfit(np.log(sizes), np.log(times), 1)[0]
     assert exponent < 2.6, (times, exponent)
+
+
+class TestThresholdTable:
+    """Every number that decides whether a result is kept is defined once,
+    in ``linalg``'s threshold table, and read by name everywhere else."""
+
+    SOURCES = sorted(Path(linalg.__file__).parent.glob("*.py"))
+    NAMES = {"SINGULARITY_RCOND", "UNIT_NORM_TOL", "ORDER_RESIDUAL_BOUND", "NEWTON_TOL",
+             "NEWTON_MAX_ITER", "NEWTON_PIVOT_TOL", "ISOTROPIC_TOL", "COLLISION_TOL",
+             "DEGENERATE_NORM_TOL"}
+
+    @staticmethod
+    def table_lines():
+        """The line numbers of linalg's table: from its heading comment to the
+        first blank line (none when there is no heading)."""
+        lines = Path(linalg.__file__).read_text().splitlines()
+        start = next((i for i, line in enumerate(lines) if line.startswith("# The threshold table")),
+                     None)
+        if start is None:
+            return range(0)
+        end = lines.index("", start)
+        return range(start + 1, end + 1)
+
+    def test_no_e_notation_number_outside_the_table(self):
+        table = self.table_lines()
+        found = []
+        for path in self.SOURCES:
+            with open(path, "rb") as f:
+                for token in tokenize.tokenize(f.readline):
+                    if (token.type == tokenize.NUMBER
+                            and re.fullmatch(r"[\d_.]*[eE][+-]?[\d_]+[jJ]?", token.string)
+                            and not (path.name == "linalg.py" and token.start[0] in table)):
+                        found.append(f"{path.name}:{token.start[0]} {token.string}")
+        assert not found
+
+    def test_the_table_defines_each_threshold_and_no_module_rebinds_one(self):
+        lines = Path(linalg.__file__).read_text().splitlines()
+        lines_of_table = self.table_lines()
+        table = [lines[i - 1] for i in lines_of_table]
+        assert {line.split(" = ")[0] for line in table if not line.startswith("#")} == self.NAMES
+        rebound = []
+        for path in self.SOURCES:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                    name = node.id              # a table name bound anew
+                elif isinstance(node, ast.alias) and node.asname:
+                    name = node.name            # imported under another name
+                elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Name):
+                    name = node.value.id        # copied to another name
+                else:
+                    continue
+                if name in self.NAMES and not (path.name == "linalg.py" and node.lineno in lines_of_table):
+                    rebound.append(f"{path.name}:{node.lineno} {name}")
+        assert not rebound
