@@ -44,10 +44,10 @@ no loop over pairs outside Newton's LU step:
   count, history and error.
 
 Two expanded pairs whose paths coincide both fail (:func:`_reject_collisions`):
-at 5 probes across the interval their eigenvalues agree and their
-eigenvectors are parallel, both within ``linalg.COLLISION_TOL``. Eigenvalues
-alone would also fail the distinct, orthogonal paths of a near-double
-eigenvalue (five pairs of the torus at n=64).
+at ``linalg.COLLISION_PROBES`` points across the interval their eigenvalues
+agree and their eigenvectors are parallel, both within ``linalg.COLLISION_TOL``.
+Eigenvalues alone would also fail the distinct, orthogonal paths of a
+near-double eigenvalue (five pairs of the torus at n=64).
 
 The arithmetic is chosen once per expansion: the projected stack A_i is
 real for every real A(mu), and when the spectrum is real at every node
@@ -88,6 +88,7 @@ from dataclasses import dataclass
 from .errors import JacobianSingularError, NewtonDivergenceError, NumericalError
 from .linalg import (  # noqa: F401  (build_bordered, solve_bordered: looked up here by benchmarks/tracing.py)
     BLOCK_BYTES,
+    COLLISION_PROBES,
     COLLISION_TOL,
     ISOTROPIC_TOL,
     NEWTON_MAX_ITER,
@@ -113,6 +114,7 @@ from .series import (  # noqa: F401  (eval_cheb_u: looked up here by benchmarks/
 )
 from .taylor import (  # noqa: F401  (taylor_rhs: looked up here by benchmarks/tracing.py)
     ExpansionFailure,
+    check_order_and_selector,
     non_finite_error,
     pair_results,
     selected_indices,
@@ -147,11 +149,8 @@ class ChebRequest:
     selector: object = "all"
 
     def __post_init__(self):
-        mu1, mu2 = self.interval
-        if not mu1 < mu2:
-            raise ValueError("interval must satisfy mu1 < mu2")
-        if self.order < 0:
-            raise ValueError("order must be nonnegative")
+        check_order_and_selector(self.order, self.selector)
+        SeriesBasis.chebyshev(*self.interval)
         quadrature_size(self.order, self.quad_m)
 
 
@@ -504,14 +503,14 @@ def _detect_collisions(pairs, basis):
     series = [a for a, pair in enumerate(pairs) if isinstance(pair, EigenPairSeries)]
     if not series:
         return []
-    probes = np.linspace(*basis.interval, 5)
+    probes = np.linspace(*basis.interval, COLLISION_PROBES)
     lams = np.stack([pairs[a].lam for a in series], axis=-1)
     values = basis.evaluate(lams, probes)
     apart = np.abs(values[:, :, None] - values[:, None, :]).max(axis=0)
     close = np.argwhere(np.triu(apart < COLLISION_TOL, k=1))
     if not len(close):
         return []
-    first, second = (  # (5, n, candidates)
+    first, second = (  # (probes, n, candidates)
         basis.evaluate(np.stack([pairs[series[i]].vec for i in side], axis=-1), probes)
         for side in close.T
     )

@@ -24,6 +24,7 @@ import argparse
 import contextlib
 import functools
 import math
+import re
 import sys
 import time
 
@@ -69,6 +70,11 @@ class UsageError(Exception):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # "-1e-3", "-1,-0.5" and "-.5" are values: no flag looks like a number.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         raise UsageError(message)
 
@@ -107,10 +113,7 @@ def _parse_grid(text):
     if len(parts) != 3:
         raise UsageError("--grid expects a,b,count")
     a, b = (_finite_float(part, "--grid") for part in parts[:2])
-    try:
-        count = int(parts[2])
-    except ValueError as exc:
-        raise UsageError(f"--grid: {exc}") from exc
+    (count,) = _parse_int_list(parts[2], "--grid")
     if count < 1:
         raise UsageError("--grid count must be >= 1")
     return np.linspace(a, b, count)
@@ -201,9 +204,8 @@ def _run_expansion(request):
 
 def cmd_expand(args):
     problem, config_hash = _resolve_problem(args)
-    if args.eig == "all":
-        selector = "all"
-    else:
+    selector = "all"
+    if args.eig != "all":
         try:
             index = int(args.eig)
         except ValueError as exc:
@@ -229,11 +231,8 @@ def cmd_expand(args):
     _write_outputs(args, outputs, config_hash)
 
     for failure in failures:
-        print(
-            f"eigenpair {failure.index + 1} "
-            f"(lambda0 ~ {failure.eigenvalue:.6g}): {failure.error}",
-            file=sys.stderr,
-        )
+        print(f"eigenpair {failure.index + 1} (lambda0 ~ {failure.eigenvalue:.6g}): "
+              f"{failure.error}", file=sys.stderr)
     return 2 if failures else 0
 
 
@@ -348,43 +347,39 @@ def cmd_bench(args):
 
 @functools.cache
 def build_parser():
-    """The command-line parser, built once: parsing leaves it unchanged."""
+    """The command-line parser, built once: parsing leaves it unchanged.
+    Each flag of several subcommands is declared once, in a parent parser."""
+    out_flag = _ArgumentParser(add_help=False)
+    out_flag.add_argument("--out", required=True)
+    problem_flags = _ArgumentParser(add_help=False, parents=[out_flag])
+    problem_flags.add_argument("--problem", required=True,
+                               help="example1|example2|example3|config:<path>")
+    problem_flags.add_argument("--n", type=int, default=None)
+    basis_flags = _ArgumentParser(add_help=False, parents=[problem_flags])
+    basis_flags.add_argument("--mu0", type=_mu0, default=None)
+    basis_flags.add_argument("--interval", default=None, help="a,b")
+    basis_flags.add_argument("--order", type=int, required=True)
+    basis_flags.add_argument("--quad-m", dest="quad_m", type=int, default=None)
+
     parser = _ArgumentParser(prog="eigenpath", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    expand = sub.add_parser("expand", help="compute eigenpath series")
-    expand.add_argument("--problem", required=True,
-                        help="example1|example2|example3|config:<path>")
-    expand.add_argument("--n", type=int, default=None)
+    expand = sub.add_parser("expand", parents=[basis_flags], help="compute eigenpath series")
     expand.add_argument("--method", required=True, choices=("taylor", "chebyshev"))
-    expand.add_argument("--mu0", type=_mu0, default=None)
-    expand.add_argument("--interval", default=None, help="a,b")
-    expand.add_argument("--order", type=int, required=True)
     expand.add_argument("--eig", default="all", help="'all' or a 1-based index")
-    expand.add_argument("--quad-m", dest="quad_m", type=int, default=None)
-    expand.add_argument("--single-precision-e", dest="single_precision_e",
-                        action="store_true")
-    expand.add_argument("--out", required=True)
+    expand.add_argument("--single-precision-e", action="store_true")
     expand.set_defaults(func=cmd_expand)
 
-    report = sub.add_parser("report", help="grid error report against direct solves")
-    report.add_argument("--problem", required=True)
-    report.add_argument("--n", type=int, default=None)
+    report = sub.add_parser("report", parents=[problem_flags],
+                            help="grid error report against direct solves")
     report.add_argument("--series", nargs="+", required=True)
     report.add_argument("--grid", required=True, help="a,b,count")
     report.add_argument("--metrics", default="eig-error,vec-deviation",
                         help="comma list of eig-error|vec-deviation|rayleigh; abs_err_lambda "
                              "and vec_deviation are always written, rayleigh adds a column")
-    report.add_argument("--out", required=True)
     report.set_defaults(func=cmd_report)
 
-    sample = sub.add_parser("sample", help="Monte-Carlo eigenvalue sampling")
-    sample.add_argument("--problem", required=True)
-    sample.add_argument("--n", type=int, default=None)
-    sample.add_argument("--mu0", type=_mu0, default=None)
-    sample.add_argument("--interval", default=None, help="a,b")
-    sample.add_argument("--order", type=int, required=True)
-    sample.add_argument("--quad-m", dest="quad_m", type=int, default=None)
+    sample = sub.add_parser("sample", parents=[basis_flags], help="Monte-Carlo eigenvalue sampling")
     sample.add_argument("--pairs", default="2,3",
                         help="1-based positions ordered by value at the mean")
     sample.add_argument("--dist", required=True, help="mean,stddev")
@@ -392,16 +387,14 @@ def build_parser():
     sample.add_argument("--seed", type=int, required=True)
     sample.add_argument("--method", required=True,
                         help="comma list of taylor-eval|cheb-eval|rayleigh|direct")
-    sample.add_argument("--out", required=True)
     sample.set_defaults(func=cmd_sample)
 
-    bench = sub.add_parser("bench", help="taylor_expand_all timing table")
+    bench = sub.add_parser("bench", parents=[out_flag], help="taylor_expand_all timing table")
     bench.add_argument("--problem", default="example1")
     bench.add_argument("--n-list", dest="n_list", required=True)
     bench.add_argument("--p-list", dest="p_list", required=True)
     bench.add_argument("--mu0", type=_mu0, default=0.2)
     bench.add_argument("--repeats", type=int, default=3)
-    bench.add_argument("--out", required=True)
     bench.set_defaults(func=cmd_bench)
 
     return parser

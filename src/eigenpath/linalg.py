@@ -74,8 +74,10 @@ NEWTON_MAX_ITER = 30
 NEWTON_PIVOT_TOL = 1e-14
 # Chebyshev start: a node eigenvector with |v^T v| below this is isotropic.
 ISOTROPIC_TOL = 1e-8
-# Chebyshev: paths coincide when |lam_a - lam_b| and 1 - |cos(v_a, v_b)| stay below this.
+# Chebyshev: paths coincide when |lam_a - lam_b| and 1 - |cos(v_a, v_b)| stay below
+# COLLISION_TOL at each of COLLISION_PROBES evenly spaced points of the interval.
 COLLISION_TOL = 1e-8
+COLLISION_PROBES = 5
 # analysis: an evaluated eigenvector with a norm below this is degenerate.
 DEGENERATE_NORM_TOL = 1e-14
 

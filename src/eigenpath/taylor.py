@@ -66,6 +66,7 @@ accumulate with growing order by construction; no mitigation is applied.
 
 import numpy as np
 
+import numbers
 from dataclasses import dataclass
 
 from .errors import DerivativeOrderError, NumericalError
@@ -91,6 +92,14 @@ from .series import (
 )
 
 
+def check_order_and_selector(order, selector):
+    """Both requests' rules: order is an integer >= 0; selector is "all" or an integer."""
+    if not (isinstance(order, numbers.Integral) and order >= 0):
+        raise ValueError("order must be a nonnegative integer")
+    if not (isinstance(selector, numbers.Integral) or selector == "all"):
+        raise ValueError("selector must be 'all' or an integer index")
+
+
 @dataclass(frozen=True)
 class TaylorRequest:
     """Expansion request: problem, expansion point, order, and eigenpair selector.
@@ -109,10 +118,8 @@ class TaylorRequest:
     single_precision_e: bool = False
 
     def __post_init__(self):
-        if self.order < 0:
-            raise ValueError("order must be nonnegative")
-        if self.selector != "all" and not isinstance(self.selector, int):
-            raise ValueError("selector must be 'all' or an integer index")
+        check_order_and_selector(self.order, self.selector)
+        SeriesBasis.taylor(self.mu0)
 
 
 @dataclass(frozen=True)
@@ -188,10 +195,9 @@ def selected_indices(selector, n):
     them for "all", else the one index, which must lie in 0..n-1."""
     if selector == "all":
         return range(n)
-    index = int(selector)
-    if not 0 <= index < n:
-        raise ValueError(f"eigenpair index {index} out of range for n={n}")
-    return [index]
+    if not 0 <= selector < n:
+        raise ValueError(f"eigenpair index {selector} out of range for n={n}")
+    return [int(selector)]
 
 
 def _check_derivatives(problem, mu0, order):

@@ -11,6 +11,7 @@ from eigenpath import (
     ChebRequest,
     EigenPairSeries,
     ParametricProblem,
+    TaylorRequest,
     cheb_expand_all,
     eigen_all,
     error_report,
@@ -22,6 +23,7 @@ from eigenpath import (
     make_torus_kernel,
     pointwise,
     problem_from_config,
+    taylor_expand_all,
 )
 import eigenpath.chebyshev as chebyshev
 
@@ -521,6 +523,42 @@ class TestRequestValidation:
             ChebRequest(torus8, (0.0, 1.0), -1)
         with pytest.raises(ValueError):
             ChebRequest(torus8, (0.0, 1.0), 8, quad_m=16)
+
+
+class TestSharedRequestRules:
+    """Both requests check order and selector by one rule, and their point or
+    interval by SeriesBasis, at construction."""
+
+    REQUESTS = [
+        pytest.param(lambda problem, order, **kw: TaylorRequest(problem, 0.2, order, **kw),
+                     id="taylor"),
+        pytest.param(lambda problem, order, **kw: ChebRequest(problem, (0.25, 1.0), order, **kw),
+                     id="chebyshev"),
+    ]
+
+    @pytest.mark.parametrize("request_of", REQUESTS)
+    @pytest.mark.parametrize("selector", [2.5, "1"])
+    def test_selector_neither_all_nor_an_integer_is_rejected(self, torus8, request_of, selector):
+        with pytest.raises(ValueError, match=r"^selector must be 'all' or an integer index$"):
+            request_of(torus8, 3, selector=selector)
+
+    @pytest.mark.parametrize("request_of", REQUESTS)
+    def test_order_that_is_not_an_integer_is_rejected(self, torus8, request_of):
+        with pytest.raises(ValueError, match=r"^order must be a nonnegative integer$"):
+            request_of(torus8, 2.5)
+
+    def test_numpy_integer_selector_expands_the_pair_of_its_int(self, torus8):
+        (numpy_pair,) = taylor_expand_all(TaylorRequest(torus8, 0.2, 2, selector=np.int64(1)))
+        (int_pair,) = taylor_expand_all(TaylorRequest(torus8, 0.2, 2, selector=1))
+        np.testing.assert_array_equal(numpy_pair.lam, int_pair.lam)
+        np.testing.assert_array_equal(numpy_pair.vec, int_pair.vec)
+
+    def test_infinite_point_or_interval_is_rejected_before_any_eigensolve(self):
+        # no problem at all: a request that raises has solved nothing
+        with pytest.raises(ValueError, match=r"^Taylor basis requires a finite expansion point"):
+            TaylorRequest(None, np.inf, 3)
+        with pytest.raises(ValueError, match=r"^Chebyshev interval must be finite with mu2 > mu1$"):
+            ChebRequest(None, (0.0, np.inf), 3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """CLI contract: flags, exit codes, output files, manifests, determinism."""
 
+import argparse
 import csv
 import hashlib
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -1072,6 +1074,87 @@ def test_sample_and_report_usage_error_leaves_no_output_directory(tmp_path, caps
     assert run(argv) == 1
     assert capsys.readouterr().err == f"usage error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["expand", "--method", "taylor", "--mu0", "-1e-3"], "mu0: -0.001"),
+    (["expand", "--method", "chebyshev", "--interval", "-1,-0.5"], "interval: -1,-0.5"),
+    (["report", "--grid", "-0.1,0.3,5"], "grid: -0.1,0.3,5"),
+    (["sample", "--mu0", "0.2", "--dist", "-0.5,0.01", "--count", "5", "--seed", "1",
+      "--method", "direct"], "dist: -0.5,0.01"),
+], ids=["expand-mu0", "expand-interval", "report-grid", "sample-dist"])
+def test_flag_value_beginning_with_a_minus_parses(tmp_path, argv, line):
+    command, *flags = argv
+    problem = ["--problem", "example1", "--n", "4"]
+    if command == "report":
+        series = tmp_path / "series"
+        assert run(["expand", *problem, "--method", "taylor", "--mu0", "0.2", "--order", "2",
+                    "--eig", "1", "--out", str(series)]) == 0
+        flags = ["--series", str(series / "eigenpair_01.json"), *flags]
+    else:
+        flags = ["--order", "2", *flags]
+    out = tmp_path / "x"
+    assert run([command, *problem, *flags, "--out", str(out)]) == 0
+    assert f"\n  {line}\n" in (out / "manifest.txt").read_text()
+
+
+def test_reversed_interval_exits_1_with_the_basis_message(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert run(["expand", "--problem", "example1", "--n", "4", "--method", "chebyshev",
+                "--interval", "1,0", "--order", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "invalid argument: Chebyshev interval must be finite with mu2 > mu1\n")
+    assert not out.exists()
+
+
+class TestSharedFlags:
+    """A flag of several subcommands is declared once and parses alike in each."""
+
+    FLAGS = {
+        "expand": ["--problem", "--n", "--mu0", "--interval", "--order", "--quad-m", "--out",
+                   "--method", "--eig", "--single-precision-e"],
+        "report": ["--problem", "--n", "--out", "--series", "--grid", "--metrics"],
+        "sample": ["--problem", "--n", "--mu0", "--interval", "--order", "--quad-m", "--out",
+                   "--pairs", "--dist", "--count", "--seed", "--method"],
+        "bench": ["--problem", "--out", "--n-list", "--p-list", "--mu0", "--repeats"],
+    }
+    BASIS = ["--problem", "config:x.json", "--n", "3", "--mu0", "-1e-3", "--interval", "-1,0",
+             "--order", "4", "--quad-m", "16", "--out", "o"]
+
+    @staticmethod
+    def subparsers():
+        parser = cli.build_parser()
+        return next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_help_exits_0_and_names_each_flag_once(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        usage, options = capsys.readouterr().out.split("\noptions:\n")
+        flags = sorted(self.FLAGS[command])
+        assert sorted(re.findall(r"(?<![\w-])--[\w-]+", usage)) == flags
+        assert sorted(re.findall(r"^  (--[\w-]+)", options, flags=re.M)) == flags
+
+    def test_expand_and_sample_parse_their_shared_flags_alike(self):
+        expand = cli.build_parser().parse_args(["expand", "--method", "taylor", *self.BASIS])
+        sample = cli.build_parser().parse_args(["sample", "--dist", "0,1", "--count", "1",
+                                                "--seed", "0", "--method", "direct", *self.BASIS])
+        names = ["problem", "n", "mu0", "interval", "order", "quad_m", "out"]
+        assert [getattr(expand, name) for name in names] == [getattr(sample, name) for name in names]
+        assert expand.mu0 == -1e-3 and expand.interval == "-1,0"
+
+    def test_each_shared_flag_is_one_declaration(self):
+        commands = self.subparsers()
+        for flag in self.BASIS[::2]:
+            assert commands["expand"]._option_string_actions[flag] is \
+                commands["sample"]._option_string_actions[flag]
+        for command in ("report", "bench"):
+            assert commands[command]._option_string_actions["--out"] is \
+                commands["expand"]._option_string_actions["--out"]
+        assert commands["report"]._option_string_actions["--problem"] is \
+            commands["expand"]._option_string_actions["--problem"]
 
 
 def test_module_entry_point():

@@ -501,7 +501,7 @@ class TestThresholdTable:
     SOURCES = sorted(Path(linalg.__file__).parent.glob("*.py"))
     NAMES = {"SINGULARITY_RCOND", "UNIT_NORM_TOL", "ORDER_RESIDUAL_BOUND", "NEWTON_TOL",
              "NEWTON_MAX_ITER", "NEWTON_PIVOT_TOL", "ISOTROPIC_TOL", "COLLISION_TOL",
-             "DEGENERATE_NORM_TOL"}
+             "COLLISION_PROBES", "DEGENERATE_NORM_TOL"}
 
     @staticmethod
     def table_lines():
