@@ -286,12 +286,15 @@ def _node_starts(coeffs, decomp, nodes, indices):
     at = np.arange(cols.shape[0])[:, None]
     paths = node_decomp.vectors[at, :, cols]                       # (m, k, n)
     bilinear = np.einsum("jka,jka->jk", paths, paths)
-    isotropic = np.any(np.abs(bilinear) < ISOTROPIC_TOL, axis=0)
-    _, gap_failures = gap_errors(decomp.values, indices)
+    smallest = np.abs(bilinear).min(axis=0)
+    mus = coeffs.basis.from_affine(gauss_chebyshev_u(weighted.shape[1])[0])
+    at_mu = mus[np.abs(bilinear).argmin(axis=0)]
+    _, errors = gap_errors(decomp.values, indices)
     errors = [
-        NumericalError("cannot normalize v0^T v0 = 1: eigenvector is numerically isotropic")
-        if iso else error
-        for iso, error in zip(isotropic, gap_failures)
+        NumericalError(f"cannot normalize v^T v = 1: node eigenvector is numerically isotropic, "
+                       f"|v^T v| = {size:.3g} below {ISOTROPIC_TOL:g} at mu={mu:.17g}")
+        if size < ISOTROPIC_TOL else error
+        for size, mu, error in zip(smallest, at_mu, errors)
     ]
     ok = np.array([error is None for error in errors], dtype=bool)
     lams = in_dtype(node_decomp.values[at, cols[:, ok]], working_dtype(coeffs.coeffs, paths))

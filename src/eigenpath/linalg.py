@@ -1,9 +1,10 @@
 """Dense eigendecomposition, values-only eigensolves, and bordered linear
 systems, solved densely or through the Schur form of A0.
 
-The bordered matrix is
+The bordered matrix of every pair, Hermitian or not (its normalization row
+is set out in the ``taylor`` module docstring), is
 
-    E = [ 0   b^T ]        b = v0 (conjugated when the problem is Hermitian)
+    E = [ 0   v0^H        ]
         [ v0  lam0 I - A0 ]
 
 Each expansion order solves E x = rhs with the same E, so the LU factors are
@@ -116,8 +117,8 @@ def in_dtype(values, dtype):
 def _check_square(a, stack=False, hermitian=False):
     """a as float64 when it is real, else as complex128, checked square,
     finite and, when ``hermitian``, equal to its conjugate transpose to
-    within SINGULARITY_RCOND max(1, max |a|): ``eigh`` and the conjugated
-    normalization row would take the flag on trust."""
+    within SINGULARITY_RCOND max(1, max |a|): ``eigh`` and the diagonal
+    Schur form would take the flag on trust."""
     a = np.asarray(a)
     a = np.asarray(a, dtype=working_dtype(a))
     ndims = (2, 3) if stack else (2,)
@@ -274,16 +275,7 @@ def eigenvalues(a, hermitian=False):
     return _readonly(np.take_along_axis(values, sort_order(values), axis=-1))
 
 
-def border_row(v0, hermitian):
-    """Border row of E: v0^T in general, v0^H for Hermitian problems.
-
-    The unconjugated transpose keeps the system linear over the complex
-    field; the conjugate transpose preserves Hermitian structure.
-    """
-    return np.conj(v0) if hermitian else np.asarray(v0)
-
-
-def assemble_bordered(a0, v0, lam0, hermitian=False):
+def assemble_bordered(a0, v0, lam0):
     """Assemble the (n+1) x (n+1) bordered matrix E, real when a0, v0 and
     lam0 all are."""
     dtype = working_dtype(a0, v0, lam0)
@@ -291,7 +283,7 @@ def assemble_bordered(a0, v0, lam0, hermitian=False):
     v0 = np.asarray(v0, dtype=dtype)
     n = a0.shape[0]
     e = np.zeros((n + 1, n + 1), dtype=dtype)
-    e[0, 1:] = border_row(v0, hermitian)
+    e[0, 1:] = v0.conj()
     e[1:, 0] = v0
     e[1:, 1:] = lam0 * np.eye(n) - a0
     return e
@@ -321,7 +313,7 @@ def _rcond_from_lu(e, lu_piv):
     return float(rcond)
 
 
-def build_bordered(a0, v0, lam0, hermitian=False, single_precision=False):
+def build_bordered(a0, v0, lam0, single_precision=False):
     """Build and factorize the bordered system for (lam0, v0) at A0.
 
     Raises NonSimpleEigenvalueError when the reciprocal condition estimate
@@ -336,7 +328,7 @@ def build_bordered(a0, v0, lam0, hermitian=False, single_precision=False):
     v0 = np.asarray(v0)
     if abs(np.linalg.norm(v0) - 1.0) > UNIT_NORM_TOL:
         raise ValueError("v0 must have unit 2-norm")
-    e = assemble_bordered(a0, v0, lam0, hermitian)
+    e = assemble_bordered(a0, v0, lam0)
     if single_precision:
         e = e.astype(np.complex64 if np.iscomplexobj(e) else np.float32).astype(e.dtype)
     lu_piv = scipy.linalg.lu_factor(e)
@@ -365,10 +357,8 @@ def solve_bordered(system, rhs):
     return x[0], x[1:]
 
 
-def column_dot(x, y, hermitian=False):
-    """x^T y (x^H y when Hermitian); one value per column for 2-D x and y."""
-    if hermitian:
-        x = np.conj(x)
+def column_dot(x, y):
+    """x^T y; one value per column for 2-D x and y."""
     return x @ y if x.ndim == 1 else np.einsum("ij,ij->j", x, y)
 
 
@@ -425,14 +415,14 @@ def gap_errors(values, indices):
     return gaps, errors
 
 
-def schur_bordered_solver(q, t, lam0, v0, hermitian=False):
+def schur_bordered_solver(q, t, lam0, v0):
     """The bordered systems of the pairs (lam0_i, v0_i), lam0 (m,) and the
     columns of v0 (n, m), reduced through the Schur factors A0 = Q T Q^H
     (set out in the ``taylor`` module docstring), in the arithmetic of the
     arguments.
 
     Returns per pair None or the NonSimpleEigenvalueError of its Schur-pivot
-    or eliminated-pivot test (``SINGULARITY_RCOND``), and
+    or eigenvalue-condition test (``SINGULARITY_RCOND``), and
     ``solve(z, y) -> (lam_k, v_k)`` over the pairs that pass, in order:
     z (m',) or a scalar, y (n, m'). A failing pair enters no computation
     after the test it fails.
@@ -451,23 +441,20 @@ def schur_bordered_solver(q, t, lam0, v0, hermitian=False):
     diagonal = not np.any(np.triu(t, 1))
     qh = q.conj().T
     lam0, v0 = lam0[cols], v0[:, cols]
-    border = border_row(v0, hermitian)
+    border = v0.conj()
     shifts = lam0[None, :] - diag[:, None]
     shifts[pivots[cols], np.arange(cols.size)] = np.inf
     c = qh @ v0
     ell = _left_null_rows(t, shifts, pivots[cols], diagonal)
     ell_c = column_dot(ell, c)
-    border_v0 = column_dot(border, v0)
-    # The two pivots the bordered system's elimination divides by: l_i c_i,
-    # the reciprocal eigenvalue condition number up to ||l_i|| ||c_i||, and
-    # b_i^T v0_i relative to ||v0_i||^2. Each vanishes when the eigenvalue
-    # is not simple, and neither depends on the scale of v0_i.
-    v0_norms = vector_norms(v0, axis=0)
-    ok = (np.abs(ell_c) >= SINGULARITY_RCOND * np.linalg.norm(ell, axis=0) * v0_norms) & (
-        np.abs(border_v0) >= SINGULARITY_RCOND * v0_norms**2
-    )
-    for col in cols[~ok]:
-        errors[col] = non_simple_error(f"eliminated pivot below {SINGULARITY_RCOND}")
+    border_v0 = column_dot(border, v0)                      # ||v0_i||^2
+    # The eliminated pivot l_i c_i over ||l_i|| ||c_i|| = ||l_i|| ||v0_i||: the
+    # reciprocal eigenvalue condition, which vanishes when it is not simple.
+    condition = np.abs(ell_c) / (np.linalg.norm(ell, axis=0) * vector_norms(v0, axis=0))
+    ok = condition >= SINGULARITY_RCOND
+    for col, cond in zip(cols[~ok], condition[~ok]):
+        errors[col] = non_simple_error(f"eliminated pivot: eigenvalue condition |l c| / "
+                                       f"(||l|| ||c||) = {cond:.3g} below {SINGULARITY_RCOND:.3g}")
     v0, border, shifts, c, ell, ell_c, border_v0 = (
         a[..., ok] for a in (v0, border, shifts, c, ell, ell_c, border_v0)
     )
@@ -481,14 +468,14 @@ def schur_bordered_solver(q, t, lam0, v0, hermitian=False):
     return errors, solve
 
 
-def solve_bordered_reduced(q, t, v0, lam0, rhs, hermitian=False):
+def solve_bordered_reduced(q, t, v0, lam0, rhs):
     """Solve the bordered system of the one pair (lam0, v0) by
     :func:`schur_bordered_solver`, raising the pair's error there; returns
     (lam_k, v_k)."""
     rhs = np.asarray(rhs)
     if rhs.shape != (len(q) + 1,):
         raise ValueError(f"rhs must have length {len(q) + 1}")
-    (error,), solve = schur_bordered_solver(q, t, np.array([lam0]), v0[:, None], hermitian)
+    (error,), solve = schur_bordered_solver(q, t, np.array([lam0]), v0[:, None])
     if error is not None:
         raise error
     lam_k, v_k = solve(rhs[0], rhs[1:, None])

@@ -4,9 +4,14 @@ all eigenpaths of a parametric matrix.
 Order 0 is the standard eigenproblem at mu0 with a normalized, phase-fixed
 eigenvector. Every later order k solves the same bordered system
 
-    E [lam_k; v_k] = [ -(1/2) sum_{l=1}^{k-1} C(k,l) v_{k-l}^T v_l ;
+    E [lam_k; v_k] = [ -(1/2) sum_{l=1}^{k-1} C(k,l) v_{k-l}^H v_l ;
                         sum_{l=0}^{k-1} C(k,l) A_{k-l} v_l
                       - sum_{l=1}^{k-1} C(k,l) v_{k-l} lam_l ]
+
+for every pair. Its first row, v0^H v_k = z_k with z_k real, is order k of
+the normalization ||v(mu)|| = 1 with v0^H v(mu) real: it rotates with v0 and,
+unlike the bilinear v^T v = 1, never divides by an isotropic v0^T v0 = 0.
+For a real eigenvector v^H = v^T, and ``v.conj()`` is the array itself.
 
 All selected eigenpairs advance together, one order at a time, in the
 Schur basis A0 = Q T Q^H of one decomposition (T is diagonal when the
@@ -45,15 +50,16 @@ amplifies no rounding, while V^{-1} carries cond(V), which one nearly
 defective pair makes large for all the others.
 
 A pair is expanded only when its eigenvalue is simple: its gap to the
-nearest other eigenvalue, its Schur pivot, l_i c_i and b_i^T v0_i must all
-stay clear of zero (``linalg.SINGULARITY_RCOND``). Each failing pair yields
-its own ExpansionFailure and takes no part in the others' computation. So
-does a pair whose coefficients overflow: its error names the first order
-that is not finite, and numpy's overflow warnings are silenced over the
-order loop, where they would only repeat it. So, last, does a pair whose
-order-k solve, checked against A0 itself, leaves a normwise backward error
-|E x - rhs| / (|rhs| + |E| |x|) above ``linalg.ORDER_RESIDUAL_BOUND``; a
-nearly defective pair's ill-conditioned E, solved stably, stays below it.
+nearest other eigenvalue, its Schur pivot and its eigenvalue condition
+|l_i c_i| / (||l_i|| ||c_i||) must all stay clear of zero
+(``linalg.SINGULARITY_RCOND``). Each failing pair yields its own
+ExpansionFailure and takes no part in the others' computation. So does a
+pair whose coefficients overflow: its error names the first order that is
+not finite, and numpy's overflow warnings are silenced over the order loop,
+where they would only repeat it. So, last, does a pair whose order-k solve,
+checked against A0 itself, leaves a normwise backward error |E x - rhs| /
+(|rhs| + |E| |x|) above ``linalg.ORDER_RESIDUAL_BOUND``; a nearly defective
+pair's ill-conditioned E, solved stably, stays below it.
 
 ``single_precision_e``, an experiment on the stored matrix E itself, swaps
 only the per-order solve: each pair's E is rounded to single precision and
@@ -72,7 +78,6 @@ from dataclasses import dataclass
 from .errors import DerivativeOrderError, NumericalError
 from .linalg import (
     ORDER_RESIDUAL_BOUND,
-    border_row,
     build_bordered,
     column_dot,
     eigen_all,
@@ -148,7 +153,7 @@ def pair_results(indices, values, errors, outcomes):
     return out
 
 
-def taylor_rhs(k, a_derivs, vs, lams, hermitian=False, binomials=None):
+def taylor_rhs(k, a_derivs, vs, lams, binomials=None):
     """Right-hand side (z, y) of the order-k bordered system.
 
     ``vs[l]`` is one coefficient vector, or an (n, m) array whose columns
@@ -168,7 +173,7 @@ def taylor_rhs(k, a_derivs, vs, lams, hermitian=False, binomials=None):
         y = y + weights[l] * (a_derivs[k - l] @ vs[l])
         if l >= 1:
             y = y - weights[l] * vs[k - l] * lams[l]
-            z = z - 0.5 * weights[l] * column_dot(vs[k - l], vs[l], hermitian)
+            z = z - 0.5 * weights[l] * column_dot(vs[k - l].conj(), vs[l])
     return z, y
 
 
@@ -215,9 +220,9 @@ def _check_derivatives(problem, mu0, order):
     return derivs
 
 
-def _bordered_residuals(a0, lam0, v0, border, lam_k, v_k, z, y):
+def _bordered_residuals(a0, lam0, v0, lam_k, v_k, z, y):
     """max |E x - rhs| per column: each pair's order-k bordered system."""
-    row = column_dot(border, v_k) - z
+    row = column_dot(v0.conj(), v_k) - z
     body = v0 * lam_k + v_k * lam0 - a0 @ v_k - y
     return np.maximum(np.abs(row), np.abs(body).max(axis=0))
 
@@ -228,7 +233,7 @@ def expand_schur(derivs, decomp, indices, v0, basis, single_precision=False):
     the module docstring), up to order p = len(derivs) - 1.
 
     Order k weights its term l by the binomial C(k, l). The normalization
-    row is v0^H v_k when ``decomp`` is Hermitian and v0^T v_k otherwise. With
+    row is v0^H v_k for every pair, whatever ``decomp.hermitian``. With
     ``single_precision`` every order solves with the LU factors of each
     pair's bordered matrix rounded to single precision, and a pair whose
     rounded matrix fails ``build_bordered``'s condition test fails too.
@@ -245,13 +250,13 @@ def expand_schur(derivs, decomp, indices, v0, basis, single_precision=False):
     1 + max(|z|, max |y|), its ``gap`` to the nearest other eigenvalue (None
     when n = 1) and, with ``single_precision``, the ``condition_estimate``.
     """
-    q, t, hermitian = decomp.schur_q, decomp.schur_t, decomp.hermitian
+    q, t = decomp.schur_q, decomp.schur_t
     dtype = working_dtype(derivs, t, v0)
     derivs = np.asarray(derivs, dtype=dtype)
     lam0 = in_dtype(decomp.values[indices], dtype)
     gaps, errors = gap_errors(decomp.values, indices)
     cols = np.flatnonzero([err is None for err in errors])
-    solver_errors, schur_solve = schur_bordered_solver(q, t, lam0[cols], v0[:, cols], hermitian)
+    solver_errors, schur_solve = schur_bordered_solver(q, t, lam0[cols], v0[:, cols])
     for col, err in zip(cols, solver_errors):
         errors[col] = err
     cols = np.flatnonzero([err is None for err in errors])
@@ -259,14 +264,11 @@ def expand_schur(derivs, decomp, indices, v0, basis, single_precision=False):
     if single_precision:
         for col in cols:
             try:
-                systems.append(
-                    build_bordered(derivs[0], v0[:, col], lam0[col], hermitian, single_precision=True)
-                )
+                systems.append(build_bordered(derivs[0], v0[:, col], lam0[col], single_precision=True))
             except NumericalError as exc:
                 errors[col] = exc
         cols = np.flatnonzero([err is None for err in errors])
     lam0, v0, gaps = lam0[cols], v0[:, cols], gaps[cols]
-    border = border_row(v0, hermitian)
 
     def rounded_solve(z, y):
         x = np.empty_like(y, shape=(y.shape[0] + 1, len(systems)))
@@ -281,9 +283,9 @@ def expand_schur(derivs, decomp, indices, v0, basis, single_precision=False):
     lams, vs, residuals, scales = [lam0], [v0], [], []
     with overflow_reported():
         for k in range(1, p + 1):
-            z, y = taylor_rhs(k, derivs, vs, lams, hermitian=hermitian, binomials=binomials)
+            z, y = taylor_rhs(k, derivs, vs, lams, binomials=binomials)
             lam_k, v_k = solve(z, y)
-            residuals.append(_bordered_residuals(derivs[0], lam0, v0, border, lam_k, v_k, z, y))
+            residuals.append(_bordered_residuals(derivs[0], lam0, v0, lam_k, v_k, z, y))
             scales.append(1.0 + np.maximum(np.abs(z), np.abs(y).max(axis=0)))
             lams.append(lam_k)
             vs.append(v_k)

@@ -67,21 +67,29 @@ def linear_problem():
 
 
 def constant_problem(a0, hermitian=False):
-    """A(mu) = A0 for all mu."""
-    a0 = np.asarray(a0, dtype=float)
+    """A(mu) = A0 for all mu, float64 or (for complex A0) complex128."""
+    a0 = np.asarray(a0)
+    a0 = a0.astype(np.result_type(float, a0))
     n = a0.shape[0]
 
     def eval_at(mu):
         return a0.copy()
 
     def derivs_at(mu0, p):
-        derivs = np.zeros((p + 1, n, n))
+        derivs = np.zeros((p + 1, n, n), dtype=a0.dtype)
         derivs[0] = a0
         return derivs
 
     return ParametricProblem(
         n=n, eval_at=pointwise(eval_at), derivs_at=derivs_at, hermitian=hermitian
     )
+
+
+def isotropic_problem():
+    """A constant A with eigenpairs (2, [1, 0]) and (1, [1, i]); the
+    second eigenvector is isotropic, v^T v = 0."""
+    vectors = np.array([[1.0, 1.0], [0.0, 1j]])
+    return constant_problem(vectors @ np.diag([2.0, 1.0]) @ np.linalg.inv(vectors))
 
 
 def asymmetric_flagged_hermitian():

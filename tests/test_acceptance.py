@@ -295,10 +295,10 @@ def test_criterion_11_property_suites(torus, cheb20):
     y = rng.normal(size=7) + 1j * rng.normal(size=7)
     gamma = np.exp(0.9j)
     base = solve_bordered(
-        build_bordered(a, v0, lam0, hermitian=True), np.concatenate(([0.2 + 0j], y))
+        build_bordered(a, v0, lam0), np.concatenate(([0.2 + 0j], y))
     )
     spun = solve_bordered(
-        build_bordered(a, gamma * v0, lam0, hermitian=True),
+        build_bordered(a, gamma * v0, lam0),
         np.concatenate(([0.2 + 0j], gamma * y)),
     )
     gamma_err = max(

@@ -5,7 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import CROSSING, asymmetric_flagged_hermitian, constant_problem, linear_problem
+from conftest import (
+    CROSSING,
+    asymmetric_flagged_hermitian,
+    constant_problem,
+    isotropic_problem,
+    linear_problem,
+)
 
 from eigenpath import (
     ChebRequest,
@@ -626,17 +632,6 @@ def separated_request(name):
     return ChebRequest(make(n), interval, p)
 
 
-def isotropic_problem():
-    """A constant A with eigenpairs (2, [1, 0]) and (1, [1, i]); the
-    second eigenvector is isotropic, v^T v = 0."""
-    vectors = np.array([[1.0, 1.0], [0.0, 1j]])
-    a = vectors @ np.diag([2.0, 1.0]) @ np.linalg.inv(vectors)
-    return ParametricProblem(
-        n=2, eval_at=pointwise(lambda mu: a.copy()),
-        derivs_at=lambda mu0, p: None,
-    )
-
-
 def assert_same_pair(a, b):
     assert np.array_equal(a.lam, b.lam)
     assert np.array_equal(a.vec, b.vec)
@@ -669,7 +664,10 @@ class TestAllPairsKernel:
         assert isinstance(failed, ExpansionFailure) and failed.index == 1
         assert isinstance(failed.error, NumericalError)
         assert "isotropic" in str(failed.error)
-        with pytest.raises(NumericalError, match="isotropic"):
+        # every node vector is isotropic; the first node, s_1 = cos(pi/65), names it
+        node = np.cos(np.pi / 65)
+        with pytest.raises(NumericalError, match=rf"isotropic, \|v\^T v\| = 0 below 1e-08 "
+                                                 rf"at mu={(1 + node) / 2:.17g}$"):
             warm_start(ChebRequest(problem, (0.0, 1.0), 3, quad_m=64), 1)
         (failure,) = cheb_expand_all(ChebRequest(problem, (0.0, 1.0), 3, quad_m=64, selector=1))
         assert isinstance(failure.error, NumericalError) and "isotropic" in str(failure.error)

@@ -360,6 +360,8 @@ def _assert_expand_identical_across_blas_threads(tmp_path, args, count):
     pytest.param("example2", "64", "0.8", "10", [], id="example2-64-0.8-10"),
     # complex Schur factors from the QR of complex eigenvectors
     pytest.param("example3", "64", "0.5", "10", [], id="example3-64-0.5-10"),
+    # six of the eight eigenvectors are isotropic at mu = 1 (v^T v = 0)
+    pytest.param("example3", "8", "1", "8", [], id="example3-8-1-8"),
     pytest.param("example1", "16", "0.2", "10", ["--single-precision-e"],
                  id="example1-16-0.2-10-single-e"),
     pytest.param("example2", "64", "0.8", "10", ["--single-precision-e"],

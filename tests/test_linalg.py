@@ -299,7 +299,7 @@ class TestHermitianFlag:
 
 class TestBuildBordered:
     def test_diag_example(self):
-        sys_ = build_bordered(np.diag([1.0, 2.0]), np.array([1.0, 0.0]), 1.0, hermitian=True)
+        sys_ = build_bordered(np.diag([1.0, 2.0]), np.array([1.0, 0.0]), 1.0)
         expected = np.array([[0, 1, 0], [1, 0, 0], [0, 0, -1.0]])
         np.testing.assert_allclose(sys_.matrix, expected, atol=1e-15)
 
@@ -312,7 +312,7 @@ class TestBuildBordered:
     def test_condition_estimate_for_simple_eigenpair(self, torus8):
         a0 = torus8.eval_at(0.2)
         d = eigen_all(a0, hermitian=True)
-        sys_ = build_bordered(a0, d.vectors[:, 0].copy(), complex(d.values[0]), hermitian=True)
+        sys_ = build_bordered(a0, d.vectors[:, 0].copy(), complex(d.values[0]))
         assert sys_.condition_estimate > 1e-8
 
     def test_unit_norm_enforced(self):
@@ -323,7 +323,7 @@ class TestBuildBordered:
 class TestSolveBordered:
     def test_uniform_shift(self):
         # A(mu) = A0 + (mu-mu0) I shifts eigenvalues, leaves vectors fixed
-        sys_ = build_bordered(np.diag([1.0, 2.0]), np.array([1.0, 0.0]), 1.0, hermitian=True)
+        sys_ = build_bordered(np.diag([1.0, 2.0]), np.array([1.0, 0.0]), 1.0)
         lam1, v1 = solve_bordered(sys_, np.array([0.0, 1.0, 0.0]))
         assert lam1 == pytest.approx(1.0, abs=1e-14)
         np.testing.assert_allclose(v1, 0.0, atol=1e-14)
@@ -338,7 +338,7 @@ class TestSolveBordered:
         rng = np.random.default_rng(31)
         a0 = torus8.eval_at(0.2)
         d = eigen_all(a0, hermitian=True)
-        sys_ = build_bordered(a0, d.vectors[:, 2].copy(), complex(d.values[2]), hermitian=True)
+        sys_ = build_bordered(a0, d.vectors[:, 2].copy(), complex(d.values[2]))
         rhs = rng.normal(size=9) + 1j * rng.normal(size=9)
         lam, v = solve_bordered(sys_, rhs)
         x = np.concatenate(([lam], v))
@@ -356,8 +356,8 @@ class TestSolveBorderedReduced:
         v0 = d.vectors[:, idx].copy()
         lam0 = complex(d.values[idx])
         rhs = rng.normal(size=9) + 1j * rng.normal(size=9)
-        dense = solve_bordered(build_bordered(a, v0, lam0, hermitian=True), rhs)
-        fast = solve_bordered_reduced(d.schur_q, d.schur_t, v0, lam0, rhs, hermitian=True)
+        dense = solve_bordered(build_bordered(a, v0, lam0), rhs)
+        fast = solve_bordered_reduced(d.schur_q, d.schur_t, v0, lam0, rhs)
         scale = max(1.0, abs(dense[0]), float(np.max(np.abs(dense[1]))))
         assert abs(dense[0] - fast[0]) <= 1e-10 * scale
         np.testing.assert_allclose(fast[1], dense[1], atol=1e-10 * scale)
@@ -403,7 +403,7 @@ class TestSolveBorderedReduced:
         a1 = random_hermitian(6, rng)
         y = d.schur_q.conj().T @ (a1 @ v0)
         rhs = np.concatenate(([0.0], d.schur_q @ y))
-        lam, _ = solve_bordered_reduced(d.schur_q, d.schur_t, v0, lam0, rhs, hermitian=True)
+        lam, _ = solve_bordered_reduced(d.schur_q, d.schur_t, v0, lam0, rhs)
         assert abs(lam - y[0]) <= 1e-10 * max(1.0, abs(y[0]))
 
     def test_homogeneous(self):
@@ -412,7 +412,7 @@ class TestSolveBorderedReduced:
         d = eigen_all(a, hermitian=True)
         lam, v = solve_bordered_reduced(
             d.schur_q, d.schur_t, d.vectors[:, 1].copy(), complex(d.values[1]),
-            np.zeros(5), hermitian=True,
+            np.zeros(5),
         )
         assert abs(lam) <= 1e-14
         np.testing.assert_allclose(v, 0.0, atol=1e-14)
@@ -422,15 +422,16 @@ class TestSolveBorderedReduced:
         with pytest.raises(NonSimpleEigenvalueError):
             solve_bordered_reduced(
                 d.schur_q, d.schur_t, d.vectors[:, 0].copy(), 1.0 + 0j,
-                np.ones(5), hermitian=True,
+                np.ones(5),
             )
 
     @pytest.mark.parametrize("index", [0, 1])
     def test_ill_conditioned_pair_fails_the_eliminated_pivot_test(self, index):
-        # gap 1e-9 passes the Schur-pivot test, but the eigenvalue condition
-        # number ~1e17 does not: both pairs fail, as in taylor_expand_all
+        # gap 1e-9 passes the Schur-pivot test, but the reciprocal eigenvalue
+        # condition 1e-9 / 1e8 does not: both pairs fail, as in taylor_expand_all
         d = eigen_all(np.array([[1.0, 1e8], [0.0, 1.0 + 1e-9]]))
-        with pytest.raises(NonSimpleEigenvalueError, match=r"\(eliminated pivot below 1e-12\)"):
+        condition = r"eigenvalue condition \|l c\| / \(\|\|l\|\| \|\|c\|\|\) = 1e-17 below 1e-12"
+        with pytest.raises(NonSimpleEigenvalueError, match=rf"\(eliminated pivot: {condition}\)$"):
             solve_bordered_reduced(
                 d.schur_q, d.schur_t, d.vectors[:, index].copy(), complex(d.values[index]),
                 np.ones(3),
@@ -444,30 +445,47 @@ class TestSolveBorderedReduced:
         lam0 = complex(d.values[4])
         rhs = rng.normal(size=13)
         lam, v = solve_bordered_reduced(d.schur_q, d.schur_t, v0, lam0, rhs)
-        e = assemble_bordered(a, v0, lam0, False)
+        e = assemble_bordered(a, v0, lam0)
         x = np.concatenate(([lam], v))
         assert np.max(np.abs(e @ x - rhs)) <= 1e-11 * (1.0 + np.max(np.abs(rhs)))
 
 
 class TestGammaEquivariance:
+    """Rotating v0 by gamma (|gamma| = 1) and y with it rotates v_k alike and
+    leaves lam_k: the border row conj(v0) of every pair absorbs the phase."""
+
     @pytest.mark.parametrize("gamma", [np.exp(0.7j), -1.0 + 0j, np.exp(-2.1j)])
     def test_scaling_border_and_rhs(self, gamma):
         rng = np.random.default_rng(13)
         a = random_hermitian(7, rng)
-        d = eigen_all(a, hermitian=True)
-        v0 = d.vectors[:, 3].copy()
-        lam0 = complex(d.values[3])
+        self._check_scaling(eigen_all(a, hermitian=True), 3, gamma, rng)
+
+    @pytest.mark.parametrize("gamma", [np.exp(0.7j), np.exp(-2.1j)])
+    def test_scaling_border_and_rhs_complex_non_hermitian(self, gamma):
+        rng = np.random.default_rng(14)
+        a = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+        self._check_scaling(eigen_all(a), 3, gamma, rng)
+
+    @staticmethod
+    def _check_scaling(d, index, gamma, rng):
+        a, n = d.matrix, d.n
+        v0 = d.vectors[:, index].copy()
+        lam0 = complex(d.values[index])
         z = 0.3 + 0.1j
-        y = rng.normal(size=7) + 1j * rng.normal(size=7)
+        y = rng.normal(size=n) + 1j * rng.normal(size=n)
         base = solve_bordered(
-            build_bordered(a, v0, lam0, hermitian=True), np.concatenate(([z], y))
+            build_bordered(a, v0, lam0), np.concatenate(([z], y))
         )
         scaled = solve_bordered(
-            build_bordered(a, gamma * v0, lam0, hermitian=True),
+            build_bordered(a, gamma * v0, lam0),
             np.concatenate(([z], gamma * y)),
         )
         assert abs(base[0] - scaled[0]) <= 1e-12 * max(1.0, abs(base[0]))
         np.testing.assert_allclose(scaled[1], gamma * base[1], atol=1e-12)
+        fast = solve_bordered_reduced(d.schur_q, d.schur_t, gamma * v0, lam0,
+                                      np.concatenate(([z], gamma * y)))
+        assert abs(base[0] - fast[0]) <= 1e-12 * max(1.0, abs(base[0]))
+        np.testing.assert_allclose(fast[1], gamma * base[1], atol=1e-12)
 
 
 def test_reduced_solve_scales_quadratically():
@@ -481,13 +499,13 @@ def test_reduced_solve_scales_quadratically():
         v0 = d.vectors[:, n // 2].copy()
         lam0 = complex(d.values[n // 2])
         rhs = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
-        solve_bordered_reduced(d.schur_q, d.schur_t, v0, lam0, rhs, hermitian=True)
+        solve_bordered_reduced(d.schur_q, d.schur_t, v0, lam0, rhs)
         reps = max(3, 2048 // n)
         best = np.inf
         for _ in range(5):
             start = time.perf_counter()
             for _ in range(reps):
-                solve_bordered_reduced(d.schur_q, d.schur_t, v0, lam0, rhs, hermitian=True)
+                solve_bordered_reduced(d.schur_q, d.schur_t, v0, lam0, rhs)
             best = min(best, (time.perf_counter() - start) / reps)
         times.append(best)
     exponent = np.polyfit(np.log(sizes), np.log(times), 1)[0]

@@ -9,6 +9,7 @@ from conftest import (
     CROSSING,
     asymmetric_flagged_hermitian,
     constant_problem,
+    isotropic_problem,
     linear_problem,
     shift_problem,
 )
@@ -26,6 +27,8 @@ from eigenpath import (
     eval_taylor,
     expansion_failures,
     expansion_series,
+    jordan_eigenvalues,
+    make_jordan,
     make_spring_chain,
     make_torus_kernel,
     pointwise,
@@ -36,7 +39,6 @@ from eigenpath import (
 from eigenpath.linalg import (
     EigenDecomposition,
     assemble_bordered,
-    border_row,
     build_bordered,
     phase_fix,
     solve_bordered,
@@ -77,7 +79,7 @@ class TestTaylorRhs:
             y_ref += math.comb(k, l) * (a[k - l] @ vs[l])
             if l >= 1:
                 y_ref -= math.comb(k, l) * vs[k - l] * lams[l]
-                z_ref -= 0.5 * math.comb(k, l) * (vs[k - l] @ vs[l])
+                z_ref -= 0.5 * math.comb(k, l) * np.vdot(vs[k - l], vs[l])
         np.testing.assert_allclose(y, y_ref, rtol=1e-13)
         np.testing.assert_allclose(z, z_ref, rtol=1e-13)
 
@@ -106,8 +108,6 @@ class TestExpandEigenpair:
 
     def test_jordan_derivative(self):
         # largest eigenvalue path 1 + sqrt(mu): d/dmu at 0.2 is 1/(2 sqrt(0.2))
-        from eigenpath import make_jordan
-
         pair = taylor_expand_all(TaylorRequest(make_jordan(2), 0.2, 2, selector=0))[0]
         assert pair.lam[0] == pytest.approx(1 + math.sqrt(0.2), abs=1e-12)
         assert pair.lam[1] == pytest.approx(1 / (2 * math.sqrt(0.2)), abs=1e-8)
@@ -196,10 +196,10 @@ class TestExpandAll:
         derivs = torus8.derivs_at(0.2, 6)
         d = eigen_all(derivs[0], hermitian=True)
         v0, lam0 = d.vectors[:, 0].copy(), complex(d.values[0])
-        system = build_bordered(derivs[0], v0, lam0, hermitian=True)
+        system = build_bordered(derivs[0], v0, lam0)
         lams, vs = [lam0], [v0]
         for k in range(1, 7):
-            z, y = taylor_rhs(k, derivs, vs, lams, hermitian=True)
+            z, y = taylor_rhs(k, derivs, vs, lams)
             rhs = np.concatenate(([z], y))
             lam_k, v_k = solve_bordered(system, rhs)
             x = np.concatenate(([lam_k], v_k))
@@ -268,15 +268,15 @@ class TestIntersection:
             assert "eigenvalue gap" in str(failure.error)
 
 
-def _per_pair_oracle(derivs, decomp, index, p, hermitian):
+def _per_pair_oracle(derivs, decomp, index, p):
     """One pair's order loop: taylor_rhs plus the dense bordered LU solve."""
     lam0 = complex(decomp.values[index])
     v0 = decomp.vectors[:, index].copy()
-    system = build_bordered(derivs[0], v0, lam0, hermitian)
+    system = build_bordered(derivs[0], v0, lam0)
     binomials = binomial_table(max(p, 1))
     lams, vs = [lam0], [v0]
     for k in range(1, p + 1):
-        z, y = taylor_rhs(k, derivs, vs, lams, hermitian=hermitian, binomials=binomials)
+        z, y = taylor_rhs(k, derivs, vs, lams, binomials=binomials)
         lam_k, v_k = solve_bordered(system, np.concatenate(([z], y)))
         lams.append(lam_k)
         vs.append(v_k)
@@ -303,7 +303,7 @@ class TestSchurKernel:
         results = taylor_expand_all(TaylorRequest(problem, mu0, p))
         assert len(expansion_series(results)) == 8
         for index, pair in enumerate(results):
-            lams, vs = _per_pair_oracle(derivs, d, index, p, problem.hermitian)
+            lams, vs = _per_pair_oracle(derivs, d, index, p)
             assert np.max(_relative_error(pair.lam, lams)) <= 1e-12
             if name == "spring":
                 assert np.max(_relative_error(pair.vec, vs)) <= 1e-11
@@ -311,12 +311,12 @@ class TestSchurKernel:
             # both paths, so torus eigenvectors are checked by each order's
             # bordered residual rather than against the oracle.
             lam0 = complex(d.values[index])
-            e = assemble_bordered(derivs[0], d.vectors[:, index], lam0, problem.hermitian)
+            e = assemble_bordered(derivs[0], d.vectors[:, index], lam0)
             lam_c, vec_c = list(pair.lam), list(pair.vec)
             residuals = pair.diagnostics["order_residuals"]
             assert len(residuals) == p
             for k in range(1, p + 1):
-                z, y = taylor_rhs(k, derivs, vec_c[:k], lam_c[:k], hermitian=problem.hermitian)
+                z, y = taylor_rhs(k, derivs, vec_c[:k], lam_c[:k])
                 rhs = np.concatenate(([z], y))
                 bound = 1e-11 * (1.0 + np.max(np.abs(rhs)))
                 x = np.concatenate(([lam_c[k]], vec_c[k]))
@@ -356,7 +356,7 @@ class TestSchurKernel:
         separated = [i for i, pair in enumerate(results) if pair.diagnostics["gap"] > 0.5]
         assert len(separated) == 8
         for index in separated:
-            lams, vs = _per_pair_oracle(derivs, d, index, p, False)
+            lams, vs = _per_pair_oracle(derivs, d, index, p)
             assert np.max(_relative_error(results[index].lam, lams)) <= 1e-12
             assert np.max(_relative_error(results[index].vec, vs)) <= 1e-12
 
@@ -391,8 +391,8 @@ class TestSchurKernel:
     @pytest.mark.parametrize("name", ["torus", "complex-hermitian", "spring"])
     def test_order_identities(self, name):
         # Independent of taylor_rhs: order k of A(mu) v(mu) = lam(mu) v(mu)
-        # and of the normalization b^T v(mu) = 1 (b = conj(v0) if Hermitian),
-        # as Cauchy products of the coefficients.
+        # and of the normalization v(mu)^H v(mu) = 1, as Cauchy products of
+        # the coefficients.
         if name == "complex-hermitian":
             rng = np.random.default_rng(7)
             h0, h1 = (rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)) for _ in range(2))
@@ -417,7 +417,6 @@ class TestSchurKernel:
         p = 6
         a = np.asarray(problem.derivs_at(mu0, p), dtype=complex)
         a_size = np.linalg.norm(a, axis=(1, 2))
-        dot = np.vdot if problem.hermitian else np.dot
         for pair in taylor_expand_all(TaylorRequest(problem, mu0, p)):
             lam, v = pair.lam, pair.vec
             v_size = np.linalg.norm(v, axis=1)
@@ -428,21 +427,19 @@ class TestSchurKernel:
                     w[l] * (a_size[k - l] + abs(lam[k - l])) * v_size[l] for l in range(k + 1)
                 )
                 assert np.linalg.norm(eigen) <= 1e-13 * size
-                norm = sum(w[l] * dot(v[k - l], v[l]) for l in range(k + 1))
+                norm = sum(w[l] * np.vdot(v[k - l], v[l]) for l in range(k + 1))
                 size = sum(w[l] * v_size[k - l] * v_size[l] for l in range(k + 1))
                 assert abs(norm) <= 1e-13 * size
 
-    @pytest.mark.parametrize("hermitian", [True, False])
-    def test_bordered_residuals_match_assembled_matrix(self, hermitian):
+    def test_bordered_residuals_match_assembled_matrix(self):
         rng = np.random.default_rng(12)
         n, m = 5, 3
         cplx = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
         a0, v0, v_k, y = cplx(n, n), cplx(n, m), cplx(n, m), cplx(n, m)
         lam0, lam_k, z = cplx(m), cplx(m), cplx(m)
-        border = border_row(v0, hermitian)
-        got = _bordered_residuals(a0, lam0, v0, border, lam_k, v_k, z, y)
+        got = _bordered_residuals(a0, lam0, v0, lam_k, v_k, z, y)
         for i in range(m):
-            e = assemble_bordered(a0, v0[:, i], lam0[i], hermitian)
+            e = assemble_bordered(a0, v0[:, i], lam0[i])
             x = np.concatenate(([lam_k[i]], v_k[:, i]))
             rhs = np.concatenate(([z[i]], y[:, i]))
             assert got[i] == pytest.approx(np.max(np.abs(e @ x - rhs)), rel=1e-12)
@@ -508,6 +505,40 @@ class TestGammaInvariance:
         np.testing.assert_allclose(spun_vec, gamma * base_vec, rtol=0, atol=1e-9)
 
 
+class TestComplexPairs:
+    """Pairs with complex eigenvectors, whose bilinear v^T v can vanish: the
+    Jordan problem's eigenvectors (1, w, w^2, ...), w = mu^(1/8) e^(2 pi i j/8),
+    have v^T v = 0 at mu = 1 for all but the two real ones."""
+
+    @pytest.mark.parametrize("mu0", [0.9, 0.99, 0.9999, 0.999999, 1.0])
+    def test_jordan_pairs_near_isotropic_eigenvectors(self, mu0):
+        problem = make_jordan(8)
+        results = taylor_expand_all(TaylorRequest(problem, mu0, 8))
+        assert len(expansion_series(results)) == 8
+        for mu in (mu0 - 0.02, mu0 + 0.02):
+            a = problem.eval_at(mu)
+            roots = jordan_eigenvalues(8, mu)
+            for pair in results:
+                lam = eval_taylor(pair.basis, pair.lam, mu)
+                v = eval_taylor(pair.basis, pair.vec, mu)
+                assert np.min(np.abs(roots - lam)) <= 1e-12 * abs(lam)
+                assert np.linalg.norm(a @ v - lam * v) <= 1e-12 * np.linalg.norm(v)
+                # the normalization: unit norm, with v0^H v(mu) real
+                assert abs(np.vdot(v, v) - 1.0) <= 1e-14
+                assert abs(np.vdot(pair.vec[0], v).imag) <= 1e-14
+
+    def test_isotropic_eigenvector_expands(self):
+        # eigenvector [1, i] / sqrt(2) has v^T v = 0, which a bilinear
+        # border would have divided by
+        results = taylor_expand_all(TaylorRequest(isotropic_problem(), 0.5, 6))
+        assert len(expansion_series(results)) == 2
+        for pair, (lam, vec) in zip(results, [(2.0, [1.0, 0.0]), (1.0, [1.0, 1j])]):
+            assert pair.lam[0] == pytest.approx(lam, abs=1e-14)
+            assert abs(abs(np.vdot(vec, pair.vec[0])) - np.linalg.norm(vec)) <= 1e-14
+            np.testing.assert_allclose(pair.lam[1:], 0.0, atol=1e-14)
+            np.testing.assert_allclose(pair.vec[1:], 0.0, atol=1e-14)
+
+
 class TestTruncatedSeriesResidual:
     def test_example1_interval_residual(self, taylor_e1_p6, torus8):
         worst = 0.0
@@ -540,12 +571,12 @@ def test_single_precision_residuals_measure_the_exact_system(torus8):
     results = taylor_expand_all(TaylorRequest(torus8, 0.2, p, single_precision_e=True))
     assert len(expansion_series(results)) == 8
     for index, pair in enumerate(results):
-        e = assemble_bordered(derivs[0], d.vectors[:, index], complex(d.values[index]), True)
+        e = assemble_bordered(derivs[0], d.vectors[:, index], complex(d.values[index]))
         lam_c, vec_c = list(pair.lam), list(pair.vec)
         residuals = pair.diagnostics["order_residuals"]
         assert len(residuals) == p
         for k in range(1, p + 1):
-            z, y = taylor_rhs(k, derivs, vec_c[:k], lam_c[:k], hermitian=True)
+            z, y = taylor_rhs(k, derivs, vec_c[:k], lam_c[:k])
             rhs = np.concatenate(([z], y))
             x = np.concatenate(([lam_c[k]], vec_c[k]))
             size = 1.0 + np.max(np.abs(rhs))
@@ -565,10 +596,10 @@ def test_single_precision_pair_failing_the_condition_test_fails_alone(torus8, mo
     clean = taylor_expand_all(request)
     rejected = NonSimpleEigenvalueError("non-simple eigenvalue at expansion point (rcond=1.00e-20)")
 
-    def rejecting(a0, v0, lam0, hermitian=False, single_precision=False):
+    def rejecting(a0, v0, lam0, single_precision=False):
         if lam0 == clean[3].lam[0]:
             raise rejected
-        return build_bordered(a0, v0, lam0, hermitian, single_precision)
+        return build_bordered(a0, v0, lam0, single_precision)
 
     monkeypatch.setattr(taylor, "build_bordered", rejecting)
     results = taylor_expand_all(request)
