@@ -128,8 +128,8 @@ def _resolve_problem(args):
         import hashlib   # only a config's digest needs it; kept out of start-up
 
         path = spec[len("config:"):]
-        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
         problem = problem_from_config(path)
+        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
         if args.n is not None and args.n != problem.n:
             raise UsageError(f"--n {args.n} conflicts with config n={problem.n}")
         args.n = problem.n

@@ -7,10 +7,11 @@ is set out in the ``taylor`` module docstring), is
     E = [ 0   v0^H        ]
         [ v0  lam0 I - A0 ]
 
-Each expansion order solves E x = rhs with the same E, so the LU factors are
-computed once. A single Schur form A0 = Q T Q^H reduces every pair's solve
-to O(n^2) triangular work (:func:`schur_bordered_solver`, which the Taylor
-kernel in ``taylor`` calls for all pairs at once).
+Each expansion order solves E x = rhs with the same E. A single Schur form
+A0 = Q T Q^H reduces every pair's solve to O(n^2) triangular work
+(:func:`schur_bordered_solver`, which the Taylor kernel in ``taylor`` calls
+for all pairs at once). No command calls the dense LU of one E
+(:func:`build_bordered`, :func:`solve_bordered`), the tests' reference.
 
 :func:`eigen_all` also takes a stack of matrices, as the analysis layer
 passes it a block of sample or grid points; every matrix of a stack gets
@@ -42,9 +43,8 @@ nowhere else.
 Import policy: ``scipy.linalg`` is imported inside the routines that call
 it (the LU of :func:`build_bordered` and :func:`solve_bordered`), not with
 the module. Importing it takes most of a fresh command's start-up time,
-and the commands that never call it (every Taylor ``expand`` but
-``--single-precision-e``, every ``sample``, ``report`` and ``bench``)
-start with numpy alone.
+and only a command that computes a Chebyshev expansion (``expand`` or
+``sample`` with --interval, through ``chebyshev``) loads it.
 """
 
 import numpy as np
@@ -313,14 +313,12 @@ def _rcond_from_lu(e, lu_piv):
     return float(rcond)
 
 
-def build_bordered(a0, v0, lam0, single_precision=False):
+def build_bordered(a0, v0, lam0):
     """Build and factorize the bordered system for (lam0, v0) at A0.
 
     Raises NonSimpleEigenvalueError when the reciprocal condition estimate
     falls below ``SINGULARITY_RCOND``, which happens exactly when lam0 is
-    not a simple eigenvalue of A0. ``single_precision`` rounds the
-    assembled matrix to single precision (float32, or complex64 for
-    complex E) before factorization (error-floor experiment).
+    not a simple eigenvalue of A0.
     """
     import scipy.linalg
 
@@ -329,8 +327,6 @@ def build_bordered(a0, v0, lam0, single_precision=False):
     if abs(np.linalg.norm(v0) - 1.0) > UNIT_NORM_TOL:
         raise ValueError("v0 must have unit 2-norm")
     e = assemble_bordered(a0, v0, lam0)
-    if single_precision:
-        e = e.astype(np.complex64 if np.iscomplexobj(e) else np.float32).astype(e.dtype)
     lu_piv = scipy.linalg.lu_factor(e)
     rcond = _rcond_from_lu(e, lu_piv)
     if rcond < SINGULARITY_RCOND:

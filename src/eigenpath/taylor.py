@@ -61,13 +61,13 @@ checked against A0 itself, leaves a normwise backward error |E x - rhs| /
 (|rhs| + |E| |x|) above ``linalg.ORDER_RESIDUAL_BOUND``; a nearly defective
 pair's ill-conditioned E, solved stably, stays below it.
 
-``single_precision_e``, an experiment on the stored matrix E itself, swaps
-only the per-order solve: each pair's E is rounded to single precision and
-factorized once (``linalg.build_bordered``), and every order solves with
-those LU factors. The rounded E's condition estimate is one more per-pair
-test, and the order residuals stay measured against the exact E, so they
-show the rounding; they are not held to ``ORDER_RESIDUAL_BOUND``. Errors
-accumulate with growing order by construction; no mitigation is applied.
+``single_precision_e``, an experiment on the stored data of the solve,
+builds the same solver, in double precision, from Q, T and the pairs' lam0
+and v0 rounded once to float32 (complex64 for complex factors); its pivot
+tests judge the rounded factors. The right-hand sides and order residuals
+use the exact A_k, lam0 and v0, so the residuals show the rounding; they
+are not held to ``ORDER_RESIDUAL_BOUND``. Errors accumulate with growing
+order by construction; no mitigation is applied.
 """
 
 import numpy as np
@@ -76,7 +76,7 @@ import numbers
 from dataclasses import dataclass
 
 from .errors import DerivativeOrderError, NumericalError
-from .linalg import (
+from .linalg import (  # noqa: F401  (build_bordered, solve_bordered*: looked up here by benchmarks/tracing.py)
     ORDER_RESIDUAL_BOUND,
     build_bordered,
     column_dot,
@@ -86,7 +86,7 @@ from .linalg import (
     overflow_reported,
     schur_bordered_solver,
     solve_bordered,
-    solve_bordered_reduced,  # noqa: F401  (looked up here by benchmarks/tracing.py)
+    solve_bordered_reduced,
     working_dtype,
 )
 from .series import (
@@ -112,8 +112,8 @@ class TaylorRequest:
     ``selector`` is either the string "all" or a 0-based index into the
     descending-sorted spectrum of A(mu0); indices permute across different
     expansion points (see :func:`selected_indices`). ``single_precision_e``
-    solves every order with each pair's bordered matrix rounded to single
-    precision (reproduces the error floor; see the module docstring).
+    solves every order with the Schur factors, lam0 and v0 rounded to
+    single precision (reproduces the error floor; see the module docstring).
     """
 
     problem: object
@@ -234,9 +234,8 @@ def expand_schur(derivs, decomp, indices, v0, basis, single_precision=False):
 
     Order k weights its term l by the binomial C(k, l). The normalization
     row is v0^H v_k for every pair, whatever ``decomp.hermitian``. With
-    ``single_precision`` every order solves with the LU factors of each
-    pair's bordered matrix rounded to single precision, and a pair whose
-    rounded matrix fails ``build_bordered``'s condition test fails too.
+    ``single_precision`` the solver is built from Q, T, lam0 and v0 rounded
+    once to single precision (see the module docstring).
 
     The loop computes in ``linalg.working_dtype`` of ``derivs``, the Schur
     factors and ``v0``: float64 when all are real.
@@ -247,8 +246,8 @@ def expand_schur(derivs, decomp, indices, v0, basis, single_precision=False):
     its first order that is not finite or (without ``single_precision``) over
     ``ORDER_RESIDUAL_BOUND``. A series' diagnostics hold the exact
     bordered systems' ``order_residuals``, each order's rhs scale
-    1 + max(|z|, max |y|), its ``gap`` to the nearest other eigenvalue (None
-    when n = 1) and, with ``single_precision``, the ``condition_estimate``.
+    1 + max(|z|, max |y|), and its ``gap`` to the nearest other eigenvalue
+    (None when n = 1).
     """
     q, t = decomp.schur_q, decomp.schur_t
     dtype = working_dtype(derivs, t, v0)
@@ -256,28 +255,15 @@ def expand_schur(derivs, decomp, indices, v0, basis, single_precision=False):
     lam0 = in_dtype(decomp.values[indices], dtype)
     gaps, errors = gap_errors(decomp.values, indices)
     cols = np.flatnonzero([err is None for err in errors])
-    solver_errors, schur_solve = schur_bordered_solver(q, t, lam0[cols], v0[:, cols])
+    factors = (q, t, lam0[cols], v0[:, cols])
+    if single_precision:
+        factors = [a.astype(np.complex64 if np.iscomplexobj(a) else np.float32).astype(a.dtype)
+                   for a in factors]
+    solver_errors, solve = schur_bordered_solver(*factors)
     for col, err in zip(cols, solver_errors):
         errors[col] = err
     cols = np.flatnonzero([err is None for err in errors])
-    systems = []
-    if single_precision:
-        for col in cols:
-            try:
-                systems.append(build_bordered(derivs[0], v0[:, col], lam0[col], single_precision=True))
-            except NumericalError as exc:
-                errors[col] = exc
-        cols = np.flatnonzero([err is None for err in errors])
     lam0, v0, gaps = lam0[cols], v0[:, cols], gaps[cols]
-
-    def rounded_solve(z, y):
-        x = np.empty_like(y, shape=(y.shape[0] + 1, len(systems)))
-        # z is the scalar 0 at order 1
-        for i, (system, z_i) in enumerate(zip(systems, np.broadcast_to(z, len(systems)))):
-            x[0, i], x[1:, i] = solve_bordered(system, np.append(z_i, y[:, i]))
-        return x[0], x[1:]
-
-    solve = rounded_solve if single_precision else schur_solve
     p = derivs.shape[0] - 1
     binomials = binomial_table(p)
     lams, vs, residuals, scales = [lam0], [v0], [], []
@@ -301,8 +287,6 @@ def expand_schur(derivs, decomp, indices, v0, basis, single_precision=False):
         diagnostics = {"method": "taylor", "order_residuals": residuals[col].tolist(),
                        "order_residual_scales": scales[col].tolist(),
                        "gap": float(gap) if np.isfinite(gap) else None}
-        if single_precision:
-            diagnostics["condition_estimate"] = systems[col].condition_estimate
         # the rounded solve's residuals measure its deliberate rounding
         series.append(non_finite_error(lam, vec)
                       or (not single_precision and residual_error(backward[col]))

@@ -86,7 +86,7 @@ def test_criterion_02_taylor_accuracy_near_expansion(torus):
 
 
 def test_criterion_03_single_precision_error_floor(torus):
-    """Known red: the measured single-precision floor is ~4.7e-8, below the
+    """Known red: the measured single-precision floor is ~4.6e-8, below the
     criterion's 1e-7 constant; the 100x separation holds. See the README
     section "Install and test" for the cause and why the constant stays."""
     start = time.perf_counter()

@@ -260,6 +260,17 @@ class TestExpand:
         )
         assert code == 1
 
+    def test_missing_config_is_a_config_error(self, tmp_path, capsys):
+        # the loader names the unreadable file before its digest is taken
+        missing = tmp_path / "missing.json"
+        out = tmp_path / "out"
+        code = run(["expand", "--problem", f"config:{missing}", "--method", "taylor",
+                    "--mu0", "0.25", "--order", "3", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read config file: ") and str(missing) in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text, flags, message", [
         ("(" * 5000 + "mu" + ")" * 5000, ["--method", "taylor", "--mu0", "0.5"],
          "config error: entry (2, 1): expression nested too deeply (offset "),
@@ -424,13 +435,14 @@ def test_taylor_expand_report_and_bench_leave_out_scipy(tmp_path):
               "--mu0", "1", "--order", "6", "--out", str(tmp_path / "spring")]
     bench = ["bench", "--problem", "example2", "--n-list", "8", "--p-list", "4",
              "--repeats", "1", "--out", str(tmp_path / "bench")]
-    assert _scipy_modules_after(expand, report, spring, bench) == []
+    # the rounded Schur factors go through the same solver
+    single_e = ["expand", "--problem", "example1", "--n", "8", "--method", "taylor",
+                "--mu0", "0.2", "--order", "6", "--single-precision-e",
+                "--out", str(tmp_path / "single-e")]
+    assert _scipy_modules_after(expand, report, spring, bench, single_e) == []
 
 
 @pytest.mark.parametrize("problem, flags", [
-    # the LU of the rounded bordered matrix
-    pytest.param("example1", ["--method", "taylor", "--mu0", "0.2", "--single-precision-e"],
-                 id="taylor-single-e"),
     # Newton's LAPACK solve
     pytest.param("example1", ["--method", "chebyshev", "--interval", "0.25,1.0"],
                  id="chebyshev-newton"),
@@ -517,7 +529,7 @@ def test_order_residuals_read_against_their_scales(tmp_path):
     assert run(taylor + ["--problem", "example1", "--n", "8", "--mu0", "0.2", "--order", "10",
                          "--single-precision-e", "--out", str(rounded)]) == 0
     index0 = _residuals_over_scales(rounded)[0]
-    # the single-precision rounding of E, near 3e-8 at every order
+    # the single-precision rounding of the Schur factors, near 3e-8 at every order
     assert index0.shape == (10,) and np.all((index0 >= 1e-9) & (index0 <= 1e-6))
     for problem, n, mu0, order in (("example1", "8", "0.2", "10"), ("example2", "16", "0.8", "12")):
         out = tmp_path / f"{problem}-exact"

@@ -24,6 +24,7 @@ from eigenpath import (
     SeriesBasis,
     TaylorRequest,
     eigen_all,
+    error_report,
     eval_taylor,
     expansion_failures,
     expansion_series,
@@ -562,9 +563,24 @@ def test_single_precision_flag_changes_results(torus8):
     assert diff > 1e-8  # single rounding must actually perturb the recursion
 
 
+@pytest.mark.parametrize("p", [12, 16, 20])
+def test_single_precision_floor_stands_clear_of_double(torus8, p):
+    # criterion 3's setup without its 1e-7 floor constant: every pair expands,
+    # and the rounding leaves an error at least 100x that of double precision
+    grid = np.linspace(0.1, 0.3, 151)
+    single = expansion_series(
+        taylor_expand_all(TaylorRequest(torus8, 0.2, p, single_precision_e=True))
+    )
+    double = expansion_series(taylor_expand_all(TaylorRequest(torus8, 0.2, p)))
+    assert len(single) == len(double) == 8
+    assert error_report(torus8, single, grid).max_error >= (
+        100.0 * error_report(torus8, double, grid).max_error
+    )
+
+
 def test_single_precision_residuals_measure_the_exact_system(torus8):
-    # Each order solves with the rounded E, while its recorded residual is
-    # taken against the exact E, so it shows the single-precision rounding.
+    # Each order solves with the rounded Schur factors, while its recorded
+    # residual is taken against the exact E, so it shows the rounding.
     p = 6
     derivs = torus8.derivs_at(0.2, p)
     d = eigen_all(derivs[0], hermitian=True)
@@ -581,27 +597,32 @@ def test_single_precision_residuals_measure_the_exact_system(torus8):
             x = np.concatenate(([lam_c[k]], vec_c[k]))
             size = 1.0 + np.max(np.abs(rhs))
             assert abs(residuals[k - 1] - np.max(np.abs(e @ x - rhs))) <= 1e-13 * size
-            # index 0 (~3e-8 relative at every order) shows the rounding of E;
+            # index 0 (~3e-8 relative at every order) shows the rounding;
             # a double-precision solve leaves ~1e-16
             if index == 0:
                 assert residuals[k - 1] > 1e-12 * size
-        assert 0 < pair.diagnostics["condition_estimate"] <= 1
         assert pair.diagnostics["gap"] > 0
 
 
 def test_single_precision_pair_failing_the_condition_test_fails_alone(torus8, monkeypatch):
-    # pair 3's rounded E fails build_bordered's condition test; the other
+    # pair 3's rounded factors fail the solver's condition test; the other
     # pairs keep the bits of the unpatched run
     request = TaylorRequest(torus8, 0.2, 6, single_precision_e=True)
     clean = taylor_expand_all(request)
-    rejected = NonSimpleEigenvalueError("non-simple eigenvalue at expansion point (rcond=1.00e-20)")
+    rejected = NonSimpleEigenvalueError("non-simple eigenvalue at expansion point (eliminated "
+                                        "pivot: eigenvalue condition 1e-20 below 1e-12)")
+    solver = taylor.schur_bordered_solver
 
-    def rejecting(a0, v0, lam0, single_precision=False):
-        if lam0 == clean[3].lam[0]:
-            raise rejected
-        return build_bordered(a0, v0, lam0, single_precision)
+    def rejecting(q, t, lam0, v0):
+        # the real factors, rounded once to float32
+        assert all(a.dtype == np.float64 and np.array_equal(a, a.astype(np.float32))
+                   for a in (q, t, lam0, v0))
+        # as the solver drops a failing pair: its error, and a solve without it
+        keep = np.arange(lam0.size) != 3
+        errors, solve = solver(q, t, lam0[keep], v0[:, keep])
+        return errors[:3] + [rejected] + errors[3:], solve
 
-    monkeypatch.setattr(taylor, "build_bordered", rejecting)
+    monkeypatch.setattr(taylor, "schur_bordered_solver", rejecting)
     results = taylor_expand_all(request)
     failure = results[3]
     assert isinstance(failure, ExpansionFailure) and failure.index == 3
