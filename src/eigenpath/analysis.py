@@ -305,9 +305,11 @@ def sample_eigenvalues(problem, pairs, dist, count, seed, method, setup_seconds=
     )
 
 
-def histogram_counts(values, lo, hi, bins=HISTOGRAM_BINS):
-    """Counts over fixed equal-width bins; values outside [lo, hi] clip out."""
-    counts, edges = np.histogram(np.asarray(values, dtype=float), bins=bins, range=(lo, hi))
+def histogram_counts(values, lo, hi):
+    """Counts over ``HISTOGRAM_BINS`` equal-width bins; values outside
+    [lo, hi] clip out."""
+    values = np.asarray(values, dtype=float)
+    counts, edges = np.histogram(values, bins=HISTOGRAM_BINS, range=(lo, hi))
     return edges, counts
 
 
@@ -399,29 +401,29 @@ def write_samples_csv(sample_sets, path):
     _write_csv(path, header, ["%d"] + ["%.17g"] * (len(columns) - 1), columns)
 
 
-def write_histogram_csv(sample_sets, path, bins=HISTOGRAM_BINS):
+def write_histogram_csv(sample_sets, path):
     """Columns: pair_index, bin_lo, bin_hi, then one count column per method.
 
-    Bins span the combined sample range [lo, hi] of all methods for each
-    pair, or [lo, lo + 1] when the range is too narrow for ``bins`` bins of
-    positive width: hi = lo, or hi - lo a few ulps. From |lo| about 2^47
-    up, where the float spacing ulp(lo) exceeds 1/50, [lo, lo + 1] is too
-    narrow as well, and the bins span [lo, lo + 4 bins ulp(lo)], four ulps
-    of lo each.
+    Bins (``HISTOGRAM_BINS``, 50) span the combined sample range [lo, hi]
+    of all methods for each pair, or [lo, lo + 1] when the range is too
+    narrow for 50 bins of positive width: hi = lo, or hi - lo a few ulps.
+    From |lo| about 2^47 up, where the float spacing ulp(lo) exceeds 1/50,
+    [lo, lo + 1] is too narrow as well, and the bins span
+    [lo, lo + 200 ulp(lo)], four ulps of lo each.
     """
     blocks = []
     for i in range(sample_sets[0].values.shape[1]):
         reals = [ss.values[:, i].real for ss in sample_sets]
         lo = min(float(r.min()) for r in reals)
         hi = max(float(r.max()) for r in reals)
-        for hi in (hi, lo + 1.0, lo + 4 * bins * float(np.spacing(abs(lo)))):
-            edges = np.linspace(lo, hi, bins + 1)
+        for hi in (hi, lo + 1.0, lo + 4 * HISTOGRAM_BINS * float(np.spacing(abs(lo)))):
+            edges = np.linspace(lo, hi, HISTOGRAM_BINS + 1)
             if not np.any(edges[:-1] >= edges[1:]):   # np.histogram's own test of its edges
                 break
-        hists = [histogram_counts(r, lo, hi, bins) for r in reals]
+        hists = [histogram_counts(r, lo, hi) for r in reals]
         edges = hists[0][0]
         # one float table: "%d" renders its pair indices and counts exactly
-        blocks.append(np.column_stack([np.full(bins, i), edges[:-1], edges[1:],
+        blocks.append(np.column_stack([np.full(HISTOGRAM_BINS, i), edges[:-1], edges[1:],
                                        *(counts for _, counts in hists)]))
     header = ["pair_index", "bin_lo", "bin_hi"] + [f"count_{ss.method}" for ss in sample_sets]
     formats = ["%d", "%.17g", "%.17g"] + ["%d"] * len(sample_sets)

@@ -122,36 +122,29 @@ from .taylor import (  # noqa: F401  (taylor_rhs: looked up here by benchmarks/t
 )
 
 
-def quadrature_size(p, m=None):
-    """Quadrature node count for degree p: ``m``, or max(64, 4(p+1)) if None.
+def quadrature_size(p):
+    """Quadrature node count for degree p: max(64, 4(p+1)).
 
-    It must exceed 2p so the projection quadrature is exact with margin for
-    the retained degrees.
+    It is always even and exceeds 2p, so the projection quadrature is exact
+    with margin for the retained degrees and no node lands on the interval's
+    midpoint s = 0.
     """
-    if m is None:
-        m = max(64, 4 * (p + 1))
-    if m <= 2 * p:
-        raise ValueError("quadrature size must exceed 2p")
-    return m
+    return max(64, 4 * (p + 1))
 
 
 @dataclass(frozen=True)
 class ChebRequest:
-    """Expansion request over [mu1, mu2] with its quadrature size.
-
-    ``quad_m`` defaults and is checked as in :func:`quadrature_size`.
-    """
+    """Expansion request over [mu1, mu2]; its quadrature size follows from
+    the order (:func:`quadrature_size`)."""
 
     problem: object
     interval: tuple
     order: int
-    quad_m: int | None = None
     selector: object = "all"
 
     def __post_init__(self):
         check_order_and_selector(self.order, self.selector)
         SeriesBasis.chebyshev(*self.interval)
-        quadrature_size(self.order, self.quad_m)
 
 
 def gauss_chebyshev_u(m):
@@ -165,12 +158,12 @@ def gauss_chebyshev_u(m):
     return np.cos(angles), (np.pi / (m + 1)) * np.sin(angles) ** 2
 
 
-def _quadrature(problem, interval, p, m=None):
+def _quadrature(problem, interval, p):
     """The interval's basis, the weighted table w_j U_i(s_j) (p+1, m) of the
     quadrature's weights w_j and nodes s_j, and the samples A(mu(s_j))
     (m, n, n)."""
     basis = SeriesBasis.chebyshev(*interval)
-    nodes, weights = gauss_chebyshev_u(quadrature_size(p, m))
+    nodes, weights = gauss_chebyshev_u(quadrature_size(p))
     samples = matrix_stack(problem, basis.from_affine(nodes), "quadrature node")
     return basis, weights * u_values(nodes, p), samples
 
@@ -182,7 +175,7 @@ def _project(weighted, values):
     return (2.0 / np.pi) * np.einsum("ij,j...->i...", weighted, values)
 
 
-def project_matrix_coeffs(problem, interval, p, m=None):
+def project_matrix_coeffs(problem, interval, p):
     """Project A(mu) onto U_0..U_p over the interval by quadrature.
 
     A_i = (2/pi) sum_j w_j A(mu(s_j)) U_i(s_j). Unlike the Taylor case,
@@ -190,7 +183,7 @@ def project_matrix_coeffs(problem, interval, p, m=None):
     The coefficients are real (float64) when every sample is real. A sample
     that is not finite raises NumericalError (``problems.matrix_stack``).
     """
-    basis, weighted, samples = _quadrature(problem, interval, p, m)
+    basis, weighted, samples = _quadrature(problem, interval, p)
     return MatrixSeries(basis, _project(weighted, samples))
 
 
@@ -567,7 +560,7 @@ def _projected(request):
     the pair (stacked decomposition of the quadrature's node matrices, its
     weighted table) that :func:`_node_starts` reads."""
     problem = request.problem
-    basis, weighted, samples = _quadrature(problem, request.interval, request.order, request.quad_m)
+    basis, weighted, samples = _quadrature(problem, request.interval, request.order)
     coeffs = MatrixSeries(basis, _project(weighted, samples))
     nodes = eigen_all(samples, hermitian=problem.hermitian), weighted
     return coeffs, eigen_all(np.asarray(coeffs.coeffs[0])), nodes

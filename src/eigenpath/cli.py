@@ -3,8 +3,8 @@ and complexity benchmarks over the built-in and config-defined problems.
 
 ``expand`` and ``sample`` choose the expansion basis by one rule: --mu0
 asks for Taylor, --interval for Chebyshev, and exactly one must be given.
---quad-m applies only with --interval and --single-precision-e only with
---mu0; ``expand``'s --method must agree with the basis so chosen.
+--single-precision-e applies only with --mu0; ``expand``'s --method must
+agree with the basis so chosen.
 
 Exit codes: 0 success, 1 usage or I/O error, 2 numerical failure
 (non-simple eigenvalue at the expansion point, Newton divergence, domain
@@ -179,20 +179,18 @@ def _write_outputs(args, outputs, config_hash="-"):
 
 def _expansion_request(args, problem, selector="all"):
     """The request the flags ask for: Taylor about --mu0 or Chebyshev on
-    --interval, exactly one of them; a flag of the other basis (--quad-m
-    with --mu0, --single-precision-e with --interval) is a usage error."""
+    --interval, exactly one of them; --single-precision-e with --interval
+    is a usage error."""
     if (args.mu0 is None) == (args.interval is None):
         raise UsageError("exactly one of --mu0 (Taylor) or --interval (Chebyshev) is required")
     single_precision_e = getattr(args, "single_precision_e", False)
     if args.mu0 is not None:
-        if args.quad_m is not None:
-            raise UsageError("--quad-m applies only with --interval")
         return TaylorRequest(problem=problem, mu0=args.mu0, order=args.order,
                              selector=selector, single_precision_e=single_precision_e)
     if single_precision_e:
         raise UsageError("--single-precision-e applies only with --mu0")
     return ChebRequest(problem=problem, interval=_parse_floats(args.interval, 2, "--interval"),
-                       order=args.order, quad_m=args.quad_m, selector=selector)
+                       order=args.order, selector=selector)
 
 
 def _run_expansion(request):
@@ -291,6 +289,8 @@ def cmd_sample(args):
     problem, config_hash = _resolve_problem(args)
     if args.count < 1:
         raise UsageError("--count must be positive")
+    if args.seed < 0:
+        raise UsageError("--seed must be non-negative")
     methods = args.method.split(",")
     for method in methods:
         if method not in SAMPLE_METHODS:
@@ -303,6 +303,8 @@ def cmd_sample(args):
         raise UsageError("--method lists a method twice")
 
     mean, stddev = _parse_floats(args.dist, 2, "--dist")
+    if stddev < 0:
+        raise UsageError("--dist: stddev must be non-negative")
     positions = _parse_int_list(args.pairs, "--pairs")
 
     pairs, setup_seconds = _expand_for_sampling(args, problem)
@@ -359,7 +361,6 @@ def build_parser():
     basis_flags.add_argument("--mu0", type=_mu0, default=None)
     basis_flags.add_argument("--interval", default=None, help="a,b")
     basis_flags.add_argument("--order", type=int, required=True)
-    basis_flags.add_argument("--quad-m", dest="quad_m", type=int, default=None)
 
     parser = _ArgumentParser(prog="eigenpath", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -267,7 +267,7 @@ def _per_cell_samples(sample_sets, path):
             writer.writerow(row)
 
 
-def _per_cell_histogram(sample_sets, path, bins=analysis.HISTOGRAM_BINS):
+def _per_cell_histogram(sample_sets, path):
     n_pairs = sample_sets[0].values.shape[1]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
@@ -283,9 +283,9 @@ def _per_cell_histogram(sample_sets, path, bins=analysis.HISTOGRAM_BINS):
             edges = None
             counts = []
             for r in reals:
-                edges, c = histogram_counts(r, lo, hi, bins)
+                edges, c = histogram_counts(r, lo, hi)
                 counts.append(c)
-            for b in range(bins):
+            for b in range(analysis.HISTOGRAM_BINS):
                 row = [str(i), _fmt(edges[b]), _fmt(edges[b + 1])]
                 row += [str(int(c[b])) for c in counts]
                 writer.writerow(row)

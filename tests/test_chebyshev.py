@@ -91,7 +91,7 @@ class TestProjection:
 
     def test_identity_map_affine_interval(self):
         mu1, mu2 = 0.3, 0.9
-        ms = project_matrix_coeffs(linear_problem(), (mu1, mu2), 3, m=128)
+        ms = project_matrix_coeffs(linear_problem(), (mu1, mu2), 3)
         assert ms.coeffs[0][0, 0].real == pytest.approx((mu1 + mu2) / 2, abs=1e-14)
         assert ms.coeffs[1][0, 0].real == pytest.approx((mu2 - mu1) / 4, abs=1e-14)
 
@@ -105,22 +105,31 @@ class TestProjection:
             eval_at=pointwise(lambda mu: np.array([[u_values(basis.affine(mu), 2)[2]]])),
             derivs_at=lambda mu0, p: None,
         )
-        ms = project_matrix_coeffs(problem, (0.2, 1.4), 4, m=256)
+        ms = project_matrix_coeffs(problem, (0.2, 1.4), 4)
         coeffs = np.array([ms.coeffs[k][0, 0].real for k in range(5)])
         assert coeffs[2] == pytest.approx(1.0, abs=1e-13)
         others = np.delete(coeffs, 2)
         np.testing.assert_allclose(others, 0.0, atol=1e-14)
 
+    def test_quadrature_size_is_even_and_exceeds_2p(self):
+        # even: no node on the midpoint s = 0; above 2p: exact for the
+        # retained degrees
+        for p in range(201):
+            m = quadrature_size(p)
+            assert m % 2 == 0 and m > 2 * p, p
+
     def test_quadrature_convergence(self):
+        # the default node count against a projection on 4x the nodes; the
+        # worst measured gap is 1.7e-15 of the largest coefficient
         for problem in (make_torus_kernel(8), make_spring_chain(8)):
             interval = (0.25, 1.0) if problem.hermitian else (0.5, 1.0)
-            a = project_matrix_coeffs(problem, interval, 20, m=96)
-            b = project_matrix_coeffs(problem, interval, 20, m=192)
-            assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-12
-
-    def test_quadrature_margin_enforced(self):
-        with pytest.raises(ValueError):
-            project_matrix_coeffs(linear_problem(), (0.0, 1.0), 8, m=16)
+            for p in range(7, 31):
+                s, w = gauss_chebyshev_u(4 * quadrature_size(p))
+                samples = np.array([problem.eval_at(mu)
+                                    for mu in SeriesBasis.chebyshev(*interval).from_affine(s)])
+                fine = (2.0 / np.pi) * np.einsum("j,ij,jab->iab", w, u_values(s, p), samples)
+                coeffs = project_matrix_coeffs(problem, interval, p).coeffs
+                assert np.max(np.abs(coeffs - fine)) <= 2e-15 * np.max(np.abs(fine))
 
     def test_nonfinite_sample_reported(self):
         from eigenpath import NumericalError, ParametricProblem
@@ -131,7 +140,7 @@ class TestProjection:
             derivs_at=lambda mu0, p: None,
         )
         with pytest.raises(NumericalError) as err:
-            project_matrix_coeffs(problem, (0.0, 1.0), 2, m=65)
+            project_matrix_coeffs(problem, (0.0, 1.0), 2)
         assert "node" in str(err.value)
 
 
@@ -153,7 +162,7 @@ class TestWarmStart:
         rng = np.random.default_rng(2)
         a0 = rng.normal(size=(4, 4))
         a0 = a0 + a0.T
-        x0 = warm_start(ChebRequest(constant_problem(a0), (0.0, 1.0), 3, quad_m=64), 1)
+        x0 = warm_start(ChebRequest(constant_problem(a0), (0.0, 1.0), 3), 1)
         blocks = x0.reshape(-1, 5)
         lams, vs = blocks[:, 0], blocks[:, 1:]
         d = eigen_all(a0 + 0j)
@@ -187,7 +196,7 @@ class TestResidual:
         rng = np.random.default_rng(3)
         a0 = rng.normal(size=(5, 5))
         a0 = a0 + a0.T
-        coeffs = project_matrix_coeffs(constant_problem(a0), (0.0, 1.0), 3, m=64)
+        coeffs = project_matrix_coeffs(constant_problem(a0), (0.0, 1.0), 3)
         d = eigen_all(a0 + 0j)
         v0 = d.vectors[:, 2].copy()
         v0 = v0 / np.sqrt(v0 @ v0)
@@ -254,7 +263,7 @@ class TestJacobian:
         rng = np.random.default_rng(8)
         a0 = rng.normal(size=(3, 3))
         a0 = a0 + a0.T
-        coeffs = project_matrix_coeffs(constant_problem(a0), (0.0, 1.0), 2, m=64)
+        coeffs = project_matrix_coeffs(constant_problem(a0), (0.0, 1.0), 2)
         d = eigen_all(a0 + 0j)
         v0 = d.vectors[:, 0].copy()
         v0 = v0 / np.sqrt(v0 @ v0)
@@ -292,7 +301,7 @@ class TestNewton:
         rng = np.random.default_rng(11)
         a0 = rng.normal(size=(4, 4))
         a0 = a0 + a0.T
-        coeffs = project_matrix_coeffs(constant_problem(a0), (0.0, 1.0), 2, m=64)
+        coeffs = project_matrix_coeffs(constant_problem(a0), (0.0, 1.0), 2)
         d = eigen_all(a0 + 0j)
         v0 = d.vectors[:, 1].copy()
         v0 = v0 / np.sqrt(v0 @ v0)
@@ -373,7 +382,7 @@ class TestExpandAll:
         rng = np.random.default_rng(13)
         a0 = rng.normal(size=(4, 4))
         a0 = a0 + a0.T
-        results = cheb_expand_all(ChebRequest(constant_problem(a0), (0.0, 1.0), 3, quad_m=64))
+        results = cheb_expand_all(ChebRequest(constant_problem(a0), (0.0, 1.0), 3))
         series = expansion_series(results)
         assert len(series) == 4
         d = eigen_all(a0 + 0j)
@@ -391,6 +400,22 @@ class TestExpandAll:
             for pair in series:
                 lam = eval_cheb_u(pair.basis, pair.lam, mu)
                 assert np.min(np.abs(oracle - lam)) <= 1e-6
+
+    @pytest.mark.xfail(strict=True, reason="D23: the six complex pairs cross v^T v = 0 at mu = 1 "
+                                           "and are off by 4.1e-4, exit 0")
+    def test_jordan_pairs_across_an_isotropic_eigenvector(self, jordan8):
+        # at mu = 1 the six complex eigenvectors of I + cyclic shift have
+        # v^T v = 0; each such pair must fail, or stay accurate across it
+        results = cheb_expand_all(ChebRequest(jordan8, (0.9, 1.1), 12))
+        lam0 = [r.eigenvalue if isinstance(r, ExpansionFailure) else r.lam[0] for r in results]
+        assert sum(lam.imag != 0 for lam in lam0) == 6
+        for result in results:
+            if isinstance(result, ExpansionFailure):
+                assert result.eigenvalue.imag != 0
+                continue
+            for mu in np.linspace(0.9, 1.1, 41)[1:-1]:
+                lam = eval_cheb_u(result.basis, result.lam, mu)
+                assert np.min(np.abs(jordan_eigenvalues(8, mu) - lam)) <= 1e-10
 
     def test_collision_detection_flags_duplicates(self, cheb_e1_p10):
         pairs = [cheb_e1_p10[0], cheb_e1_p10[0], cheb_e1_p10[1]]
@@ -527,8 +552,6 @@ class TestRequestValidation:
             ChebRequest(torus8, (1.0, 0.5), 4)
         with pytest.raises(ValueError):
             ChebRequest(torus8, (0.0, 1.0), -1)
-        with pytest.raises(ValueError):
-            ChebRequest(torus8, (0.0, 1.0), 8, quad_m=16)
 
 
 class TestSharedRequestRules:
@@ -582,10 +605,10 @@ def node_loop_start(request, index):
     from scipy.optimize import linear_sum_assignment
 
     problem, p = request.problem, request.order
-    s, w = gauss_chebyshev_u(quadrature_size(p, request.quad_m))
+    s, w = gauss_chebyshev_u(quadrature_size(p))
     mus = SeriesBasis.chebyshev(*request.interval).from_affine(s)
     decomps = [eigen_all(problem.eval_at(mu), hermitian=problem.hermitian) for mu in mus]
-    a0 = project_matrix_coeffs(problem, request.interval, p, request.quad_m).coeffs[0]
+    a0 = project_matrix_coeffs(problem, request.interval, p).coeffs[0]
     v0 = eigen_all(a0).vectors
     m, mid = len(s), len(s) // 2
 
@@ -657,7 +680,7 @@ class TestAllPairsKernel:
 
     def test_isotropic_pair_fails_alone(self):
         problem = isotropic_problem()
-        results = cheb_expand_all(ChebRequest(problem, (0.0, 1.0), 3, quad_m=64))
+        results = cheb_expand_all(ChebRequest(problem, (0.0, 1.0), 3))
         ok, failed = results
         assert isinstance(ok, EigenPairSeries)
         assert ok.lam[0] == pytest.approx(2.0, abs=1e-12)
@@ -668,8 +691,8 @@ class TestAllPairsKernel:
         node = np.cos(np.pi / 65)
         with pytest.raises(NumericalError, match=rf"isotropic, \|v\^T v\| = 0 below 1e-08 "
                                                  rf"at mu={(1 + node) / 2:.17g}$"):
-            warm_start(ChebRequest(problem, (0.0, 1.0), 3, quad_m=64), 1)
-        (failure,) = cheb_expand_all(ChebRequest(problem, (0.0, 1.0), 3, quad_m=64, selector=1))
+            warm_start(ChebRequest(problem, (0.0, 1.0), 3), 1)
+        (failure,) = cheb_expand_all(ChebRequest(problem, (0.0, 1.0), 3, selector=1))
         assert isinstance(failure.error, NumericalError) and "isotropic" in str(failure.error)
 
     @pytest.mark.parametrize("name", list(SEPARATED))

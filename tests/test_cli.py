@@ -453,6 +453,18 @@ def test_commands_that_call_scipy_load_it(tmp_path, problem, flags):
     assert "scipy.linalg" in _scipy_modules_after(argv)
 
 
+def test_readme_cli_flags_are_declared():
+    # every --flag the CLI section names is one the parser declares, so a
+    # removed flag cannot linger in the docs ("--flag=value" names the form)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section)) - {"--flag"}
+    parser = cli.build_parser()
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    declared = {flag for command in commands.values() for flag in command._option_string_actions}
+    assert named and named <= declared, sorted(named - declared)
+
+
 def test_readme_library_quick_start_runs():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library quick start\n", 1)[1]
@@ -810,19 +822,6 @@ class TestSample:
         )
         assert code == 1
 
-    def test_quad_m_with_mu0_rejected_as_by_expand(self, tmp_path, capsys):
-        out = tmp_path / "s"
-        code = run(
-            [
-                "sample", "--problem", "example1", "--n", "8", "--mu0", "0.2",
-                "--order", "4", "--quad-m", "40", "--dist", "0.2,0.1", "--count", "5",
-                "--seed", "1", "--method", "taylor-eval", "--out", str(out),
-            ]
-        )
-        assert code == 1
-        assert "--quad-m applies only with --interval" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_method_basis_mismatch_rejected(self, tmp_path):
         code = run(
             [
@@ -1076,11 +1075,17 @@ def test_non_finite_float_flag_is_a_usage_error(tmp_path, capsys, argv, flag):
     (["report", "--series", "x.json", "--grid", "0,1"], "--grid expects a,b,count"),
     (["report", "--series", "x.json", "--grid", "0,1,x"],
      "--grid: invalid literal for int() with base 10: 'x'"),
+    (["sample", "--mu0", "0.2", "--method", "direct", "--dist", "0.2,-0.01"],
+     "--dist: stddev must be non-negative"),
+    (["sample", "--mu0", "0.2", "--method", "direct", "--seed", "-1"],
+     "--seed must be non-negative"),
 ], ids=["method-twice", "unknown-method", "taylor-eval-with-interval", "pair-beyond-n",
-        "unknown-metric", "pair-not-an-index", "two-value-grid", "grid-count-not-an-integer"])
+        "unknown-metric", "pair-not-an-index", "two-value-grid", "grid-count-not-an-integer",
+        "negative-stddev", "negative-seed"])
 def test_sample_and_report_usage_error_leaves_no_output_directory(tmp_path, capsys, argv,
                                                                  message):
     command, *flags = argv
+    # a flag given again in ``flags`` overrides its value here
     draws = ["--order", "2", "--dist", "0.2,0.1", "--count", "5", "--seed", "1"]
     out = tmp_path / "x"
     argv = [command, "--problem", "example1", "--n", "4", *(draws if command == "sample" else []),
@@ -1125,15 +1130,15 @@ class TestSharedFlags:
     """A flag of several subcommands is declared once and parses alike in each."""
 
     FLAGS = {
-        "expand": ["--problem", "--n", "--mu0", "--interval", "--order", "--quad-m", "--out",
+        "expand": ["--problem", "--n", "--mu0", "--interval", "--order", "--out",
                    "--method", "--eig", "--single-precision-e"],
         "report": ["--problem", "--n", "--out", "--series", "--grid", "--metrics"],
-        "sample": ["--problem", "--n", "--mu0", "--interval", "--order", "--quad-m", "--out",
+        "sample": ["--problem", "--n", "--mu0", "--interval", "--order", "--out",
                    "--pairs", "--dist", "--count", "--seed", "--method"],
         "bench": ["--problem", "--out", "--n-list", "--p-list", "--mu0", "--repeats"],
     }
     BASIS = ["--problem", "config:x.json", "--n", "3", "--mu0", "-1e-3", "--interval", "-1,0",
-             "--order", "4", "--quad-m", "16", "--out", "o"]
+             "--order", "4", "--out", "o"]
 
     @staticmethod
     def subparsers():
@@ -1155,7 +1160,7 @@ class TestSharedFlags:
         expand = cli.build_parser().parse_args(["expand", "--method", "taylor", *self.BASIS])
         sample = cli.build_parser().parse_args(["sample", "--dist", "0,1", "--count", "1",
                                                 "--seed", "0", "--method", "direct", *self.BASIS])
-        names = ["problem", "n", "mu0", "interval", "order", "quad_m", "out"]
+        names = ["problem", "n", "mu0", "interval", "order", "out"]
         assert [getattr(expand, name) for name in names] == [getattr(sample, name) for name in names]
         assert expand.mu0 == -1e-3 and expand.interval == "-1,0"
 
