@@ -16,7 +16,6 @@ from .analysis import (
     sample_eigenvalues,
 )
 from .chebyshev import (
-    ChebRequest,
     cheb_expand_all,
     cheb_jacobian,
     cheb_residual,
@@ -74,7 +73,6 @@ from .series import (
 )
 from .taylor import (
     ExpansionFailure,
-    TaylorRequest,
     expansion_failures,
     expansion_series,
     taylor_expand_all,

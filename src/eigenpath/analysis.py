@@ -52,7 +52,7 @@ from .series import (  # noqa: F401  (eval_*, horner, clenshaw_u: looked up here
     horner,
     write_atomic,
 )
-from .taylor import TaylorRequest, taylor_expand_all
+from .taylor import check_order_and_selector, taylor_expand_all
 
 HISTOGRAM_BINS = 50
 
@@ -322,24 +322,28 @@ class BenchRow:
 
 
 def bench_complexity(make_problem, n_list, p_list, mu0=0.2, repeats=3):
-    """Time taylor_expand_all across (n, p) combinations.
+    """Time taylor_expand_all(make_problem(n), mu0, p) across (n, p)
+    combinations.
 
-    Rows iterate p-major with n innermost, matching the doubling-table
-    reading order; each ratio is against the previous row. Each cell is the
-    median of ``repeats`` runs of the monotonic wall clock.
+    Every problem of ``n_list`` is built and every order of ``p_list``
+    checked before the first timing, so a bad n or p fails at once. Rows
+    iterate p-major with n innermost, matching the doubling-table reading
+    order; each ratio is against the previous row. Each cell is the median
+    of ``repeats`` runs of the monotonic wall clock.
     """
     if not n_list or not p_list:
         raise ValueError("n_list and p_list must be nonempty")
+    problems = [make_problem(n) for n in n_list]
+    for p in p_list:
+        check_order_and_selector(p, "all")
     rows = []
     previous = None
     for p in p_list:
-        for n in n_list:
-            problem = make_problem(n)
-            request = TaylorRequest(problem, mu0, p)
+        for n, problem in zip(n_list, problems):
             times = []
             for _ in range(repeats):
                 start = time.perf_counter()
-                taylor_expand_all(request)
+                taylor_expand_all(problem, mu0, p)
                 times.append(time.perf_counter() - start)
             seconds = float(np.median(times))
             ratio = None if previous is None else seconds / previous

@@ -83,8 +83,6 @@ import functools
 
 import numpy as np
 
-from dataclasses import dataclass
-
 from .errors import JacobianSingularError, NewtonDivergenceError, NumericalError
 from .linalg import (  # noqa: F401  (build_bordered, solve_bordered: looked up here by benchmarks/tracing.py)
     BLOCK_BYTES,
@@ -109,7 +107,6 @@ from .series import (  # noqa: F401  (eval_cheb_u: looked up here by benchmarks/
     MatrixSeries,
     SeriesBasis,
     eval_cheb_u,
-    u_product_degrees,
     u_values,
 )
 from .taylor import (  # noqa: F401  (taylor_rhs: looked up here by benchmarks/tracing.py)
@@ -130,21 +127,6 @@ def quadrature_size(p):
     midpoint s = 0.
     """
     return max(64, 4 * (p + 1))
-
-
-@dataclass(frozen=True)
-class ChebRequest:
-    """Expansion request over [mu1, mu2]; its quadrature size follows from
-    the order (:func:`quadrature_size`)."""
-
-    problem: object
-    interval: tuple
-    order: int
-    selector: object = "all"
-
-    def __post_init__(self):
-        check_order_and_selector(self.order, self.selector)
-        SeriesBasis.chebyshev(*self.interval)
 
 
 def gauss_chebyshev_u(m):
@@ -189,16 +171,14 @@ def project_matrix_coeffs(problem, interval, p):
 
 @functools.lru_cache(maxsize=32)
 def coupling_tensor(p):
-    """0/1 tensor G[k, i, j], 1 exactly when U_i U_j contains U_k (i, j, k <= p).
+    """0/1 tensor G[k, i, j], 1 exactly when U_i U_j contains U_k (i, j, k <= p):
+    |i - j| <= k <= i + j with i + j - k even (``series.u_product_degrees``).
 
     Cached per p, so the array is read-only.
     """
-    g = np.zeros((p + 1, p + 1, p + 1))
-    for i in range(p + 1):
-        for j in range(p + 1):
-            for k in u_product_degrees(i, j):
-                if k <= p:
-                    g[k, i, j] = 1.0
+    degrees = np.arange(p + 1)
+    k, i, j = np.ix_(degrees, degrees, degrees)
+    g = ((abs(i - j) <= k) & (k <= i + j) & ((i + j - k) % 2 == 0)).astype(float)
     g.flags.writeable = False
     return g
 
@@ -297,10 +277,12 @@ def _node_starts(coeffs, decomp, nodes, indices):
     return errors, np.ascontiguousarray(_project(weighted, unknowns).transpose(1, 0, 2))
 
 
-def warm_start(request, eigindex):
-    """Newton's packed start for the eigenpair ``eigindex`` of the request's
-    A_0: :func:`_node_starts` on that pair alone, raising its error."""
-    coeffs, decomp, nodes = _projected(request)
+def warm_start(problem, interval, order, eigindex):
+    """Newton's packed start for the eigenpair ``eigindex`` of A_0, the
+    average of A(mu) over the interval at ``order``: :func:`_node_starts`
+    on that pair alone, raising its error."""
+    check_order_and_selector(order, eigindex)
+    coeffs, decomp, nodes = _projected(problem, interval, order)
     (error,), x = _node_starts(coeffs, decomp, nodes, selected_indices(eigindex, decomp.n))
     if error is not None:
         raise error
@@ -555,27 +537,30 @@ def _expand(coeffs, decomp, nodes, indices):
     return pair_results(indices, decomp.values, errors, refined)
 
 
-def _projected(request):
-    """The request's coefficients A_0..A_p, the decomposition of A_0, and
-    the pair (stacked decomposition of the quadrature's node matrices, its
-    weighted table) that :func:`_node_starts` reads."""
-    problem = request.problem
-    basis, weighted, samples = _quadrature(problem, request.interval, request.order)
+def _projected(problem, interval, order):
+    """The coefficients A_0..A_order over the interval, the decomposition of
+    A_0, and the pair (stacked decomposition of the quadrature's node
+    matrices, its weighted table) that :func:`_node_starts` reads. The
+    interval is checked (``SeriesBasis``) before A(mu) is evaluated."""
+    basis, weighted, samples = _quadrature(problem, interval, order)
     coeffs = MatrixSeries(basis, _project(weighted, samples))
     nodes = eigen_all(samples, hermitian=problem.hermitian), weighted
     return coeffs, eigen_all(np.asarray(coeffs.coeffs[0])), nodes
 
 
-def cheb_expand_all(request):
-    """Node start plus Newton for every eigenvalue of the averaged matrix A_0
-    that the request's selector picks (all of them by default; see
-    ``taylor.selected_indices``), one entry per selected eigenvalue.
+def cheb_expand_all(problem, interval, order, selector="all"):
+    """Node start plus Newton, to ``order`` on ``interval`` = (mu1, mu2), for
+    every eigenvalue of the averaged matrix A_0 that ``selector`` picks
+    ("all" or an index; see ``taylor.selected_indices``), one entry per
+    selected eigenvalue. Order, selector and interval are checked before
+    A(mu) is evaluated.
 
     Per-pair failures are reported individually as ExpansionFailure
     entries, among them both members of each pair of coinciding eigenvalue
     paths (:func:`_reject_collisions`).
     """
-    coeffs, decomp, nodes = _projected(request)
-    indices = selected_indices(request.selector, decomp.n)
+    check_order_and_selector(order, selector)
+    coeffs, decomp, nodes = _projected(problem, interval, order)
+    indices = selected_indices(selector, decomp.n)
     out = _expand(coeffs, decomp, nodes, indices)
     return _reject_collisions(out, indices, decomp.values, coeffs.basis)

@@ -4,17 +4,20 @@ and complexity benchmarks over the built-in and config-defined problems.
 ``expand`` and ``sample`` choose the expansion basis by one rule: --mu0
 asks for Taylor, --interval for Chebyshev, and exactly one must be given.
 --single-precision-e applies only with --mu0; ``expand``'s --method must
-agree with the basis so chosen.
+agree with the basis so chosen. Each calls its kernel, ``taylor_expand_all``
+or ``cheb_expand_all``, with the flags' values as arguments.
 
 Exit codes: 0 success, 1 usage or I/O error, 2 numerical failure
 (non-simple eigenvalue at the expansion point, Newton divergence, domain
 violations). Every command writes a plain-text manifest next to its outputs
 recording every parsed flag but --out, with n as resolved from the problem;
 reruns with identical parameters reproduce all numerical outputs (timing
-columns excepted). A usage error is reported before --out is created. Every
-output file goes through ``series.write_atomic`` (temp file, then rename; a
-failed write leaves no temp file), and every CSV through one row formatter
-in ``analysis``: a header row, CRLF rows, floats with 17 significant digits.
+columns excepted). Every input (``bench``'s every n and order too) is
+checked before the command computes, and a usage error is reported before
+--out is created. Every output file goes through ``series.write_atomic``
+(temp file, then rename; a failed write leaves no temp file), and every CSV
+through one row formatter in ``analysis``: a header row, CRLF rows, floats
+with 17 significant digits.
 The manifest is written last; when any write of a command fails, the
 outputs it already wrote are removed, so no directory holds outputs
 without their manifest.
@@ -47,7 +50,7 @@ from .analysis import (  # noqa: F401  (eigpath_eval, rayleigh_errors: looked up
     write_sampling_summary_csv,
     write_timing_csv,
 )
-from .chebyshev import ChebRequest, cheb_expand_all
+from .chebyshev import cheb_expand_all
 from .errors import ConfigError, EigenPathError, NumericalError
 from .linalg import sort_order
 from .problems import builtin_problem, check_finite_at, problem_from_config
@@ -57,12 +60,7 @@ from .series import (  # noqa: F401  (eigenpair_to_dict: looked up here by bench
     save_eigenpair,
     write_atomic,
 )
-from .taylor import (
-    ExpansionFailure,
-    TaylorRequest,
-    expansion_series,
-    taylor_expand_all,
-)
+from .taylor import ExpansionFailure, expansion_series, taylor_expand_all
 
 
 class UsageError(Exception):
@@ -177,27 +175,22 @@ def _write_outputs(args, outputs, config_hash="-"):
         raise
 
 
-def _expansion_request(args, problem, selector="all"):
-    """The request the flags ask for: Taylor about --mu0 or Chebyshev on
-    --interval, exactly one of them; --single-precision-e with --interval
-    is a usage error."""
+def _expansion(args, problem, selector="all"):
+    """The expansion the flags ask for, as a call of no arguments: Taylor
+    about --mu0 or Chebyshev on --interval, exactly one of them;
+    --single-precision-e with --interval is a usage error. The kernel,
+    looked up here when the command runs, checks its order, selector and
+    point or interval when called, before it computes anything."""
     if (args.mu0 is None) == (args.interval is None):
         raise UsageError("exactly one of --mu0 (Taylor) or --interval (Chebyshev) is required")
     single_precision_e = getattr(args, "single_precision_e", False)
     if args.mu0 is not None:
-        return TaylorRequest(problem=problem, mu0=args.mu0, order=args.order,
-                             selector=selector, single_precision_e=single_precision_e)
+        return functools.partial(taylor_expand_all, problem, args.mu0, args.order, selector,
+                                 single_precision_e)
     if single_precision_e:
         raise UsageError("--single-precision-e applies only with --mu0")
-    return ChebRequest(problem=problem, interval=_parse_floats(args.interval, 2, "--interval"),
-                       order=args.order, selector=selector)
-
-
-def _run_expansion(request):
-    """Every selected pair of the request, expanded in its basis."""
-    if isinstance(request, TaylorRequest):
-        return taylor_expand_all(request)
-    return cheb_expand_all(request)
+    return functools.partial(cheb_expand_all, problem,
+                             _parse_floats(args.interval, 2, "--interval"), args.order, selector)
 
 
 def cmd_expand(args):
@@ -211,15 +204,15 @@ def cmd_expand(args):
         if not 1 <= index <= problem.n:
             raise UsageError(f"--eig index must lie in 1..{problem.n}")
         selector = index - 1
-    request = _expansion_request(args, problem, selector)
-    if (args.method == "taylor") != isinstance(request, TaylorRequest):
+    expansion = _expansion(args, problem, selector)
+    if (args.method == "taylor") != (args.mu0 is not None):
         raise UsageError(f"--method {args.method} disagrees with --mu0/--interval")
 
     # A failing pair is reported the same way under either selector: one
     # stderr line per failure, a manifest without its file, exit 2.
     failures = []
     outputs = []
-    for slot, result in enumerate(_run_expansion(request)):
+    for slot, result in enumerate(expansion()):
         index = slot if selector == "all" else selector
         if isinstance(result, ExpansionFailure):
             failures.append(result)
@@ -261,9 +254,9 @@ def cmd_report(args):
 
 def _expand_for_sampling(args, problem):
     """Expand all eigenpaths with the basis implied by --mu0/--interval."""
-    request = _expansion_request(args, problem)
+    expansion = _expansion(args, problem)
     start = time.perf_counter()
-    results = _run_expansion(request)
+    results = expansion()
     setup_seconds = time.perf_counter() - start
     pairs = expansion_series(results)
     if len(pairs) < len(results):
@@ -274,15 +267,11 @@ def _expand_for_sampling(args, problem):
 
 
 def _select_tracked(pairs, positions, mean):
-    """Order eigenpaths by value at the distribution mean, descending."""
+    """The pairs at the 1-based ``positions`` of the eigenpaths ordered by
+    value at the distribution mean, descending."""
     lam, _ = _eval_paths(pairs, [mean])
     order = sort_order(lam[0])
-    tracked = []
-    for pos in positions:
-        if not 1 <= pos <= len(pairs):
-            raise UsageError(f"--pairs position {pos} out of range 1..{len(pairs)}")
-        tracked.append(pairs[order[pos - 1]])
-    return tracked
+    return [pairs[order[pos - 1]] for pos in positions]
 
 
 def cmd_sample(args):
@@ -306,6 +295,10 @@ def cmd_sample(args):
     if stddev < 0:
         raise UsageError("--dist: stddev must be non-negative")
     positions = _parse_int_list(args.pairs, "--pairs")
+    # sampling expands every pair, so there are exactly n
+    for pos in positions:
+        if not 1 <= pos <= problem.n:
+            raise UsageError(f"--pairs position {pos} out of range 1..{problem.n}")
 
     pairs, setup_seconds = _expand_for_sampling(args, problem)
     tracked = _select_tracked(pairs, positions, mean)

@@ -98,33 +98,11 @@ from .series import (
 
 
 def check_order_and_selector(order, selector):
-    """Both requests' rules: order is an integer >= 0; selector is "all" or an integer."""
+    """Both expansions' rules: order is an integer >= 0; selector is "all" or an integer."""
     if not (isinstance(order, numbers.Integral) and order >= 0):
         raise ValueError("order must be a nonnegative integer")
     if not (isinstance(selector, numbers.Integral) or selector == "all"):
         raise ValueError("selector must be 'all' or an integer index")
-
-
-@dataclass(frozen=True)
-class TaylorRequest:
-    """Expansion request: problem, expansion point, order, and eigenpair selector.
-
-    ``selector`` is either the string "all" or a 0-based index into the
-    descending-sorted spectrum of A(mu0); indices permute across different
-    expansion points (see :func:`selected_indices`). ``single_precision_e``
-    solves every order with the Schur factors, lam0 and v0 rounded to
-    single precision (reproduces the error floor; see the module docstring).
-    """
-
-    problem: object
-    mu0: float
-    order: int
-    selector: object = "all"
-    single_precision_e: bool = False
-
-    def __post_init__(self):
-        check_order_and_selector(self.order, self.selector)
-        SeriesBasis.taylor(self.mu0)
 
 
 @dataclass(frozen=True)
@@ -196,7 +174,7 @@ def residual_error(backward):
 
 
 def selected_indices(selector, n):
-    """The eigenpair indices a request's ``selector`` picks among n: all of
+    """The eigenpair indices an expansion's ``selector`` picks among n: all of
     them for "all", else the one index, which must lie in 0..n-1."""
     if selector == "all":
         return range(n)
@@ -294,9 +272,16 @@ def expand_schur(derivs, decomp, indices, v0, basis, single_precision=False):
     return pair_results(indices, decomp.values, errors, series)
 
 
-def taylor_expand_all(request):
-    """Taylor series for every eigenpath of A(mu0) the request's selector
-    picks (all of them by default), sharing one Schur form.
+def taylor_expand_all(problem, mu0, order, selector="all", single_precision_e=False):
+    """Taylor series to ``order`` about ``mu0`` for every eigenpath of
+    A(mu0) that ``selector`` picks, sharing one Schur form. Order, selector
+    and mu0 are checked before A(mu) is evaluated.
+
+    ``selector`` is "all" or a 0-based index into the descending-sorted
+    spectrum of A(mu0); indices permute across different expansion points
+    (see :func:`selected_indices`). ``single_precision_e`` solves every
+    order with the Schur factors, lam0 and v0 rounded to single precision
+    (reproduces the error floor; see the module docstring).
 
     Returns a list with one entry per selected eigenvalue (sorted order): an
     EigenPairSeries on success, or an ExpansionFailure carrying the error
@@ -304,12 +289,13 @@ def taylor_expand_all(request):
     not all finite. All simple pairs advance together through
     :func:`expand_schur` in O(p^2 n^3) work.
     """
-    problem = request.problem
-    derivs = _check_derivatives(problem, request.mu0, request.order)
+    check_order_and_selector(order, selector)
+    basis = SeriesBasis.taylor(mu0)
+    derivs = _check_derivatives(problem, mu0, order)
     decomp = eigen_all(derivs[0], hermitian=problem.hermitian)
-    indices = selected_indices(request.selector, decomp.n)
-    return expand_schur(derivs, decomp, indices, decomp.vectors[:, indices],
-                        SeriesBasis.taylor(request.mu0), request.single_precision_e)
+    indices = selected_indices(selector, decomp.n)
+    return expand_schur(derivs, decomp, indices, decomp.vectors[:, indices], basis,
+                        single_precision_e)
 
 
 def expansion_series(results):

@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from eigenpath import (
-    ChebRequest,
     ParametricProblem,
-    TaylorRequest,
     cheb_expand_all,
     expansion_series,
     make_jordan,
@@ -145,19 +143,19 @@ def jordan8():
 
 @pytest.fixture(scope="session")
 def taylor_e1_p6(torus8):
-    return expansion_series(taylor_expand_all(TaylorRequest(torus8, 0.2, 6)))
+    return expansion_series(taylor_expand_all(torus8, 0.2, 6))
 
 
 @pytest.fixture(scope="session")
 def taylor_e1_p20(torus8):
-    return expansion_series(taylor_expand_all(TaylorRequest(torus8, 0.2, 20)))
+    return expansion_series(taylor_expand_all(torus8, 0.2, 20))
 
 
 @pytest.fixture(scope="session")
 def cheb_e1_p10(torus8):
-    return expansion_series(cheb_expand_all(ChebRequest(torus8, (0.25, 1.0), 10)))
+    return expansion_series(cheb_expand_all(torus8, (0.25, 1.0), 10))
 
 
 @pytest.fixture(scope="session")
 def cheb_e1_p20(torus8):
-    return expansion_series(cheb_expand_all(ChebRequest(torus8, (0.25, 1.0), 20)))
+    return expansion_series(cheb_expand_all(torus8, (0.25, 1.0), 20))

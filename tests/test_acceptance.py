@@ -11,9 +11,7 @@ import numpy as np
 import pytest
 
 from eigenpath import (
-    ChebRequest,
     NonSimpleEigenvalueError,
-    TaylorRequest,
     cheb_expand_all,
     eigen_all,
     error_report,
@@ -48,14 +46,14 @@ def torus():
 @pytest.fixture(scope="module")
 def cheb20(torus):
     start = time.perf_counter()
-    series = expansion_series(cheb_expand_all(ChebRequest(torus, (0.25, 1.0), 20)))
+    series = expansion_series(cheb_expand_all(torus, (0.25, 1.0), 20))
     return series, time.perf_counter() - start
 
 
 def test_criterion_01_trace_identity(torus):
     """Sum of the 8 eigenvalue series: order 0 adds to n, orders 1..6 to 0."""
     start = time.perf_counter()
-    series = expansion_series(taylor_expand_all(TaylorRequest(torus, 0.2, 6)))
+    series = expansion_series(taylor_expand_all(torus, 0.2, 6))
     elapsed = time.perf_counter() - start
     sums = sum(pair.lam for pair in series)
     ok = (
@@ -74,7 +72,7 @@ def test_criterion_01_trace_identity(torus):
 
 def test_criterion_02_taylor_accuracy_near_expansion(torus):
     start = time.perf_counter()
-    series = expansion_series(taylor_expand_all(TaylorRequest(torus, 0.2, 20)))
+    series = expansion_series(taylor_expand_all(torus, 0.2, 20))
     rep = error_report(torus, series, np.linspace(0.1, 0.3, 151))
     elapsed = time.perf_counter() - start
     ok = rep.max_error <= 1e-11 and elapsed < 5.0
@@ -94,10 +92,8 @@ def test_criterion_03_single_precision_error_floor(torus):
     floors = {}
     ratios = {}
     for p in (12, 16, 20):
-        single = expansion_series(
-            taylor_expand_all(TaylorRequest(torus, 0.2, p, single_precision_e=True))
-        )
-        double = expansion_series(taylor_expand_all(TaylorRequest(torus, 0.2, p)))
+        single = expansion_series(taylor_expand_all(torus, 0.2, p, single_precision_e=True))
+        double = expansion_series(taylor_expand_all(torus, 0.2, p))
         e_single = error_report(torus, single, grid).max_error
         e_double = error_report(torus, double, grid).max_error
         floors[p] = e_single
@@ -147,7 +143,7 @@ def test_criterion_05_newton_iteration_budget(cheb20):
 def test_criterion_06_jordan_analytic_oracle():
     problem = make_jordan(8)
     # Chebyshev on [0.10, 0.50] vs roots of (lambda-1)^8 = mu
-    series = expansion_series(cheb_expand_all(ChebRequest(problem, (0.10, 0.50), 20)))
+    series = expansion_series(cheb_expand_all(problem, (0.10, 0.50), 20))
     worst = 0.0
     for mu in np.linspace(0.10, 0.50, 41)[1:-1]:
         oracle = jordan_eigenvalues(8, mu)
@@ -160,14 +156,14 @@ def test_criterion_06_jordan_analytic_oracle():
     oracle = jordan_eigenvalues(8, 0.25)
     errs = {}
     for p in (2, 8):
-        tseries = expansion_series(taylor_expand_all(TaylorRequest(problem, 0.2, p)))
+        tseries = expansion_series(taylor_expand_all(problem, 0.2, p))
         approx = np.array([eval_taylor(pair.basis, pair.lam, 0.25) for pair in tseries])
         matched = greedy_match(approx, oracle)
         errs[p] = np.abs(approx - oracle[matched])
     order_ok = np.all(errs[8] < errs[2])
 
     # expansion at the defective point mu0 = 0 fails with the documented error
-    failures = expansion_failures(taylor_expand_all(TaylorRequest(problem, 0.0, 4)))
+    failures = expansion_failures(taylor_expand_all(problem, 0.0, 4))
     fail_ok = len(failures) == 8 and all(
         isinstance(f.error, NonSimpleEigenvalueError) for f in failures
     )
@@ -184,7 +180,7 @@ def test_criterion_07_first_order_derivative_oracle():
     h = 1e-5
     worst = 0.0
     for problem, mu0 in ((make_torus_kernel(8), 0.2), (make_spring_chain(8), 0.8)):
-        series = expansion_series(taylor_expand_all(TaylorRequest(problem, mu0, 1)))
+        series = expansion_series(taylor_expand_all(problem, mu0, 1))
         plus = eigen_all(problem.eval_at(mu0 + h), hermitian=problem.hermitian)
         minus = eigen_all(problem.eval_at(mu0 - h), hermitian=problem.hermitian)
         for pair in series:
@@ -199,7 +195,7 @@ def test_criterion_07_first_order_derivative_oracle():
 
 
 def test_criterion_08_rayleigh_median_improvement(torus):
-    series = expansion_series(cheb_expand_all(ChebRequest(torus, (0.25, 1.0), 10)))
+    series = expansion_series(cheb_expand_all(torus, (0.25, 1.0), 10))
     grid = np.linspace(0.25, 1.0, 31)
     rep = error_report(torus, series, grid)
     rq = rayleigh_errors(torus, series, grid)
@@ -214,7 +210,7 @@ def test_criterion_08_rayleigh_median_improvement(torus):
 
 def test_criterion_09_sampling_speedup(torus):
     start = time.perf_counter()
-    series = expansion_series(taylor_expand_all(TaylorRequest(torus, 0.2, 6)))
+    series = expansion_series(taylor_expand_all(torus, 0.2, 6))
     order = np.argsort([-eval_taylor(p.basis, p.lam, 0.2).real for p in series])
     tracked = [series[order[1]], series[order[2]]]  # second and third largest
     fast = sample_eigenvalues(torus, tracked, (0.2, 0.1), 10_000, 42, "taylor-eval")
@@ -329,7 +325,7 @@ def test_criterion_11_property_suites(torus, cheb20):
         galerkin_err = max(galerkin_err, float(np.max(np.abs(cheb_residual(packed, coeffs20)))))
 
     # (f) seeded sampling determinism (bitwise)
-    series = expansion_series(taylor_expand_all(TaylorRequest(torus, 0.2, 6)))
+    series = expansion_series(taylor_expand_all(torus, 0.2, 6))
     sa = sample_eigenvalues(torus, series[:2], (0.2, 0.1), 256, 11, "taylor-eval")
     sb = sample_eigenvalues(torus, series[:2], (0.2, 0.1), 256, 11, "taylor-eval")
     deterministic = (

@@ -12,11 +12,9 @@ import pytest
 from conftest import constant_problem
 
 from eigenpath import (
-    ChebRequest,
     DegenerateEvaluationError,
     EigenPairSeries,
     SeriesBasis,
-    TaylorRequest,
     cheb_expand_all,
     eigen_all,
     eigenvalues,
@@ -146,7 +144,7 @@ class TestErrorReport:
     def test_trivial_scalar_problem(self):
         from conftest import linear_problem
         problem = linear_problem()
-        pair = taylor_expand_all(TaylorRequest(problem, 0.3, 1, selector=0))[0]
+        pair = taylor_expand_all(problem, 0.3, 1, selector=0)[0]
         report = error_report(problem, [pair], np.linspace(0.0, 1.0, 11))
         assert report.max_error <= 1e-13
         np.testing.assert_allclose(report.vec_deviation, 0.0, atol=1e-13)
@@ -540,12 +538,12 @@ def pointwise_samples(problem, pairs, mus, method):
 
 @pytest.fixture(scope="module")
 def spring_taylor(spring8):
-    return expansion_series(taylor_expand_all(TaylorRequest(spring8, 0.8, 6)))
+    return expansion_series(taylor_expand_all(spring8, 0.8, 6))
 
 
 @pytest.fixture(scope="module")
 def spring_cheb(spring8):
-    return expansion_series(cheb_expand_all(ChebRequest(spring8, (0.6, 1.0), 8)))
+    return expansion_series(cheb_expand_all(spring8, (0.6, 1.0), 8))
 
 
 def test_direct_sampling_computes_no_eigenvectors(torus8, spring8, taylor_e1_p6, spring_taylor,
@@ -630,7 +628,7 @@ class TestBatchedEquivalence:
         below mu = 0, so one block holds points with a real spectrum and
         points with a complex pair; each still gets the bits it gets alone."""
         problem = problem_from_config(JORDAN_N2)
-        pairs = expansion_series(taylor_expand_all(TaylorRequest(problem, 0.25, 6)))
+        pairs = expansion_series(taylor_expand_all(problem, 0.25, 6))
         grid = np.linspace(-0.08, 0.3, 8)
         spectra = eigenvalues(np.stack([problem.eval_at(mu) for mu in grid]))
         assert np.any(spectra.imag != 0, axis=1).tolist() == [True] * 2 + [False] * 6
@@ -691,7 +689,7 @@ def mixed_pairs(torus8, cheb_e1_p10):
     """Eight torus pairs, one per eigen-index, from five (basis, order)
     groups interleaved: Taylor about 0.4 and 0.6 at orders 6 and 8, and one
     Chebyshev pair."""
-    taylor = {(mu0, p): expansion_series(taylor_expand_all(TaylorRequest(torus8, mu0, p)))
+    taylor = {(mu0, p): expansion_series(taylor_expand_all(torus8, mu0, p))
               for mu0 in (0.4, 0.6) for p in (6, 8)}
     sources = [taylor[0.4, 6], taylor[0.6, 8], cheb_e1_p10, taylor[0.4, 8],
                taylor[0.6, 6], taylor[0.4, 6], taylor[0.6, 8], taylor[0.4, 8]]

@@ -13,8 +13,6 @@ import numpy as np
 import pytest
 
 from eigenpath import (
-    ChebRequest,
-    TaylorRequest,
     cheb_expand_all,
     eigen_all,
     eigenvalues,
@@ -67,8 +65,8 @@ def rotation_config(tmp_path):
 
 
 def expand_both(problem, mu0, interval, order):
-    taylor_pairs = expansion_series(taylor_expand_all(TaylorRequest(problem, mu0, order)))
-    cheb_pairs = expansion_series(cheb_expand_all(ChebRequest(problem, interval, order)))
+    taylor_pairs = expansion_series(taylor_expand_all(problem, mu0, order))
+    cheb_pairs = expansion_series(cheb_expand_all(problem, interval, order))
     assert taylor_pairs and cheb_pairs
     return taylor_pairs + cheb_pairs
 
@@ -131,7 +129,7 @@ def coefficient_changes(pairs, reference):
 
 def test_real_and_complex_taylor_agree_on_the_spring_chain():
     problem = make_spring_chain(12)
-    real, cast = (expansion_series(taylor_expand_all(TaylorRequest(p, 0.8, 8)))
+    real, cast = (expansion_series(taylor_expand_all(p, 0.8, 8))
                   for p in (problem, as_complex(problem)))
     assert len(real) == len(cast) == 12
     assert real[0].lam.dtype == complex   # series keep their complex layout
@@ -141,7 +139,7 @@ def test_real_and_complex_taylor_agree_on_the_spring_chain():
 
 def test_real_and_complex_chebyshev_agree_on_the_spring_chain():
     problem = make_spring_chain(8)
-    real, cast = (expansion_series(cheb_expand_all(ChebRequest(p, (0.8, 1.2), 7)))
+    real, cast = (expansion_series(cheb_expand_all(p, (0.8, 1.2), 7))
                   for p in (problem, as_complex(problem)))
     assert len(real) == len(cast) == 8
     iterations = [[pair.diagnostics["newton_iterations"] for pair in pairs] for pairs in (real, cast)]
@@ -154,7 +152,7 @@ def test_real_and_complex_taylor_eigenvalues_agree_on_the_torus():
     # The torus's eigenvector coefficients amplify rounding by its small
     # gaps (1.4e-3 here), so only lambda is compared.
     problem = make_torus_kernel(12)
-    real, cast = (expansion_series(taylor_expand_all(TaylorRequest(p, 0.5, 8)))
+    real, cast = (expansion_series(taylor_expand_all(p, 0.5, 8))
                   for p in (problem, as_complex(problem)))
     assert len(real) == len(cast) == 12
     lam_change, _ = coefficient_changes(real, cast)

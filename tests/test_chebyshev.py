@@ -14,10 +14,8 @@ from conftest import (
 )
 
 from eigenpath import (
-    ChebRequest,
     EigenPairSeries,
     ParametricProblem,
-    TaylorRequest,
     cheb_expand_all,
     eigen_all,
     error_report,
@@ -145,8 +143,8 @@ class TestProjection:
 
 
 class TestDegreePairs:
-    def test_matches_product_rule(self):
-        p = 6
+    @pytest.mark.parametrize("p", range(41))
+    def test_matches_product_rule(self, p):
         for k in range(p + 1):
             expected = [
                 (i, j)
@@ -162,7 +160,7 @@ class TestWarmStart:
         rng = np.random.default_rng(2)
         a0 = rng.normal(size=(4, 4))
         a0 = a0 + a0.T
-        x0 = warm_start(ChebRequest(constant_problem(a0), (0.0, 1.0), 3), 1)
+        x0 = warm_start(constant_problem(a0), (0.0, 1.0), 3, 1)
         blocks = x0.reshape(-1, 5)
         lams, vs = blocks[:, 0], blocks[:, 1:]
         d = eigen_all(a0 + 0j)
@@ -172,7 +170,7 @@ class TestWarmStart:
         assert vs[0] @ vs[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_scalar_linear_hand_elimination(self):
-        x0 = warm_start(ChebRequest(linear_problem(), (-1.0, 1.0), 2), 0)
+        x0 = warm_start(linear_problem(), (-1.0, 1.0), 2, 0)
         # the projection of lam(mu) = mu, v = [1]: lam = (0, 1/2, 0), v = ([1], [0], [0])
         np.testing.assert_allclose(
             x0.real, [0.0, 1.0, 0.5, 0.0, 0.0, 0.0], atol=1e-12
@@ -180,12 +178,12 @@ class TestWarmStart:
         np.testing.assert_allclose(x0.imag, 0.0, atol=1e-14)
 
     def test_seed_quality_example1(self, torus8):
-        request = ChebRequest(torus8, (0.25, 1.0), 6)
+        request = (torus8, (0.25, 1.0), 6)
         coeffs = project_matrix_coeffs(torus8, (0.25, 1.0), 6)
         grid = np.linspace(0.25, 1.0, 16)
         direct = [eigen_all(torus8.eval_at(mu), hermitian=True).values for mu in grid]
         for index in range(8):
-            lams = warm_start(request, index).reshape(-1, 9)[:, 0]
+            lams = warm_start(*request, index).reshape(-1, 9)[:, 0]
             for mu, dvals in zip(grid, direct):
                 err = np.min(np.abs(eval_cheb_u(coeffs.basis, lams, mu) - dvals))
                 assert err <= 0.5
@@ -313,7 +311,7 @@ class TestNewton:
 
     def test_scalar_linear_unique_solution(self):
         coeffs = project_matrix_coeffs(linear_problem(), (-1.0, 1.0), 2)
-        pair = newton_refine(warm_start(ChebRequest(linear_problem(), (-1.0, 1.0), 2), 0), coeffs)
+        pair = newton_refine(warm_start(linear_problem(), (-1.0, 1.0), 2, 0), coeffs)
         lam = pair.lam.real
         vec = pair.vec.real
         sign = np.sign(vec[0, 0])
@@ -330,7 +328,7 @@ class TestNewton:
         # Newton starts from it cut after order 2. When >= 3 iterations
         # happen, the last two residuals contract quadratically:
         # r_k <= C r_{k-1}^2 with C <= 1e6
-        coeffs, decomp, nodes = _projected(ChebRequest(torus8, (0.25, 1.0), 16))
+        coeffs, decomp, nodes = _projected(torus8, (0.25, 1.0), 16)
         _, x = _node_starts(coeffs, decomp, nodes, range(8))
         x[:, 3:] = 0.0
         checked = 0
@@ -382,7 +380,7 @@ class TestExpandAll:
         rng = np.random.default_rng(13)
         a0 = rng.normal(size=(4, 4))
         a0 = a0 + a0.T
-        results = cheb_expand_all(ChebRequest(constant_problem(a0), (0.0, 1.0), 3))
+        results = cheb_expand_all(constant_problem(a0), (0.0, 1.0), 3)
         series = expansion_series(results)
         assert len(series) == 4
         d = eigen_all(a0 + 0j)
@@ -393,7 +391,7 @@ class TestExpandAll:
             np.testing.assert_allclose(pair.vec[1:], 0.0, atol=1e-10)
 
     def test_jordan_matches_analytic_roots(self, jordan8):
-        series = expansion_series(cheb_expand_all(ChebRequest(jordan8, (0.10, 0.50), 20)))
+        series = expansion_series(cheb_expand_all(jordan8, (0.10, 0.50), 20))
         assert len(series) == 8
         for mu in np.linspace(0.10, 0.50, 21)[1:-1]:
             oracle = jordan_eigenvalues(8, mu)
@@ -406,7 +404,7 @@ class TestExpandAll:
     def test_jordan_pairs_across_an_isotropic_eigenvector(self, jordan8):
         # at mu = 1 the six complex eigenvectors of I + cyclic shift have
         # v^T v = 0; each such pair must fail, or stay accurate across it
-        results = cheb_expand_all(ChebRequest(jordan8, (0.9, 1.1), 12))
+        results = cheb_expand_all(jordan8, (0.9, 1.1), 12)
         lam0 = [r.eigenvalue if isinstance(r, ExpansionFailure) else r.lam[0] for r in results]
         assert sum(lam.imag != 0 for lam in lam0) == 6
         for result in results:
@@ -447,7 +445,7 @@ class TestExpandAll:
 
     def test_hermitian_flag_of_an_asymmetric_problem_is_rejected(self):
         with pytest.raises(ValueError, match=r"^hermitian=True, but \|A - A\^H\| is "):
-            cheb_expand_all(ChebRequest(asymmetric_flagged_hermitian(), (0.25, 0.75), 6))
+            cheb_expand_all(asymmetric_flagged_hermitian(), (0.25, 0.75), 6)
 
 
 def crossing_problem():
@@ -475,26 +473,26 @@ class TestNodeStart:
         # over [0, 1], mu = 0.5 + 0.25 U_1: A_0's eigenpair 1 (0.5) is the
         # path mu and eigenpair 2 (0.1) the path 0.6 - mu, though the sort
         # order of the nodes' eigenvalues swaps at mu = 0.3
-        request = ChebRequest(crossing_problem(), (0.0, 1.0), 4)
+        request = (crossing_problem(), (0.0, 1.0), 4)
         paths = {1: [0.5, 0.25, 0.0, 0.0, 0.0], 2: [0.1, -0.25, 0.0, 0.0, 0.0]}
         for index, lam in paths.items():
-            lams = warm_start(request, index).reshape(-1, 4)[:, 0]
+            lams = warm_start(*request, index).reshape(-1, 4)[:, 0]
             np.testing.assert_allclose(lams, lam, rtol=0, atol=1e-14)
-        results = cheb_expand_all(request)
+        results = cheb_expand_all(*request)
         for index, lam in paths.items():
             np.testing.assert_allclose(results[index].lam, lam, rtol=0, atol=1e-14)
             assert results[index].diagnostics["newton_iterations"] == 0
 
     @pytest.mark.parametrize("p", [12, 20])
     def test_spring_chain_expands_every_pair_over_a_wide_interval(self, p):
-        results = cheb_expand_all(ChebRequest(make_spring_chain(16), (0.5, 2.0), p))
+        results = cheb_expand_all(make_spring_chain(16), (0.5, 2.0), p)
         assert len(expansion_series(results)) == 16
 
     def test_torus_paths_hold_through_its_crossings(self):
         # the grid passes through the torus's genuine crossings near
         # mu ~ 0.382, 0.859 and 0.980
         problem = make_torus_kernel(16)
-        series = expansion_series(cheb_expand_all(ChebRequest(problem, (0.25, 1.0), 20)))
+        series = expansion_series(cheb_expand_all(problem, (0.25, 1.0), 20))
         assert len(series) == 16
         assert error_report(problem, series, np.linspace(0.25, 1.0, 3001)).max_error <= 1.6e-13
 
@@ -528,7 +526,7 @@ class TestIntersection:
         *(((0.0, 1.0), p) for p in (12, 16, 20, 24)),
     ])
     def test_chebyshev_tracks_both_paths_through_the_crossing(self, interval, p):
-        results = cheb_expand_all(ChebRequest(problem_from_config(CROSSING), interval, p))
+        results = cheb_expand_all(problem_from_config(CROSSING), interval, p)
         assert len(expansion_series(results)) == 2
         assert sorted(self.followed_path(pair, interval) for pair in results) == ["1-mu", "mu"]
 
@@ -536,7 +534,7 @@ class TestIntersection:
     def test_low_orders_centred_on_the_crossing_follow_a_path_or_fail_singular(self, p):
         # the crossing at the interval's midpoint makes the Galerkin Jacobian
         # singular at these orders today; a pair that expands must still hold
-        results = cheb_expand_all(ChebRequest(problem_from_config(CROSSING), (0.0, 1.0), p))
+        results = cheb_expand_all(problem_from_config(CROSSING), (0.0, 1.0), p)
         paths = []
         for result in results:
             if isinstance(result, ExpansionFailure):
@@ -546,48 +544,49 @@ class TestIntersection:
         assert len(set(paths)) == len(paths)
 
 
-class TestRequestValidation:
+class TestChebInputValidation:
     def test_interval_and_order(self, torus8):
         with pytest.raises(ValueError):
-            ChebRequest(torus8, (1.0, 0.5), 4)
+            cheb_expand_all(torus8, (1.0, 0.5), 4)
         with pytest.raises(ValueError):
-            ChebRequest(torus8, (0.0, 1.0), -1)
+            cheb_expand_all(torus8, (0.0, 1.0), -1)
 
 
-class TestSharedRequestRules:
-    """Both requests check order and selector by one rule, and their point or
-    interval by SeriesBasis, at construction."""
+class TestSharedInputRules:
+    """Both kernels check order and selector by one rule, and their point or
+    interval by SeriesBasis, before they touch A(mu)."""
 
-    REQUESTS = [
-        pytest.param(lambda problem, order, **kw: TaylorRequest(problem, 0.2, order, **kw),
+    KERNELS = [
+        pytest.param(lambda problem, order, **kw: taylor_expand_all(problem, 0.2, order, **kw),
                      id="taylor"),
-        pytest.param(lambda problem, order, **kw: ChebRequest(problem, (0.25, 1.0), order, **kw),
+        pytest.param(lambda problem, order, **kw: cheb_expand_all(problem, (0.25, 1.0), order,
+                                                                  **kw),
                      id="chebyshev"),
     ]
 
-    @pytest.mark.parametrize("request_of", REQUESTS)
+    @pytest.mark.parametrize("expand", KERNELS)
     @pytest.mark.parametrize("selector", [2.5, "1"])
-    def test_selector_neither_all_nor_an_integer_is_rejected(self, torus8, request_of, selector):
+    def test_selector_neither_all_nor_an_integer_is_rejected(self, torus8, expand, selector):
         with pytest.raises(ValueError, match=r"^selector must be 'all' or an integer index$"):
-            request_of(torus8, 3, selector=selector)
+            expand(torus8, 3, selector=selector)
 
-    @pytest.mark.parametrize("request_of", REQUESTS)
-    def test_order_that_is_not_an_integer_is_rejected(self, torus8, request_of):
+    @pytest.mark.parametrize("expand", KERNELS)
+    def test_order_that_is_not_an_integer_is_rejected(self, torus8, expand):
         with pytest.raises(ValueError, match=r"^order must be a nonnegative integer$"):
-            request_of(torus8, 2.5)
+            expand(torus8, 2.5)
 
     def test_numpy_integer_selector_expands_the_pair_of_its_int(self, torus8):
-        (numpy_pair,) = taylor_expand_all(TaylorRequest(torus8, 0.2, 2, selector=np.int64(1)))
-        (int_pair,) = taylor_expand_all(TaylorRequest(torus8, 0.2, 2, selector=1))
+        (numpy_pair,) = taylor_expand_all(torus8, 0.2, 2, selector=np.int64(1))
+        (int_pair,) = taylor_expand_all(torus8, 0.2, 2, selector=1)
         np.testing.assert_array_equal(numpy_pair.lam, int_pair.lam)
         np.testing.assert_array_equal(numpy_pair.vec, int_pair.vec)
 
     def test_infinite_point_or_interval_is_rejected_before_any_eigensolve(self):
-        # no problem at all: a request that raises has solved nothing
+        # no problem at all: a kernel that raises on it has solved nothing
         with pytest.raises(ValueError, match=r"^Taylor basis requires a finite expansion point"):
-            TaylorRequest(None, np.inf, 3)
+            taylor_expand_all(None, np.inf, 3)
         with pytest.raises(ValueError, match=r"^Chebyshev interval must be finite with mu2 > mu1$"):
-            ChebRequest(None, (0.0, np.inf), 3)
+            cheb_expand_all(None, (0.0, np.inf), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -596,19 +595,20 @@ class TestSharedRequestRules:
 
 
 def node_loop_start(request, index):
-    """One pair's node start computed node by node: one eigensolve per
-    quadrature node, the path assigned at the middle node to A_0's
-    eigenvector and carried outward node by node with scipy's assignment on
-    the overlaps of the path's vectors with the next node's, each vector
-    scaled to v^T v = 1 with its sign continuous along the path, and the
-    quadrature sum written as a loop. Returns the (p+1, n+1) unknowns."""
+    """One pair's node start for ``request`` = (problem, interval, order),
+    computed node by node: one eigensolve per quadrature node, the path
+    assigned at the middle node to A_0's eigenvector and carried outward
+    node by node with scipy's assignment on the overlaps of the path's
+    vectors with the next node's, each vector scaled to v^T v = 1 with its
+    sign continuous along the path, and the quadrature sum written as a
+    loop. Returns the (p+1, n+1) unknowns."""
     from scipy.optimize import linear_sum_assignment
 
-    problem, p = request.problem, request.order
+    problem, interval, p = request
     s, w = gauss_chebyshev_u(quadrature_size(p))
-    mus = SeriesBasis.chebyshev(*request.interval).from_affine(s)
+    mus = SeriesBasis.chebyshev(*interval).from_affine(s)
     decomps = [eigen_all(problem.eval_at(mu), hermitian=problem.hermitian) for mu in mus]
-    a0 = project_matrix_coeffs(problem, request.interval, p).coeffs[0]
+    a0 = project_matrix_coeffs(problem, interval, p).coeffs[0]
     v0 = eigen_all(a0).vectors
     m, mid = len(s), len(s) // 2
 
@@ -652,7 +652,7 @@ SEPARATED = {
 
 def separated_request(name):
     make, n, interval, p = SEPARATED[name]
-    return ChebRequest(make(n), interval, p)
+    return make(n), interval, p
 
 
 def assert_same_pair(a, b):
@@ -666,8 +666,8 @@ class TestAllPairsKernel:
     def test_warm_starts_match_bordered_oracle(self, name):
         # the oracle is node_loop_start, one eigensolve per node
         request = separated_request(name)
-        problem = request.problem
-        coeffs, decomp, nodes = _projected(request)
+        problem = request[0]
+        coeffs, decomp, nodes = _projected(*request)
         errors, x = _node_starts(coeffs, decomp, nodes, range(problem.n))
         assert errors == [None] * problem.n
         for index in range(problem.n):
@@ -675,12 +675,12 @@ class TestAllPairsKernel:
             # each order relative to its own size
             scale = np.maximum(1.0, np.abs(oracle).max(axis=1, keepdims=True))
             assert np.max(np.abs(x[index] - oracle) / scale) <= 1e-12
-            single = warm_start(request, index).reshape(oracle.shape)
+            single = warm_start(*request, index).reshape(oracle.shape)
             assert np.max(np.abs(single - oracle) / scale) <= 1e-12
 
     def test_isotropic_pair_fails_alone(self):
         problem = isotropic_problem()
-        results = cheb_expand_all(ChebRequest(problem, (0.0, 1.0), 3))
+        results = cheb_expand_all(problem, (0.0, 1.0), 3)
         ok, failed = results
         assert isinstance(ok, EigenPairSeries)
         assert ok.lam[0] == pytest.approx(2.0, abs=1e-12)
@@ -691,16 +691,16 @@ class TestAllPairsKernel:
         node = np.cos(np.pi / 65)
         with pytest.raises(NumericalError, match=rf"isotropic, \|v\^T v\| = 0 below 1e-08 "
                                                  rf"at mu={(1 + node) / 2:.17g}$"):
-            warm_start(ChebRequest(problem, (0.0, 1.0), 3), 1)
-        (failure,) = cheb_expand_all(ChebRequest(problem, (0.0, 1.0), 3, selector=1))
+            warm_start(problem, (0.0, 1.0), 3, 1)
+        (failure,) = cheb_expand_all(problem, (0.0, 1.0), 3, selector=1)
         assert isinstance(failure.error, NumericalError) and "isotropic" in str(failure.error)
 
     @pytest.mark.parametrize("name", list(SEPARATED))
     def test_eigenpair_is_its_column_of_expand_all(self, name):
         request = separated_request(name)
-        columns = cheb_expand_all(request)
+        columns = cheb_expand_all(*request)
         for index, column in enumerate(columns):
-            single = cheb_expand_all(dataclasses.replace(request, selector=index))[0]
+            single = cheb_expand_all(*request, selector=index)[0]
             # the warm start of one column rounds like a one-column product
             for got, want in ((single.lam, column.lam),
                               (single.vec, column.vec)):
@@ -717,16 +717,16 @@ class TestAllPairsKernel:
             return _newton(system, x)
 
         monkeypatch.setattr(chebyshev, "_newton", spy)
-        whole = cheb_expand_all(request)
+        whole = cheb_expand_all(*request)
         assert block_sizes == [8]
         monkeypatch.setattr(chebyshev, "BLOCK_BYTES", 1)
-        split = cheb_expand_all(request)
+        split = cheb_expand_all(*request)
         assert block_sizes == [8] + [1] * 8
         for a, b in zip(whole, split):
             assert_same_pair(a, b)
 
     def test_failing_pairs_leave_their_block_neighbours_unchanged(self):
-        coeffs, decomp, nodes = _projected(ChebRequest(make_torus_kernel(8), (0.25, 1.0), 6))
+        coeffs, decomp, nodes = _projected(make_torus_kernel(8), (0.25, 1.0), 6)
         _, starts = _node_starts(coeffs, decomp, nodes, range(8))
         system = _CoupledSystem(coeffs)
         block = starts.copy()
@@ -754,7 +754,7 @@ class TestAllPairsKernel:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_pair_fails_alone_naming_its_order(self, monkeypatch, bad):
         request = separated_request("torus8")
-        clean = cheb_expand_all(request)
+        clean = cheb_expand_all(*request)
 
         def poisoned(coeffs, decomp, nodes, indices):
             errors, x = _node_starts(coeffs, decomp, nodes, indices)
@@ -762,12 +762,12 @@ class TestAllPairsKernel:
             return errors, x
 
         monkeypatch.setattr(chebyshev, "_node_starts", poisoned)
-        results = cheb_expand_all(request)
+        results = cheb_expand_all(*request)
         failure = results[3]
         assert isinstance(failure, ExpansionFailure) and failure.index == 3
         assert type(failure.error) is NumericalError
         assert str(failure.error) == "series coefficient at order 4 is not finite"
-        (failure,) = cheb_expand_all(dataclasses.replace(request, selector=3))
+        (failure,) = cheb_expand_all(*request, selector=3)
         assert isinstance(failure.error, NumericalError)
         assert "order 4 is not finite" in str(failure.error)
         for pair in (0, 1, 2, 4, 5, 6, 7):

@@ -1,6 +1,7 @@
 """CLI contract: flags, exit codes, output files, manifests, determinism."""
 
 import argparse
+import ast
 import csv
 import hashlib
 import importlib
@@ -22,14 +23,13 @@ from eigenpath import (
     DegenerateEvaluationError,
     EigenPairSeries,
     SeriesBasis,
-    TaylorRequest,
     eigpath_eval,
     expansion_series,
     load_eigenpair,
     save_eigenpair,
     taylor_expand_all,
 )
-from eigenpath import cli
+from eigenpath import analysis, cli
 from eigenpath.analysis import draw_samples
 from eigenpath.cli import main
 
@@ -588,7 +588,7 @@ class TestDegenerateEvaluation:
 
 class TestSelectTracked:
     def test_order_matches_per_pair_evaluation(self, torus8):
-        pairs = expansion_series(taylor_expand_all(TaylorRequest(torus8, 0.2, 6)))
+        pairs = expansion_series(taylor_expand_all(torus8, 0.2, 6))
         mean = 0.23
         values = [eigpath_eval(pair, mean)[0] for pair in pairs]
         order = np.lexsort((-np.imag(values), -np.real(values)))
@@ -613,6 +613,78 @@ def test_benchmark_tracer_targets_resolve(monkeypatch):
         if not callable(getattr(module, attr, None))
     ]
     assert not missing
+
+
+def test_every_import_a_module_never_reads_is_a_tracer_target(monkeypatch):
+    # a name a module imports and never reads is dead code, unless
+    # benchmarks/tracing.py looks it up in that module to wrap it
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    tracing = importlib.import_module("tracing")
+    traced = {(module.__name__, attr) for module, attr, _ in tracing.TARGETS}
+    unread = []
+    for path in sorted(Path(eigenpath.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":    # imports names to export them
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        module = f"eigenpath.{path.stem}"
+        unread += [f"{module}.{name}" for name in sorted(imported - read)
+                   if (module, name) not in traced]
+    assert unread == []
+
+
+@pytest.mark.parametrize("kernel, basis", [
+    ("taylor_expand_all", ["--mu0", "0.2"]),
+    ("cheb_expand_all", ["--interval", "0.25,1.0"]),
+])
+def test_expand_and_sample_call_the_kernel_the_cli_module_holds_when_they_run(
+        tmp_path, monkeypatch, kernel, basis):
+    # benchmarks/tracing.py wraps cli.<kernel> after import; every command
+    # must call the wrapper, not a kernel bound when the module loaded
+    calls = []
+    original = getattr(cli, kernel)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, kernel, spy)
+    method = "taylor" if kernel == "taylor_expand_all" else "chebyshev"
+    problem = ["--problem", "example1", "--n", "4", "--order", "2", *basis]
+    assert run(["expand", *problem, "--method", method, "--out", str(tmp_path / "e")]) == 0
+    assert run(["sample", *problem, "--dist", "0.5,0.1", "--count", "5", "--seed", "1",
+                "--method", "direct", "--pairs", "1", "--out", str(tmp_path / "s")]) == 0
+    assert len(calls) == 2
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("an expansion ran before every input was checked")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sample", "--problem", "example2", "--n", "32", "--interval", "0.5,2.0", "--order", "12",
+      "--pairs", "33", "--dist", "1.0,0.1", "--count", "5", "--seed", "1",
+      "--method", "cheb-eval"],
+     "usage error: --pairs position 33 out of range 1..32"),
+    (["bench", "--problem", "example2", "--n-list", "128,5", "--p-list", "10"],
+     "invalid argument: spring chain needs even n >= 4"),
+    (["bench", "--n-list", "128", "--p-list", "10,-1"],
+     "invalid argument: order must be a nonnegative integer"),
+], ids=["sample-pair-beyond-n", "bench-bad-n", "bench-bad-p"])
+def test_bad_input_is_rejected_before_any_expansion(tmp_path, capsys, monkeypatch, argv, message):
+    for module in (cli, analysis):
+        monkeypatch.setattr(module, "taylor_expand_all", _refuse)
+    monkeypatch.setattr(cli, "cheb_expand_all", _refuse)
+    out = tmp_path / "x"
+    assert run([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"{message}\n"
+    assert not out.exists()
 
 
 class TestReport:

@@ -16,7 +16,6 @@ from eigenpath import (
     ConfigError,
     DomainError,
     NumericalError,
-    TaylorRequest,
     eigen_all,
     eigpath_eval,
     expansion_series,
@@ -359,7 +358,7 @@ class TestConfigProblems:
         doc = {"n": 2, "entries": {"dense": ["1", "2*mu", "mu*2", "3"]}}
         problem = problem_from_config(self._write(tmp_path, doc))
         assert not problem.hermitian
-        pairs = expansion_series(taylor_expand_all(TaylorRequest(problem, 0.3, 16)))
+        pairs = expansion_series(taylor_expand_all(problem, 0.3, 16))
         for mu in (0.25, 0.3, 0.35):
             values = np.sort_complex(np.array([eigpath_eval(pair, mu)[0] for pair in pairs]))
             direct = np.sort_complex(np.linalg.eigvals(problem.eval_at(mu)).astype(complex))

@@ -22,7 +22,6 @@ from eigenpath import (
     NumericalError,
     ParametricProblem,
     SeriesBasis,
-    TaylorRequest,
     eigen_all,
     error_report,
     eval_taylor,
@@ -93,7 +92,7 @@ class TestTaylorRhs:
 
 class TestExpandEigenpair:
     def test_scalar_linear_problem(self):
-        pair = taylor_expand_all(TaylorRequest(linear_problem(), 0.3, 4, selector=0))[0]
+        pair = taylor_expand_all(linear_problem(), 0.3, 4, selector=0)[0]
         np.testing.assert_allclose(pair.lam, [0.3, 1.0, 0.0, 0.0, 0.0], atol=1e-14)
         np.testing.assert_allclose(pair.vec[0], [1.0], atol=1e-14)
         np.testing.assert_allclose(pair.vec[1:], 0.0, atol=1e-14)
@@ -102,19 +101,19 @@ class TestExpandEigenpair:
         rng = np.random.default_rng(4)
         a0 = rng.normal(size=(5, 5))
         problem = shift_problem(a0, mu0=0.4)
-        pair = taylor_expand_all(TaylorRequest(problem, 0.4, 3, selector=2))[0]
+        pair = taylor_expand_all(problem, 0.4, 3, selector=2)[0]
         assert pair.lam[1] == pytest.approx(1.0, abs=1e-10)
         np.testing.assert_allclose(pair.lam[2:], 0.0, atol=1e-9)
         np.testing.assert_allclose(pair.vec[1:], 0.0, atol=1e-9)
 
     def test_jordan_derivative(self):
         # largest eigenvalue path 1 + sqrt(mu): d/dmu at 0.2 is 1/(2 sqrt(0.2))
-        pair = taylor_expand_all(TaylorRequest(make_jordan(2), 0.2, 2, selector=0))[0]
+        pair = taylor_expand_all(make_jordan(2), 0.2, 2, selector=0)[0]
         assert pair.lam[0] == pytest.approx(1 + math.sqrt(0.2), abs=1e-12)
         assert pair.lam[1] == pytest.approx(1 / (2 * math.sqrt(0.2)), abs=1e-8)
 
     def test_p_zero_returns_phase_fixed_eigenpair(self, torus8):
-        pair = taylor_expand_all(TaylorRequest(torus8, 0.2, 0, selector=1))[0]
+        pair = taylor_expand_all(torus8, 0.2, 0, selector=1)[0]
         d = eigen_all(torus8.eval_at(0.2), hermitian=True)
         assert pair.lam[0] == pytest.approx(complex(d.values[1]), abs=1e-13)
         np.testing.assert_allclose(pair.vec[0], d.vectors[:, 1], atol=1e-13)
@@ -126,7 +125,7 @@ class TestExpandEigenpair:
             derivs_at=lambda mu0, p: np.zeros((1, 2, 2)) + np.eye(2),
         )
         with pytest.raises(DerivativeOrderError):
-            taylor_expand_all(TaylorRequest(problem, 0.0, 3, selector=0))
+            taylor_expand_all(problem, 0.0, 3, selector=0)
 
 
 class TestExpandAll:
@@ -134,7 +133,7 @@ class TestExpandAll:
         rng = np.random.default_rng(6)
         a0 = rng.normal(size=(4, 4))
         a0 = a0 + a0.T
-        results = taylor_expand_all(TaylorRequest(constant_problem(a0, hermitian=True), 0.0, 5))
+        results = taylor_expand_all(constant_problem(a0, hermitian=True), 0.0, 5)
         series = expansion_series(results)
         assert len(series) == 4
         for pair in series:
@@ -142,7 +141,7 @@ class TestExpandAll:
             np.testing.assert_allclose(pair.vec[1:], 0.0, atol=1e-11)
 
     def test_example2_at_expansion_point(self, spring8):
-        series = expansion_series(taylor_expand_all(TaylorRequest(spring8, 0.8, 6)))
+        series = expansion_series(taylor_expand_all(spring8, 0.8, 6))
         assert len(series) == 8
         direct = eigen_all(spring8.eval_at(0.8))
         approx = sorted((eval_taylor(s.basis, s.lam, 0.8).real for s in series), reverse=True)
@@ -151,7 +150,7 @@ class TestExpandAll:
     def test_defective_reported_per_eigenpair(self):
         from eigenpath import make_jordan
 
-        results = taylor_expand_all(TaylorRequest(make_jordan(8), 0.0, 4))
+        results = taylor_expand_all(make_jordan(8), 0.0, 4)
         failures = expansion_failures(results)
         assert len(failures) == 8
         assert all(isinstance(f.error, NonSimpleEigenvalueError) for f in failures)
@@ -163,8 +162,7 @@ class TestExpandAll:
         problem = builtin_problem("example3", 2)
 
         def expand(order):
-            request = TaylorRequest(problem, 1e-12, order, single_precision_e=single_precision_e)
-            return taylor_expand_all(request)
+            return taylor_expand_all(problem, 1e-12, order, single_precision_e=single_precision_e)
 
         assert len(expansion_series(expand(20))) == 2
         failures = expand(40)
@@ -181,9 +179,8 @@ class TestExpandAll:
             assert not isinstance(before, ExpansionFailure)
             assert np.all(np.isfinite(before.vec)) and np.all(np.isfinite(before.lam))
             assert isinstance(expand(order)[failure.index], ExpansionFailure)
-        (failure,) = taylor_expand_all(
-            TaylorRequest(problem, 1e-12, 40, selector=0, single_precision_e=single_precision_e)
-        )
+        (failure,) = taylor_expand_all(problem, 1e-12, 40, selector=0,
+                                       single_precision_e=single_precision_e)
         assert isinstance(failure.error, NumericalError) and "is not finite" in str(failure.error)
 
     def test_order_residuals_recorded(self, taylor_e1_p6):
@@ -214,7 +211,7 @@ class TestExpandAll:
 class TestVerifiedPairs:
     def test_hermitian_flag_of_an_asymmetric_problem_is_rejected(self):
         with pytest.raises(ValueError, match=r"^hermitian=True, but \|A - A\^H\| is 0.5 at entry \(0, 1\)$"):
-            taylor_expand_all(TaylorRequest(asymmetric_flagged_hermitian(), 0.5, 6))
+            taylor_expand_all(asymmetric_flagged_hermitian(), 0.5, 6)
 
     def test_pair_solved_in_a_wrong_basis_fails_its_order_residual(self):
         # eigh's decomposition of the asymmetric A0, built directly (eigen_all
@@ -240,7 +237,7 @@ class TestIntersection:
     and (cos mu, sin mu), crossing at mu = 0.5."""
 
     def test_taylor_tracks_both_paths_through_the_crossing(self):
-        results = taylor_expand_all(TaylorRequest(problem_from_config(CROSSING), 0.2, 24))
+        results = taylor_expand_all(problem_from_config(CROSSING), 0.2, 24)
         assert len(expansion_series(results)) == 2
         grid = np.arange(13) / 20.0      # 0, 0.05, ..., 0.6, with 0.5 exact
         c, s = np.cos(grid), np.sin(grid)
@@ -261,7 +258,7 @@ class TestIntersection:
             assert np.max(sin) <= 1e-12
 
     def test_taylor_at_the_crossing_fails_both_pairs_on_the_gap(self):
-        results = taylor_expand_all(TaylorRequest(problem_from_config(CROSSING), 0.5, 24))
+        results = taylor_expand_all(problem_from_config(CROSSING), 0.5, 24)
         assert len(results) == 2
         for failure in results:
             assert isinstance(failure, ExpansionFailure)
@@ -301,7 +298,7 @@ class TestSchurKernel:
         p = 6
         derivs = problem.derivs_at(mu0, p)
         d = eigen_all(derivs[0], hermitian=problem.hermitian)
-        results = taylor_expand_all(TaylorRequest(problem, mu0, p))
+        results = taylor_expand_all(problem, mu0, p)
         assert len(expansion_series(results)) == 8
         for index, pair in enumerate(results):
             lams, vs = _per_pair_oracle(derivs, d, index, p)
@@ -353,7 +350,7 @@ class TestSchurKernel:
         p = 6
         derivs = np.asarray(derivs_at(0.0, p), dtype=complex)
         d = eigen_all(derivs[0])
-        results = taylor_expand_all(TaylorRequest(problem, 0.0, p))
+        results = taylor_expand_all(problem, 0.0, p)
         separated = [i for i, pair in enumerate(results) if pair.diagnostics["gap"] > 0.5]
         assert len(separated) == 8
         for index in separated:
@@ -375,7 +372,7 @@ class TestSchurKernel:
         ],
     )
     def test_non_simple_pairs_fail_alone(self, a0, hermitian, failing, reason):
-        results = taylor_expand_all(TaylorRequest(constant_problem(a0, hermitian), 0.0, 4))
+        results = taylor_expand_all(constant_problem(a0, hermitian), 0.0, 4)
         failures = expansion_failures(results)
         assert [f.index for f in failures] == failing
         assert all(isinstance(f.error, NonSimpleEigenvalueError) for f in failures)
@@ -418,7 +415,7 @@ class TestSchurKernel:
         p = 6
         a = np.asarray(problem.derivs_at(mu0, p), dtype=complex)
         a_size = np.linalg.norm(a, axis=(1, 2))
-        for pair in taylor_expand_all(TaylorRequest(problem, mu0, p)):
+        for pair in taylor_expand_all(problem, mu0, p):
             lam, v = pair.lam, pair.vec
             v_size = np.linalg.norm(v, axis=1)
             for k in range(1, p + 1):
@@ -446,14 +443,14 @@ class TestSchurKernel:
             assert got[i] == pytest.approx(np.max(np.abs(e @ x - rhs)), rel=1e-12)
 
     def test_single_pair_matches_its_column(self, spring8):
-        column = taylor_expand_all(TaylorRequest(spring8, 0.8, 6))[3]
-        single = taylor_expand_all(TaylorRequest(spring8, 0.8, 6, selector=3))[0]
+        column = taylor_expand_all(spring8, 0.8, 6)[3]
+        single = taylor_expand_all(spring8, 0.8, 6, selector=3)[0]
         assert np.max(_relative_error(single.lam, column.lam)) <= 1e-12
         assert np.max(_relative_error(single.vec, column.vec)) <= 1e-12
 
     def test_single_non_simple_pair_raises(self):
         problem = constant_problem(np.diag([3.0, 2.0, 1.0, 1.0]), hermitian=True)
-        (failure,) = taylor_expand_all(TaylorRequest(problem, 0.0, 4, selector=3))
+        (failure,) = taylor_expand_all(problem, 0.0, 4, selector=3)
         assert isinstance(failure.error, NonSimpleEigenvalueError)
 
 
@@ -514,7 +511,7 @@ class TestComplexPairs:
     @pytest.mark.parametrize("mu0", [0.9, 0.99, 0.9999, 0.999999, 1.0])
     def test_jordan_pairs_near_isotropic_eigenvectors(self, mu0):
         problem = make_jordan(8)
-        results = taylor_expand_all(TaylorRequest(problem, mu0, 8))
+        results = taylor_expand_all(problem, mu0, 8)
         assert len(expansion_series(results)) == 8
         for mu in (mu0 - 0.02, mu0 + 0.02):
             a = problem.eval_at(mu)
@@ -531,7 +528,7 @@ class TestComplexPairs:
     def test_isotropic_eigenvector_expands(self):
         # eigenvector [1, i] / sqrt(2) has v^T v = 0, which a bilinear
         # border would have divided by
-        results = taylor_expand_all(TaylorRequest(isotropic_problem(), 0.5, 6))
+        results = taylor_expand_all(isotropic_problem(), 0.5, 6)
         assert len(expansion_series(results)) == 2
         for pair, (lam, vec) in zip(results, [(2.0, [1.0, 0.0]), (1.0, [1.0, 1j])]):
             assert pair.lam[0] == pytest.approx(lam, abs=1e-14)
@@ -553,9 +550,9 @@ class TestTruncatedSeriesResidual:
 
 
 def test_single_precision_flag_changes_results(torus8):
-    exact = expansion_series(taylor_expand_all(TaylorRequest(torus8, 0.2, 10)))
+    exact = expansion_series(taylor_expand_all(torus8, 0.2, 10))
     rounded = expansion_series(
-        taylor_expand_all(TaylorRequest(torus8, 0.2, 10, single_precision_e=True))
+        taylor_expand_all(torus8, 0.2, 10, single_precision_e=True)
     )
     diff = max(
         np.max(np.abs(a.lam - b.lam)) for a, b in zip(exact, rounded)
@@ -569,9 +566,9 @@ def test_single_precision_floor_stands_clear_of_double(torus8, p):
     # and the rounding leaves an error at least 100x that of double precision
     grid = np.linspace(0.1, 0.3, 151)
     single = expansion_series(
-        taylor_expand_all(TaylorRequest(torus8, 0.2, p, single_precision_e=True))
+        taylor_expand_all(torus8, 0.2, p, single_precision_e=True)
     )
-    double = expansion_series(taylor_expand_all(TaylorRequest(torus8, 0.2, p)))
+    double = expansion_series(taylor_expand_all(torus8, 0.2, p))
     assert len(single) == len(double) == 8
     assert error_report(torus8, single, grid).max_error >= (
         100.0 * error_report(torus8, double, grid).max_error
@@ -584,7 +581,7 @@ def test_single_precision_residuals_measure_the_exact_system(torus8):
     p = 6
     derivs = torus8.derivs_at(0.2, p)
     d = eigen_all(derivs[0], hermitian=True)
-    results = taylor_expand_all(TaylorRequest(torus8, 0.2, p, single_precision_e=True))
+    results = taylor_expand_all(torus8, 0.2, p, single_precision_e=True)
     assert len(expansion_series(results)) == 8
     for index, pair in enumerate(results):
         e = assemble_bordered(derivs[0], d.vectors[:, index], complex(d.values[index]))
@@ -607,8 +604,7 @@ def test_single_precision_residuals_measure_the_exact_system(torus8):
 def test_single_precision_pair_failing_the_condition_test_fails_alone(torus8, monkeypatch):
     # pair 3's rounded factors fail the solver's condition test; the other
     # pairs keep the bits of the unpatched run
-    request = TaylorRequest(torus8, 0.2, 6, single_precision_e=True)
-    clean = taylor_expand_all(request)
+    clean = taylor_expand_all(torus8, 0.2, 6, single_precision_e=True)
     rejected = NonSimpleEigenvalueError("non-simple eigenvalue at expansion point (eliminated "
                                         "pivot: eigenvalue condition 1e-20 below 1e-12)")
     solver = taylor.schur_bordered_solver
@@ -623,7 +619,7 @@ def test_single_precision_pair_failing_the_condition_test_fails_alone(torus8, mo
         return errors[:3] + [rejected] + errors[3:], solve
 
     monkeypatch.setattr(taylor, "schur_bordered_solver", rejecting)
-    results = taylor_expand_all(request)
+    results = taylor_expand_all(torus8, 0.2, 6, single_precision_e=True)
     failure = results[3]
     assert isinstance(failure, ExpansionFailure) and failure.index == 3
     assert failure.error is rejected
