@@ -43,11 +43,13 @@ no loop over pairs outside Newton's LU step:
   active set when it converges or fails, and keeps its own iteration
   count, history and error.
 
-Two expanded pairs whose paths coincide both fail (:func:`_reject_collisions`):
+Two converged pairs whose paths coincide both fail (:func:`_collisions`):
 at ``linalg.COLLISION_PROBES`` points across the interval their eigenvalues
 agree and their eigenvectors are parallel, both within ``linalg.COLLISION_TOL``.
 Eigenvalues alone would also fail the distinct, orthogonal paths of a
-near-double eigenvalue (five pairs of the torus at n=64).
+near-double eigenvalue (five pairs of the torus at n=64). Each such pair's
+error names its partners, and ``taylor.pair_results`` turns it, like every
+other per-pair error, into the pair's ExpansionFailure.
 
 The arithmetic is chosen once per expansion: the projected stack A_i is
 real for every real A(mu), and when the spectrum is real at every node
@@ -110,7 +112,6 @@ from .series import (  # noqa: F401  (eval_cheb_u: looked up here by benchmarks/
     u_values,
 )
 from .taylor import (  # noqa: F401  (taylor_rhs: looked up here by benchmarks/tracing.py)
-    ExpansionFailure,
     check_order_and_selector,
     non_finite_error,
     pair_results,
@@ -141,13 +142,14 @@ def gauss_chebyshev_u(m):
 
 
 def _quadrature(problem, interval, p):
-    """The interval's basis, the weighted table w_j U_i(s_j) (p+1, m) of the
-    quadrature's weights w_j and nodes s_j, and the samples A(mu(s_j))
-    (m, n, n)."""
+    """The interval's basis, the node points mu_j = mu(s_j) (m,), the
+    weighted table w_j U_i(s_j) (p+1, m) of the quadrature's weights w_j and
+    nodes s_j, and the samples A(mu_j) (m, n, n)."""
     basis = SeriesBasis.chebyshev(*interval)
     nodes, weights = gauss_chebyshev_u(quadrature_size(p))
-    samples = matrix_stack(problem, basis.from_affine(nodes), "quadrature node")
-    return basis, weights * u_values(nodes, p), samples
+    mus = basis.from_affine(nodes)
+    samples = matrix_stack(problem, mus, "quadrature node")
+    return basis, mus, weights * u_values(nodes, p), samples
 
 
 def _project(weighted, values):
@@ -165,7 +167,7 @@ def project_matrix_coeffs(problem, interval, p):
     The coefficients are real (float64) when every sample is real. A sample
     that is not finite raises NumericalError (``problems.matrix_stack``).
     """
-    basis, weighted, samples = _quadrature(problem, interval, p)
+    basis, _, weighted, samples = _quadrature(problem, interval, p)
     return MatrixSeries(basis, _project(weighted, samples))
 
 
@@ -245,22 +247,21 @@ def _node_starts(coeffs, decomp, nodes, indices):
     """Newton's starts for the eigenpairs ``indices`` of A_0 = ``decomp``:
     the projection onto U_0..U_p of each pair's path through the
     eigenpairs at the quadrature nodes, ``nodes`` = (their stacked
-    decomposition, the weighted table of :func:`_quadrature`; see the
-    module docstring).
+    decomposition, the node points and the weighted table of
+    :func:`_quadrature`; see the module docstring).
 
     Returns the per-index errors (None, a NumericalError for a path with a
     numerically isotropic node eigenvector, or the NonSimpleEigenvalueError
     of A_0's gap test) and the unknowns (k, p+1, n+1) of the pairs without
     one, in order.
     """
-    node_decomp, weighted = nodes
+    node_decomp, mus, weighted = nodes
     indices = np.asarray(indices, dtype=int)
     cols = _node_paths(decomp, node_decomp)[:, indices]
     at = np.arange(cols.shape[0])[:, None]
     paths = node_decomp.vectors[at, :, cols]                       # (m, k, n)
     bilinear = np.einsum("jka,jka->jk", paths, paths)
     smallest = np.abs(bilinear).min(axis=0)
-    mus = coeffs.basis.from_affine(gauss_chebyshev_u(weighted.shape[1])[0])
     at_mu = mus[np.abs(bilinear).argmin(axis=0)]
     _, errors = gap_errors(decomp.values, indices)
     errors = [
@@ -474,77 +475,35 @@ def newton_refine(x0, coeffs):
     return EigenPairSeries(coeffs.basis, x[0, :, 0], x[0, :, 1:], outcome)
 
 
-def _detect_collisions(pairs, basis):
-    """The positions (a, b), a < b, of result pairs whose paths coincide (see
-    the module docstring). Only pairs whose eigenvalues agree evaluate their
-    eigenvectors."""
-    series = [a for a, pair in enumerate(pairs) if isinstance(pair, EigenPairSeries)]
-    if not series:
-        return []
+def _collisions(basis, x):
+    """The positions (a, b), a < b, of the converged unknowns x
+    (k, p+1, n+1) whose paths coincide (see the module docstring). Only
+    pairs whose eigenvalues agree evaluate their eigenvectors."""
+    x = np.asarray(x, dtype=complex)        # as the pairs' series hold them
     probes = np.linspace(*basis.interval, COLLISION_PROBES)
-    lams = np.stack([pairs[a].lam for a in series], axis=-1)
-    values = basis.evaluate(lams, probes)
+    values = basis.evaluate(x[:, :, 0].T, probes)
     apart = np.abs(values[:, :, None] - values[:, None, :]).max(axis=0)
     close = np.argwhere(np.triu(apart < COLLISION_TOL, k=1))
     if not len(close):
         return []
     first, second = (  # (probes, n, candidates)
-        basis.evaluate(np.stack([pairs[series[i]].vec for i in side], axis=-1), probes)
-        for side in close.T
+        basis.evaluate(x[side, :, 1:].transpose(1, 2, 0), probes) for side in close.T
     )
     norms = np.linalg.norm(first, axis=1) * np.linalg.norm(second, axis=1)
     cos = np.abs(np.vecdot(first, second, axis=1)) / norms
     parallel = np.all(1.0 - cos < COLLISION_TOL, axis=0)
-    return [(series[i], series[j]) for (i, j), same in zip(close, parallel) if same]
-
-
-def _reject_collisions(pairs, indices, values, basis):
-    """A copy of ``pairs``, the results for the eigenpairs ``indices`` of A_0
-    (eigenvalues ``values``), with each member of a coinciding pair
-    (:func:`_detect_collisions`) an ExpansionFailure naming its partners:
-    Newton promises no distinct paths."""
-    partners = [[] for _ in pairs]
-    for a, b in _detect_collisions(pairs, basis):
-        partners[a].append(b)
-        partners[b].append(a)
-    out = list(pairs)
-    for a, others in enumerate(partners):
-        if others:
-            name = " and ".join(f"eigenpair {indices[b] + 1}" for b in others)
-            error = NumericalError(f"eigenvalue path coincides with that of {name}")
-            out[a] = ExpansionFailure(indices[a], complex(values[indices[a]]), error)
-    return out
-
-
-def _expand(coeffs, decomp, nodes, indices):
-    """Node start plus Newton for the eigenpairs ``indices`` of A_0 =
-    ``decomp``: one EigenPairSeries or ExpansionFailure per index.
-
-    Pairs go through Newton in blocks whose stacked Jacobians fit
-    BLOCK_BYTES.
-    """
-    errors, x = _node_starts(coeffs, decomp, nodes, indices)
-    system = _CoupledSystem(coeffs, x.dtype)
-    size = (coeffs.order + 1) * (coeffs.n + 1)
-    outcomes = []
-    for block in block_slices(x.shape[0], 16 * size * size, BLOCK_BYTES):
-        outcomes += _newton(system, x[block])
-    refined = (
-        outcome if isinstance(outcome, NumericalError)
-        else EigenPairSeries(coeffs.basis, unknowns[:, 0], unknowns[:, 1:], outcome)
-        for outcome, unknowns in zip(outcomes, x)
-    )
-    return pair_results(indices, decomp.values, errors, refined)
+    return [(i, j) for (i, j), same in zip(close, parallel) if same]
 
 
 def _projected(problem, interval, order):
     """The coefficients A_0..A_order over the interval, the decomposition of
-    A_0, and the pair (stacked decomposition of the quadrature's node
-    matrices, its weighted table) that :func:`_node_starts` reads. The
-    interval is checked (``SeriesBasis``) before A(mu) is evaluated."""
-    basis, weighted, samples = _quadrature(problem, interval, order)
+    A_0, and the nodes that :func:`_node_starts` reads: the stacked
+    decomposition of the quadrature's node matrices, the node points and
+    the weighted table, all from one :func:`_quadrature`. The interval is
+    checked (``SeriesBasis``) before A(mu) is evaluated."""
+    basis, mus, weighted, samples = _quadrature(problem, interval, order)
     coeffs = MatrixSeries(basis, _project(weighted, samples))
-    nodes = eigen_all(samples, hermitian=problem.hermitian), weighted
+    nodes = eigen_all(samples, hermitian=problem.hermitian), mus, weighted
     return coeffs, eigen_all(np.asarray(coeffs.coeffs[0])), nodes
 
 
@@ -555,12 +514,32 @@ def cheb_expand_all(problem, interval, order, selector="all"):
     selected eigenvalue. Order, selector and interval are checked before
     A(mu) is evaluated.
 
-    Per-pair failures are reported individually as ExpansionFailure
-    entries, among them both members of each pair of coinciding eigenvalue
-    paths (:func:`_reject_collisions`).
+    Pairs go through Newton in blocks whose stacked Jacobians fit
+    BLOCK_BYTES. Per-pair failures are reported individually as
+    ExpansionFailure entries (``taylor.pair_results``), among them both
+    members of each pair of coinciding eigenvalue paths (:func:`_collisions`).
     """
     check_order_and_selector(order, selector)
     coeffs, decomp, nodes = _projected(problem, interval, order)
     indices = selected_indices(selector, decomp.n)
-    out = _expand(coeffs, decomp, nodes, indices)
-    return _reject_collisions(out, indices, decomp.values, coeffs.basis)
+    errors, x = _node_starts(coeffs, decomp, nodes, indices)
+    system = _CoupledSystem(coeffs, x.dtype)
+    size = (coeffs.order + 1) * (coeffs.n + 1)
+    outcomes = []
+    for block in block_slices(x.shape[0], 16 * size * size, BLOCK_BYTES):
+        outcomes += _newton(system, x[block])
+    started = [index for index, error in zip(indices, errors) if error is None]
+    converged = [a for a, outcome in enumerate(outcomes) if not isinstance(outcome, NumericalError)]
+    partners = {}
+    for i, j in _collisions(coeffs.basis, x[converged]):
+        partners.setdefault(converged[i], []).append(converged[j])
+        partners.setdefault(converged[j], []).append(converged[i])
+    for a, others in partners.items():
+        name = " and ".join(f"eigenpair {started[b] + 1}" for b in others)
+        outcomes[a] = NumericalError(f"eigenvalue path coincides with that of {name}")
+    refined = (
+        outcome if isinstance(outcome, NumericalError)
+        else EigenPairSeries(coeffs.basis, unknowns[:, 0], unknowns[:, 1:], outcome)
+        for outcome, unknowns in zip(outcomes, x)
+    )
+    return pair_results(indices, decomp.values, errors, refined)

@@ -303,27 +303,17 @@ def cmd_sample(args):
     pairs, setup_seconds = _expand_for_sampling(args, problem)
     tracked = _select_tracked(pairs, positions, mean)
 
-    sample_sets = []
-    for method in methods:
-        setup = 0.0 if method == "direct" else setup_seconds
-        sample_sets.append(
-            sample_eigenvalues(
-                problem,
-                tracked,
-                (mean, stddev),
-                args.count,
-                args.seed,
-                method,
-                setup_seconds=setup,
-            )
-        )
+    sample_sets = [
+        sample_eigenvalues(problem, tracked, (mean, stddev), args.count, args.seed, method)
+        for method in methods
+    ]
 
     for ss in sample_sets:
         check_finite_at(ss.samples, ss.values, f"method {ss.method}: sampled value")
     outputs = [
         ("samples.csv", functools.partial(write_samples_csv, sample_sets)),
         ("histogram.csv", functools.partial(write_histogram_csv, sample_sets)),
-        ("timing.csv", functools.partial(write_sampling_summary_csv, sample_sets)),
+        ("timing.csv", functools.partial(write_sampling_summary_csv, sample_sets, setup_seconds)),
     ]
     _write_outputs(args, outputs, config_hash)
     return 0

@@ -98,10 +98,12 @@ from .series import (
 
 
 def check_order_and_selector(order, selector):
-    """Both expansions' rules: order is an integer >= 0; selector is "all" or an integer."""
-    if not (isinstance(order, numbers.Integral) and order >= 0):
+    """Both expansions' rules: order is an integer >= 0; selector is "all" or
+    an integer. A bool is not an integer here."""
+    if isinstance(order, bool) or not (isinstance(order, numbers.Integral) and order >= 0):
         raise ValueError("order must be a nonnegative integer")
-    if not (isinstance(selector, numbers.Integral) or selector == "all"):
+    if isinstance(selector, bool) or not (isinstance(selector, numbers.Integral)
+                                          or selector == "all"):
         raise ValueError("selector must be 'all' or an integer index")
 
 

@@ -298,20 +298,21 @@ def _per_cell_timing(rows, path):
                              "" if row.ratio is None else _fmt(row.ratio)])
 
 
-def _per_cell_summary(sample_sets, path):
+def _per_cell_summary(sample_sets, setup_seconds, path):
     direct = next((ss for ss in sample_sets if ss.method == "direct"), None)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["method", "setup_seconds", "sampling_seconds", "combined_seconds",
                          "speedup_vs_direct", "combined_speedup_vs_direct"])
         for ss in sample_sets:
-            combined = ss.setup_seconds + ss.sampling_seconds
+            setup = 0.0 if ss.method == "direct" else setup_seconds    # direct reads no series
+            combined = setup + ss.sampling_seconds
             if direct is None or ss.method == "direct":
                 speedup = combined_speedup = ""
             else:
                 speedup = _fmt(direct.sampling_seconds / ss.sampling_seconds)
                 combined_speedup = _fmt(direct.sampling_seconds / combined)
-            writer.writerow([ss.method, _fmt(ss.setup_seconds), _fmt(ss.sampling_seconds),
+            writer.writerow([ss.method, _fmt(setup), _fmt(ss.sampling_seconds),
                              _fmt(combined), speedup, combined_speedup])
 
 
@@ -335,9 +336,9 @@ def _complex(re, im):
     return out
 
 
-def _sample_set(method, values, mus=None, setup=0.1, sampling=0.2):
+def _sample_set(method, values, mus=None, sampling=0.2):
     mus = np.linspace(0.1, 0.3, values.shape[0]) if mus is None else mus
-    return analysis.SampleSet(method, mus, values, setup, sampling)
+    return analysis.SampleSet(method, mus, values, sampling)
 
 
 def _csv_cases():
@@ -379,9 +380,15 @@ def _csv_cases():
               for r, value in enumerate(SPECIALS)]
 
     # one set per method in SAMPLE_METHODS order, direct last
-    seconds = [(0.25, 5e-324), (np.inf, 0.5), (np.nan, 1.7976931348623157e308), (-0.0, 3e-7)]
-    summary = [_sample_set(method, samples[0].values, setup=setup, sampling=sampling)
-               for method, (setup, sampling) in zip(analysis.SAMPLE_METHODS, seconds)]
+    seconds = [5e-324, 0.5, 1.7976931348623157e308, 3e-7]
+    summary = [_sample_set(method, samples[0].values, sampling=sampling)
+               for method, sampling in zip(analysis.SAMPLE_METHODS, seconds)]
+    # the expansion's setup time, charged to every method but direct
+    summaries = {
+        f"summary_direct_setup_{setup!r}": (write_sampling_summary_csv, _per_cell_summary,
+                                            (summary, setup), {})
+        for setup in (np.inf, np.nan, -0.0)
+    }
 
     return {
         "error_report": (write_error_report_csv, _per_cell_error_report, (report,), {}),
@@ -390,8 +397,9 @@ def _csv_cases():
         "samples": (write_samples_csv, _per_cell_samples, (samples,), {}),
         "histogram": (write_histogram_csv, _per_cell_histogram, (hist,), {}),
         "timing": (write_timing_csv, _per_cell_timing, (timing,), {}),
-        "summary": (write_sampling_summary_csv, _per_cell_summary, (summary[:3],), {}),
-        "summary_direct": (write_sampling_summary_csv, _per_cell_summary, (summary,), {}),
+        "summary": (write_sampling_summary_csv, _per_cell_summary, (summary[:3], 0.25), {}),
+        "summary_direct": (write_sampling_summary_csv, _per_cell_summary, (summary, 0.25), {}),
+        **summaries,
     }
 
 
@@ -412,7 +420,7 @@ class TestCsvWriters:
 
     def test_histogram_and_summary_csv(self, tmp_path, taylor_e1_p6, torus8):
         tracked = taylor_e1_p6[:2]
-        t = sample_eigenvalues(torus8, tracked, (0.2, 0.05), 200, 3, "taylor-eval", 0.5)
+        t = sample_eigenvalues(torus8, tracked, (0.2, 0.05), 200, 3, "taylor-eval")
         d = sample_eigenvalues(torus8, tracked, (0.2, 0.05), 200, 3, "direct")
         hist_path = tmp_path / "hist.csv"
         write_histogram_csv([t, d], hist_path)
@@ -424,7 +432,7 @@ class TestCsvWriters:
         assert counts == 200
 
         summary_path = tmp_path / "summary.csv"
-        write_sampling_summary_csv([t, d], summary_path)
+        write_sampling_summary_csv([t, d], 0.5, summary_path)
         with open(summary_path, newline="") as handle:
             rows = list(csv.reader(handle))
         taylor_row = next(r for r in rows if r[0] == "taylor-eval")

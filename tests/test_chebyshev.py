@@ -33,12 +33,11 @@ import eigenpath.chebyshev as chebyshev
 
 from eigenpath.chebyshev import (
     _assignments,
+    _collisions,
     _CoupledSystem,
-    _detect_collisions,
     _newton,
     _node_starts,
     _projected,
-    _reject_collisions,
     cheb_jacobian,
     cheb_residual,
     coupling_tensor,
@@ -51,6 +50,11 @@ from eigenpath.chebyshev import (
 from eigenpath.errors import JacobianSingularError, NewtonDivergenceError, NumericalError
 from eigenpath.series import SeriesBasis, u_product_degrees, u_values
 from eigenpath.taylor import ExpansionFailure
+
+
+def stacked_unknowns(pairs):
+    """The unknowns (k, p+1, n+1) of series ``pairs``, row k of each (lam_k, v_k)."""
+    return np.stack([np.column_stack((pair.lam, pair.vec)) for pair in pairs])
 
 
 def galerkin_coefficients(lams, vs, a_list, p):
@@ -417,31 +421,21 @@ class TestExpandAll:
 
     def test_collision_detection_flags_duplicates(self, cheb_e1_p10):
         pairs = [cheb_e1_p10[0], cheb_e1_p10[0], cheb_e1_p10[1]]
-        assert _detect_collisions(pairs, pairs[0].basis) == [(0, 1)]
-        values = np.array([0.9, 0.7, 0.5, 0.3])
-        out = _reject_collisions(pairs, [3, 1, 2], values, pairs[0].basis)
-        for failure, index, partner in ((out[0], 3, 2), (out[1], 1, 4)):
-            assert isinstance(failure, ExpansionFailure)
-            assert failure.index == index and failure.eigenvalue == values[index]
-            assert type(failure.error) is NumericalError
-            assert str(failure.error) == f"eigenvalue path coincides with that of eigenpair {partner}"
-        assert out[2] is pairs[2]
+        assert _collisions(pairs[0].basis, stacked_unknowns(pairs)) == [(0, 1)]
 
     def test_equal_eigenvalues_with_orthogonal_eigenvectors_do_not_collide(self, cheb_e1_p10):
         # the near-double eigenvalues of the n=64 torus: equal eigenvalue
         # paths, distinct (here orthogonal) eigenvector paths
         p0, p1 = cheb_e1_p10[:2]
         twin = dataclasses.replace(p0, vec=p1.vec)
-        assert _detect_collisions([p0, twin], p0.basis) == []
-        out = _reject_collisions([p0, twin], [0, 1], np.zeros(2), p0.basis)
-        assert out[0] is p0 and out[1] is twin
+        assert _collisions(p0.basis, stacked_unknowns([p0, twin])) == []
         # an eigenvector path with the opposite sign is the same path
         flipped = dataclasses.replace(p0, vec=-p0.vec)
-        assert _detect_collisions([p0, twin, flipped], p0.basis) == [(0, 2)]
+        assert _collisions(p0.basis, stacked_unknowns([p0, twin, flipped])) == [(0, 2)]
 
     def test_no_collisions_on_example1(self, cheb_e1_p10):
         assert len(cheb_e1_p10) == 8    # no pair of the n=8 torus fails, by collision or else
-        assert _detect_collisions(cheb_e1_p10, cheb_e1_p10[0].basis) == []
+        assert _collisions(cheb_e1_p10[0].basis, stacked_unknowns(cheb_e1_p10)) == []
 
     def test_hermitian_flag_of_an_asymmetric_problem_is_rejected(self):
         with pytest.raises(ValueError, match=r"^hermitian=True, but \|A - A\^H\| is "):
@@ -574,6 +568,20 @@ class TestSharedInputRules:
     def test_order_that_is_not_an_integer_is_rejected(self, torus8, expand):
         with pytest.raises(ValueError, match=r"^order must be a nonnegative integer$"):
             expand(torus8, 2.5)
+
+    @pytest.mark.parametrize("expand", KERNELS + [
+        pytest.param(lambda problem, order, selector:
+                     warm_start(problem, (0.25, 1.0), order, selector), id="warm_start"),
+    ])
+    @pytest.mark.parametrize("order, selector, message", [
+        (True, 0, r"^order must be a nonnegative integer$"),
+        (False, 0, r"^order must be a nonnegative integer$"),
+        (3, True, r"^selector must be 'all' or an integer index$"),
+        (3, False, r"^selector must be 'all' or an integer index$"),
+    ])
+    def test_bool_order_or_selector_is_rejected(self, torus8, expand, order, selector, message):
+        with pytest.raises(ValueError, match=message):
+            expand(torus8, order, selector=selector)
 
     def test_numpy_integer_selector_expands_the_pair_of_its_int(self, torus8):
         (numpy_pair,) = taylor_expand_all(torus8, 0.2, 2, selector=np.int64(1))
@@ -793,13 +801,39 @@ class TestAllPairsKernel:
         failure = ExpansionFailure(9, 0j, NumericalError("failed"))
         pairs = [p0, failure, p1, p0, p2, p1, failure, p0]
         expected = pairwise_scan(pairs, p0.basis)
-        assert _detect_collisions(pairs, p0.basis) == expected
+        # only converged pairs are probed, at their positions among them
+        converged = [a for a, pair in enumerate(pairs) if isinstance(pair, EigenPairSeries)]
+        found = _collisions(p0.basis, stacked_unknowns([pairs[a] for a in converged]))
+        assert [(converged[i], converged[j]) for i, j in found] == expected
         assert expected == [(0, 3), (0, 7), (2, 5), (3, 7)]
-        out = _reject_collisions(pairs, range(8), np.zeros(8), p0.basis)
+
+    def test_colliding_paths_fail_through_the_one_assembly(self, monkeypatch):
+        # the pairs of the pairwise scan above: pair 0's start copied into
+        # pairs 3 and 7 and pair 2's into 5; pair 1 fails its start and
+        # pair 6 fails in Newton
+        request = separated_request("torus8")
+        clean = cheb_expand_all(*request)
+        values = _projected(*request)[1].values
+
+        def forced(coeffs, decomp, nodes, indices):
+            errors, x = _node_starts(coeffs, decomp, nodes, indices)
+            errors[1] = NumericalError("no start")
+            x = np.delete(x, 1, axis=0)        # rows: pairs 0 and 2..7
+            x[[2, 6]], x[4] = x[0], x[1]
+            x[5, 4, 2] = np.nan
+            return errors, x
+
+        monkeypatch.setattr(chebyshev, "_node_starts", forced)
+        results = cheb_expand_all(*request)
         partners = {0: "4 and eigenpair 8", 2: "6", 3: "1 and eigenpair 8",
                     5: "3", 7: "1 and eigenpair 4"}
         for a, names in partners.items():
-            assert isinstance(out[a], ExpansionFailure) and out[a].index == a
-            assert str(out[a].error) == f"eigenvalue path coincides with that of eigenpair {names}"
-        assert out[1] is out[6] is failure
-        assert out[4] is p2
+            failure = results[a]
+            assert isinstance(failure, ExpansionFailure) and failure.index == a
+            assert failure.eigenvalue == complex(values[a])
+            assert type(failure.error) is NumericalError
+            assert str(failure.error) == f"eigenvalue path coincides with that of eigenpair {names}"
+        for a, message in ((1, "no start"), (6, "series coefficient at order 4 is not finite")):
+            assert isinstance(results[a], ExpansionFailure) and results[a].index == a
+            assert str(results[a].error) == message
+        assert_same_pair(results[4], clean[4])

@@ -639,6 +639,23 @@ def test_every_import_a_module_never_reads_is_a_tracer_target(monkeypatch):
     assert unread == []
 
 
+def test_only_pair_results_builds_an_expansion_failure():
+    # every per-pair error of either expansion becomes its ExpansionFailure
+    # through one assembly, so no failure can be built another way
+    builders = set()
+    for path in sorted(Path(eigenpath.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "ExpansionFailure":
+                    builders.add(f"eigenpath.{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert builders == {"eigenpath.taylor.pair_results"}
+
+
 @pytest.mark.parametrize("kernel, basis", [
     ("taylor_expand_all", ["--mu0", "0.2"]),
     ("cheb_expand_all", ["--interval", "0.25,1.0"]),
