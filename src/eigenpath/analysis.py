@@ -75,6 +75,8 @@ def _eval_series(pairs, mus, field):
     """Every pair's ``field`` series ("lam" or "vec") at every point: shape
     (m, k) or (m, k, n). Pairs that share a basis and an order are stacked,
     (p+1, k) or (p+1, k, n), into one evaluation."""
+    if not pairs:
+        raise ValueError("pairs must be nonempty")
     groups = {}
     for i, pair in enumerate(pairs):
         groups.setdefault((pair.basis, pair.order), []).append(i)
@@ -198,6 +200,8 @@ def error_report(problem, pairs, grid):
     errors are not finite.
     """
     grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError(f"grid must be one-dimensional, got shape {grid.shape}")
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
     shape = (grid.size, len(pairs))
@@ -327,6 +331,8 @@ def bench_complexity(make_problem, n_list, p_list, mu0=0.2, repeats=3):
     """
     if not n_list or not p_list:
         raise ValueError("n_list and p_list must be nonempty")
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
     problems = [make_problem(n) for n in n_list]
     for p in p_list:
         check_order_and_selector(p, "all")
@@ -409,6 +415,8 @@ def write_histogram_csv(sample_sets, path):
     [lo, lo + 1] is too narrow as well, and the bins span
     [lo, lo + 200 ulp(lo)], four ulps of lo each.
     """
+    if not sample_sets:
+        raise ValueError("at least one sample set is required")
     blocks = []
     for i in range(sample_sets[0].values.shape[1]):
         reals = [ss.values[:, i].real for ss in sample_sets]

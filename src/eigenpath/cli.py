@@ -299,6 +299,8 @@ def cmd_sample(args):
     for pos in positions:
         if not 1 <= pos <= problem.n:
             raise UsageError(f"--pairs position {pos} out of range 1..{problem.n}")
+    if len(set(positions)) != len(positions):
+        raise UsageError("--pairs lists a position twice")
 
     pairs, setup_seconds = _expand_for_sampling(args, problem)
     tracked = _select_tracked(pairs, positions, mean)

@@ -11,7 +11,10 @@ Grammar (whitespace-insensitive):
     base   := number | 'mu' | func '(' expr ')' | '(' expr ')'
 
 so unary minus binds looser than '^' (-mu^2 is -(mu^2)) and tighter than
-'*' and '/'.
+'*' and '/'. The tree has one node class per shape: Num(value), Mu(),
+Unary(op, operand) for '-' and the function calls (op is "-" or the
+function's name), BinOp(op, left, right) for '+', '-', '*' and '/', and
+Pow(base, exponent).
 
 Error offsets are 1-based.
 """
@@ -30,61 +33,33 @@ from .series import binomial_table
 FUNCTIONS = ("exp", "sin", "cos", "sqrt", "log")
 
 
-class ExprNode:
-    """Abstract syntax tree node."""
-
-    __slots__ = ()
-
-
 @dataclass(frozen=True)
-class Num(ExprNode):
+class Num:
     value: float
 
 
 @dataclass(frozen=True)
-class Mu(ExprNode):
+class Mu:
     pass
 
 
 @dataclass(frozen=True)
-class Neg(ExprNode):
-    operand: ExprNode
+class Unary:
+    op: str  # "-" or a name in FUNCTIONS
+    operand: object
 
 
 @dataclass(frozen=True)
-class Add(ExprNode):
-    left: ExprNode
-    right: ExprNode
+class BinOp:
+    op: str  # "+", "-", "*" or "/"
+    left: object
+    right: object
 
 
 @dataclass(frozen=True)
-class Sub(ExprNode):
-    left: ExprNode
-    right: ExprNode
-
-
-@dataclass(frozen=True)
-class Mul(ExprNode):
-    left: ExprNode
-    right: ExprNode
-
-
-@dataclass(frozen=True)
-class Div(ExprNode):
-    left: ExprNode
-    right: ExprNode
-
-
-@dataclass(frozen=True)
-class Pow(ExprNode):
-    base: ExprNode
+class Pow:
+    base: object
     exponent: int
-
-
-@dataclass(frozen=True)
-class Call(ExprNode):
-    func: str
-    arg: ExprNode
 
 
 _NUMBER = re.compile(r"\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
@@ -108,11 +83,14 @@ class _Parser:
         self._skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def _accept(self, char):
-        if self._peek() == char:
+    def _accept(self, chars):
+        """Consume the next character if it is one of ``chars`` and return
+        it; otherwise return ""."""
+        ch = self._peek()
+        if ch and ch in chars:
             self.pos += 1
-            return True
-        return False
+            return ch
+        return ""
 
     def _expect(self, char):
         if not self._accept(char):
@@ -127,27 +105,19 @@ class _Parser:
 
     def expr(self):
         node = self.term()
-        while True:
-            if self._accept("+"):
-                node = Add(node, self.term())
-            elif self._accept("-"):
-                node = Sub(node, self.term())
-            else:
-                return node
+        while op := self._accept("+-"):
+            node = BinOp(op, node, self.term())
+        return node
 
     def term(self):
         node = self.factor()
-        while True:
-            if self._accept("*"):
-                node = Mul(node, self.factor())
-            elif self._accept("/"):
-                node = Div(node, self.factor())
-            else:
-                return node
+        while op := self._accept("*/"):
+            node = BinOp(op, node, self.factor())
+        return node
 
     def factor(self):
         if self._accept("-"):
-            return Neg(self.factor())
+            return Unary("-", self.factor())
         node = self.base()
         if self._accept("^"):
             self._skip_ws()
@@ -184,7 +154,7 @@ class _Parser:
                 self._expect("(")
                 node = self.expr()
                 self._expect(")")
-                return Call(name, node)
+                return Unary(name, node)
             raise UnknownIdentifierError(name, start + 1)
         self._fail(f"unexpected character {ch!r}")
 
@@ -259,12 +229,20 @@ class Jet:
         return Jet(out)
 
     def __pow__(self, exponent):
-        result = Jet.constant(1.0, len(self.values) - 1)
+        one = Jet.constant(1.0, len(self.values) - 1)
         if exponent < 0:
-            return result / self ** -exponent
-        for _ in range(exponent):
-            result = self * result
-        return result
+            return one / self ** -exponent
+        # repeated squaring: at most 2 log2(exponent) + 1 products. The
+        # first is with ``one``, so that x^1 = x * one is a product too,
+        # which turns a -0.0 into 0.0.
+        result, square = one, self
+        while True:
+            if exponent & 1:
+                result = square * result
+            exponent >>= 1
+            if not exponent:
+                return result
+            square = square * square
 
     def exp(self):
         f = self.values
@@ -318,33 +296,33 @@ class Jet:
 
 _DOMAIN_FAILURES = {ZeroDivisionError: "division by zero", ValueError: "domain error",
                     OverflowError: "overflow"}
-_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
-_FLOAT_FUNCTIONS = {name: getattr(math, name) for name in FUNCTIONS}
-_JET_FUNCTIONS = {"exp": Jet.exp, "sin": lambda f: f.sin_cos()[0],
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_FLOAT_FUNCTIONS = {"-": operator.neg, **{name: getattr(math, name) for name in FUNCTIONS}}
+_JET_FUNCTIONS = {"-": operator.neg, "exp": Jet.exp, "sin": lambda f: f.sin_cos()[0],
                   "cos": lambda f: f.sin_cos()[1], "sqrt": Jet.sqrt, "log": Jet.log}
 
 
 def _walk(node, mu, const, funcs):
     """The value of ``node`` at ``mu``, in mu's number type: ``const`` makes
-    a literal of that type, and ``funcs`` holds the FUNCTIONS over it."""
+    a literal of that type, and ``funcs`` holds negation and the FUNCTIONS
+    over it."""
     kind = type(node)  # exact types: half the cost of isinstance calls
     try:  # a child raises DomainError, so this catches only the node's own failure
         if kind is Num:
             return const(node.value)
         if kind is Mu:
             return mu
-        if kind is Neg:
-            return -_walk(node.operand, mu, const, funcs)
+        if kind is Unary:
+            return funcs[node.op](_walk(node.operand, mu, const, funcs))
+        if kind is BinOp:
+            left, right = _walk(node.left, mu, const, funcs), _walk(node.right, mu, const, funcs)
+            return _BINARY[node.op](left, right)
         if kind is Pow:
             return _walk(node.base, mu, const, funcs) ** node.exponent
-        if kind is Call:
-            return funcs[node.func](_walk(node.arg, mu, const, funcs))
-        if kind in _BINARY:
-            left, right = _walk(node.left, mu, const, funcs), _walk(node.right, mu, const, funcs)
-            return _BINARY[kind](left, right)
     except tuple(_DOMAIN_FAILURES) as exc:
         reason = next(text for cls, text in _DOMAIN_FAILURES.items() if isinstance(exc, cls))
-        operation = node.func if kind is Call else f"'^{node.exponent}'" if kind is Pow else "'/'"
+        operation = (node.op if kind is Unary
+                     else f"'^{node.exponent}'" if kind is Pow else f"'{node.op}'")
         raise DomainError(f"{reason} in {operation}") from exc
     raise TypeError(f"unknown AST node {node!r}")
 

@@ -206,6 +206,27 @@ class TestSampling:
             sample_eigenvalues(torus8, taylor_e1_p6, (0.2, 0.1), 5, 1, "cheb-eval")
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda problem, pairs, path: error_report(problem, [], [0.1, 0.2]),
+     "pairs must be nonempty"),
+    (lambda problem, pairs, path: sample_eigenvalues(problem, [], (0.2, 0.1), 5, 1, "direct"),
+     "pairs must be nonempty"),
+    (lambda problem, pairs, path: write_histogram_csv([], path),
+     "at least one sample set is required"),
+    (lambda problem, pairs, path: bench_complexity(lambda n: problem, [8], [2], repeats=0),
+     "repeats must be >= 1"),
+    (lambda problem, pairs, path: error_report(problem, pairs, [[0.1, 0.2], [0.3, 0.4]]),
+     r"grid must be one-dimensional, got shape \(2, 2\)"),
+], ids=["report-no-pairs", "sample-no-pairs", "histogram-no-sample-sets", "bench-no-repeats",
+        "report-2d-grid"])
+def test_library_input_without_work_fails_by_name(tmp_path, taylor_e1_p6, torus8, call,
+                                                   message):
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(torus8, taylor_e1_p6, path)
+    assert not path.exists()
+
+
 class TestBench:
     def test_repeat_stability_smoke(self, torus8):
         from eigenpath import make_torus_kernel

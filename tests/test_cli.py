@@ -1153,6 +1153,8 @@ def test_non_finite_float_flag_is_a_usage_error(tmp_path, capsys, argv, flag):
 
 @pytest.mark.parametrize("argv, message", [
     (["sample", "--mu0", "0.2", "--method", "direct,direct"], "--method lists a method twice"),
+    (["sample", "--mu0", "0.2", "--method", "direct", "--pairs", "1,1"],
+     "--pairs lists a position twice"),
     (["sample", "--mu0", "0.2", "--method", "bogus"], "unknown sampling method 'bogus'"),
     (["sample", "--interval", "0,1", "--method", "taylor-eval"], "taylor-eval requires --mu0"),
     (["sample", "--mu0", "0.2", "--method", "direct", "--pairs", "9"],
@@ -1168,9 +1170,9 @@ def test_non_finite_float_flag_is_a_usage_error(tmp_path, capsys, argv, flag):
      "--dist: stddev must be non-negative"),
     (["sample", "--mu0", "0.2", "--method", "direct", "--seed", "-1"],
      "--seed must be non-negative"),
-], ids=["method-twice", "unknown-method", "taylor-eval-with-interval", "pair-beyond-n",
-        "unknown-metric", "pair-not-an-index", "two-value-grid", "grid-count-not-an-integer",
-        "negative-stddev", "negative-seed"])
+], ids=["method-twice", "pair-twice", "unknown-method", "taylor-eval-with-interval",
+        "pair-beyond-n", "unknown-metric", "pair-not-an-index", "two-value-grid",
+        "grid-count-not-an-integer", "negative-stddev", "negative-seed"])
 def test_sample_and_report_usage_error_leaves_no_output_directory(tmp_path, capsys, argv,
                                                                  message):
     command, *flags = argv

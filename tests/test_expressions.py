@@ -8,15 +8,12 @@ import pytest
 
 from eigenpath.errors import DomainError, ExpressionSyntaxError, UnknownIdentifierError
 from eigenpath.expressions import (
-    Add,
-    Call,
-    Div,
-    Mul,
+    BinOp,
+    Jet,
     Mu,
-    Neg,
     Num,
     Pow,
-    Sub,
+    Unary,
     eval_expr,
     parse_expression,
     taylor_arith_eval,
@@ -26,15 +23,15 @@ from eigenpath.expressions import (
 class TestParser:
     def test_exp_neg_product(self):
         node = parse_expression("exp(-mu*2.5)")
-        # '-' binds tighter than '*', so the tree is exp(Neg(mu) * 2.5); the
+        # '-' binds tighter than '*', so the tree is exp((-mu) * 2.5); the
         # value is identical to exp(-(mu * 2.5)).
-        assert node == Call("exp", Mul(Neg(Mu()), Num(2.5)))
+        assert node == Unary("exp", BinOp("*", Unary("-", Mu()), Num(2.5)))
         for mu in (-1.0, 0.3, 2.0):
             assert eval_expr(node, mu) == pytest.approx(math.exp(-mu * 2.5))
 
     def test_power_of_sum(self):
         node = parse_expression("2*(mu+1)^3")
-        assert node == Mul(Num(2.0), Pow(Add(Mu(), Num(1.0)), 3))
+        assert node == BinOp("*", Num(2.0), Pow(BinOp("+", Mu(), Num(1.0)), 3))
         assert eval_expr(node, 0.5) == pytest.approx(2 * 1.5**3)
 
     def test_unbalanced_paren_offset(self):
@@ -54,15 +51,15 @@ class TestParser:
         assert a == b
 
     def test_precedence(self):
-        assert parse_expression("1+2*mu") == Add(Num(1.0), Mul(Num(2.0), Mu()))
-        assert parse_expression("1-2-3") == Sub(Sub(Num(1.0), Num(2.0)), Num(3.0))
-        assert parse_expression("6/2/3") == Div(Div(Num(6.0), Num(2.0)), Num(3.0))
+        assert parse_expression("1+2*mu") == BinOp("+", Num(1.0), BinOp("*", Num(2.0), Mu()))
+        assert parse_expression("1-2-3") == BinOp("-", BinOp("-", Num(1.0), Num(2.0)), Num(3.0))
+        assert parse_expression("6/2/3") == BinOp("/", BinOp("/", Num(6.0), Num(2.0)), Num(3.0))
         # unary minus binds looser than '^' and tighter than '*'
-        assert parse_expression("-mu^2") == Neg(Pow(Mu(), 2))
-        assert parse_expression("2*-mu^2") == Mul(Num(2.0), Neg(Pow(Mu(), 2)))
-        assert parse_expression("(-mu)^2") == Pow(Neg(Mu()), 2)
+        assert parse_expression("-mu^2") == Unary("-", Pow(Mu(), 2))
+        assert parse_expression("2*-mu^2") == BinOp("*", Num(2.0), Unary("-", Pow(Mu(), 2)))
+        assert parse_expression("(-mu)^2") == Pow(Unary("-", Mu()), 2)
         assert parse_expression("mu^-2") == Pow(Mu(), -2)
-        assert parse_expression("-mu*2") == Mul(Neg(Mu()), Num(2.0))
+        assert parse_expression("-mu*2") == BinOp("*", Unary("-", Mu()), Num(2.0))
         assert eval_expr(parse_expression("-2^2"), 0.0) == -4.0
         assert eval_expr(parse_expression("exp(-mu^2)"), 3.0) == math.exp(-9.0)
 
@@ -91,6 +88,50 @@ class TestParser:
                            match=rf"^{re.escape(message)} \(offset {offset}\)$") as err:
             parse_expression(text)
         assert err.value.offset == offset
+
+
+# Each pair of binary operators in both orders, unary minus before and after
+# '^', negative exponents and nested calls. Literals carry a decimal point,
+# so that Python reads them as floats too.
+PYTHON_CORPUS = [
+    "1.5+mu+2.5", "1.5+mu-2.5", "1.5+mu*2.5", "1.5+mu/2.5",
+    "1.5-mu+2.5", "1.5-mu-2.5", "1.5-mu*2.5", "1.5-mu/2.5",
+    "1.5*mu+2.5", "1.5*mu-2.5", "1.5*mu*2.5", "1.5*mu/2.5",
+    "1.5/mu+2.5", "1.5/mu-2.5", "1.5/mu*2.5", "1.5/mu/2.5",
+    "0.1+0.2+mu", "mu-0.3-0.7-0.1", "mu/0.3/0.7", "0.3*mu*0.7*mu",
+    "1.5+mu^2", "1.5-mu^2", "1.5*mu^3", "1.5/mu^2", "mu^2+1.5", "mu^2-1.5",
+    "mu^3*1.5", "mu^3/1.5", "(1.5+mu)^2", "(1.5-mu)^3*0.5", "(mu*0.5)^4",
+    "(mu/0.7)^5",
+    "-mu", "--mu", "-mu^2", "-(mu)^2", "(-mu)^2", "(-mu)^3", "-mu^3",
+    "2.0*-mu^2", "2.0/-mu^3", "1.0--mu", "1.0+-mu*2.0", "-mu*2.0", "-mu/2.0",
+    "-1.5-mu", "-(1.5+mu)*0.5",
+    "mu^-1", "mu^-2*3.0", "(1.0+mu)^-3", "-mu^-2", "2.0/mu^-2", "(0.5-mu)^-1",
+    "mu^0", "mu^1",
+    "exp(-mu^2)", "sin(cos(mu))", "exp(sin(mu)*cos(mu))", "sqrt(1.0+mu^2)",
+    "log(2.5+mu^2)", "cos(sqrt(log(3.0+mu*mu)))", "exp(-exp(-mu))",
+    "sin(mu)/cos(mu)-sin(mu)/cos(mu)^2", "-sqrt(0.5+mu^4)^3", "log(exp(mu)+exp(-mu))",
+    "1.0/(1.0+exp(-2.0*mu))", "0.25*mu^2*(1.0-mu)^2/(0.5+cos(mu)^2)",
+]
+
+
+class TestParserShape:
+    @pytest.mark.parametrize("text", PYTHON_CORPUS)
+    @pytest.mark.parametrize("mu", [0.3, 1.7, -2.1])
+    def test_value_is_pythons_bit_for_bit(self, text, mu):
+        names = {name: getattr(math, name) for name in ("exp", "sin", "cos", "sqrt", "log")}
+        expected = eval(text.replace("^", "**"), {"__builtins__": {}}, {**names, "mu": mu})
+        assert eval_expr(parse_expression(text), mu).hex() == expected.hex()
+
+    @pytest.mark.parametrize("opening", ["(", "exp("])
+    def test_two_hundred_nested_levels_parse_and_evaluate(self, opening):
+        node = parse_expression(opening * 200 + "mu" + ")" * 200)
+        if opening == "(":
+            assert node == Mu()
+            assert eval_expr(node, 0.5) == 0.5
+            assert taylor_arith_eval(node, 0.5, 2).tolist() == [0.5, 1.0, 0.0]
+        else:
+            # exp overflows after four levels from any finite mu; nan does not
+            assert math.isnan(eval_expr(node, math.nan))
 
 
 class TestJetArithmetic:
@@ -177,6 +218,21 @@ class TestJetArithmetic:
             values = taylor_arith_eval(parse_expression("(1+mu)^-3*log(1+mu)"), 0.3, 200)
         finite = np.isfinite(values)
         assert not finite[-1] and np.argmin(finite) > 170
+
+    def test_integer_power_takes_logarithmically_many_products(self, monkeypatch):
+        calls = []
+        product = Jet.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return product(self, other)
+
+        monkeypatch.setattr(Jet, "__mul__", counted)
+        k = 10**6
+        # at mu0 = 1 every derivative value of mu^k is an integer below 2^53
+        values = taylor_arith_eval(parse_expression(f"mu^{k}"), 1.0, 2)
+        assert values.tolist() == [1.0, k, k * (k - 1)]
+        assert len(calls) <= 2 * math.log2(k) + 2
 
     def test_log_sqrt_consistency(self):
         # sqrt(f) == exp(log(f)/2) as jets
