@@ -61,7 +61,6 @@ from .problems import (
 from .expressions import parse_expression, taylor_arith_eval
 from .series import (
     EigenPairSeries,
-    MatrixSeries,
     SeriesBasis,
     eigenpair_from_dict,
     eigenpair_to_dict,

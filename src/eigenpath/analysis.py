@@ -71,6 +71,13 @@ def _blocks(count, n):
     return block_slices(count, 4 * 16 * n * n, BLOCK_BYTES)
 
 
+def _check_sizes(problem, pairs):
+    """Raise ValueError, naming both sizes, on a pair whose n is not the problem's."""
+    for pair in pairs:
+        if pair.n != problem.n:
+            raise ValueError(f"eigenpair series has n={pair.n}, the problem has n={problem.n}")
+
+
 def _eval_series(pairs, mus, field):
     """Every pair's ``field`` series ("lam" or "vec") at every point: shape
     (m, k) or (m, k, n). Pairs that share a basis and an order are stacked,
@@ -126,6 +133,7 @@ def rayleigh_refine(problem, pair, mu):
     eigenvector error; for non-symmetric problems no improvement is
     promised.
     """
+    _check_sizes(problem, [pair])
     _, q = _eval_paths([pair], [mu])
     a = matrix_stack(problem, [mu], "rayleigh_refine")
     return complex(_rayleigh_quotients(a, q)[0, 0])
@@ -199,6 +207,7 @@ def error_report(problem, pairs, grid):
     A(mu) is not finite, or when a series overflows there so that its
     errors are not finite.
     """
+    _check_sizes(problem, pairs)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1:
         raise ValueError(f"grid must be one-dimensional, got shape {grid.shape}")
@@ -275,6 +284,7 @@ def sample_eigenvalues(problem, pairs, dist, count, seed, method):
         raise ValueError("sample count must be >= 1")
     if method not in SAMPLE_METHODS:
         raise ValueError(f"unknown sampling method {method!r}")
+    _check_sizes(problem, pairs)
     mean, stddev = dist
     mus = draw_samples(mean, stddev, count, seed)
     values = np.zeros((count, len(pairs)), dtype=complex)

@@ -1,6 +1,7 @@
 """Chebyshev-U expansion of eigenpaths over an interval: matrix-coefficient
 projection by Gauss-Chebyshev quadrature, a start from the eigenpairs at the
-quadrature nodes, and Newton refinement of the full coupled system.
+quadrature nodes, and Newton refinement of the full coupled system. The
+projected A_0..A_p are one (p+1, n, n) array, as Taylor's A_0..A_p at mu0 are.
 
 The coupled system collects, for each retained degree k, the U_k coefficient
 of A(mu) v(mu) - lambda(mu) v(mu) (vector rows) and of v(mu)^T v(mu) - 1
@@ -106,7 +107,6 @@ from .linalg import (  # noqa: F401  (build_bordered, solve_bordered: looked up 
 from .problems import matrix_stack
 from .series import (  # noqa: F401  (eval_cheb_u: looked up here by benchmarks/tracing.py)
     EigenPairSeries,
-    MatrixSeries,
     SeriesBasis,
     eval_cheb_u,
     u_values,
@@ -160,15 +160,18 @@ def _project(weighted, values):
 
 
 def project_matrix_coeffs(problem, interval, p):
-    """Project A(mu) onto U_0..U_p over the interval by quadrature.
+    """Project A(mu) onto U_0..U_p over the interval by quadrature: the
+    array (p+1, n, n) of A_i = (2/pi) sum_j w_j A(mu(s_j)) U_i(s_j).
 
-    A_i = (2/pi) sum_j w_j A(mu(s_j)) U_i(s_j). Unlike the Taylor case,
-    A_0 here is a weighted average of A over the interval, not A at a point.
-    The coefficients are real (float64) when every sample is real. A sample
-    that is not finite raises NumericalError (``problems.matrix_stack``).
+    Unlike the Taylor case, A_0 here is a weighted average of A over the
+    interval, not A at a point. The array is float64 when every sample is
+    real, else complex128. p and the interval are checked before A(mu) is
+    evaluated; a sample that is not finite raises NumericalError
+    (``problems.matrix_stack``).
     """
-    basis, _, weighted, samples = _quadrature(problem, interval, p)
-    return MatrixSeries(basis, _project(weighted, samples))
+    check_order_and_selector(p, "all")
+    _, _, weighted, samples = _quadrature(problem, interval, p)
+    return _project(weighted, samples)
 
 
 @functools.lru_cache(maxsize=32)
@@ -271,7 +274,7 @@ def _node_starts(coeffs, decomp, nodes, indices):
         for size, mu, error in zip(smallest, at_mu, errors)
     ]
     ok = np.array([error is None for error in errors], dtype=bool)
-    lams = in_dtype(node_decomp.values[at, cols[:, ok]], working_dtype(coeffs.coeffs, paths))
+    lams = in_dtype(node_decomp.values[at, cols[:, ok]], working_dtype(coeffs, paths))
     vs = paths[:, ok] / np.sqrt(bilinear[:, ok, None])
     vs *= _path_signs(decomp.vectors[:, indices[ok]].T, vs)[:, :, None]
     unknowns = np.concatenate((lams[:, :, None], vs), axis=2)     # (m, k, n+1)
@@ -283,7 +286,7 @@ def warm_start(problem, interval, order, eigindex):
     average of A(mu) over the interval at ``order``: :func:`_node_starts`
     on that pair alone, raising its error."""
     check_order_and_selector(order, eigindex)
-    coeffs, decomp, nodes = _projected(problem, interval, order)
+    _, coeffs, decomp, nodes = _projected(problem, interval, order)
     (error,), x = _node_starts(coeffs, decomp, nodes, selected_indices(eigindex, decomp.n))
     if error is not None:
         raise error
@@ -304,21 +307,21 @@ class _CoupledSystem:
     the stack), so a pair's bits do not depend on which or how many pairs
     share its block.
 
-    It computes in ``self.dtype``, the coefficients' dtype promoted with
-    ``dtype``, the unknowns' dtype (by default the coefficients' own); the
-    unknowns it is given must have it.
+    It computes in ``self.dtype``, the dtype of ``coeffs`` (A_0..A_p) promoted
+    with ``dtype``, the unknowns' dtype (by default the coefficients' own);
+    the unknowns it is given must have it.
     """
 
     def __init__(self, coeffs, dtype=np.float64):
-        p1, n = coeffs.order + 1, coeffs.n
+        p1, n = coeffs.shape[:2]
         self.p1, self.n = p1, n
-        self.g = coupling_tensor(coeffs.order)
-        self.dtype = working_dtype(coeffs.coeffs, dtype)
-        self.a = np.asarray(coeffs.coeffs, dtype=self.dtype)
+        self.g = coupling_tensor(p1 - 1)
+        self.dtype = working_dtype(coeffs, dtype)
+        self.a = np.asarray(coeffs, dtype=self.dtype)
         self.g_rows = self.g.reshape(p1 * p1, p1)                      # (k, i) against j
         self.g_lam = self.g.transpose(1, 0, 2).reshape(p1, p1 * p1)    # i against (k, m)
         self.a_rows = self.a.transpose(0, 2, 1).reshape(p1 * n, n)     # (i, b) against a
-        self.scale = 1.0 + max(float(np.linalg.norm(a)) for a in coeffs.coeffs)
+        self.scale = 1.0 + max(float(np.linalg.norm(a)) for a in coeffs)
 
     @functools.cached_property
     def _coupled_a(self):
@@ -464,15 +467,16 @@ def _newton(system, x):
     return outcomes
 
 
-def newton_refine(x0, coeffs):
-    """Full-step Newton iteration on the coupled system from packed x0:
-    :func:`_newton` on one pair, raising its error."""
+def newton_refine(x0, coeffs, basis):
+    """Full-step Newton iteration on the coupled system of ``coeffs``
+    (A_0..A_p) from packed x0: :func:`_newton` on one pair, raising its
+    error. The series it returns is in ``basis``, the interval's."""
     system, x = _one_pair(x0, coeffs)
     x = x.copy()
     (outcome,) = _newton(system, x)
     if isinstance(outcome, NumericalError):
         raise outcome
-    return EigenPairSeries(coeffs.basis, x[0, :, 0], x[0, :, 1:], outcome)
+    return EigenPairSeries(basis, x[0, :, 0], x[0, :, 1:], outcome)
 
 
 def _collisions(basis, x):
@@ -496,15 +500,15 @@ def _collisions(basis, x):
 
 
 def _projected(problem, interval, order):
-    """The coefficients A_0..A_order over the interval, the decomposition of
-    A_0, and the nodes that :func:`_node_starts` reads: the stacked
-    decomposition of the quadrature's node matrices, the node points and
-    the weighted table, all from one :func:`_quadrature`. The interval is
-    checked (``SeriesBasis``) before A(mu) is evaluated."""
+    """The interval's basis, the coefficients A_0..A_order over it, the
+    decomposition of A_0, and the nodes that :func:`_node_starts` reads: the
+    stacked decomposition of the quadrature's node matrices, the node points
+    and the weighted table, all from one :func:`_quadrature`. The interval
+    is checked (``SeriesBasis``) before A(mu) is evaluated."""
     basis, mus, weighted, samples = _quadrature(problem, interval, order)
-    coeffs = MatrixSeries(basis, _project(weighted, samples))
+    coeffs = _project(weighted, samples)
     nodes = eigen_all(samples, hermitian=problem.hermitian), mus, weighted
-    return coeffs, eigen_all(np.asarray(coeffs.coeffs[0])), nodes
+    return basis, coeffs, eigen_all(coeffs[0]), nodes
 
 
 def cheb_expand_all(problem, interval, order, selector="all"):
@@ -520,18 +524,18 @@ def cheb_expand_all(problem, interval, order, selector="all"):
     members of each pair of coinciding eigenvalue paths (:func:`_collisions`).
     """
     check_order_and_selector(order, selector)
-    coeffs, decomp, nodes = _projected(problem, interval, order)
+    basis, coeffs, decomp, nodes = _projected(problem, interval, order)
     indices = selected_indices(selector, decomp.n)
     errors, x = _node_starts(coeffs, decomp, nodes, indices)
     system = _CoupledSystem(coeffs, x.dtype)
-    size = (coeffs.order + 1) * (coeffs.n + 1)
+    size = system.p1 * (system.n + 1)
     outcomes = []
     for block in block_slices(x.shape[0], 16 * size * size, BLOCK_BYTES):
         outcomes += _newton(system, x[block])
     started = [index for index, error in zip(indices, errors) if error is None]
     converged = [a for a, outcome in enumerate(outcomes) if not isinstance(outcome, NumericalError)]
     partners = {}
-    for i, j in _collisions(coeffs.basis, x[converged]):
+    for i, j in _collisions(basis, x[converged]):
         partners.setdefault(converged[i], []).append(converged[j])
         partners.setdefault(converged[j], []).append(converged[i])
     for a, others in partners.items():
@@ -539,7 +543,7 @@ def cheb_expand_all(problem, interval, order, selector="all"):
         outcomes[a] = NumericalError(f"eigenvalue path coincides with that of {name}")
     refined = (
         outcome if isinstance(outcome, NumericalError)
-        else EigenPairSeries(coeffs.basis, unknowns[:, 0], unknowns[:, 1:], outcome)
+        else EigenPairSeries(basis, unknowns[:, 0], unknowns[:, 1:], outcome)
         for outcome, unknowns in zip(outcomes, x)
     )
     return pair_results(indices, decomp.values, errors, refined)

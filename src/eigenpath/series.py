@@ -57,7 +57,8 @@ class SeriesBasis:
             if self.interval is None:
                 raise ValueError("Chebyshev basis requires an interval")
             mu1, mu2 = self.interval
-            if not (math.isfinite(mu1) and math.isfinite(mu2) and mu2 - mu1 > 0):
+            # a width of inf or nan also rejects an end point that is not finite
+            if not 0 < mu2 - mu1 < math.inf:
                 raise ValueError("Chebyshev interval must be finite with mu2 > mu1")
             if self.mu0 is not None:
                 raise ValueError("Chebyshev basis takes no expansion point")
@@ -99,11 +100,9 @@ class SeriesBasis:
         return clenshaw_u(coeffs, self.affine(mu))
 
 
-def _freeze(coeffs, ndim, dtype=complex):
-    """coeffs as a read-only contiguous array of ``dtype`` (None: float64 or
-    complex128, whichever holds them)."""
-    arr = np.asarray(coeffs, dtype=dtype)
-    arr = arr.astype(np.result_type(arr, np.float64), copy=False)
+def _freeze(coeffs, ndim):
+    """coeffs as a read-only contiguous complex128 array."""
+    arr = np.asarray(coeffs, dtype=complex)
     if arr.ndim != ndim:
         raise ValueError(f"expected {ndim}-dimensional coefficient array, got {arr.ndim}")
     if arr.shape[0] == 0:
@@ -111,29 +110,6 @@ def _freeze(coeffs, ndim, dtype=complex):
     arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
     return arr
-
-
-@dataclass(frozen=True)
-class MatrixSeries:
-    """n-by-n coefficients, orders 0..p. coeffs has shape (p+1, n, n) and
-    keeps its dtype: float64 for a real stack, else complex128."""
-
-    basis: SeriesBasis
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        arr = _freeze(self.coeffs, 3, dtype=None)
-        if arr.shape[1] != arr.shape[2]:
-            raise ValueError("matrix coefficients must be square")
-        object.__setattr__(self, "coeffs", arr)
-
-    @property
-    def order(self):
-        return self.coeffs.shape[0] - 1
-
-    @property
-    def n(self):
-        return self.coeffs.shape[1]
 
 
 @dataclass(frozen=True)

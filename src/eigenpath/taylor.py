@@ -186,10 +186,11 @@ def selected_indices(selector, n):
 
 
 def _check_derivatives(problem, mu0, order):
-    """A_0..A_order at mu0, or NumericalError naming the first order that is
+    """A_0..A_order at mu0, the first order + 1 of the stack that
+    ``derivs_at`` returns, or NumericalError naming the first order that is
     not finite (with no numpy warning before it)."""
     with overflow_reported():
-        derivs = np.asarray(problem.derivs_at(mu0, order))
+        derivs = np.asarray(problem.derivs_at(mu0, order))[:order + 1]
     derivs = np.asarray(derivs, dtype=working_dtype(derivs))
     if derivs.shape[0] < order + 1:
         raise DerivativeOrderError(derivs.shape[0])

@@ -318,7 +318,7 @@ def test_criterion_11_property_suites(torus, cheb20):
 
     # (e) Galerkin residual of accepted Chebyshev solutions
     coeffs20 = project_matrix_coeffs(torus, (0.25, 1.0), 20)
-    tol = 1e-12 * (1.0 + max(float(np.linalg.norm(c)) for c in coeffs20.coeffs))
+    tol = 1e-12 * (1.0 + max(float(np.linalg.norm(c)) for c in coeffs20))
     galerkin_err = 0.0
     for pair in cheb20_series:
         packed = np.column_stack((pair.lam, pair.vec)).ravel()

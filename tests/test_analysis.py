@@ -2,6 +2,7 @@
 and CSV export."""
 
 import csv
+import dataclasses
 import itertools
 
 from pathlib import Path
@@ -206,6 +207,12 @@ class TestSampling:
             sample_eigenvalues(torus8, taylor_e1_p6, (0.2, 0.1), 5, 1, "cheb-eval")
 
 
+def _cut(pairs, n=4):
+    """The pairs with their eigenvectors cut to the first n entries: pairs
+    of another size than the problem's."""
+    return [dataclasses.replace(pair, vec=pair.vec[:, :n]) for pair in pairs]
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda problem, pairs, path: error_report(problem, [], [0.1, 0.2]),
      "pairs must be nonempty"),
@@ -217,8 +224,17 @@ class TestSampling:
      "repeats must be >= 1"),
     (lambda problem, pairs, path: error_report(problem, pairs, [[0.1, 0.2], [0.3, 0.4]]),
      r"grid must be one-dimensional, got shape \(2, 2\)"),
+    (lambda problem, pairs, path: error_report(problem, _cut(pairs), [0.1, 0.2]),
+     "eigenpair series has n=4, the problem has n=8"),
+    *[(lambda problem, pairs, path, method=method:
+       sample_eigenvalues(problem, _cut(pairs), (0.2, 0.1), 5, 1, method),
+       "eigenpair series has n=4, the problem has n=8") for method in analysis.SAMPLE_METHODS],
+    (lambda problem, pairs, path: rayleigh_refine(problem, _cut(pairs)[0], 0.2),
+     "eigenpair series has n=4, the problem has n=8"),
 ], ids=["report-no-pairs", "sample-no-pairs", "histogram-no-sample-sets", "bench-no-repeats",
-        "report-2d-grid"])
+        "report-2d-grid", "report-pairs-of-another-size",
+        *[f"sample-{method}-pairs-of-another-size" for method in analysis.SAMPLE_METHODS],
+        "rayleigh-refine-pair-of-another-size"])
 def test_library_input_without_work_fails_by_name(tmp_path, taylor_e1_p6, torus8, call,
                                                    message):
     path = tmp_path / "out.csv"

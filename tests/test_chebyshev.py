@@ -87,15 +87,15 @@ class TestQuadrature:
 
 class TestProjection:
     def test_identity_map_on_reference_interval(self):
-        ms = project_matrix_coeffs(linear_problem(), (-1.0, 1.0), 3)
-        got = [ms.coeffs[k][0, 0].real for k in range(4)]
+        a = project_matrix_coeffs(linear_problem(), (-1.0, 1.0), 3)
+        got = [a[k][0, 0].real for k in range(4)]
         np.testing.assert_allclose(got, [0.0, 0.5, 0.0, 0.0], atol=1e-14)
 
     def test_identity_map_affine_interval(self):
         mu1, mu2 = 0.3, 0.9
-        ms = project_matrix_coeffs(linear_problem(), (mu1, mu2), 3)
-        assert ms.coeffs[0][0, 0].real == pytest.approx((mu1 + mu2) / 2, abs=1e-14)
-        assert ms.coeffs[1][0, 0].real == pytest.approx((mu2 - mu1) / 4, abs=1e-14)
+        a = project_matrix_coeffs(linear_problem(), (mu1, mu2), 3)
+        assert a[0][0, 0].real == pytest.approx((mu1 + mu2) / 2, abs=1e-14)
+        assert a[1][0, 0].real == pytest.approx((mu2 - mu1) / 4, abs=1e-14)
 
     def test_basis_function_reproduction(self):
         from eigenpath import ParametricProblem
@@ -107,8 +107,8 @@ class TestProjection:
             eval_at=pointwise(lambda mu: np.array([[u_values(basis.affine(mu), 2)[2]]])),
             derivs_at=lambda mu0, p: None,
         )
-        ms = project_matrix_coeffs(problem, (0.2, 1.4), 4)
-        coeffs = np.array([ms.coeffs[k][0, 0].real for k in range(5)])
+        a = project_matrix_coeffs(problem, (0.2, 1.4), 4)
+        coeffs = np.array([a[k][0, 0].real for k in range(5)])
         assert coeffs[2] == pytest.approx(1.0, abs=1e-13)
         others = np.delete(coeffs, 2)
         np.testing.assert_allclose(others, 0.0, atol=1e-14)
@@ -130,7 +130,7 @@ class TestProjection:
                 samples = np.array([problem.eval_at(mu)
                                     for mu in SeriesBasis.chebyshev(*interval).from_affine(s)])
                 fine = (2.0 / np.pi) * np.einsum("j,ij,jab->iab", w, u_values(s, p), samples)
-                coeffs = project_matrix_coeffs(problem, interval, p).coeffs
+                coeffs = project_matrix_coeffs(problem, interval, p)
                 assert np.max(np.abs(coeffs - fine)) <= 2e-15 * np.max(np.abs(fine))
 
     def test_nonfinite_sample_reported(self):
@@ -189,7 +189,7 @@ class TestWarmStart:
         for index in range(8):
             lams = warm_start(*request, index).reshape(-1, 9)[:, 0]
             for mu, dvals in zip(grid, direct):
-                err = np.min(np.abs(eval_cheb_u(coeffs.basis, lams, mu) - dvals))
+                err = np.min(np.abs(eval_cheb_u(SeriesBasis.chebyshev(0.25, 1.0), lams, mu) - dvals))
                 assert err <= 0.5
 
 
@@ -217,7 +217,7 @@ class TestResidual:
         x = rng.normal(size=size) + 1j * rng.normal(size=size)
         blocks = x.reshape(-1, 9)
         lams, vs = blocks[:, 0], blocks[:, 1:]
-        nrm, vec = galerkin_coefficients(lams, vs, coeffs.coeffs, p)
+        nrm, vec = galerkin_coefficients(lams, vs, coeffs, p)
         r = cheb_residual(x, coeffs)
         for k in range(p + 1):
             base = k * 9
@@ -278,7 +278,7 @@ class TestJacobian:
         np.testing.assert_allclose(block[0, 1:], 2 * v0, atol=1e-10)
         np.testing.assert_allclose(block[1:, 0], -v0, atol=1e-10)
         np.testing.assert_allclose(
-            block[1:, 1:], coeffs.coeffs[0] - lams[0] * np.eye(3), atol=1e-10
+            block[1:, 1:], coeffs[0] - lams[0] * np.eye(3), atol=1e-10
         )
         assert block[0, 0] == 0.0
 
@@ -294,7 +294,7 @@ class TestJacobian:
         np.testing.assert_allclose(block01[0, 1:], 2 * vs[1], rtol=1e-13)
         np.testing.assert_allclose(block01[1:, 0], -vs[1], rtol=1e-13)
         np.testing.assert_allclose(
-            block01[1:, 1:], coeffs.coeffs[1] - lams[1] * np.eye(8), rtol=1e-13
+            block01[1:, 1:], coeffs[1] - lams[1] * np.eye(8), rtol=1e-13
         )
 
 
@@ -310,12 +310,14 @@ class TestNewton:
         lams = np.zeros(3, dtype=complex)
         vs = np.zeros((3, 4), dtype=complex)
         lams[0], vs[0] = d.values[1], v0
-        pair = newton_refine(np.column_stack((lams, vs)).ravel(), coeffs)
+        pair = newton_refine(np.column_stack((lams, vs)).ravel(), coeffs,
+                             SeriesBasis.chebyshev(0.0, 1.0))
         assert pair.diagnostics["newton_iterations"] <= 1
 
     def test_scalar_linear_unique_solution(self):
         coeffs = project_matrix_coeffs(linear_problem(), (-1.0, 1.0), 2)
-        pair = newton_refine(warm_start(linear_problem(), (-1.0, 1.0), 2, 0), coeffs)
+        pair = newton_refine(warm_start(linear_problem(), (-1.0, 1.0), 2, 0), coeffs,
+                             SeriesBasis.chebyshev(-1.0, 1.0))
         lam = pair.lam.real
         vec = pair.vec.real
         sign = np.sign(vec[0, 0])
@@ -332,7 +334,7 @@ class TestNewton:
         # Newton starts from it cut after order 2. When >= 3 iterations
         # happen, the last two residuals contract quadratically:
         # r_k <= C r_{k-1}^2 with C <= 1e6
-        coeffs, decomp, nodes = _projected(torus8, (0.25, 1.0), 16)
+        _, coeffs, decomp, nodes = _projected(torus8, (0.25, 1.0), 16)
         _, x = _node_starts(coeffs, decomp, nodes, range(8))
         x[:, 3:] = 0.0
         checked = 0
@@ -349,7 +351,7 @@ class TestNewton:
         coeffs = project_matrix_coeffs(linear_problem(), (-1.0, 1.0), 2)
         bad = np.full(6, 40.0, dtype=complex)
         with pytest.raises(NewtonDivergenceError) as err:
-            newton_refine(bad, coeffs)
+            newton_refine(bad, coeffs, SeriesBasis.chebyshev(-1.0, 1.0))
         assert err.value.best_x is not None
         assert err.value.best_residual > 0
 
@@ -357,10 +359,10 @@ class TestNewton:
 class TestGalerkinConsistency:
     def test_accepted_solutions_satisfy_truncated_system(self, cheb_e1_p20, torus8):
         coeffs = project_matrix_coeffs(torus8, (0.25, 1.0), 20)
-        tol = 1e-12 * (1.0 + max(np.linalg.norm(a) for a in coeffs.coeffs))
+        tol = 1e-12 * (1.0 + max(np.linalg.norm(a) for a in coeffs))
         for pair in cheb_e1_p20:
             nrm, vec = galerkin_coefficients(
-                pair.lam, pair.vec, coeffs.coeffs, 20
+                pair.lam, pair.vec, coeffs, 20
             )
             assert max(abs(v) for v in nrm) <= tol
             assert max(np.max(np.abs(v)) for v in vec) <= tol
@@ -564,10 +566,14 @@ class TestSharedInputRules:
         with pytest.raises(ValueError, match=r"^selector must be 'all' or an integer index$"):
             expand(torus8, 3, selector=selector)
 
-    @pytest.mark.parametrize("expand", KERNELS)
-    def test_order_that_is_not_an_integer_is_rejected(self, torus8, expand):
+    @pytest.mark.parametrize("expand", KERNELS + [
+        pytest.param(lambda problem, order: project_matrix_coeffs(problem, (0.25, 1.0), order),
+                     id="project_matrix_coeffs"),
+    ])
+    @pytest.mark.parametrize("order", [2.5, -1, True])
+    def test_order_that_is_not_a_nonnegative_integer_is_rejected(self, torus8, expand, order):
         with pytest.raises(ValueError, match=r"^order must be a nonnegative integer$"):
-            expand(torus8, 2.5)
+            expand(torus8, order)
 
     @pytest.mark.parametrize("expand", KERNELS + [
         pytest.param(lambda problem, order, selector:
@@ -595,6 +601,8 @@ class TestSharedInputRules:
             taylor_expand_all(None, np.inf, 3)
         with pytest.raises(ValueError, match=r"^Chebyshev interval must be finite with mu2 > mu1$"):
             cheb_expand_all(None, (0.0, np.inf), 3)
+        with pytest.raises(ValueError, match=r"^Chebyshev interval must be finite with mu2 > mu1$"):
+            cheb_expand_all(None, (-1e308, 1e308), 3)     # the width overflows
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +624,7 @@ def node_loop_start(request, index):
     s, w = gauss_chebyshev_u(quadrature_size(p))
     mus = SeriesBasis.chebyshev(*interval).from_affine(s)
     decomps = [eigen_all(problem.eval_at(mu), hermitian=problem.hermitian) for mu in mus]
-    a0 = project_matrix_coeffs(problem, interval, p).coeffs[0]
+    a0 = project_matrix_coeffs(problem, interval, p)[0]
     v0 = eigen_all(a0).vectors
     m, mid = len(s), len(s) // 2
 
@@ -675,7 +683,7 @@ class TestAllPairsKernel:
         # the oracle is node_loop_start, one eigensolve per node
         request = separated_request(name)
         problem = request[0]
-        coeffs, decomp, nodes = _projected(*request)
+        _, coeffs, decomp, nodes = _projected(*request)
         errors, x = _node_starts(coeffs, decomp, nodes, range(problem.n))
         assert errors == [None] * problem.n
         for index in range(problem.n):
@@ -734,7 +742,7 @@ class TestAllPairsKernel:
             assert_same_pair(a, b)
 
     def test_failing_pairs_leave_their_block_neighbours_unchanged(self):
-        coeffs, decomp, nodes = _projected(make_torus_kernel(8), (0.25, 1.0), 6)
+        _, coeffs, decomp, nodes = _projected(make_torus_kernel(8), (0.25, 1.0), 6)
         _, starts = _node_starts(coeffs, decomp, nodes, range(8))
         system = _CoupledSystem(coeffs)
         block = starts.copy()
@@ -813,7 +821,7 @@ class TestAllPairsKernel:
         # pair 6 fails in Newton
         request = separated_request("torus8")
         clean = cheb_expand_all(*request)
-        values = _projected(*request)[1].values
+        values = _projected(*request)[2].values
 
         def forced(coeffs, decomp, nodes, indices):
             errors, x = _node_starts(coeffs, decomp, nodes, indices)

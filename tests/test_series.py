@@ -61,6 +61,8 @@ class TestBasis:
             SeriesBasis.chebyshev(1.0, 1.0)
         with pytest.raises(ValueError):
             SeriesBasis.chebyshev(2.0, 1.0)
+        with pytest.raises(ValueError, match=r"^Chebyshev interval must be finite with mu2 > mu1$"):
+            SeriesBasis.chebyshev(-1e308, 1e308)       # the width overflows
 
     def test_taylor_needs_finite_mu0(self):
         with pytest.raises(ValueError):

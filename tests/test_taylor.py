@@ -1,5 +1,6 @@
 """Order-by-order Taylor expansion of eigenpaths."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -126,6 +127,18 @@ class TestExpandEigenpair:
         )
         with pytest.raises(DerivativeOrderError):
             taylor_expand_all(problem, 0.0, 3, selector=0)
+
+    def test_longer_derivative_stack_is_cut_to_the_order(self):
+        # derivs_at may return more orders than asked for; the series stop
+        # at the order, with the bits of an exact stack
+        torus = make_torus_kernel(8)
+        long = dataclasses.replace(torus, derivs_at=lambda mu0, p: torus.derivs_at(mu0, 9))
+        exact, cut = (taylor_expand_all(problem, 0.2, 3) for problem in (torus, long))
+        assert len(cut) == 8
+        for a, b in zip(exact, cut):
+            assert b.order == 3
+            assert np.array_equal(a.lam, b.lam) and np.array_equal(a.vec, b.vec)
+            assert a.diagnostics == b.diagnostics
 
 
 class TestExpandAll:
